@@ -1,7 +1,7 @@
 PYTHON ?= python3
 OUT ?= out
 
-.PHONY: install test acceptance bench reproduce clean
+.PHONY: install test acceptance bench reproduce check-reproduce clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -13,7 +13,7 @@ acceptance:
 	$(PYTHON) -m pytest tests/test_acceptance.py -v -s
 
 bench:
-	$(PYTHON) benchmarks/bench_kernels.py
+	$(PYTHON) bench/run.py --workload all --seed 1 --seconds 15
 
 # Chain every experiment subcommand into $(OUT)/*.csv.
 reproduce:
@@ -33,5 +33,10 @@ reproduce:
 	$(PYTHON) -m longwire.cli --out $(OUT)/audit_exposures.csv audit --grid docs/sample_grid.txt
 	@echo "wrote $(OUT)/"
 
+# Regenerate every CSV into a fresh temp dir; fail if any byte differs from out/.
+check-reproduce:
+	tmp=$$(mktemp -d) && $(MAKE) --no-print-directory reproduce OUT=$$tmp && diff -r $$tmp out; \
+	status=$$?; rm -rf $$tmp; exit $$status
+
 clean:
-	rm -rf $(OUT) build src/*.egg-info src/longwire/_core.c src/longwire/*.so
+	rm -rf $(OUT) build src/*.egg-info

@@ -13,7 +13,7 @@ key except the two constant ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
@@ -422,12 +422,41 @@ def eq2_lower_bound(n_key: int, w: int) -> float:
     return 1.0 - w * 2.0 ** (1 - nq)
 
 
-def _wide_trial_key(seed: int, trial: int, n: int) -> int:
-    base = kernels.trial_key(seed, trial, 64)
-    key = 0
-    for k in range((n + 63) // 64):
-        key |= kernels.trial_key(base, k, 64) << (64 * k)
-    return key & ((1 << n) - 1)
+_MC_CHUNK_BITS = 1 << 23  # bit-matrix cells per chunk, one byte each: 8 MiB at any trial count
+
+
+def _trial_bits(seed: int, start: int, stop: int, n: int) -> np.ndarray:
+    """Keys of trials [start, stop) as a (trials x n) 0/1 matrix, bit K_i in column i.
+
+    Keys up to 64 bits are kernels.trial_key(seed, t, n).  A wider key takes
+    base = trial_key(seed, t, 64) and fills its k-th 64-bit word, least
+    significant first, with trial_key(base, k, 64).
+    """
+    t = np.arange(start, stop, dtype=np.uint64)
+    if n <= kernels.KERNEL_MAX_BITS:
+        words = kernels.trial_keys(seed, t, n)[:, None]
+    else:
+        base = kernels.trial_keys(seed, t, 64)
+        words = np.stack([kernels.trial_keys(base, k, 64) for k in range((n + 63) // 64)], axis=1)
+    octets = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(octets, axis=1, count=n, bitorder="little")
+
+
+def _single_window_complete(bits: np.ndarray, w: int) -> np.ndarray:
+    """Per row: does every residue class mod w hold both bit values?"""
+    ok = np.ones(len(bits), dtype=bool)
+    for r in range(w):
+        cls = bits[:, r::w]
+        ok &= cls.any(axis=1) & ~cls.all(axis=1)
+    return ok
+
+
+def _noisy_trial_correct(key: KeyBits, w: int, chan: ExfilChannel) -> bool:
+    try:
+        result = single_window_recover(key, w, chan)
+    except InconsistentMeasurements:
+        return False
+    return result.complete and all(result.known[p] == b for p, b in enumerate(key.bits))
 
 
 def monte_carlo_recovery_rate(
@@ -437,24 +466,26 @@ def monte_carlo_recovery_rate(
     seed: int,
     noise: ExfilChannel | None = None,
 ) -> float:
-    """Fraction of uniform random keys fully recovered, deterministic per seed."""
+    """Fraction of uniform random keys fully recovered, deterministic per seed.
+
+    With ``noise``, trial t measures through the channel seeded
+    ``noise.seed + t`` and counts only when every bit comes out equal to
+    the true key; an inconsistent measurement set counts as a miss.
+    """
     _split_key_length(n_key, w)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if noise is None and n_key <= kernels.KERNEL_MAX_BITS:
         return kernels.mc_single(n_key, w, trials, seed) / trials
     hits = 0
-    for t in range(trials):
-        if n_key <= kernels.KERNEL_MAX_BITS:
-            value = kernels.trial_key(seed, t, n_key)
+    rows = max(1, _MC_CHUNK_BITS // n_key)
+    for start in range(0, trials, rows):
+        bits = _trial_bits(seed, start, min(start + rows, trials), n_key)
+        if noise is None:
+            hits += int(np.count_nonzero(_single_window_complete(bits, w)))
         else:
-            value = _wide_trial_key(seed, t, n_key)
-        key = KeyBits.from_int(value, n_key)
-        chan = noise
-        if chan is not None:
-            chan = ExfilChannel(chan.profile, chan.cfg, chan.geom, chan.seed + t, chan.repeats)
-        if single_window_recover(key, w, chan).complete:
-            hits += 1
+            for t, row in enumerate(bits.tolist(), start):
+                hits += _noisy_trial_correct(KeyBits(tuple(row)), w, replace(noise, seed=noise.seed + t))
     return hits / trials
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longwire import DeviceProfile, Geometry, MeasurementConfig
+from longwire import DeviceProfile, Geometry, MeasurementConfig, kernels
 from longwire.errors import InconsistentMeasurements
 from longwire.exfil import (
     ExfilChannel,
@@ -342,6 +342,41 @@ class TestNoisyRecovery:
     def test_repeats_validated(self):
         with pytest.raises(ValueError):
             self.channel(repeats=0)
+
+
+class TestNoisyMonteCarlo:
+    """Noisy trials are scored against the true key and never raise."""
+
+    def outcomes(self, n, w, trials, seed, chan):
+        counts = {"correct": 0, "wrong": 0, "inconsistent": 0, "unresolved": 0}
+        for t in range(trials):
+            key = KeyBits.from_int(kernels.trial_key(seed, t, n), n)
+            trial_chan = ExfilChannel(chan.profile, chan.cfg, chan.geom, chan.seed + t, chan.repeats)
+            try:
+                result = single_window_recover(key, w, trial_chan)
+            except InconsistentMeasurements:
+                counts["inconsistent"] += 1
+                continue
+            if not result.complete:
+                counts["unresolved"] += 1
+            elif all(result.known[p] == b for p, b in enumerate(key.bits)):
+                counts["correct"] += 1
+            else:
+                counts["wrong"] += 1
+        return counts
+
+    @pytest.mark.parametrize("log2_ticks", [17, 21])
+    def test_inconsistent_trials_are_misses(self, log2_ticks):
+        chan = ExfilChannel(DeviceProfile(), MeasurementConfig(log2_ticks=log2_ticks), Geometry(v_t=2, v_r=2, d=1), 3)
+        counts = self.outcomes(64, 10, 50, 1, chan)
+        assert counts["inconsistent"] > 0  # these settings used to raise
+        assert monte_carlo_recovery_rate(64, 10, 50, 1, noise=chan) == counts["correct"] / 50
+
+    def test_complete_but_wrong_keys_are_misses(self):
+        chan = ExfilChannel(DeviceProfile(), MeasurementConfig(log2_ticks=21), Geometry(v_t=5, v_r=5, d=1), 3)
+        counts = self.outcomes(64, 10, 200, 1, chan)
+        assert counts["wrong"] > 0  # these settings used to count wrong keys as hits
+        assert monte_carlo_recovery_rate(64, 10, 200, 1, noise=chan) == counts["correct"] / 200
 
 
 class TestSchedule:

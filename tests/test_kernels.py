@@ -1,18 +1,20 @@
-"""Kernel correctness and backend parity.
+"""Kernel correctness against test-local oracles.
 
-The oracles here are test-local and independent of the library: success
-of the single pass is "every residue class mod w contains two distinct
-bits", and the two-width pass is checked against a from-scratch
-union-find over the equality structure of the true key.
+The oracles here are independent of the library: success of the single
+pass is "every residue class mod w contains two distinct bits", the
+two-width pass is checked against a from-scratch union-find over the
+equality structure of the true key, and the trial keys against a scalar
+splitmix64 written out below.
 """
+
+import warnings
 
 import pytest
 
 from longwire import kernels
+from longwire.exfil import KeyBits, monte_carlo_recovery_rate, multi_window_recover, single_window_recover
 
-
-def all_backends():
-    return sorted(kernels.available_backends().items())
+M64 = (1 << 64) - 1
 
 
 def valid_single(n):
@@ -58,76 +60,111 @@ def oracle_multi_known(key, n, w):
     return known
 
 
-@pytest.mark.parametrize("name,impl", all_backends())
+def splitmix64(seed, trial):
+    z = (seed + (trial + 1) * 0x9E3779B97F4A7C15) & M64
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & M64
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & M64
+    return z ^ (z >> 31)
+
+
+def wide_key(seed, trial, n):
+    base = splitmix64(seed, trial)
+    key = 0
+    for k in range((n + 63) // 64):
+        key |= splitmix64(base, k) << (64 * k)
+    return key & ((1 << n) - 1)
+
+
+def known_mask(result):
+    return sum(1 << p for p in result.known)
+
+
+def full_single_hits(keys, n, w):
+    return sum(oracle_single_known(key, n, w) == (1 << n) - 1 for key in keys)
+
+
 class TestAgainstOracle:
-    def test_single_masks_exhaustive(self, name, impl):
+    def test_single_window_known_exhaustive(self):
         for n in range(1, 11):
             for w in valid_single(n):
                 for key in range(1 << n):
-                    known, value = impl.recover_single_masks(key, n, w)
-                    assert known == oracle_single_known(key, n, w)
-                    assert value == key & known
+                    result = single_window_recover(KeyBits.from_int(key, n), w)
+                    assert known_mask(result) == oracle_single_known(key, n, w)
+                    assert all(v == (key >> p) & 1 for p, v in result.known.items())
 
-    def test_multi_masks_exhaustive(self, name, impl):
+    def test_multi_window_known_exhaustive(self):
         for n in range(3, 11):
             for w in valid_multi(n):
                 for key in range(1 << n):
-                    known, value = impl.recover_multi_masks(key, n, w)
-                    assert known == oracle_multi_known(key, n, w)
-                    assert value == key & known
+                    result = multi_window_recover(KeyBits.from_int(key, n), w)
+                    assert known_mask(result) == oracle_multi_known(key, n, w)
+                    assert all(v == (key >> p) & 1 for p, v in result.known.items())
 
-    def test_sweeps_match_per_key_counts(self, name, impl):
-        for n in range(2, 11):
+    def test_sweeps_match_per_key_counts(self):
+        for n in range(1, 11):
             for w in valid_single(n):
-                expected = sum(
-                    oracle_single_known(key, n, w) == (1 << n) - 1 for key in range(1 << n)
-                )
-                assert impl.sweep_single(n, w) == expected
+                assert kernels.sweep_single(n, w) == full_single_hits(range(1 << n), n, w)
         for n in range(3, 11):
             for w in valid_multi(n):
-                expected = sum(
-                    oracle_multi_known(key, n, w) == (1 << n) - 1 for key in range(1 << n)
-                )
-                assert impl.sweep_multi(n, w) == expected
+                expected = sum(oracle_multi_known(key, n, w) == (1 << n) - 1 for key in range(1 << n))
+                assert kernels.sweep_multi(n, w) == expected
 
-    def test_soundness_on_wide_keys(self, name, impl):
-        for t in range(200):
-            key = impl.trial_key(99, t, 64)
-            known, value = impl.recover_single_masks(key, 64, 10)
-            assert value == key & known
-            known, value = impl.recover_multi_masks(key, 64, 10)
-            assert value == key & known
+    @pytest.mark.parametrize("n,w", [(80, 8), (264, 40)])
+    def test_wide_monte_carlo_matches_oracle(self, n, w):
+        trials, seed = 200, 3
+        keys = [wide_key(seed, t, n) for t in range(trials)]
+        assert monte_carlo_recovery_rate(n, w, trials, seed) == full_single_hits(keys, n, w) / trials
 
-    def test_preconditions(self, name, impl):
+    def test_preconditions(self):
         with pytest.raises(ValueError):
-            impl.recover_single_masks(0, 4, 3)  # n < 2w - 1
+            kernels.sweep_single(4, 3)  # n < 2w - 1
         with pytest.raises(ValueError):
-            impl.recover_multi_masks(0, 4, 2)  # n < 2w + 1
+            kernels.mc_single(4, 3, 10, 0)  # n < 2w - 1
         with pytest.raises(ValueError):
-            impl.recover_single_masks(0, 65, 1)
+            kernels.sweep_multi(4, 2)  # n < 2w + 1
         with pytest.raises(ValueError):
-            impl.sweep_single(8, 0)
+            kernels.mc_single(65, 1, 10, 0)
         with pytest.raises(ValueError):
-            impl.mc_single(8, 3, 0, 1)
+            kernels.trial_key(0, 0, 65)
+        with pytest.raises(ValueError):
+            kernels.trial_key(0, 0, 0)
+        with pytest.raises(ValueError):
+            kernels.sweep_single(8, 0)
+        with pytest.raises(ValueError):
+            kernels.sweep_single(29, 3)  # beyond the exhaustive limit
+        with pytest.raises(ValueError):
+            kernels.sweep_multi(29, 3)
+        with pytest.raises(ValueError):
+            kernels.mc_single(8, 3, 0, 1)
 
 
-class TestBackendParity:
-    def test_backends_agree(self):
-        backends = kernels.available_backends()
-        if len(backends) < 2:
-            pytest.skip("compiled backend not built")
-        a, b = backends["python"], backends["c"]
-        for n in range(1, 13):
-            for w in valid_single(n):
-                assert a.sweep_single(n, w) == b.sweep_single(n, w)
-            for w in valid_multi(n):
-                assert a.sweep_multi(n, w) == b.sweep_multi(n, w)
-        for t in range(500):
-            assert a.trial_key(7, t, 64) == b.trial_key(7, t, 64)
-            key = a.trial_key(7, t, 64)
-            assert a.recover_single_masks(key, 64, 9) == b.recover_single_masks(key, 64, 9)
-            assert a.recover_multi_masks(key, 64, 9) == b.recover_multi_masks(key, 64, 9)
-        assert a.mc_single(64, 10, 2000, 42) == b.mc_single(64, 10, 2000, 42)
+SEEDS = [0, 2**64 - 5, -1]
+LENGTHS = [1, 16, 63, 64]
+
+
+class TestTrialKeys:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_trial_key_matches_splitmix64(self, seed, n):
+        for t in range(100):
+            assert kernels.trial_key(seed, t, n) == splitmix64(seed, t) & ((1 << n) - 1)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_mc_single_matches_oracle(self, seed, n):
+        trials = 300
+        keys = [splitmix64(seed, t) & ((1 << n) - 1) for t in range(trials)]
+        for w in sorted({1, min(3, (n + 1) // 2), (n + 1) // 2}):
+            assert kernels.mc_single(n, w, trials, seed) == full_single_hits(keys, n, w)
+
+    def test_uint64_wraparound_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert kernels.trial_key(2**64 - 1, 3, 64) == splitmix64(2**64 - 1, 3)
+            keys = [splitmix64(-1, t) for t in range(100)]
+            assert kernels.mc_single(64, 10, 100, -1) == full_single_hits(keys, 64, 10)
 
     def test_trial_keys_cover_the_range(self):
         # splitmix output should not be obviously degenerate
