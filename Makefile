@@ -39,4 +39,4 @@ check-reproduce:
 	status=$$?; rm -rf $$tmp; exit $$status
 
 clean:
-	rm -rf $(OUT) build src/*.egg-info
+	rm -rf build src/*.egg-info

@@ -18,6 +18,7 @@ from .audit import (
     serialize_grid,
 )
 from .channel import (
+    STREAM_VERSION,
     CountTrace,
     DeviceProfile,
     Geometry,
@@ -26,6 +27,7 @@ from .channel import (
     drift_step,
     expected_count,
     expected_delta_rc,
+    simulate_counts,
     simulate_trace,
     simulate_window,
 )

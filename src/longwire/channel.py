@@ -8,6 +8,12 @@ logical 1.  This module generates those counts: the static geometry
 factor, a slow mean-reverting baseline drift, per-window Gaussian noise
 and the +/-1 quantization of an unsynchronized counter.
 
+All counts come from one array engine, ``simulate_counts``.  For n windows
+it draws from the generator, in this order (``STREAM_VERSION`` 2): n drift
+innovations ``normal(0, drift_rate)``, then n noise values
+``normal(0, sigma)``, then n counter phases ``uniform(-1, 1)``.  Version 1
+drew the same three values window by window, interleaved.
+
 Two coupling paths are modelled.  On the ``long`` path the count depends
 on the transmitter duty cycle only.  On the ``local`` path (no long-wire
 overlap) switching activity depresses the count and the duty cycle has
@@ -26,9 +32,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .patterns import PatternSpec, iter_stimuli
+from .patterns import PatternSpec, stimulus_columns
 
 __all__ = [
+    "STREAM_VERSION",
     "DeviceProfile",
     "MeasurementConfig",
     "Geometry",
@@ -40,11 +47,15 @@ __all__ = [
     "expected_count",
     "drift_step",
     "simulate_window",
+    "simulate_counts",
     "simulate_trace",
     "trace_to_csv",
     "trace_from_csv",
     "TRACE_CSV_HEADER",
 ]
+
+# Order in which simulate_counts draws from its generator; see the module docstring.
+STREAM_VERSION = 2
 
 # Reference window used to express noise_sigma: 2^13 ticks.
 NOISE_REFERENCE_TICKS = 1 << 13
@@ -264,6 +275,13 @@ def _coupling_terms(profile: DeviceProfile, geom: Geometry) -> tuple[float, floa
     return profile.local_static_epsilon, profile.local_switch_penalty
 
 
+def _mean_count(profile, cfg, geom, duty, toggle_rate, drift):
+    """Noise-free window count; floats or arrays alike."""
+    delta, penalty = _coupling_terms(profile, geom)
+    m = cfg.ticks_per_window
+    return m * profile.base_rate * (1.0 + drift) * (1.0 + duty * delta - penalty * toggle_rate)
+
+
 def expected_count(
     profile: DeviceProfile,
     cfg: MeasurementConfig,
@@ -277,15 +295,50 @@ def expected_count(
         raise ValueError("duty must be in [0, 1]")
     if toggle_rate < 0.0:
         raise ValueError("toggle_rate must be >= 0")
-    delta, penalty = _coupling_terms(profile, geom)
-    m = cfg.ticks_per_window
-    return m * profile.base_rate * (1.0 + drift_state) * (1.0 + duty * delta - penalty * toggle_rate)
+    return _mean_count(profile, cfg, geom, duty, toggle_rate, drift_state)
+
+
+def _drift_path(profile: DeviceProfile, innovations, state: float = 0.0) -> list[float]:
+    """Clipped AR(1) baseline wander, one state per innovation.
+
+    Each state depends on the one before, so this stays a sequential loop.
+    """
+    keep, high, low = 1.0 - profile.drift_reversion, profile.drift_bound, -profile.drift_bound
+    path = []
+    append = path.append
+    for innovation in innovations:
+        state = state * keep + innovation
+        if state > high:
+            state = high
+        elif state < low:
+            state = low
+        append(state)
+    return path
 
 
 def drift_step(state: float, profile: DeviceProfile, rng: np.random.Generator) -> float:
     """One step of the bounded mean-reverting baseline wander."""
-    nxt = state * (1.0 - profile.drift_reversion) + rng.normal(0.0, profile.drift_rate)
-    return min(max(nxt, -profile.drift_bound), profile.drift_bound)
+    return _drift_path(profile, [rng.normal(0.0, profile.drift_rate)], state)[0]
+
+
+def _stimulus_arrays(duty, toggle_rate) -> tuple[np.ndarray, np.ndarray]:
+    duty, toggle = np.asarray(duty, dtype=float), np.asarray(toggle_rate, dtype=float)
+    if duty.ndim != 1 or toggle.ndim > 1:
+        raise ValueError("duty and toggle_rate must be one value per window")
+    if not ((duty >= 0.0) & (duty <= 1.0)).all():
+        raise ValueError("duty must be in [0, 1]")
+    if (toggle < 0.0).any():
+        raise ValueError("toggle_rate must be >= 0")
+    return duty, toggle
+
+
+def _noisy_counts(profile, cfg, geom, duty, toggle, drift, rng) -> np.ndarray:
+    """Mean + Gaussian noise + counter phase, rounded half to even and clipped at 0."""
+    n = len(duty)
+    noise = rng.normal(0.0, profile.noise_sigma_for(cfg.ticks_per_window), n)
+    phase = rng.uniform(-1.0, 1.0, n)
+    raw = _mean_count(profile, cfg, geom, duty, toggle, drift) + noise + phase
+    return np.maximum(np.rint(raw), 0.0).astype(np.int64)
 
 
 def simulate_window(
@@ -298,10 +351,27 @@ def simulate_window(
     rng: np.random.Generator,
 ) -> int:
     """Draw one window count: mean + Gaussian noise + counter quantization."""
-    mean = expected_count(profile, cfg, geom, duty, toggle_rate, drift_state)
-    sigma = profile.noise_sigma_for(cfg.ticks_per_window)
-    raw = mean + rng.normal(0.0, sigma) + rng.uniform(-1.0, 1.0)
-    return max(0, round(raw))
+    duty_col, toggle_col = _stimulus_arrays([duty], toggle_rate)
+    return int(_noisy_counts(profile, cfg, geom, duty_col, toggle_col, drift_state, rng)[0])
+
+
+def simulate_counts(
+    profile: DeviceProfile,
+    cfg: MeasurementConfig,
+    geom: Geometry,
+    duty,
+    toggle_rate,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Counts of consecutive windows, one per duty value, drift starting at 0.
+
+    ``toggle_rate`` is one value per window or one for all.  Draws the
+    stream in three blocks (see the module docstring).
+    """
+    duty, toggle = _stimulus_arrays(duty, toggle_rate)
+    innovations = rng.normal(0.0, profile.drift_rate, len(duty))
+    drift = np.array(_drift_path(profile, innovations.tolist()))
+    return _noisy_counts(profile, cfg, geom, duty, toggle, drift, rng)
 
 
 def simulate_trace(
@@ -316,15 +386,9 @@ def simulate_trace(
     """Simulate consecutive windows; deterministic for a fixed seed."""
     if num_windows < 1:
         raise ValueError("num_windows must be >= 1")
-    rng = np.random.default_rng(seed)
-    drift = 0.0
-    samples = []
-    stimuli = iter_stimuli(pattern)
-    for i in range(num_windows):
-        stim = next(stimuli)
-        drift = drift_step(drift, profile, rng)
-        count = simulate_window(profile, cfg, geom, stim.duty, stim.toggle_rate, drift, rng)
-        samples.append(TraceSample(i, count, stim.duty, stim.toggle_rate, stim.bit))
+    duty, toggle, bits = stimulus_columns(pattern, num_windows)
+    counts = simulate_counts(profile, cfg, geom, duty, toggle, np.random.default_rng(seed))
+    samples = map(TraceSample, range(num_windows), counts.tolist(), duty.tolist(), toggle.tolist(), bits)
     return CountTrace(tuple(samples), trace_id=trace_id)
 
 

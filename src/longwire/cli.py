@@ -184,30 +184,34 @@ def cmd_exfil(args) -> str:
     if args.noisy:
         profile, cfg, geom = _load_setup(args)
         noise = exfil.ExfilChannel(profile, cfg, geom, seed=args.seed, repeats=args.repeats)
+    single = args.single or n < 2 * args.w + 1
+    if noise is not None and not single:
+        raise ValueError("noisy recovery is single-window only; pass --single")
     lines = [f"# n_key={n} w={args.w}"]
-    if args.single or n < 2 * args.w + 1:
-        result = exfil.single_window_recover(key, args.w, noise)
+    if noise is not None:
+        # the CLI knows the true key, so a noisy run is scored, never an error
+        outcome, result = exfil.noisy_outcome(key, args.w, noise)
+    elif single:
+        result = exfil.single_window_recover(key, args.w)
     else:
-        if noise is not None:
-            raise ValueError("noisy recovery is single-window only; pass --single")
         result = exfil.multi_window_recover(key, args.w)
         schedule = exfil.run_schedule(n, args.w)
         lines.append(
             f"# schedule: runs={schedule.total_runs} measurements={schedule.total_measurements}"
         )
-    lines.append(f"# runs_used={result.runs_used} measurements_used={result.measurements_used}")
-    lines.append(f"# recovered={len(result.known)}/{n}")
+    if result is not None:
+        lines.append(f"# runs_used={result.runs_used} measurements_used={result.measurements_used}")
+        lines.append(f"# recovered={len(result.known)}/{n}")
     if noise is not None:
+        lines.append(f"# outcome={outcome}")
         feas = exfil.noise_feasibility(noise, args.w)
         lines.append(
             f"# feasibility: count_step={feas['count_step']:.6g}"
             f" noise_sigma={feas['noise_sigma']:.6g}"
             f" step_over_sigma={feas['step_over_sigma']:.6g}"
         )
-    body = _csv_lines(
-        ["position", "value_or_class_id"],
-        [[p, v] for p, v in exfil.recovery_to_rows(result)],
-    )
+    rows = [] if result is None else [[p, v] for p, v in exfil.recovery_to_rows(result)]
+    body = _csv_lines(["position", "value_or_class_id"], rows)
     return "\n".join(lines) + "\n" + body
 
 

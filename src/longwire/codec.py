@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import code8b10b
-from .channel import DeviceProfile, Geometry, MeasurementConfig, simulate_trace
-from .patterns import PatternSpec
+from .channel import DeviceProfile, Geometry, MeasurementConfig, simulate_counts
 
 __all__ = [
     "LineCode",
@@ -67,14 +69,19 @@ class Frame:
             raise ValueError("8b/10b payload length must be a multiple of 8")
 
 
+def _manchester_symbols(bits: Iterable[int]) -> np.ndarray:
+    """Wire symbols of the payload in send order, two per bit."""
+    sent = np.asarray(list(bits))
+    if not np.isin(sent, (0, 1)).all():
+        raise ValueError("bits must be 0 or 1")
+    sent = sent.astype(np.int64)
+    return np.column_stack((sent, 1 - sent)).ravel()
+
+
 def manchester_encode(bits: Iterable[int]) -> list[tuple[int, int]]:
     """0 -> (0, 1) and 1 -> (1, 0); two wire symbols per payload bit."""
-    out = []
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError("bits must be 0 or 1")
-        out.append((1, 0) if b else (0, 1))
-    return out
+    symbols = _manchester_symbols(bits).tolist()
+    return list(zip(symbols[0::2], symbols[1::2]))
 
 
 def manchester_decode(count_pairs: Iterable[tuple[float, float]]) -> list[int]:
@@ -115,22 +122,30 @@ def find_frames(
     eof: Sequence[int] = DEFAULT_EOF,
     line_code: LineCode = LineCode.NONE,
 ) -> list[tuple[int, tuple[int, ...]]]:
-    """Extract (sof_position, payload_bits) for every complete frame."""
+    """Extract (sof_position, payload_bits) for every complete frame.
+
+    A frame ends at the first EOF at or after its payload start; with 8b/10b,
+    at the first one that leaves a whole number of 10-bit groups.
+    """
     sof, eof = tuple(sof), tuple(eof)
+    # An 8b/10b payload is whole 10-bit groups, so its EOF sits at the payload
+    # start mod 10: keep the EOF positions in one sorted list per residue.
+    period = 10 if line_code is LineCode.EIGHTB_TENB else 1
+    ends: list[list[int]] = [[] for _ in range(period)]
+    for end in frame_sync(bitstream, eof):
+        ends[end % period].append(end)
     frames = []
     for pos in frame_sync(bitstream, sof):
         start = pos + len(sof)
-        for end in frame_sync(bitstream, eof):
-            if end < start:
-                continue
-            body = tuple(bitstream[start:end])
-            if line_code is LineCode.EIGHTB_TENB:
-                if len(body) % 10 != 0:
-                    continue
-                data, _ = code8b10b.decode_bits(body)
-                body = tuple(int(c) for byte in data for c in format(byte, "08b"))
-            frames.append((pos, body))
-            break
+        candidates = ends[start % period]
+        k = bisect_left(candidates, start)
+        if k == len(candidates):
+            continue
+        body = tuple(bitstream[start : candidates[k]])
+        if line_code is LineCode.EIGHTB_TENB:
+            data, _ = code8b10b.decode_bits(body)
+            body = tuple(int(c) for byte in data for c in format(byte, "08b"))
+        frames.append((pos, body))
     return frames
 
 
@@ -149,15 +164,16 @@ def simulate_covert_transfer(
     geom: Geometry,
     seed: int,
 ) -> list[int]:
-    """Full pipeline: Manchester encode, drive the channel, decode counts."""
-    symbols = [s for pair in manchester_encode(bits) for s in pair]
-    if not symbols:
+    """Full pipeline: Manchester encode, drive the channel, decode counts.
+
+    Decoding is manchester_decode's rule on the count pairs: 0 when the
+    first count is lower, else 1.
+    """
+    symbols = _manchester_symbols(bits)
+    if not symbols.size:
         return []
-    pattern = PatternSpec.custom(symbols)
-    trace = simulate_trace(profile, cfg, geom, pattern, len(symbols), seed)
-    counts = trace.counts
-    pairs = list(zip(counts[0::2], counts[1::2]))
-    return manchester_decode(pairs)
+    counts = simulate_counts(profile, cfg, geom, symbols, 0.0, np.random.default_rng(seed))
+    return np.where(counts[0::2] < counts[1::2], 0, 1).tolist()
 
 
 def bits_to_text(bits: Sequence[int], width: int = 64) -> str:

@@ -21,14 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .channel import (
-    DeviceProfile,
-    Geometry,
-    MeasurementConfig,
-    drift_step,
-    expected_count,
-    simulate_window,
-)
+from .channel import DeviceProfile, Geometry, MeasurementConfig, expected_count, simulate_counts
 from .errors import InconsistentMeasurements
 
 __all__ = [
@@ -47,6 +40,7 @@ __all__ = [
     "infer_relations",
     "propagate",
     "single_window_recover",
+    "noisy_outcome",
     "multi_window_recover",
     "recovery_probability",
     "recovery_probability_exact",
@@ -220,19 +214,19 @@ def noise_feasibility(chan: ExfilChannel, w: int) -> dict[str, float]:
 
 
 def measure_windows_noisy(key, w: int, chan: ExfilChannel) -> list[float]:
-    """Window measurements drawn from the count simulator (duty = HW / w)."""
+    """Window measurements drawn from the count simulator (duty = HW / w).
+
+    Each window position is measured ``repeats`` times in a row, positions
+    in order, as one trace whose drift carries across; a position reports
+    the mean of its counts.
+    """
     key = _as_key(key)
-    rng = np.random.default_rng(chan.seed)
-    drift = 0.0
-    counts = []
-    for pos in range(len(key) - w + 1):
-        duty = window_hw_oracle(key, pos, w) / w
-        acc = 0.0
-        for _ in range(chan.repeats):
-            drift = drift_step(drift, chan.profile, rng)
-            acc += simulate_window(chan.profile, chan.cfg, chan.geom, duty, 0.0, drift, rng)
-        counts.append(acc / chan.repeats)
-    return counts
+    if not 1 <= w <= len(key):
+        raise ValueError("window width must be in [1, key length]")
+    weights = np.convolve(key.bits, np.ones(w, dtype=np.int64), mode="valid")
+    duty = np.repeat(weights / w, chan.repeats)
+    counts = simulate_counts(chan.profile, chan.cfg, chan.geom, duty, 0.0, np.random.default_rng(chan.seed))
+    return counts.reshape(-1, chan.repeats).mean(axis=1).tolist()
 
 
 def infer_relations(counts: Sequence[float], w: int, tolerance: float) -> RelationSet:
@@ -326,6 +320,25 @@ def single_window_recover(key, w: int, noise: ExfilChannel | None = None) -> Rec
     if n < 2 * w - 1:
         raise ValueError("key length must be >= 2w - 1")
     return propagate(_relations_for(key, w, noise), n)
+
+
+def noisy_outcome(key, w: int, chan: ExfilChannel) -> tuple[str, RecoveryResult | None]:
+    """Recover through the channel and score the result against the true key.
+
+    The outcome is "inconsistent" (the measurements contradict each other;
+    no result), "unresolved" (some class stayed all-equal), "correct" or
+    "wrong" (complete, but some bit differs from the key).
+    """
+    key = _as_key(key)
+    try:
+        result = single_window_recover(key, w, chan)
+    except InconsistentMeasurements:
+        return "inconsistent", None
+    if not result.complete:
+        return "unresolved", result
+    if all(result.known[p] == b for p, b in enumerate(key.bits)):
+        return "correct", result
+    return "wrong", result
 
 
 def multi_window_recover(key, w: int) -> RecoveryResult:
@@ -451,12 +464,6 @@ def _single_window_complete(bits: np.ndarray, w: int) -> np.ndarray:
     return ok
 
 
-def _noisy_trial_correct(key: KeyBits, w: int, chan: ExfilChannel) -> bool:
-    try:
-        result = single_window_recover(key, w, chan)
-    except InconsistentMeasurements:
-        return False
-    return result.complete and all(result.known[p] == b for p, b in enumerate(key.bits))
 
 
 def monte_carlo_recovery_rate(
@@ -485,7 +492,8 @@ def monte_carlo_recovery_rate(
             hits += int(np.count_nonzero(_single_window_complete(bits, w)))
         else:
             for t, row in enumerate(bits.tolist(), start):
-                hits += _noisy_trial_correct(KeyBits(tuple(row)), w, replace(noise, seed=noise.seed + t))
+                outcome, _ = noisy_outcome(KeyBits(tuple(row)), w, replace(noise, seed=noise.seed + t))
+                hits += outcome == "correct"
     return hits / trials
 
 

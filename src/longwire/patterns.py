@@ -9,7 +9,8 @@ Every variant is a pure function of (spec, window index).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+
+import numpy as np
 
 __all__ = [
     "Stimulus",
@@ -17,7 +18,7 @@ __all__ = [
     "DYNAMIC4_CODES",
     "lfsr_next",
     "window_stimulus",
-    "iter_stimuli",
+    "stimulus_columns",
     "parse_pattern",
 ]
 
@@ -117,7 +118,10 @@ def lfsr_next(state: int, taps: tuple[int, ...] = DEFAULT_LFSR_TAPS) -> tuple[in
     default (16, 14, 13, 11) register is maximal with period 2^16 - 1.
     """
     _check_lfsr(state, taps)
-    width = max(taps)
+    return _lfsr_step(state, taps, max(taps))
+
+
+def _lfsr_step(state: int, taps: tuple[int, ...], width: int) -> tuple[int, int]:
     out = state & 1
     fb = 0
     for p in taps:
@@ -146,21 +150,31 @@ def window_stimulus(spec: PatternSpec, window_index: int) -> Stimulus:
     return Stimulus(float(bit), 0.0, bit)
 
 
-def iter_stimuli(spec: PatternSpec) -> Iterator[Stimulus]:
-    """Infinite stimulus stream; equals window_stimulus(spec, i) at step i.
+def stimulus_columns(spec: PatternSpec, num_windows: int) -> tuple[np.ndarray, np.ndarray, list[int | None]]:
+    """Duty cycles, toggle rates and ground-truth bits of windows 0..num_windows-1.
 
-    Avoids the O(i) replay cost of indexing into an LFSR pattern.
+    Entry i equals window_stimulus(spec, i).  An LFSR register is stepped
+    once per window instead of replayed from its seed for every index.
     """
-    if spec.kind == "lfsr":
-        state = spec.lfsr_seed
-        while True:
-            bit, state = lfsr_next(state, spec.taps)
-            yield Stimulus(float(bit), 0.0, bit)
-    else:
-        i = 0
-        while True:
-            yield window_stimulus(spec, i)
-            i += 1
+    if num_windows < 0:
+        raise ValueError("num_windows must be >= 0")
+    if spec.kind == "dynamic4":
+        stim = window_stimulus(spec, 0)
+        return np.full(num_windows, stim.duty), np.full(num_windows, stim.toggle_rate), [None] * num_windows
+    index = np.arange(num_windows)
+    if spec.kind == "alternating":
+        bits = index & 1
+    elif spec.kind == "longruns":
+        bits = (index // spec.run_len) & 1
+    elif spec.kind == "lfsr":
+        state, width, out = spec.lfsr_seed, max(spec.taps), []
+        for _ in range(num_windows):
+            bit, state = _lfsr_step(state, spec.taps, width)
+            out.append(bit)
+        bits = np.array(out, dtype=np.int64)
+    else:  # custom, cycling
+        bits = np.array(spec.bits, dtype=np.int64)[index % len(spec.bits)]
+    return bits.astype(float), np.zeros(num_windows), bits.tolist()
 
 
 def parse_pattern(text: str) -> PatternSpec:

@@ -12,7 +12,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import special
-from scipy import stats as _scipy_stats
 
 from .channel import CountTrace
 
@@ -72,7 +71,7 @@ def mean_ci(values: Sequence[float], level: float = 0.99) -> tuple[float, float,
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
     sem = float(arr.std(ddof=1)) / math.sqrt(len(arr))
-    t = float(_scipy_stats.t.ppf(0.5 + level / 2.0, df=len(arr) - 1))
+    t = float(special.stdtrit(len(arr) - 1, 0.5 + level / 2.0))
     return mean, mean - t * sem, mean + t * sem
 
 

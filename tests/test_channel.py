@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,11 +12,13 @@ from longwire import (
     drift_step,
     expected_count,
     expected_delta_rc,
+    simulate_counts,
     simulate_trace,
     simulate_window,
 )
 from longwire.channel import CountTrace, TraceSample, trace_from_csv, trace_to_csv
-from longwire.patterns import PatternSpec
+from longwire.exfil import ExfilChannel, KeyBits, measure_windows_noisy, window_hw_oracle
+from longwire.patterns import PatternSpec, window_stimulus
 from longwire.stats import ks_two_sample
 
 
@@ -250,6 +253,84 @@ class TestSimulateTrace:
         profile = DeviceProfile(noise_sigma=1e6)
         trace = simulate_trace(profile, cfg13, geom22, PatternSpec.alternating(), 256, seed=8)
         assert all(s.count >= 0 for s in trace.samples)
+
+
+def replica_counts(profile, cfg, geom, stimuli, seed):
+    """Stream version 2 one window at a time: three blocks drawn up front
+    (drift innovations, noise, counter phase), then a scalar window loop."""
+    n = len(stimuli)
+    rng = np.random.default_rng(seed)
+    innovations = rng.normal(0.0, profile.drift_rate, n).tolist()
+    noise = rng.normal(0.0, profile.noise_sigma_for(cfg.ticks_per_window), n).tolist()
+    phase = rng.uniform(-1.0, 1.0, n).tolist()
+    drift, counts, clipped = 0.0, [], 0
+    for (duty, toggle), e, z, u in zip(stimuli, innovations, noise, phase):
+        drift = drift * (1.0 - profile.drift_reversion) + e
+        if abs(drift) > profile.drift_bound:
+            drift = math.copysign(profile.drift_bound, drift)
+            clipped += 1
+        counts.append(max(0, round(expected_count(profile, cfg, geom, duty, toggle, drift) + z + u)))
+    return counts, clipped
+
+
+class TestStreamOracle:
+    """simulate_trace and measure_windows_noisy equal a scalar replica of the stream."""
+
+    CLIPPING = DeviceProfile(drift_rate=1e-4, drift_bound=2e-4)
+    NOISELESS = DeviceProfile(noise_sigma=0.0)
+
+    @pytest.mark.parametrize(
+        "pattern, coupling",
+        [
+            (PatternSpec.alternating(), "long"),
+            (PatternSpec.lfsr(), "long"),
+            (PatternSpec.dynamic4("1010"), "local"),
+            (PatternSpec.custom((1, 1, 0, 1, 0)), "long"),
+        ],
+        ids=["alternating", "lfsr", "dynamic4-local", "custom"],
+    )
+    @pytest.mark.parametrize("profile_name", ["default", "clipping", "noiseless"])
+    def test_trace_equals_replica(self, pattern, coupling, profile_name, cfg13):
+        profile = {"default": DeviceProfile(), "clipping": self.CLIPPING, "noiseless": self.NOISELESS}[profile_name]
+        geom = Geometry(v_t=2, v_r=2, coupling=coupling)
+        stimuli = [window_stimulus(pattern, i) for i in range(300)]
+        expected, clipped = replica_counts(profile, cfg13, geom, [(s.duty, s.toggle_rate) for s in stimuli], 17)
+        assert (clipped > 0) == (profile is self.CLIPPING)
+        trace = simulate_trace(profile, cfg13, geom, pattern, 300, seed=17)
+        assert trace.counts == expected
+        assert all(type(c) is int for c in trace.counts)
+        assert [(s.window, s.duty, s.toggle_rate, s.tx_bit) for s in trace.samples] == [
+            (i, s.duty, s.toggle_rate, s.bit) for i, s in enumerate(stimuli)
+        ]
+
+    @pytest.mark.parametrize("repeats", [1, 4])
+    @pytest.mark.parametrize("profile_name", ["default", "clipping"])
+    def test_noisy_windows_equal_replica(self, repeats, profile_name):
+        profile = {"default": DeviceProfile(), "clipping": self.CLIPPING}[profile_name]
+        chan = ExfilChannel(profile, MeasurementConfig(log2_ticks=15), Geometry(), seed=23, repeats=repeats)
+        key = KeyBits.from_int(0x9E3779B97F4A7C15, 64)
+        w = 10
+        duties = [window_hw_oracle(key, pos, w) / w for pos in range(len(key) - w + 1)]
+        stimuli = [(duty, 0.0) for duty in duties for _ in range(repeats)]
+        counts, _ = replica_counts(profile, chan.cfg, chan.geom, stimuli, chan.seed)
+        expected = [sum(counts[i : i + repeats]) / repeats for i in range(0, len(counts), repeats)]
+        assert measure_windows_noisy(key, w, chan) == expected
+
+    def test_counts_validate_stimulus(self, profile, cfg13, geom22):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="duty"):
+            simulate_counts(profile, cfg13, geom22, [0.0, 1.5], 0.0, rng)
+        with pytest.raises(ValueError, match="duty"):
+            simulate_counts(profile, cfg13, geom22, [np.nan], 0.0, rng)
+        with pytest.raises(ValueError, match="toggle_rate"):
+            simulate_counts(profile, cfg13, geom22, [0.5, 0.5], [0.0, -0.25], rng)
+
+    def test_window_keeps_scalar_draw_order(self, profile, cfg13, geom22):
+        drift = 3e-6
+        rng = np.random.default_rng(4)
+        noise, phase = rng.normal(0.0, profile.noise_sigma_for(cfg13.ticks_per_window)), rng.uniform(-1.0, 1.0)
+        expected = max(0, round(expected_count(profile, cfg13, geom22, 0.5, 0.0, drift) + noise + phase))
+        assert simulate_window(profile, cfg13, geom22, 0.5, 0.0, drift, np.random.default_rng(4)) == expected
 
 
 class TestTraceCSV:

@@ -140,6 +140,32 @@ class TestSubcommandOutputs:
         assert code == 0
         assert "# feasibility:" in out
 
+    @pytest.mark.parametrize(
+        "key, n, seed, outcome",
+        [
+            ("10110001", "21", "4", "correct"),
+            ("10110001", "13", "1", "wrong"),
+            ("10110010", "21", "4", "unresolved"),  # bits 0, 3, 6 are all 1
+            ("10110010", "13", "4", "inconsistent"),  # step/sigma 1.7: the relations contradict
+        ],
+    )
+    def test_exfil_noisy_run_is_scored(self, capsys, key, n, seed, outcome):
+        code, out, _ = run(
+            capsys, "exfil", "--key", key, "--w", "3", "--single", "--noisy", "--n", n, "--seed", seed,
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert f"# outcome={outcome}" in lines
+        assert any(line.startswith("# feasibility: ") for line in lines)
+        rows = lines[lines.index("position,value_or_class_id") + 1 :]
+        if outcome == "inconsistent":
+            assert rows == []
+            assert not any(line.startswith("# recovered=") for line in lines)
+        else:
+            assert len(rows) == 8
+            values = "".join(row.split(",")[1] for row in rows)
+            assert (values == key) == (outcome == "correct")
+
     def test_every_csv_subcommand_emits_header(self, capsys):
         cases = [
             ["simulate", "--windows", "2", "--seed", "1"],

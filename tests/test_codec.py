@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from longwire import DeviceProfile, Geometry, MeasurementConfig
+from longwire import DeviceProfile, Geometry, MeasurementConfig, simulate_trace
+from longwire.code8b10b import decode_bits
 from longwire.codec import (
     DEFAULT_EOF,
     DEFAULT_SOF,
@@ -22,6 +23,8 @@ from longwire.codec import (
     manchester_encode,
     simulate_covert_transfer,
 )
+from longwire.errors import InvalidCodeGroup
+from longwire.patterns import PatternSpec
 from longwire.stats import bit_error_rate
 
 bit_lists = st.lists(st.integers(0, 1), max_size=64)
@@ -110,6 +113,62 @@ class TestFrames:
         assert lines[2] == "40,f0"
 
 
+def brute_force_frames(bitstream, sof, eof, line_code):
+    """Every SOF match, paired with the first EOF at or after its payload that
+    leaves a decodable length, found by rescanning the stream each time."""
+    frames = []
+    for pos in frame_sync(bitstream, sof):
+        start = pos + len(sof)
+        for end in range(start, len(bitstream) - len(eof) + 1):
+            if tuple(bitstream[end : end + len(eof)]) != tuple(eof):
+                continue
+            body = tuple(bitstream[start:end])
+            if line_code is LineCode.EIGHTB_TENB:
+                if len(body) % 10:
+                    continue
+                data, _ = decode_bits(body)
+                body = tuple(int(c) for byte in data for c in format(byte, "08b"))
+            frames.append((pos, body))
+            break
+    return frames
+
+
+def outcome(search, *args):
+    try:
+        return search(*args)
+    except InvalidCodeGroup:
+        return "invalid code group"
+
+
+class TestFindFramesAgainstBruteForce:
+    def test_random_streams_with_overlapping_frames(self):
+        # short delimiters match often, so frames nest, overlap and share EOFs
+        sof, eof = (1, 1, 0, 1), (0, 1, 1)
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            stream = rng.integers(0, 2, 300).tolist()
+            for _ in range(5):
+                at = int(rng.integers(0, len(stream)))
+                frame = Frame(tuple(rng.integers(0, 2, int(rng.integers(0, 20))).tolist()), sof, eof)
+                stream[at:at] = frame_to_bits(frame)
+            expected = brute_force_frames(stream, sof, eof, LineCode.NONE)
+            assert len(expected) > 5
+            assert find_frames(stream, sof, eof) == expected, seed
+
+    def test_8b10b_streams_with_planted_frames(self):
+        # a short EOF also turns up inside the coded payloads, at every offset mod 10
+        eof = (1, 0, 1, 0, 1)
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            stream = []
+            for _ in range(6):
+                stream += rng.integers(0, 2, int(rng.integers(0, 13))).tolist()
+                payload = tuple(rng.integers(0, 2, 8 * int(rng.integers(0, 5))).tolist())
+                stream += frame_to_bits(Frame(payload, DEFAULT_SOF, eof, LineCode.EIGHTB_TENB))
+            args = (stream, DEFAULT_SOF, eof, LineCode.EIGHTB_TENB)
+            assert outcome(find_frames, *args) == outcome(brute_force_frames, *args), seed
+
+
 class TestBandwidth:
     def test_82us_window(self):
         # exactly 82 us per window
@@ -150,6 +209,18 @@ class TestEndToEnd:
         bits = [int(b) for b in rng.integers(0, 2, 2000)]
         decoded = simulate_covert_transfer(bits, profile, cfg, geom, seed=7)
         assert 1.0 - bit_error_rate(bits, decoded) >= 0.99
+
+    def test_transfer_decodes_the_simulated_trace(self):
+        # at 2^11 ticks the step is one count, so ties and errors are common
+        profile = DeviceProfile()
+        cfg = MeasurementConfig(log2_ticks=11)
+        geom = Geometry(v_t=2, v_r=2, d=1)
+        bits = [int(b) for b in np.random.default_rng(5).integers(0, 2, 3000)]
+        symbols = [s for pair in manchester_encode(bits) for s in pair]
+        counts = simulate_trace(profile, cfg, geom, PatternSpec.custom(symbols), len(symbols), 9).counts
+        expected = manchester_decode(zip(counts[0::2], counts[1::2]))
+        assert any(a == b for a, b in zip(counts[0::2], counts[1::2]))
+        assert simulate_covert_transfer(bits, profile, cfg, geom, seed=9) == expected
 
     def test_empty_payload(self):
         profile = DeviceProfile()

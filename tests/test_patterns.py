@@ -3,9 +3,9 @@ import pytest
 from longwire.patterns import (
     DYNAMIC4_CODES,
     PatternSpec,
-    iter_stimuli,
     lfsr_next,
     parse_pattern,
+    stimulus_columns,
     window_stimulus,
 )
 
@@ -120,9 +120,12 @@ class TestPurity:
         ids=lambda s: s.kind,
     )
     def test_iterator_matches_indexing(self, spec):
-        stream = iter_stimuli(spec)
+        duty, toggle, bits = stimulus_columns(spec, 50)
+        assert len(duty) == len(toggle) == len(bits) == 50
         for i in range(50):
-            assert next(stream) == window_stimulus(spec, i)
+            stim = window_stimulus(spec, i)
+            assert (duty[i], toggle[i], bits[i]) == (stim.duty, stim.toggle_rate, stim.bit)
+            assert type(bits[i]) is type(stim.bit)
 
     def test_repeated_indexing_is_stable(self):
         spec = PatternSpec.lfsr()

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import longwire
 from longwire import DeviceProfile, Geometry, MeasurementConfig, expected_delta_rc, simulate_trace
 from longwire.channel import CountTrace, TraceSample
 from longwire.patterns import PatternSpec
@@ -69,6 +74,16 @@ class TestMeanCI:
         _, lo1, hi1 = mean_ci(data[:10_000])
         _, lo4, hi4 = mean_ci(data)
         assert (hi4 - lo4) == pytest.approx((hi1 - lo1) / 2, rel=0.15)
+
+    @pytest.mark.parametrize(
+        "df, level, t",
+        [(1, 0.99, 63.656741), (4, 0.95, 2.776445), (9, 0.90, 1.833113), (30, 0.99, 2.749996)],
+    )
+    def test_student_t_quantiles(self, df, level, t):
+        values = [0.0, 1.0] + [0.5] * (df - 1)
+        mean, lo, hi = mean_ci(values, level=level)
+        sem = float(np.std(values, ddof=1)) / math.sqrt(df + 1)
+        assert (hi - mean) / sem == pytest.approx(t, abs=1e-6)
 
     def test_needs_two_values(self):
         with pytest.raises(ValueError):
@@ -137,6 +152,14 @@ class TestBitErrorRate:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             bit_error_rate([1], [1, 0])
+
+
+def test_import_does_not_load_scipy_stats():
+    src = str(Path(longwire.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, longwire; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_metrics_csv_shape():
