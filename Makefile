@@ -1,5 +1,7 @@
 PYTHON ?= python3
 OUT ?= out
+# Run from the checkout without installing the package.
+export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: install test acceptance bench reproduce check-reproduce clean
 
@@ -7,7 +9,7 @@ install:
 	pip install -e . --no-build-isolation
 
 test:
-	$(PYTHON) -m pytest
+	$(PYTHON) -m pytest -q --continue-on-collection-errors
 
 acceptance:
 	$(PYTHON) -m pytest tests/test_acceptance.py -v -s

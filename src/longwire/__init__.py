@@ -58,7 +58,6 @@ from .exfil import (
     multi_window_recover,
     propagate,
     recovery_probability,
-    run_schedule,
     single_window_recover,
     window_hw_oracle,
 )

@@ -195,10 +195,7 @@ def cmd_exfil(args) -> str:
         result = exfil.single_window_recover(key, args.w)
     else:
         result = exfil.multi_window_recover(key, args.w)
-        schedule = exfil.run_schedule(n, args.w)
-        lines.append(
-            f"# schedule: runs={schedule.total_runs} measurements={schedule.total_measurements}"
-        )
+        lines.append(f"# schedule: runs={result.runs_used} measurements={result.measurements_used}")
     if result is not None:
         lines.append(f"# runs_used={result.runs_used} measurements_used={result.measurements_used}")
         lines.append(f"# recovered={len(result.known)}/{n}")

@@ -13,7 +13,7 @@ key except the two constant ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
@@ -30,8 +30,6 @@ __all__ = [
     "RelationSet",
     "RecoveryResult",
     "ExfilChannel",
-    "Schedule",
-    "RunSpec",
     "window_hw_oracle",
     "measure_windows",
     "measure_windows_noisy",
@@ -47,7 +45,6 @@ __all__ = [
     "eq2_lower_bound",
     "monte_carlo_recovery_rate",
     "exhaustive_success_fraction",
-    "run_schedule",
     "recovery_to_rows",
     "parse_key",
 ]
@@ -81,26 +78,28 @@ class KeyBits:
 
     @classmethod
     def from_binary(cls, text: str) -> "KeyBits":
-        text = text.removeprefix("0b")
-        return cls(tuple(int(c) for c in text))
+        return cls(tuple(int(c) for c in _strip_prefix(text, "0b")))
 
     @classmethod
     def from_hex(cls, text: str) -> "KeyBits":
-        text = text.removeprefix("0x")
         bits = []
-        for ch in text:
+        for ch in _strip_prefix(text, "0x"):
             bits.extend(int(b) for b in format(int(ch, 16), "04b"))
         return cls(tuple(bits))
+
+
+def _strip_prefix(text: str, prefix: str) -> str:
+    """Drop one leading radix prefix, in either case."""
+    return text[len(prefix) :] if text[: len(prefix)].lower() == prefix else text
 
 
 def parse_key(text: str) -> KeyBits:
     """Key from a CLI string: 0x... is hex, 0b... or pure 0/1 is binary."""
     text = text.strip()
-    if text.lower().startswith("0x"):
-        return KeyBits.from_hex(text[2:])
-    if text.lower().startswith("0b"):
-        return KeyBits.from_binary(text[2:])
-    if text and all(c in "01" for c in text):
+    prefix = text[:2].lower()
+    if prefix == "0x":
+        return KeyBits.from_hex(text)
+    if prefix == "0b" or (text and all(c in "01" for c in text)):
         return KeyBits.from_binary(text)
     return KeyBits.from_hex(text)
 
@@ -167,12 +166,17 @@ def window_hw_oracle(key, pos: int, w: int) -> int:
     return sum(key.bits[pos : pos + w])
 
 
-def measure_windows(key, w: int) -> list[int]:
-    """Exact Hamming weights of every window position, in order."""
+def _window_weights(key, w: int) -> np.ndarray:
+    """Hamming weight of every width-w window of the key, in order."""
     key = _as_key(key)
     if not 1 <= w <= len(key):
         raise ValueError("window width must be in [1, key length]")
-    return [window_hw_oracle(key, pos, w) for pos in range(len(key) - w + 1)]
+    return np.convolve(key.bits, np.ones(w, dtype=np.int64), mode="valid")
+
+
+def measure_windows(key, w: int) -> list[int]:
+    """Exact Hamming weights of every window position, in order."""
+    return _window_weights(key, w).tolist()
 
 
 @dataclass(frozen=True)
@@ -220,11 +224,7 @@ def measure_windows_noisy(key, w: int, chan: ExfilChannel) -> list[float]:
     in order, as one trace whose drift carries across; a position reports
     the mean of its counts.
     """
-    key = _as_key(key)
-    if not 1 <= w <= len(key):
-        raise ValueError("window width must be in [1, key length]")
-    weights = np.convolve(key.bits, np.ones(w, dtype=np.int64), mode="valid")
-    duty = np.repeat(weights / w, chan.repeats)
+    duty = np.repeat(_window_weights(key, w) / w, chan.repeats)
     counts = simulate_counts(chan.profile, chan.cfg, chan.geom, duty, 0.0, np.random.default_rng(chan.seed))
     return counts.reshape(-1, chan.repeats).mean(axis=1).tolist()
 
@@ -252,52 +252,65 @@ _PIN = {
 }
 
 
-def propagate(relations: RelationSet, n_key: int) -> RecoveryResult:
-    """Chain relations along each residue class mod w.
+def propagate(relations: RelationSet | Sequence[RelationSet], n_key: int) -> RecoveryResult:
+    """Turn the relations of one or more window widths into key bits.
 
-    Any inequality pins its two endpoints and equality links carry the
-    value across the rest of the chain, so a class either resolves
-    completely or is reported as one all-equal unresolved set.
+    Equality links join bits in a union-find; each inequality pins its
+    two endpoints, and a pin resolves its whole component.  A component
+    pinned to both values raises; one without pins is reported as an
+    all-equal unresolved class.  A width-w set costs n_key - w + 1
+    measurements in w runs: windows whose starts agree mod w never
+    overlap, so each residue is one run.
     """
-    w = relations.w
-    if n_key < w:
-        raise ValueError("n_key must be >= w")
-    if len(relations.relations) != n_key - w:
-        raise ValueError(f"expected {n_key - w} relations, got {len(relations.relations)}")
+    sets = (relations,) if isinstance(relations, RelationSet) else tuple(relations)
+    if not sets:
+        raise ValueError("need at least one relation set")
+    for rels in sets:
+        if n_key < rels.w:
+            raise ValueError("n_key must be >= w")
+        if len(rels.relations) != n_key - rels.w:
+            raise ValueError(f"expected {n_key - rels.w} relations, got {len(rels.relations)}")
 
-    values: dict[int, int] = {}
-    unresolved: list[tuple[int, ...]] = []
+    parent = list(range(n_key))
 
-    def assign(pos: int, val: int) -> None:
-        if values.setdefault(pos, val) != val:
-            raise InconsistentMeasurements(f"bit {pos} implied to be both 0 and 1")
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
 
-    for r in range(w):
-        chain = list(range(r, n_key, w))
-        edges = [(a, relations.relations[a]) for a in chain[:-1]]
-        for a, rel in edges:
-            if rel is not Relation.EQUAL:
+    pins: list[tuple[int, int]] = []
+    for rels in sets:
+        w = rels.w
+        for j, rel in enumerate(rels.relations):
+            if rel is Relation.EQUAL:
+                ra, rb = find(j), find(j + w)
+                if ra != rb:
+                    parent[ra] = rb
+            else:
                 va, vb = _PIN[rel]
-                assign(a, va)
-                assign(a + w, vb)
-        # carry known values across equality links, both directions
-        for seq in (edges, list(reversed(edges))):
-            for a, rel in seq:
-                if rel is Relation.EQUAL:
-                    if a in values:
-                        assign(a + w, values[a])
-                    if a + w in values:
-                        assign(a, values[a + w])
-        if chain[0] not in values:
-            unresolved.append(tuple(chain))
+                pins += ((j, va), (j + w, vb))
 
-    known = {p: v for p, v in values.items()}
+    root_value: dict[int, int] = {}
+    for pos, val in pins:
+        if root_value.setdefault(find(pos), val) != val:
+            raise InconsistentMeasurements(f"component of bit {pos} pinned to both 0 and 1")
+
+    known: dict[int, int] = {}
+    components: dict[int, list[int]] = {}
+    for pos in range(n_key):
+        root = find(pos)
+        if root in root_value:
+            known[pos] = root_value[root]
+        else:
+            components.setdefault(root, []).append(pos)
+
     return RecoveryResult(
         n_key=n_key,
         known=known,
-        unresolved_classes=tuple(sorted(unresolved)),
-        runs_used=w,
-        measurements_used=n_key - w + 1,
+        unresolved_classes=tuple(map(tuple, components.values())),  # ordered by first bit
+        runs_used=sum(rels.w for rels in sets),
+        measurements_used=sum(n_key - rels.w + 1 for rels in sets),
     )
 
 
@@ -344,63 +357,15 @@ def noisy_outcome(key, w: int, chan: ExfilChannel) -> tuple[str, RecoveryResult 
 def multi_window_recover(key, w: int) -> RecoveryResult:
     """Run widths w and w+1 and merge: only constant keys stay unresolved.
 
-    The merge is a union-find over equality links from both widths;
-    inequality links pin their endpoints and resolve every component
-    they touch, including classes the single-width pass left all-equal.
+    The w+1 links join the residue classes mod w, so one inequality
+    anywhere resolves every class, including those the single-width
+    pass left all-equal.
     """
     key = _as_key(key)
     n = len(key)
     if n < 2 * w + 1:
         raise ValueError("key length must be >= 2w + 1")
-
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    pins: dict[int, int] = {}
-
-    def pin(pos: int, val: int) -> None:
-        if pins.setdefault(pos, val) != val:
-            raise InconsistentMeasurements(f"bit {pos} implied to be both 0 and 1")
-
-    for width in (w, w + 1):
-        rels = _relations_for(key, width, None)
-        for j, rel in enumerate(rels.relations):
-            if rel is Relation.EQUAL:
-                ra, rb = find(j), find(j + width)
-                if ra != rb:
-                    parent[ra] = rb
-            else:
-                va, vb = _PIN[rel]
-                pin(j, va)
-                pin(j + width, vb)
-
-    root_value: dict[int, int] = {}
-    for pos, val in pins.items():
-        root = find(pos)
-        if root_value.setdefault(root, val) != val:
-            raise InconsistentMeasurements(f"component of bit {pos} pinned to both 0 and 1")
-
-    known: dict[int, int] = {}
-    components: dict[int, list[int]] = {}
-    for pos in range(n):
-        root = find(pos)
-        if root in root_value:
-            known[pos] = root_value[root]
-        else:
-            components.setdefault(root, []).append(pos)
-
-    return RecoveryResult(
-        n_key=n,
-        known=known,
-        unresolved_classes=tuple(sorted(tuple(c) for c in components.values())),
-        runs_used=2 * w + 1,
-        measurements_used=2 * n - 2 * w + 1,
-    )
+    return propagate([_relations_for(key, width, None) for width in (w, w + 1)], n)
 
 
 def _split_key_length(n_key: int, w: int) -> tuple[int, int]:
@@ -464,8 +429,6 @@ def _single_window_complete(bits: np.ndarray, w: int) -> np.ndarray:
     return ok
 
 
-
-
 def monte_carlo_recovery_rate(
     n_key: int,
     w: int,
@@ -504,48 +467,6 @@ def exhaustive_success_fraction(n_key: int, w: int, multi: bool = False) -> Frac
     else:
         hits = kernels.sweep_single(n_key, w)
     return Fraction(hits, 2**n_key)
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """One pass over the key: non-overlapping windows of one width."""
-
-    width: int
-    residue: int
-    starts: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Schedule:
-    n_key: int
-    w: int
-    runs: tuple[RunSpec, ...] = field(repr=False)
-
-    @property
-    def total_runs(self) -> int:
-        return len(self.runs)
-
-    @property
-    def total_measurements(self) -> int:
-        return sum(len(r.starts) for r in self.runs)
-
-
-def run_schedule(n_key: int, w: int) -> Schedule:
-    """Group all window starts of widths w and w+1 into 2w+1 runs.
-
-    Run r of width v covers starts congruent to r mod v, which never
-    overlap, so both passes need 2*n - 2w + 1 measurements in total.
-    """
-    if w < 1:
-        raise ValueError("window width must be >= 1")
-    if n_key < 2 * w + 1:
-        raise ValueError("key length must be >= 2w + 1")
-    runs = []
-    for width in (w, w + 1):
-        for r in range(width):
-            starts = tuple(range(r, n_key - width + 1, width))
-            runs.append(RunSpec(width, r, starts))
-    return Schedule(n_key, w, tuple(runs))
 
 
 def recovery_to_rows(result: RecoveryResult) -> list[tuple[int, str]]:

@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +27,6 @@ from longwire.exfil import (
     recovery_probability,
     recovery_probability_exact,
     recovery_to_rows,
-    run_schedule,
     single_window_recover,
     window_hw_oracle,
 )
@@ -58,6 +59,12 @@ class TestKeyBits:
         assert parse_key("0b101") == KeyBits.from_binary("101")
         assert parse_key("101") == KeyBits.from_binary("101")
         assert parse_key("f0") == KeyBits.from_hex("f0")
+        assert parse_key("0X1F") == KeyBits.from_hex("1F")
+
+    @pytest.mark.parametrize("text", ["0x0x1F", "0b0b101"])
+    def test_parse_key_strips_one_prefix(self, text):
+        with pytest.raises(ValueError):
+            parse_key(text)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -82,6 +89,12 @@ class TestWindowOracle:
     def test_measure_windows_covers_all_positions(self):
         key = KeyBits.from_binary("110100")
         assert measure_windows(key, 2) == [2, 1, 1, 1, 0]
+        for n in range(1, 9):
+            for key in keyspace(n):
+                for w in range(1, n + 1):
+                    weights = measure_windows(key, w)
+                    assert weights == [window_hw_oracle(key, pos, w) for pos in range(n - w + 1)]
+                    assert all(type(hw) is int for hw in weights)
 
 
 class TestInferRelations:
@@ -148,12 +161,77 @@ class TestPropagate:
             propagate(rels, 6)
 
     def test_relation_count_must_match(self):
-        with pytest.raises(ValueError):
-            propagate(RelationSet((Relation.EQUAL,), 2), 5)
+        for relations in (
+            RelationSet((Relation.EQUAL,), 2),
+            [RelationSet((Relation.EQUAL,) * 3, 2), RelationSet((Relation.EQUAL,), 3)],
+            [],
+        ):
+            with pytest.raises(ValueError):
+                propagate(relations, 5)
 
     def test_partition_is_validated(self):
         with pytest.raises(ValueError):
             RecoveryResult(4, {0: 1}, ((1, 2),), 1, 1)
+
+
+def satisfying_keys(sets, n):
+    """Independent oracle: every n-bit key meeting all relations, one row each."""
+    keys = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    ok = np.ones(len(keys), dtype=bool)
+    for rels in sets:
+        for j, rel in enumerate(rels.relations):
+            a, b = keys[:, j], keys[:, j + rels.w]
+            if rel is Relation.EQUAL:
+                ok &= a == b
+            elif rel is Relation.FIRST_ONE_SECOND_ZERO:
+                ok &= (a == 1) & (b == 0)
+            else:
+                ok &= (a == 0) & (b == 1)
+    return keys[ok]
+
+
+def random_relations(rng, n, w):
+    p_equal = rng.random()
+    inequalities = [Relation.FIRST_ONE_SECOND_ZERO, Relation.FIRST_ZERO_SECOND_ONE]
+    return RelationSet(
+        tuple(Relation.EQUAL if rng.random() < p_equal else rng.choice(inequalities) for _ in range(n - w)), w
+    )
+
+
+class TestPropagateOracle:
+    """propagate against brute force over arbitrary relations, contradictions included."""
+
+    @pytest.mark.parametrize("widths", [1, 2])
+    def test_matches_brute_force(self, widths):
+        rng = random.Random(widths)
+        seen = {"raised": 0, "complete": 0, "partial": 0}
+        for _ in range(1500):
+            n = rng.randint(widths, 9)
+            w = rng.randint(1, n + 1 - widths)
+            sets = [random_relations(rng, n, w + k) for k in range(widths)]
+            sat = satisfying_keys(sets, n)
+            if len(sat) == 0:
+                with pytest.raises(InconsistentMeasurements):
+                    propagate(sets, n)
+                seen["raised"] += 1
+                continue
+            result = propagate(sets, n)
+            constant = [p for p in range(n) if len(set(sat[:, p])) == 1]
+            assert result.known == {p: int(sat[0, p]) for p in constant}
+            groups: dict[tuple, list[int]] = {}
+            for p in range(n):
+                if p not in constant:
+                    groups.setdefault(tuple(sat[:, p]), []).append(p)
+            assert result.unresolved_classes == tuple(sorted(tuple(g) for g in groups.values()))
+            assert result.consistent_key_count() == len(sat)
+            assert result.runs_used == sum(r.w for r in sets)
+            assert result.measurements_used == sum(n - r.w + 1 for r in sets)
+            seen["partial" if groups else "complete"] += 1
+        assert min(seen.values()) >= 50, seen
+
+    def test_single_set_equals_one_element_sequence(self):
+        rels = infer_relations(measure_windows(KeyBits.from_binary("1011001"), 3), 3, 0.5)
+        assert propagate(rels, 7) == propagate([rels], 7)
 
 
 class TestSingleWindowRecover:
@@ -234,9 +312,11 @@ class TestMultiWindowRecover:
         assert failures == [0, 511]
 
     def test_accounting(self):
-        result = multi_window_recover(KeyBits.from_binary("1" * 21), 10)
-        assert result.runs_used == 21
-        assert result.measurements_used == 23
+        # widths w and w+1 take 2w+1 runs and 2n - 2w + 1 measurements
+        for n, w, runs, measurements in [(21, 10, 21, 23), (64, 10, 21, 109)]:
+            result = multi_window_recover(KeyBits.from_binary("1" * n), w)
+            assert result.runs_used == runs
+            assert result.measurements_used == measurements
 
     def test_soundness_exhaustive_small(self):
         for n in range(3, 10):
@@ -377,44 +457,6 @@ class TestNoisyMonteCarlo:
         counts = self.outcomes(64, 10, 200, 1, chan)
         assert counts["wrong"] > 0  # these settings used to count wrong keys as hits
         assert monte_carlo_recovery_rate(64, 10, 200, 1, noise=chan) == counts["correct"] / 200
-
-
-class TestSchedule:
-    def test_64_10(self):
-        schedule = run_schedule(64, 10)
-        assert schedule.total_runs == 21
-        assert schedule.total_measurements == 109
-
-    def test_21_10(self):
-        schedule = run_schedule(21, 10)
-        assert schedule.total_runs == 21
-        assert schedule.total_measurements == 23
-
-    def test_run_1_starts(self):
-        schedule = run_schedule(64, 10)
-        run1 = schedule.runs[1]
-        assert (run1.width, run1.residue) == (10, 1)
-        assert run1.starts == tuple(range(1, 55, 10))
-
-    def test_no_overlap_within_any_run(self):
-        for n, w in [(21, 10), (64, 10), (17, 3), (33, 7)]:
-            schedule = run_schedule(n, w)
-            for run in schedule.runs:
-                intervals = sorted((s, s + run.width) for s in run.starts)
-                for (a0, a1), (b0, _) in zip(intervals, intervals[1:]):
-                    assert a1 <= b0
-
-    def test_covers_every_window_start(self):
-        schedule = run_schedule(33, 5)
-        for width, n_starts in ((5, 33 - 5 + 1), (6, 33 - 6 + 1)):
-            starts = sorted(
-                s for run in schedule.runs if run.width == width for s in run.starts
-            )
-            assert starts == list(range(n_starts))
-
-    def test_precondition(self):
-        with pytest.raises(ValueError):
-            run_schedule(20, 10)
 
 
 class TestPropertyBased:
