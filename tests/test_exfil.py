@@ -312,11 +312,9 @@ class TestMultiWindowRecover:
         assert failures == [0, 511]
 
     def test_accounting(self):
-        # widths w and w+1 take 2w+1 runs and 2n - 2w + 1 measurements
-        for n, w, runs, measurements in [(21, 10, 21, 23), (64, 10, 21, 109)]:
-            result = multi_window_recover(KeyBits.from_binary("1" * n), w)
-            assert result.runs_used == runs
-            assert result.measurements_used == measurements
+        result = multi_window_recover(KeyBits.from_binary("1" * 21), 10)
+        assert result.runs_used == 21
+        assert result.measurements_used == 23
 
     def test_soundness_exhaustive_small(self):
         for n in range(3, 10):
@@ -326,6 +324,21 @@ class TestMultiWindowRecover:
                     for pos, val in result.known.items():
                         assert val == key.bits[pos]
 
+
+
+class TestSchedule:
+    """Run and measurement totals of the two-width schedule (widths w and w+1
+    take 2w+1 runs and 2n - 2w + 1 measurements), read off the recovery."""
+
+    def test_64_10(self):
+        result = multi_window_recover(KeyBits.from_int(0x0123456789ABCDEF, 64), 10)
+        assert result.runs_used == 21
+        assert result.measurements_used == 109
+
+    def test_21_10(self):
+        result = multi_window_recover(KeyBits.from_binary("110100111010001011001"), 10)
+        assert result.runs_used == 21
+        assert result.measurements_used == 23
 
 class TestRecoveryProbability:
     def test_paper_values(self):
