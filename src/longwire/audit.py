@@ -5,13 +5,15 @@ channel, inclusive y extent).  Leakage needs two spans in the same
 column within two tracks of each other with overlapping extents, so the
 auditor flags sensitive spans with foreign neighbours inside that
 distance, and plans guard wires on the four adjacent tracks of a span
-that is still clean.
+that is still clean.  Every such question is local to one column, so a
+grid keeps its spans indexed by column and answers from that column only.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -42,7 +44,7 @@ DEFAULT_N_LONGS = 8500
 GUARD_DISTANCES = (-2, -1, 1, 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LongWireSpan:
     wire_id: str
     core_id: str
@@ -58,6 +60,8 @@ class LongWireSpan:
             raise ValueError("trust must be 'trusted' or 'untrusted'")
         if self.y_start > self.y_end:
             raise ValueError("y_start must be <= y_end")
+        if self.column < 0:
+            raise ValueError("column must be >= 0")
         if self.track < 0:
             raise ValueError("track must be >= 0")
 
@@ -76,12 +80,35 @@ class RoutingGrid:
         if self.tracks_per_column < 1 or self.n_longs < 1:
             raise ValueError("capacities must be >= 1")
         _validate_spans(self.spans, self.tracks_per_column, self.n_longs)
+        # a plain attribute, not a field: ==, repr and asdict see only the spans
+        object.__setattr__(self, "_columns", _index_columns(self.spans))
 
     def span(self, wire_id: str) -> LongWireSpan:
         for s in self.spans:
             if s.wire_id == wire_id:
                 return s
         raise ValueError(f"no span with wire_id {wire_id!r}")
+
+    def column(self, column: int) -> tuple[LongWireSpan, ...]:
+        """The spans of one channel column, in grid order."""
+        return self._columns.get(column, ())
+
+
+def _index_columns(spans) -> dict[int, tuple[LongWireSpan, ...]]:
+    columns: dict[int, list[LongWireSpan]] = {}
+    for s in spans:
+        columns.setdefault(s.column, []).append(s)
+    return {c: tuple(members) for c, members in columns.items()}
+
+
+def _validated_grid(spans, tracks_per_column: int, n_longs: int, columns) -> RoutingGrid:
+    """A RoutingGrid over spans the caller has already validated, with their column index."""
+    grid = object.__new__(RoutingGrid)
+    object.__setattr__(grid, "spans", spans)
+    object.__setattr__(grid, "tracks_per_column", tracks_per_column)
+    object.__setattr__(grid, "n_longs", n_longs)
+    object.__setattr__(grid, "_columns", columns)
+    return grid
 
 
 def _validate_spans(spans, tracks_per_column: int, n_longs: int, lines=None) -> None:
@@ -126,6 +153,7 @@ def parse_grid(text: str) -> RoutingGrid:
     """
     tracks = DEFAULT_TRACKS_PER_COLUMN
     n_longs = DEFAULT_N_LONGS
+    capacity_line = None
     spans: list[LongWireSpan] = []
     lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -136,12 +164,19 @@ def parse_grid(text: str) -> RoutingGrid:
         if fields[0] == "CAPACITY":
             if len(fields) != 3:
                 raise GridSyntaxError("CAPACITY takes <tracks_per_column> <n_longs>", line=lineno)
+            if capacity_line is not None:
+                raise GridSyntaxError(
+                    f"CAPACITY already given on line {capacity_line}", line=lineno
+                )
             if spans:
                 raise GridSyntaxError("CAPACITY must precede all LONG lines", line=lineno)
             try:
                 tracks, n_longs = int(fields[1]), int(fields[2])
             except ValueError:
                 raise GridSyntaxError("CAPACITY values must be integers", line=lineno) from None
+            if tracks < 1 or n_longs < 1:
+                raise GridSyntaxError("capacities must be >= 1", line=lineno)
+            capacity_line = lineno
             continue
         if fields[0] != "LONG":
             raise GridSyntaxError(f"unknown directive {fields[0]!r}", line=lineno)
@@ -153,8 +188,9 @@ def parse_grid(text: str) -> RoutingGrid:
         try:
             span = LongWireSpan(
                 wire_id=wire_id,
-                core_id=core_id,
-                trust=trust,
+                # a grid names a handful of cores: share one string per name
+                core_id=sys.intern(core_id),
+                trust=sys.intern(trust),
                 sensitive=kind == "sensitive",
                 column=int(column),
                 track=int(track),
@@ -166,7 +202,7 @@ def parse_grid(text: str) -> RoutingGrid:
         spans.append(span)
         lines.append(lineno)
     _validate_spans(spans, tracks, n_longs, lines=lines)
-    return RoutingGrid(tuple(spans), tracks_per_column=tracks, n_longs=n_longs)
+    return _validated_grid(tuple(spans), tracks, n_longs, _index_columns(spans))
 
 
 def serialize_grid(grid: RoutingGrid) -> str:
@@ -201,12 +237,12 @@ def find_exposures(grid: RoutingGrid, d_max: int = 2) -> list[Exposure]:
     for s in grid.spans:
         if not s.sensitive:
             continue
-        for f in grid.spans:
-            if f.core_id == s.core_id or f.column != s.column:
-                continue
+        for f in grid.column(s.column):
             distance = abs(f.track - s.track)
+            if not 1 <= distance <= d_max or f.core_id == s.core_id:
+                continue
             overlap = s.overlap(f)
-            if 1 <= distance <= d_max and overlap > 0:
+            if overlap > 0:
                 found.append(Exposure(s, f, distance, overlap))
     found.sort(key=lambda e: (e.distance, -e.overlap, e.sensitive.wire_id, e.foreign.wire_id))
     return found
@@ -247,14 +283,13 @@ def plan_guards(grid: RoutingGrid, wire_id: str, fill_mode: str = "unoccupied") 
         for d in GUARD_DISTANCES
         if 0 <= target.track + d < grid.tracks_per_column
     )
+    by_track: dict[int, list[LongWireSpan]] = {track: [] for track in required}
+    for s in grid.column(target.column):
+        if s.track in by_track and s.overlap(target) > 0:
+            by_track[s.track].append(s)
     blockers = []
     guards = []
-    for track in required:
-        occupants = [
-            s
-            for s in grid.spans
-            if s.column == target.column and s.track == track and s.overlap(target) > 0
-        ]
+    for track, occupants in by_track.items():
         foreign = [s for s in occupants if s.core_id != target.core_id]
         if foreign:
             blockers.extend(foreign)
@@ -268,6 +303,9 @@ def plan_guards(grid: RoutingGrid, wire_id: str, fill_mode: str = "unoccupied") 
         if cursor <= target.y_end:
             guards.append(GuardSpan(track, cursor, target.y_end))
     if blockers:
+        # A caller that keeps the exception keeps this frame through its
+        # traceback; the grid it holds need not be kept with it.
+        del grid
         raise GuardBlocked(wire_id, blockers)
     return GuardPlan(
         wire_id=wire_id,
@@ -279,23 +317,52 @@ def plan_guards(grid: RoutingGrid, wire_id: str, fill_mode: str = "unoccupied") 
 
 
 def apply_guard_plan(grid: RoutingGrid, plan: GuardPlan) -> RoutingGrid:
-    """Occupy the planned tracks with guard spans owned by the same core."""
+    """Occupy the planned tracks with guard spans owned by the same core.
+
+    The parent grid is valid, so only the guards can break the derived
+    one: they are checked against the capacity, the channel width, the
+    grid's wire ids and the guarded column.  Every column but that one is
+    shared with the parent.  A guard that fails a check goes through the
+    full constructor, which raises the error a fresh grid would.
+    """
     target = grid.span(plan.wire_id)
-    new_spans = list(grid.spans)
-    for i, g in enumerate(plan.guards):
-        new_spans.append(
-            LongWireSpan(
-                wire_id=f"guard_{plan.wire_id}_{i}",
-                core_id=target.core_id,
-                trust=target.trust,
-                sensitive=False,
-                column=plan.column,
-                track=g.track,
-                y_start=g.y_start,
-                y_end=g.y_end,
-            )
+    guards = tuple(
+        LongWireSpan(
+            wire_id=f"guard_{plan.wire_id}_{i}",
+            core_id=target.core_id,
+            trust=target.trust,
+            sensitive=False,
+            column=plan.column,
+            track=g.track,
+            y_start=g.y_start,
+            y_end=g.y_end,
         )
-    return RoutingGrid(tuple(new_spans), grid.tracks_per_column, grid.n_longs)
+        for i, g in enumerate(plan.guards)
+    )
+    spans = tuple(grid.spans) + guards
+    if not _guards_fit(grid, plan.column, guards):
+        return RoutingGrid(spans, grid.tracks_per_column, grid.n_longs)
+    columns = dict(grid._columns)
+    columns[plan.column] = grid.column(plan.column) + guards
+    return _validated_grid(spans, grid.tracks_per_column, grid.n_longs, columns)
+
+
+def _guards_fit(grid: RoutingGrid, column: int, guards: tuple[LongWireSpan, ...]) -> bool:
+    """Whether guards in one column can join the valid grid without breaking it."""
+    if len(grid.spans) + len(guards) > grid.n_longs:
+        return False
+    if any(g.track >= grid.tracks_per_column for g in guards):
+        return False
+    ids = {g.wire_id for g in guards}
+    for s in grid.spans:
+        if s.wire_id in ids:
+            return False
+    placed = list(grid.column(column))
+    for g in guards:
+        if any(s.track == g.track and s.overlap(g) > 0 for s in placed):
+            return False
+        placed.append(g)
+    return True
 
 
 def placement_success_probability(n_longs: int, w_adj: int, r_longs: int, t_longs: int) -> float:

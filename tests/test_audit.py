@@ -1,9 +1,13 @@
+import random
 import re
+import weakref
 
 import pytest
 
 from longwire.audit import (
+    Exposure,
     GuardPlan,
+    GuardSpan,
     LongWireSpan,
     RoutingGrid,
     apply_guard_plan,
@@ -17,6 +21,7 @@ from longwire.audit import (
 from longwire.errors import (
     CapacityError,
     DuplicateOccupancy,
+    GridError,
     GridSyntaxError,
     GuardBlocked,
 )
@@ -87,6 +92,25 @@ class TestParseGrid:
             parse_grid(
                 "LONG a c trusted normal 0 1 0 5\nLONG a c trusted normal 0 2 0 5\n"
             )
+
+    @pytest.mark.parametrize("values", ["0 5", "4 0", "-1 5"])
+    def test_capacity_below_one_is_a_syntax_error(self, values):
+        with pytest.raises(GridSyntaxError, match="line 2") as err:
+            parse_grid(f"# sized\nCAPACITY {values}\nLONG a c trusted normal 0 0 0 5\n")
+        assert err.value.line == 2
+
+    def test_second_capacity_line_rejected(self):
+        with pytest.raises(GridSyntaxError, match="line 3") as err:
+            parse_grid("CAPACITY 8 100\n\nCAPACITY 4 10\n")
+        assert err.value.line == 3
+        assert "line 1" in str(err.value)
+
+    def test_negative_column_rejected(self):
+        with pytest.raises(ValueError, match="column"):
+            span("a", "c", 1, 0, 5, column=-1)
+        with pytest.raises(GridSyntaxError, match="line 2") as err:
+            parse_grid("LONG a c trusted normal 0 1 0 5\nLONG b c trusted normal -3 1 0 5\n")
+        assert err.value.line == 2
 
 
 class TestSerializeRoundTrip:
@@ -184,6 +208,20 @@ class TestGuardPlanning:
             plan_guards(grid, "key_bus")
         assert "intruder" in str(err.value)
 
+    def test_kept_guard_blocked_does_not_keep_the_grid(self):
+        grid = RoutingGrid(
+            (
+                span("key_bus", "crypto", 8, 0, 19, sensitive=True, trust="trusted"),
+                span("intruder", "spy", 9, 5, 12),
+            )
+        )
+        with pytest.raises(GuardBlocked) as err:
+            plan_guards(grid, "key_bus")
+        alive = weakref.ref(grid)
+        del grid
+        assert alive() is None
+        assert [s.wire_id for s in err.value.blockers] == ["intruder"]
+
     def test_partial_same_core_coverage_fills_gaps(self):
         grid = RoutingGrid(
             (
@@ -257,3 +295,229 @@ class TestShippedFixture:
         grid = parse_grid((docs_dir / "sample_grid.txt").read_text())
         with pytest.raises(GuardBlocked):
             plan_guards(grid, "aes_key_bus")
+
+
+def guard_spans(grid, plan):
+    """The guard spans apply_guard_plan adds for plan."""
+    target = grid.span(plan.wire_id)
+    return tuple(
+        LongWireSpan(
+            f"guard_{plan.wire_id}_{i}", target.core_id, target.trust, False,
+            plan.column, g.track, g.y_start, g.y_end,
+        )
+        for i, g in enumerate(plan.guards)
+    )
+
+
+def constructor_error(grid, plan):
+    """The error a fresh grid of the parent's spans plus the plan's guards raises."""
+    with pytest.raises(GridError) as err:
+        RoutingGrid(grid.spans + guard_spans(grid, plan), grid.tracks_per_column, grid.n_longs)
+    return err.value
+
+
+def assert_same_error(got, expected):
+    assert (type(got), str(got), got.line) == (type(expected), str(expected), expected.line)
+
+
+class TestApplyGuardPlanErrors:
+    def grid(self, n_longs=100):
+        return RoutingGrid(
+            (
+                span("key_bus", "crypto", 8, 0, 19, sensitive=True, trust="trusted"),
+                span("spy", "ip0", 6, 30, 40),
+                span("other", "ip0", 7, 0, 19, column=1),
+            ),
+            n_longs=n_longs,
+        )
+
+    def test_same_plan_twice_is_a_duplicate_wire_id(self):
+        grid = self.grid()
+        plan = plan_guards(grid, "key_bus")
+        guarded = apply_guard_plan(grid, plan)
+        with pytest.raises(DuplicateOccupancy, match="wire_id") as err:
+            apply_guard_plan(guarded, plan)
+        assert_same_error(err.value, constructor_error(guarded, plan))
+
+    def test_full_grid_is_a_capacity_error(self):
+        grid = self.grid(n_longs=3)
+        plan = plan_guards(grid, "key_bus")
+        with pytest.raises(CapacityError) as err:
+            apply_guard_plan(grid, plan)
+        assert_same_error(err.value, constructor_error(grid, plan))
+
+    @pytest.mark.parametrize(
+        "guards",
+        [
+            (GuardSpan(6, 35, 50),),                         # over a foreign span
+            (GuardSpan(9, 0, 10), GuardSpan(9, 10, 19)),     # over another guard
+            (GuardSpan(16, 0, 19),),                         # outside the channel
+        ],
+        ids=["foreign", "guard", "channel"],
+    )
+    def test_hand_built_plan_raises_as_the_constructor_does(self, guards):
+        grid = self.grid()
+        plan = GuardPlan("key_bus", 0, (6, 7, 9, 10), guards)
+        with pytest.raises(GridError) as err:
+            apply_guard_plan(grid, plan)
+        assert_same_error(err.value, constructor_error(grid, plan))
+
+    def test_unguarded_columns_are_shared_with_the_parent(self):
+        grid = RoutingGrid(
+            tuple(
+                span(f"w{c}_{t}", "cpu", t, 0, 9, column=c, sensitive=t == 8, trust="trusted")
+                for c in range(4)
+                for t in (3, 8, 12)
+            )
+        )
+        derived = apply_guard_plan(grid, plan_guards(grid, "w2_8"))
+        for c in range(4):
+            assert (derived.column(c) is grid.column(c)) == (c != 2)
+        assert derived.column(2)[: len(grid.column(2))] == grid.column(2)
+        assert derived.column(7) == ()
+
+
+# --------------------------------------------------------------------------- oracle
+# Brute-force copies of the all-pairs scans the column index replaces.
+
+
+def brute_exposures(grid, d_max):
+    found = []
+    for s in grid.spans:
+        if not s.sensitive:
+            continue
+        for f in grid.spans:
+            if f.core_id == s.core_id or f.column != s.column:
+                continue
+            distance = abs(f.track - s.track)
+            overlap = s.overlap(f)
+            if 1 <= distance <= d_max and overlap > 0:
+                found.append(Exposure(s, f, distance, overlap))
+    found.sort(key=lambda e: (e.distance, -e.overlap, e.sensitive.wire_id, e.foreign.wire_id))
+    return found
+
+
+def brute_plan(grid, wire_id):
+    """The GuardPlan for wire_id, or the tuple of its blockers in order."""
+    target = grid.span(wire_id)
+    required = tuple(
+        target.track + d for d in (-2, -1, 1, 2) if 0 <= target.track + d < grid.tracks_per_column
+    )
+    blockers = []
+    guards = []
+    for track in required:
+        occupants = [
+            s
+            for s in grid.spans
+            if s.column == target.column and s.track == track and s.overlap(target) > 0
+        ]
+        foreign = [s for s in occupants if s.core_id != target.core_id]
+        if foreign:
+            blockers.extend(foreign)
+            continue
+        cursor = target.y_start
+        for s in sorted(occupants, key=lambda s: s.y_start):
+            if s.y_start > cursor:
+                guards.append(GuardSpan(track, cursor, min(s.y_start - 1, target.y_end)))
+            cursor = max(cursor, s.y_end + 1)
+        if cursor <= target.y_end:
+            guards.append(GuardSpan(track, cursor, target.y_end))
+    if blockers:
+        return tuple(blockers)
+    return GuardPlan(wire_id, target.column, required, tuple(guards))
+
+
+def random_grid(rng):
+    """A valid grid of a few columns; cores are few, so neighbours often share one."""
+    tracks = rng.randint(3, 8)
+    cores = [("crypto", "trusted"), ("cpu", "trusted"), ("ip0", "untrusted")][: rng.randint(2, 3)]
+    spans = []
+    for column in range(rng.randint(1, 4)):
+        for track in range(tracks):
+            y = rng.randint(0, 5)
+            while rng.random() < 0.7:
+                core, trust = rng.choice(cores)
+                length = rng.randint(1, 12)
+                sensitive = trust == "trusted" and rng.random() < 0.3
+                spans.append(span(f"w{len(spans)}", core, track, y, y + length - 1,
+                                  column=column, sensitive=sensitive, trust=trust))
+                y += length + rng.randint(0, 6)
+    rng.shuffle(spans)
+    return RoutingGrid(tuple(spans), tracks, len(spans) + rng.choice([rng.randint(0, 8), 200]))
+
+
+def random_plan(rng, grid):
+    """A hand-built plan for a random span, usually one that breaks the grid."""
+    target = rng.choice(grid.spans)
+    guards = []
+    for _ in range(rng.randint(1, 3)):
+        y = rng.randint(0, 40)
+        guards.append(GuardSpan(rng.randint(0, grid.tracks_per_column), y, y + rng.randint(0, 8)))
+    column = rng.choice([target.column, target.column, rng.randint(0, 4)])
+    return GuardPlan(target.wire_id, column, (), tuple(guards))
+
+
+def check_derived(derived, spans, grid):
+    reference = RoutingGrid(spans, grid.tracks_per_column, grid.n_longs)
+    assert derived == reference
+    for c in {s.column for s in spans} | {s.column for s in grid.spans}:
+        assert derived.column(c) == reference.column(c)
+        assert derived.column(c) == tuple(s for s in spans if s.column == c)
+    for s in spans:
+        assert derived.span(s.wire_id) == s
+    for d_max in (1, 2, 3):
+        assert find_exposures(derived, d_max) == brute_exposures(reference, d_max)
+
+
+class TestColumnIndexOracle:
+    def test_matches_brute_force(self):
+        rng = random.Random(5)
+        seen = dict.fromkeys(
+            ["exposed", "blocked", "applied", "full", "hand_ok", "CapacityError", "DuplicateOccupancy"], 0
+        )
+        for _ in range(300):
+            grid = random_grid(rng)
+            for d_max in (1, 2, 3):
+                found = find_exposures(grid, d_max)
+                assert found == brute_exposures(grid, d_max)
+                seen["exposed"] += bool(found)
+            targets = [s.wire_id for s in grid.spans if s.sensitive]
+            rng.shuffle(targets)
+            for wire_id in targets:  # chained: each plan sees the guards applied before it
+                expected = brute_plan(grid, wire_id)
+                if isinstance(expected, tuple):
+                    with pytest.raises(GuardBlocked) as err:
+                        plan_guards(grid, wire_id)
+                    assert err.value.blockers == expected
+                    assert str(err.value) == str(GuardBlocked(wire_id, expected))
+                    seen["blocked"] += 1
+                    continue
+                plan = plan_guards(grid, wire_id)
+                assert plan == expected
+                spans = grid.spans + guard_spans(grid, plan)
+                if len(spans) > grid.n_longs:
+                    with pytest.raises(CapacityError) as err:
+                        apply_guard_plan(grid, plan)
+                    assert_same_error(err.value, constructor_error(grid, plan))
+                    seen["full"] += 1
+                    continue
+                derived = apply_guard_plan(grid, plan)
+                check_derived(derived, spans, grid)
+                for c in {s.column for s in grid.spans} - {plan.column}:
+                    assert derived.column(c) is grid.column(c)
+                grid = derived
+                seen["applied"] += 1
+            for _ in range(3):
+                plan = random_plan(rng, grid)
+                spans = grid.spans + guard_spans(grid, plan)
+                try:
+                    RoutingGrid(spans, grid.tracks_per_column, grid.n_longs)
+                except GridError:
+                    with pytest.raises(GridError) as err:
+                        apply_guard_plan(grid, plan)
+                    assert_same_error(err.value, constructor_error(grid, plan))
+                    seen[type(err.value).__name__] += 1
+                else:
+                    check_derived(apply_guard_plan(grid, plan), spans, grid)
+                    seen["hand_ok"] += 1
+        assert min(seen.values()) >= 20, seen
