@@ -1,4 +1,6 @@
+import ast
 import math
+import re
 
 import pytest
 
@@ -183,3 +185,31 @@ class TestSubcommandOutputs:
             assert code == 0, argv
             header = out.splitlines()[0]
             assert "," in header and not any(ch.isdigit() for ch in header.split(",")[0])
+
+
+def makefile_reproduce_runs():
+    """(CSV name, argv) of every CLI line in the Makefile's `reproduce` recipe, in order."""
+    text = (DOCS_DIR.parent / "Makefile").read_text()
+    recipe = text.split("\nreproduce:\n", 1)[1].split("\n\n", 1)[0]
+    runs = []
+    for line in recipe.splitlines():
+        if "longwire.cli" in line:
+            match = re.fullmatch(r"\t\$\(PYTHON\) -m longwire\.cli --out \$\(OUT\)/(\S+) (.+)", line)
+            assert match, line
+            runs.append(match.groups())
+    return runs
+
+
+def bench_cli_runs():
+    """bench/spec.py's CLI_RUNS, read as a literal: the module imports the harness."""
+    tree = ast.parse((DOCS_DIR.parent / "bench" / "spec.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["CLI_RUNS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/spec.py defines no CLI_RUNS")
+
+
+def test_makefile_reproduce_matches_bench_cli_runs():
+    """The benchmark times and checks the Makefile's runs against out/, so the two lists must agree."""
+    runs = makefile_reproduce_runs()
+    assert runs and runs == list(bench_cli_runs().values())

@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import subprocess
@@ -13,7 +14,19 @@ import longwire
 from longwire import DeviceProfile, Geometry, MeasurementConfig, expected_delta_rc, simulate_trace
 from longwire.channel import CountTrace, TraceSample
 from longwire.patterns import PatternSpec
-from longwire.stats import bit_error_rate, ks_two_sample, mean_ci, metrics_to_csv, paired_delta_rc
+from longwire.cli import build_parser
+from longwire.stats import (
+    bit_error_rate,
+    kolmogorov_sf,
+    ks_two_sample,
+    mean_ci,
+    metrics_to_csv,
+    paired_delta_rc,
+    student_t_isf,
+)
+from conftest import DOCS_DIR
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 def alternating_trace(counts):
@@ -93,6 +106,20 @@ class TestMeanCI:
         with pytest.raises(ValueError):
             mean_ci([1.0, 2.0], level=1.0)
 
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            mean_ci([1.0, bad, 2.0])
+
+    def test_level_near_zero_keeps_its_digits(self):
+        # 1 - level is exact here; the interval's half-width is then
+        # t = (level / 2) / f(0) to first order, f the t density.
+        level, df = 2.0**-30, 9
+        values = [0.0, 1.0] + [0.5] * (df - 1)
+        mean, _, hi = mean_ci(values, level=level)
+        sem = float(np.std(values, ddof=1)) / math.sqrt(df + 1)
+        assert (hi - mean) / sem == pytest.approx(level / 2 / t_density_at_zero(df), rel=1e-9)
+
 
 class TestKSTwoSample:
     def test_identical_samples(self):
@@ -106,6 +133,13 @@ class TestKSTwoSample:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             ks_two_sample([], [1.0])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_non_finite_samples(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ks_two_sample([bad] * 3, [1.0, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            ks_two_sample([1.0, 2.0], [0.5, bad])
 
     # integer-valued samples keep the transform strictly monotone in
     # float64 (no two distinct inputs collapse to one output)
@@ -136,6 +170,108 @@ class TestKSTwoSample:
         assert passed >= 90
 
 
+# Two-sided Student-t table, three decimals: df -> t at levels 0.90, 0.95, 0.99, 0.999.
+T_TABLE_LEVELS = (0.90, 0.95, 0.99, 0.999)
+T_TABLE = {
+    1: (6.314, 12.706, 63.657, 636.619),
+    2: (2.920, 4.303, 9.925, 31.599),
+    4: (2.132, 2.776, 4.604, 8.610),
+    9: (1.833, 2.262, 3.250, 4.781),
+    30: (1.697, 2.042, 2.750, 3.646),
+    120: (1.658, 1.980, 2.617, 3.373),
+}
+ORACLE_LEVELS = [0.001] + [k / 100 for k in range(1, 100)] + [0.999]
+
+
+def t_density_at_zero(df):
+    return math.exp(math.lgamma((df + 1) / 2) - math.lgamma(df / 2)) / math.sqrt(df * math.pi)
+
+
+def t_tail_oracle(t, df):
+    """P(T > t) for t >= 0 and integer df: the finite sums of Abramowitz and
+    Stegun 26.7.3 (odd df) and 26.7.4 (even df), added exactly."""
+    theta = math.atan(t / math.sqrt(df))
+    c2 = math.cos(theta) ** 2
+    odd = df % 2
+    term, terms = (math.cos(theta) if odd else 1.0), []
+    for j in range(1, (df + 1) // 2 if odd else df // 2 + 1):
+        terms.append(term)
+        term *= (2 * j - 1 + odd) / (2 * j + odd) * c2
+    inside = math.sin(theta) * math.fsum(terms)
+    central = 2 / math.pi * (theta + inside) if odd else inside
+    return (1.0 - central) / 2
+
+
+def kolmogorov_sf_oracle(x):
+    """2 * sum (-1)^(k-1) exp(-2 k^2 x^2) added exactly; 150 terms reach below 1e-40 from x = 0.05."""
+    return 2 * math.fsum((-1) ** (k - 1) * math.exp(-2 * k * k * x * x) for k in range(1, 151))
+
+
+class TestStudentTQuantile:
+    @pytest.mark.parametrize("df", sorted(T_TABLE))
+    def test_textbook_table(self, df):
+        for level, t in zip(T_TABLE_LEVELS, T_TABLE[df]):
+            assert student_t_isf((1 - level) / 2, df) == pytest.approx(t, abs=5e-4)
+
+    def test_tail_at_quantile_matches_exact_sums(self):
+        for df in [*range(1, 121), 199, 200]:
+            for level in ORACLE_LEVELS:
+                tail = (1 - level) / 2
+                assert t_tail_oracle(student_t_isf(tail, df), df) == pytest.approx(tail, abs=1e-14), (df, level)
+
+    @pytest.mark.parametrize("df", [3, 9, 30, 1023, 10**6])
+    def test_tail_near_half(self, df):
+        h = 2.0**-40
+        assert student_t_isf(0.5 - h, df) == pytest.approx(h / t_density_at_zero(df), rel=1e-9)
+        assert student_t_isf(0.5, df) == 0.0
+
+    def test_large_df_approaches_normal(self):
+        # Cornish-Fisher: t = z + (z^3 + z) / (4 df) + O(df^-2), z the normal quantile
+        z, df = 2.5758293035489008, 10**9
+        assert student_t_isf(0.005, df) == pytest.approx(z + (z**3 + z) / (4 * df), rel=1e-14)
+
+    @pytest.mark.parametrize("tail, df", [(0.0, 5), (0.6, 5), (math.nan, 5), (0.1, 0.5), (0.1, math.inf), (0.1, math.nan)])
+    def test_domain_validated(self, tail, df):
+        with pytest.raises(ValueError):
+            student_t_isf(tail, df)
+
+    def test_matches_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        levels = np.array(ORACLE_LEVELS)
+        # fractional df near 1, where Hill's start is worst, need a second step
+        for df in [*range(1, 201), 511, 1023, 2047, 4095, 10**4, 10**5, 10**6, 1.05, 1.5, 2.5, 3.7]:
+            expected = special.stdtrit(df, 0.5 + levels / 2)
+            for level, want in zip(ORACLE_LEVELS, expected):
+                scale = want if level >= 0.5 else 1.0
+                assert abs(student_t_isf((1 - level) / 2, df) - want) <= 1e-12 * scale, (df, level)
+
+
+class TestKolmogorovSF:
+    @pytest.mark.parametrize("x, p", [(1.2238, 0.10), (1.3581, 0.05), (1.6276, 0.01)])
+    def test_critical_values(self, x, p):
+        assert kolmogorov_sf(x) == pytest.approx(p, abs=5e-5)
+
+    def test_limits(self):
+        for x in (0.0, -1.0, -math.inf):
+            assert kolmogorov_sf(x) == 1.0
+        assert kolmogorov_sf(0.1) == pytest.approx(1.0, abs=1e-15)
+        assert 0.0 < kolmogorov_sf(10.0) < 1e-80
+        assert kolmogorov_sf(30.0) == 0.0
+        assert kolmogorov_sf(math.inf) == 0.0
+        grid = [kolmogorov_sf(x) for x in np.linspace(0.0, 4.0, 801)]
+        assert all(a >= b for a, b in zip(grid, grid[1:]))
+
+    def test_matches_exact_alternating_sum(self):
+        for x in np.linspace(0.05, 8.0, 800):
+            assert kolmogorov_sf(float(x)) == pytest.approx(kolmogorov_sf_oracle(float(x)), abs=1e-14), x
+
+    def test_matches_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        xs = np.linspace(0.02, 8.0, 4000)
+        for x, want in zip(xs, special.kolmogorov(xs)):
+            assert abs(kolmogorov_sf(float(x)) - want) <= 1e-13, x
+
+
 class TestBitErrorRate:
     def test_identical(self):
         assert bit_error_rate([1, 0, 1], [1, 0, 1]) == 0.0
@@ -154,12 +290,47 @@ class TestBitErrorRate:
             bit_error_rate([1], [1, 0])
 
 
-def test_import_does_not_load_scipy_stats():
+def run_python(code):
     src = str(Path(longwire.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, longwire; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_import_does_not_load_scipy_stats():
+    assert run_python("import sys, longwire; print('scipy.stats' in sys.modules)").strip() == "False"
+
+
+# One small run of every CLI subcommand.
+SMALL_CLI_RUNS = [
+    ["simulate", "--pattern", "alternating", "--windows", "64", "--seed", "1"],
+    ["scaling-time", "--n-list", "13", "--windows", "64", "--seed", "3"],
+    ["scaling-length", "--vt-list", "1,2", "--vr-list", "1", "--windows", "64", "--seed", "4"],
+    ["distance", "--d-list", "1,3", "--windows", "64", "--seed", "5"],
+    ["dynamic", "--path", "local", "--windows", "64", "--seed", "6"],
+    ["ber", "--n-list", "13", "--bits", "64", "--seed", "7"],
+    ["bandwidth", "--n-list", "13"],
+    ["exfil", "--key", "0xDEAD", "--w", "3"],
+    ["prob", "--n", "16", "--w", "4", "--trials", "100", "--seed", "8"],
+    ["audit", "--grid", str(DOCS_DIR / "sample_grid.txt")],
+]
+
+
+def test_no_scipy_after_import_or_cli():
+    subcommands = next(a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(argv[0] for argv in SMALL_CLI_RUNS) == sorted(subcommands)
+    code = f"""
+import contextlib, io, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import longwire
+print(scipy_modules())
+from longwire import cli
+for argv in {SMALL_CLI_RUNS!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(scipy_modules())
+"""
+    assert run_python(code).splitlines() == ["[]", "[]"]
 
 
 def test_metrics_csv_shape():
