@@ -68,21 +68,17 @@ def paired_delta_rc(trace: CountTrace) -> PairedDeltas:
     return PairedDeltas(tuple(deltas), source=trace.trace_id)
 
 
-def _finite_array(values: Sequence[float], what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{what} must be finite")
-    return arr
-
-
 def mean_ci(values: Sequence[float], level: float = 0.99) -> tuple[float, float, float]:
     """Student-t confidence interval for the mean: (mean, low, high)."""
     if len(values) < 2:
         raise ValueError("need at least 2 values")
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    arr = _finite_array(values, "values")
+    arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
+    if not math.isfinite(mean):
+        # a NaN or an infinity among the values always reaches the mean
+        raise ValueError("values must be finite, and so must their mean")
     sem = float(arr.std(ddof=1)) / math.sqrt(len(arr))
     t = student_t_isf((1.0 - level) / 2.0, len(arr) - 1)
     return mean, mean - t * sem, mean + t * sem
@@ -96,8 +92,11 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
     """
     if len(a) == 0 or len(b) == 0:
         raise ValueError("both samples must be non-empty")
-    xa = np.sort(_finite_array(a, "samples"))
-    xb = np.sort(_finite_array(b, "samples"))
+    xa = np.sort(np.asarray(a, dtype=float))
+    xb = np.sort(np.asarray(b, dtype=float))
+    # sorting puts -inf first, and inf and NaN last
+    if not all(math.isfinite(x[i]) for x in (xa, xb) for i in (0, -1)):
+        raise ValueError("samples must be finite")
     grid = np.concatenate([xa, xb])
     cdf_a = np.searchsorted(xa, grid, side="right") / len(xa)
     cdf_b = np.searchsorted(xb, grid, side="right") / len(xb)
@@ -123,8 +122,10 @@ def student_t_isf(tail: float, df: float) -> float:
     Closed forms for df = 1 and 2.  Otherwise Hill's Algorithm 396 (CACM
     1970) gives the start, and second-order Newton steps on the upper tail
     refine it.  The tail is taken as given, not as 1 - level, so a tail
-    near 1/2 (a level near 0) loses nothing to cancellation.  Cached: a
-    study computes every interval of one table at the same level and size.
+    near 1/2 (a level near 0) loses nothing to cancellation.  Where the
+    density at the quantile underflows (tails below about 1e-150), Hill's
+    start is returned unrefined.  Cached: a study computes every interval
+    of one table at the same level and size.
     """
     if not 0.0 < tail <= 0.5:
         raise ValueError("tail must be in (0, 1/2]")

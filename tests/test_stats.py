@@ -225,6 +225,15 @@ class TestStudentTQuantile:
         assert student_t_isf(0.5 - h, df) == pytest.approx(h / t_density_at_zero(df), rel=1e-9)
         assert student_t_isf(0.5, df) == 0.0
 
+    @pytest.mark.parametrize("df", [1.5, 2.5, 3, 7.3])
+    def test_far_tail_matches_leading_term(self, df):
+        # P(T > t) = c df^((df - 1) / 2) t^-df (1 + O(t^-2)), c = f(0)
+        tail = 1e-100
+        c = t_density_at_zero(df)
+        assert student_t_isf(tail, df) == pytest.approx((c * df ** ((df - 1) / 2) / tail) ** (1 / df), rel=1e-12)
+        # further out Hill's start comes back unrefined, but finite
+        assert math.inf > student_t_isf(1e-300, df) > student_t_isf(tail, df)
+
     def test_large_df_approaches_normal(self):
         # Cornish-Fisher: t = z + (z^3 + z) / (4 df) + O(df^-2), z the normal quantile
         z, df = 2.5758293035489008, 10**9
