@@ -95,15 +95,14 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
     xa = np.sort(np.asarray(a, dtype=float))
     xb = np.sort(np.asarray(b, dtype=float))
     # sorting puts -inf first, and inf and NaN last
-    if not all(math.isfinite(x[i]) for x in (xa, xb) for i in (0, -1)):
+    if not all(map(math.isfinite, (xa[0], xa[-1], xb[0], xb[-1]))):
         raise ValueError("samples must be finite")
     grid = np.concatenate([xa, xb])
     cdf_a = np.searchsorted(xa, grid, side="right") / len(xa)
     cdf_b = np.searchsorted(xb, grid, side="right") / len(xb)
     d = float(np.abs(cdf_a - cdf_b).max())
     n_eff = len(xa) * len(xb) / (len(xa) + len(xb))
-    p = kolmogorov_sf(math.sqrt(n_eff) * d)
-    return d, min(1.0, max(0.0, p))
+    return d, kolmogorov_sf(math.sqrt(n_eff) * d)
 
 
 _EPS = 2.0**-52
