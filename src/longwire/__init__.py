@@ -24,12 +24,10 @@ from .channel import (
     Geometry,
     MeasurementConfig,
     Orientation,
-    drift_step,
     expected_count,
     expected_delta_rc,
     simulate_counts,
     simulate_trace,
-    simulate_window,
 )
 from .code8b10b import decode_8b10b, encode_8b10b
 from .codec import (
@@ -61,7 +59,7 @@ from .exfil import (
     single_window_recover,
     window_hw_oracle,
 )
-from .patterns import PatternSpec, lfsr_next, window_stimulus
+from .patterns import PatternSpec, lfsr_next
 from .stats import bit_error_rate, ks_two_sample, mean_ci, paired_delta_rc
 
 __version__ = "0.1.0"

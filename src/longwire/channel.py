@@ -12,7 +12,9 @@ All counts come from one array engine, ``simulate_counts``.  For n windows
 it draws from the generator, in this order (``STREAM_VERSION`` 2): n drift
 innovations ``normal(0, drift_rate)``, then n noise values
 ``normal(0, sigma)``, then n counter phases ``uniform(-1, 1)``.  Version 1
-drew the same three values window by window, interleaved.
+drew the same three values window by window, interleaved.  A run of
+windows is a ``CountTrace``: one array per column (window, count, duty,
+toggle rate) plus the list of transmitted bits.
 
 Two coupling paths are modelled.  On the ``long`` path the count depends
 on the transmitter duty cycle only.  On the ``local`` path (no long-wire
@@ -25,7 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -45,8 +47,6 @@ __all__ = [
     "as_longs",
     "expected_delta_rc",
     "expected_count",
-    "drift_step",
-    "simulate_window",
     "simulate_counts",
     "simulate_trace",
     "trace_to_csv",
@@ -61,6 +61,12 @@ STREAM_VERSION = 2
 NOISE_REFERENCE_TICKS = 1 << 13
 
 
+def _require_finite(obj, names) -> None:
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValueError(f"{name} must be finite")
+
+
 def _validate_atten(atten: dict[int, float]) -> dict[int, float]:
     clean: dict[int, float] = {}
     for d, mult in atten.items():
@@ -68,6 +74,8 @@ def _validate_atten(atten: dict[int, float]) -> dict[int, float]:
         mult = float(mult)
         if d < 1:
             raise ValueError(f"distance_atten key {d} must be >= 1")
+        if not math.isfinite(mult):
+            raise ValueError(f"distance_atten multiplier for d={d} must be finite")
         if mult < 0.0:
             raise ValueError("distance_atten multipliers must be >= 0")
         if d >= 3 and mult != 0.0:
@@ -102,6 +110,7 @@ class DeviceProfile:
     local_static_epsilon: float = 6.4e-8   # weak duty coupling of non-long paths
 
     def __post_init__(self):
+        _require_finite(self, [f.name for f in fields(self) if f.name != "distance_atten"])
         if self.base_rate <= 0:
             raise ValueError("base_rate must be > 0")
         if self.coupling_alpha < 0:
@@ -146,6 +155,7 @@ class MeasurementConfig:
     def __post_init__(self):
         if not 1 <= self.log2_ticks <= 32:
             raise ValueError("log2_ticks must be in [1, 32]")
+        _require_finite(self, ["f_clk_hz"])
         if self.f_clk_hz <= 0:
             raise ValueError("f_clk_hz must be > 0")
 
@@ -172,8 +182,13 @@ def as_longs(value) -> Fraction:
     elif isinstance(value, int):
         frac = Fraction(value)
     elif isinstance(value, str):
-        frac = Fraction(value)
+        try:
+            frac = Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"wire length {value!r} has a zero denominator") from None
     elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"wire length {value} must be finite")
         frac = Fraction(value).limit_denominator(3)
         if abs(float(frac) - value) > 1e-9:
             raise ValueError(f"wire length {value} is not a multiple of 1/3")
@@ -223,34 +238,44 @@ class TraceSample(NamedTuple):
     tx_bit: int | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountTrace:
-    """Per-window oscillator counts paired with the transmitted ground truth."""
+    """Per-window oscillator counts paired with the transmitted ground truth.
 
-    samples: tuple[TraceSample, ...]
-    trace_id: str = ""
+    One entry per window in each column: ``window`` and ``counts`` are
+    int64 arrays, ``duty`` and ``toggle_rate`` float64 arrays, and
+    ``tx_bits`` a list holding the sent bit or None (dynamic patterns).
+    """
+
+    window: np.ndarray
+    counts: np.ndarray
+    duty: np.ndarray
+    toggle_rate: np.ndarray
+    tx_bits: list[int | None]
 
     def __post_init__(self):
-        last = None
-        for s in self.samples:
-            if last is not None and s.window <= last:
-                raise ValueError("window indices must be strictly increasing")
-            if not 0.0 <= s.duty <= 1.0:
-                raise ValueError("duty must be in [0, 1]")
-            if s.count < 0:
-                raise ValueError("counts must be >= 0")
-            last = s.window
+        for name, dtype in (("window", np.int64), ("counts", np.int64), ("duty", float), ("toggle_rate", float)):
+            column = np.array(getattr(self, name), dtype=dtype)  # a read-only copy: the trace stays as validated
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "tx_bits", list(self.tx_bits))
+        if {c.shape for c in (self.window, self.counts, self.duty, self.toggle_rate)} != {(len(self.tx_bits),)}:
+            raise ValueError("trace columns must be one-dimensional and of equal length")
+        if (np.diff(self.window) <= 0).any():
+            raise ValueError("window indices must be strictly increasing")
+        if not ((self.duty >= 0.0) & (self.duty <= 1.0)).all():
+            raise ValueError("duty must be in [0, 1]")
+        if (self.counts < 0).any():
+            raise ValueError("counts must be >= 0")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.counts)
 
     @property
-    def counts(self) -> list[int]:
-        return [s.count for s in self.samples]
-
-    @property
-    def tx_bits(self) -> list[int | None]:
-        return [s.tx_bit for s in self.samples]
+    def samples(self) -> tuple[TraceSample, ...]:
+        """The trace as rows, built anew on each call."""
+        columns = (self.window, self.counts, self.duty, self.toggle_rate)
+        return tuple(map(TraceSample, *(c.tolist() for c in columns), self.tx_bits))
 
 
 def expected_delta_rc(profile: DeviceProfile, geom: Geometry) -> float:
@@ -298,13 +323,13 @@ def expected_count(
     return _mean_count(profile, cfg, geom, duty, toggle_rate, drift_state)
 
 
-def _drift_path(profile: DeviceProfile, innovations, state: float = 0.0) -> list[float]:
-    """Clipped AR(1) baseline wander, one state per innovation.
+def _drift_path(profile: DeviceProfile, innovations) -> list[float]:
+    """Clipped AR(1) baseline wander from 0, one state per innovation.
 
     Each state depends on the one before, so this stays a sequential loop.
     """
     keep, high, low = 1.0 - profile.drift_reversion, profile.drift_bound, -profile.drift_bound
-    path = []
+    state, path = 0.0, []
     append = path.append
     for innovation in innovations:
         state = state * keep + innovation
@@ -314,45 +339,6 @@ def _drift_path(profile: DeviceProfile, innovations, state: float = 0.0) -> list
             state = low
         append(state)
     return path
-
-
-def drift_step(state: float, profile: DeviceProfile, rng: np.random.Generator) -> float:
-    """One step of the bounded mean-reverting baseline wander."""
-    return _drift_path(profile, [rng.normal(0.0, profile.drift_rate)], state)[0]
-
-
-def _stimulus_arrays(duty, toggle_rate) -> tuple[np.ndarray, np.ndarray]:
-    duty, toggle = np.asarray(duty, dtype=float), np.asarray(toggle_rate, dtype=float)
-    if duty.ndim != 1 or toggle.ndim > 1:
-        raise ValueError("duty and toggle_rate must be one value per window")
-    if not ((duty >= 0.0) & (duty <= 1.0)).all():
-        raise ValueError("duty must be in [0, 1]")
-    if (toggle < 0.0).any():
-        raise ValueError("toggle_rate must be >= 0")
-    return duty, toggle
-
-
-def _noisy_counts(profile, cfg, geom, duty, toggle, drift, rng) -> np.ndarray:
-    """Mean + Gaussian noise + counter phase, rounded half to even and clipped at 0."""
-    n = len(duty)
-    noise = rng.normal(0.0, profile.noise_sigma_for(cfg.ticks_per_window), n)
-    phase = rng.uniform(-1.0, 1.0, n)
-    raw = _mean_count(profile, cfg, geom, duty, toggle, drift) + noise + phase
-    return np.maximum(np.rint(raw), 0.0).astype(np.int64)
-
-
-def simulate_window(
-    profile: DeviceProfile,
-    cfg: MeasurementConfig,
-    geom: Geometry,
-    duty: float,
-    toggle_rate: float,
-    drift_state: float,
-    rng: np.random.Generator,
-) -> int:
-    """Draw one window count: mean + Gaussian noise + counter quantization."""
-    duty_col, toggle_col = _stimulus_arrays([duty], toggle_rate)
-    return int(_noisy_counts(profile, cfg, geom, duty_col, toggle_col, drift_state, rng)[0])
 
 
 def simulate_counts(
@@ -366,12 +352,23 @@ def simulate_counts(
     """Counts of consecutive windows, one per duty value, drift starting at 0.
 
     ``toggle_rate`` is one value per window or one for all.  Draws the
-    stream in three blocks (see the module docstring).
+    stream in three blocks (see the module docstring), then adds mean,
+    noise and counter phase, rounded half to even and clipped at 0.
     """
-    duty, toggle = _stimulus_arrays(duty, toggle_rate)
-    innovations = rng.normal(0.0, profile.drift_rate, len(duty))
+    duty, toggle = np.asarray(duty, dtype=float), np.asarray(toggle_rate, dtype=float)
+    if duty.ndim != 1 or toggle.ndim > 1:
+        raise ValueError("duty and toggle_rate must be one value per window")
+    if not ((duty >= 0.0) & (duty <= 1.0)).all():
+        raise ValueError("duty must be in [0, 1]")
+    if (toggle < 0.0).any():
+        raise ValueError("toggle_rate must be >= 0")
+    n = len(duty)
+    innovations = rng.normal(0.0, profile.drift_rate, n)
+    noise = rng.normal(0.0, profile.noise_sigma_for(cfg.ticks_per_window), n)
+    phase = rng.uniform(-1.0, 1.0, n)
     drift = np.array(_drift_path(profile, innovations.tolist()))
-    return _noisy_counts(profile, cfg, geom, duty, toggle, drift, rng)
+    raw = _mean_count(profile, cfg, geom, duty, toggle, drift) + noise + phase
+    return np.maximum(np.rint(raw), 0.0).astype(np.int64)
 
 
 def simulate_trace(
@@ -381,15 +378,13 @@ def simulate_trace(
     pattern: PatternSpec,
     num_windows: int,
     seed: int,
-    trace_id: str = "",
 ) -> CountTrace:
     """Simulate consecutive windows; deterministic for a fixed seed."""
     if num_windows < 1:
         raise ValueError("num_windows must be >= 1")
     duty, toggle, bits = stimulus_columns(pattern, num_windows)
     counts = simulate_counts(profile, cfg, geom, duty, toggle, np.random.default_rng(seed))
-    samples = map(TraceSample, range(num_windows), counts.tolist(), duty.tolist(), toggle.tolist(), bits)
-    return CountTrace(tuple(samples), trace_id=trace_id)
+    return CountTrace(np.arange(num_windows), counts, duty, toggle, bits)
 
 
 TRACE_CSV_HEADER = ("window", "count", "duty", "toggle_rate", "tx_bit")
@@ -405,24 +400,21 @@ def trace_to_csv(trace: CountTrace) -> str:
     return buf.getvalue()
 
 
-def trace_from_csv(text: str, trace_id: str = "") -> CountTrace:
+def trace_from_csv(text: str) -> CountTrace:
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or tuple(header) != TRACE_CSV_HEADER:
         raise ValueError(f"expected header {','.join(TRACE_CSV_HEADER)}")
-    samples = []
-    for row in reader:
-        if not row:
-            continue
-        window, count, duty, toggle_rate, bit = row
-        samples.append(
-            TraceSample(
-                int(window),
-                int(count),
-                float(duty),
-                float(toggle_rate),
-                None if bit == "" else int(bit),
-            )
-        )
-    return CountTrace(tuple(samples), trace_id=trace_id)
-
+    rows = []
+    for row in filter(None, reader):
+        if len(row) != len(TRACE_CSV_HEADER):
+            raise ValueError(f"line {reader.line_num}: expected {len(TRACE_CSV_HEADER)} fields, got {len(row)}")
+        rows.append(row)
+    window, count, duty, toggle_rate, bit = zip(*rows) if rows else [()] * len(TRACE_CSV_HEADER)
+    return CountTrace(
+        [int(v) for v in window],
+        [int(v) for v in count],
+        [float(v) for v in duty],
+        [float(v) for v in toggle_rate],
+        [None if v == "" else int(v) for v in bit],
+    )

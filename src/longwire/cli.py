@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -19,6 +18,7 @@ from .channel import (
     DeviceProfile,
     Geometry,
     MeasurementConfig,
+    as_longs,
     expected_delta_rc,
     simulate_trace,
     trace_to_csv,
@@ -59,7 +59,7 @@ def _load_setup(args) -> tuple[DeviceProfile, MeasurementConfig, Geometry]:
     n = getattr(args, "n", None)
     if n is not None:
         cfg = MeasurementConfig(log2_ticks=n, f_clk_hz=cfg.f_clk_hz)
-    geom = Geometry(v_t=Fraction(args.vt), v_r=args.vr, d=args.d)
+    geom = Geometry(v_t=args.vt, v_r=args.vr, d=args.d)
     return profile, cfg, geom
 
 
@@ -72,8 +72,7 @@ def _csv_lines(header: list[str], rows: list[list]) -> str:
 
 def _alternating_stats(profile, cfg, geom, windows, seed):
     trace = simulate_trace(profile, cfg, geom, PatternSpec.alternating(), windows, seed)
-    counts = trace.counts
-    dc = [counts[i + 1] - counts[i] for i in range(0, len(counts), 2)]
+    dc = trace.counts[1::2] - trace.counts[0::2]
     drc = stats.paired_delta_rc(trace).values
     return trace, dc, drc
 
@@ -107,7 +106,7 @@ def cmd_scaling_time(args) -> str:
 
 def cmd_scaling_length(args) -> str:
     profile, cfg, _ = _load_setup(args)
-    vts = [Fraction(x) for x in args.vt_list.split(",") if x.strip()]
+    vts = [as_longs(x) for x in args.vt_list.split(",") if x.strip()]
     vrs = _int_list(args.vr_list)
     rows = []
     for i, vt in enumerate(vts):
@@ -126,8 +125,7 @@ def cmd_distance(args) -> str:
         geom = Geometry(v_t=geom0.v_t, v_r=geom0.v_r, d=d)
         model = expected_delta_rc(profile, geom)
         trace, _, drc = _alternating_stats(profile, cfg, geom, args.windows, args.seed + d)
-        counts = trace.counts
-        _, p = stats.ks_two_sample(counts[0::2], counts[1::2])
+        _, p = stats.ks_two_sample(trace.counts[0::2], trace.counts[1::2])
         rows.append([d, f"{model:.10g}", f"{float(np.mean(drc)):.6g}", f"{p:.6g}"])
     return _csv_lines(["d", "delta_rc_model", "delta_rc_measured", "ks_p_0_vs_1"], rows)
 
@@ -142,10 +140,9 @@ def cmd_dynamic(args) -> str:
     for idx, code in enumerate(DYNAMIC4_CODES):
         pattern = PatternSpec.dynamic4(code)
         trace = simulate_trace(profile, cfg, geom, pattern, args.windows, args.seed)
-        mean, lo, hi = stats.mean_ci([float(c) for c in trace.counts])
-        s = trace.samples[0]
+        mean, lo, hi = stats.mean_ci(trace.counts)
         rows.append(
-            [f"d{idx}", code, f"{s.duty:.4g}", f"{s.toggle_rate:.4g}"]
+            [f"d{idx}", code, f"{trace.duty[0]:.4g}", f"{trace.toggle_rate[0]:.4g}"]
             + [f"{v:.10g}" for v in (mean, lo, hi)]
         )
     header = ["pattern", "code", "duty", "toggle_rate", "mean_count", "ci_lo", "ci_hi"]

@@ -3,7 +3,8 @@
 Static variants hold one bit for a whole measurement window.  The
 dynamic variant loops a 4-bit code at clock speed inside the window, so
 what the receiver sees is the code's duty cycle plus its switching rate.
-Every variant is a pure function of (spec, window index).
+``stimulus_columns`` serves a whole run of windows at once, as columns;
+an LFSR register is stepped once per window, never replayed per index.
 """
 
 from __future__ import annotations
@@ -13,11 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Stimulus",
     "PatternSpec",
     "DYNAMIC4_CODES",
     "lfsr_next",
-    "window_stimulus",
     "stimulus_columns",
     "parse_pattern",
 ]
@@ -39,13 +38,6 @@ _DYNAMIC4_TOGGLE = {
     "1110": 1.0 / 8.0,
     "1111": 0.0,
 }
-
-
-@dataclass(frozen=True)
-class Stimulus:
-    duty: float
-    toggle_rate: float
-    bit: int | None
 
 
 @dataclass(frozen=True)
@@ -129,38 +121,18 @@ def _lfsr_step(state: int, taps: tuple[int, ...], width: int) -> tuple[int, int]
     return out, (state >> 1) | (fb << (width - 1))
 
 
-def window_stimulus(spec: PatternSpec, window_index: int) -> Stimulus:
-    """Duty cycle, toggle rate and ground-truth bit for one window."""
-    if window_index < 0:
-        raise ValueError("window_index must be >= 0")
-    if spec.kind == "alternating":
-        bit = window_index & 1
-    elif spec.kind == "longruns":
-        bit = (window_index // spec.run_len) & 1
-    elif spec.kind == "lfsr":
-        state = spec.lfsr_seed
-        bit = 0
-        for _ in range(window_index + 1):
-            bit, state = lfsr_next(state, spec.taps)
-    elif spec.kind == "dynamic4":
-        duty = spec.code.count("1") / 4.0
-        return Stimulus(duty, _DYNAMIC4_TOGGLE[spec.code], None)
-    else:  # custom, cycling
-        bit = spec.bits[window_index % len(spec.bits)]
-    return Stimulus(float(bit), 0.0, bit)
-
-
 def stimulus_columns(spec: PatternSpec, num_windows: int) -> tuple[np.ndarray, np.ndarray, list[int | None]]:
     """Duty cycles, toggle rates and ground-truth bits of windows 0..num_windows-1.
 
-    Entry i equals window_stimulus(spec, i).  An LFSR register is stepped
-    once per window instead of replayed from its seed for every index.
+    Static patterns send their bit as the duty; a dynamic4 loop sends no
+    bit (None) and the same duty and toggle rate in every window.
     """
     if num_windows < 0:
         raise ValueError("num_windows must be >= 0")
     if spec.kind == "dynamic4":
-        stim = window_stimulus(spec, 0)
-        return np.full(num_windows, stim.duty), np.full(num_windows, stim.toggle_rate), [None] * num_windows
+        duty = spec.code.count("1") / 4.0
+        toggle = _DYNAMIC4_TOGGLE[spec.code]
+        return np.full(num_windows, duty), np.full(num_windows, toggle), [None] * num_windows
     index = np.arange(num_windows)
     if spec.kind == "alternating":
         bits = index & 1

@@ -31,20 +31,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairedDeltas:
-    """Per-pair relative count differences (c1 - c0) / c1."""
+    """Per-pair relative count differences (c1 - c0) / c1, a float64 array."""
 
-    values: tuple[float, ...]
-    source: str = ""
+    values: np.ndarray
 
     def __post_init__(self):
-        if any(not math.isfinite(v) for v in self.values):
+        values = np.asarray(self.values, dtype=np.float64)
+        if not np.isfinite(values).all():
             raise ValueError("paired deltas must be finite")
+        object.__setattr__(self, "values", values)
 
     @property
     def mean(self) -> float:
-        return float(np.mean(self.values)) if self.values else 0.0
+        return float(self.values.mean()) if len(self.values) else 0.0
 
 
 def paired_delta_rc(trace: CountTrace) -> PairedDeltas:
@@ -53,19 +54,18 @@ def paired_delta_rc(trace: CountTrace) -> PairedDeltas:
     Window 2i must carry a 0 and window 2i+1 a 1; the trace's recorded
     ground truth is checked, not trusted.
     """
-    if len(trace) == 0 or len(trace) % 2 != 0:
+    n = len(trace)
+    if n == 0 or n % 2 != 0:
         raise ValueError("alternating trace must have a positive even number of windows")
-    for i, s in enumerate(trace.samples):
-        if s.tx_bit != i % 2:
-            raise ValueError(f"window {s.window}: expected alternating bit {i % 2}, got {s.tx_bit}")
-    deltas = []
-    counts = trace.counts
-    for i in range(0, len(counts), 2):
-        c0, c1 = counts[i], counts[i + 1]
-        if c1 == 0:
-            raise ValueError(f"window {i + 1}: zero count, relative difference undefined")
-        deltas.append((c1 - c0) / c1)
-    return PairedDeltas(tuple(deltas), source=trace.trace_id)
+    expected = [0, 1] * (n // 2)
+    if trace.tx_bits != expected:
+        i = next(i for i, (bit, want) in enumerate(zip(trace.tx_bits, expected)) if bit != want)
+        raise ValueError(f"window {trace.window[i]}: expected alternating bit {i % 2}, got {trace.tx_bits[i]}")
+    c0, c1 = trace.counts[0::2], trace.counts[1::2]
+    zero = np.flatnonzero(c1 == 0)
+    if len(zero):
+        raise ValueError(f"window {trace.window[2 * zero[0] + 1]}: zero count, relative difference undefined")
+    return PairedDeltas((c1 - c0) / c1)
 
 
 def mean_ci(values: Sequence[float], level: float = 0.99) -> tuple[float, float, float]:

@@ -9,17 +9,16 @@ from longwire import (
     Geometry,
     MeasurementConfig,
     Orientation,
-    drift_step,
     expected_count,
     expected_delta_rc,
     simulate_counts,
     simulate_trace,
-    simulate_window,
 )
-from longwire.channel import CountTrace, TraceSample, trace_from_csv, trace_to_csv
+from longwire.channel import CountTrace, trace_from_csv, trace_to_csv
 from longwire.exfil import ExfilChannel, KeyBits, measure_windows_noisy, window_hw_oracle
-from longwire.patterns import PatternSpec, window_stimulus
+from longwire.patterns import PatternSpec
 from longwire.stats import ks_two_sample
+from conftest import stimulus_oracle
 
 
 def drc(profile, **kw):
@@ -103,6 +102,9 @@ class TestGeometry:
         assert Geometry(v_t=Fraction(4, 3), v_r=2).v_t == Fraction(4, 3)
         with pytest.raises(ValueError):
             Geometry(v_t=0.4, v_r=1)
+        for bad in ("1/0", math.inf, math.nan):
+            with pytest.raises(ValueError):
+                Geometry(v_t=bad, v_r=1)
 
     def test_coupling_values(self):
         Geometry(v_t=2, v_r=2, coupling="local")
@@ -141,37 +143,14 @@ class TestMeasurementConfig:
                 MeasurementConfig(log2_ticks=bad)
 
 
-class TestDriftStep:
-    def test_no_noise_no_state(self, quiet_profile):
-        rng = np.random.default_rng(0)
-        assert drift_step(0.0, quiet_profile, rng) == 0.0
-
-    def test_deterministic_decay(self):
-        profile = DeviceProfile(drift_rate=0.0, drift_reversion=0.1, drift_bound=0.02)
-        rng = np.random.default_rng(0)
-        assert drift_step(0.01, profile, rng) == pytest.approx(0.009)
-
-    def test_stays_within_bound_over_long_runs(self):
-        profile = DeviceProfile(drift_rate=1e-3, drift_reversion=0.001, drift_bound=5e-3)
-        rng = np.random.default_rng(123)
-        state = 0.0
-        for _ in range(100_000):
-            state = drift_step(state, profile, rng)
-            assert abs(state) <= profile.drift_bound
-
-
 class TestSimulateWindow:
     def test_baseline_count(self, quiet_profile, cfg13, geom22):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            c = simulate_window(quiet_profile, cfg13, geom22, 0.0, 0.0, 0.0, rng)
-            assert abs(c - 24576) <= 1
+        counts = simulate_counts(quiet_profile, cfg13, geom22, np.zeros(50), 0.0, np.random.default_rng(0))
+        assert (np.abs(counts - 24576) <= 1).all()
 
     def test_calibrated_full_swing(self, quiet_profile, cfg13, geom22):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            c = simulate_window(quiet_profile, cfg13, geom22, 1.0, 0.0, 0.0, rng)
-            assert abs(c - 24580) <= 1
+        counts = simulate_counts(quiet_profile, cfg13, geom22, np.ones(50), 0.0, np.random.default_rng(0))
+        assert (np.abs(counts - 24580) <= 1).all()
 
     def test_count_difference_scales_with_window(self, quiet_profile, geom22):
         d13 = expected_count(quiet_profile, MeasurementConfig(log2_ticks=13), geom22, 1.0) - \
@@ -183,9 +162,9 @@ class TestSimulateWindow:
     def test_rejects_bad_duty(self, profile, cfg13, geom22):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            simulate_window(profile, cfg13, geom22, 1.5, 0.0, 0.0, rng)
+            simulate_counts(profile, cfg13, geom22, [1.5], 0.0, rng)
         with pytest.raises(ValueError):
-            simulate_window(profile, cfg13, geom22, -0.1, 0.0, 0.0, rng)
+            simulate_counts(profile, cfg13, geom22, [-0.1], 0.0, rng)
 
     def test_expected_count_monotone_in_duty(self, profile, cfg13):
         for geom in (Geometry(v_t=2, v_r=2), Geometry(v_t=2, v_r=2, coupling="local")):
@@ -207,8 +186,9 @@ class TestSimulateWindow:
 class TestSimulateTrace:
     def test_alternating_duties(self, profile, cfg13, geom22):
         trace = simulate_trace(profile, cfg13, geom22, PatternSpec.alternating(), 4, seed=0)
-        assert [s.duty for s in trace.samples] == [0.0, 1.0, 0.0, 1.0]
-        assert [s.tx_bit for s in trace.samples] == [0, 1, 0, 1]
+        assert trace.duty.tolist() == [0.0, 1.0, 0.0, 1.0]
+        assert trace.tx_bits == [0, 1, 0, 1]
+        assert trace.window.tolist() == [0, 1, 2, 3]
 
     def test_rejects_empty_request(self, profile, cfg13, geom22):
         with pytest.raises(ValueError):
@@ -218,8 +198,8 @@ class TestSimulateTrace:
         a = simulate_trace(profile, cfg13, geom22, PatternSpec.lfsr(), 64, seed=99)
         b = simulate_trace(profile, cfg13, geom22, PatternSpec.lfsr(), 64, seed=99)
         c = simulate_trace(profile, cfg13, geom22, PatternSpec.lfsr(), 64, seed=100)
-        assert a == b
-        assert a != c
+        assert a.samples == b.samples
+        assert a.samples != c.samples
 
     def test_same_hamming_weight_codes_agree_in_law(self, profile, cfg21, geom22):
         # 1100 and 1010 have the same duty; the long path ignores switching
@@ -233,9 +213,8 @@ class TestSimulateTrace:
     def test_linearity_in_time_with_noise(self, profile, geom22):
         def mean_dc(log2_ticks, seed):
             cfg = MeasurementConfig(log2_ticks=log2_ticks)
-            trace = simulate_trace(profile, cfg, geom22, PatternSpec.alternating(), 2048, seed)
-            counts = trace.counts
-            return np.mean([counts[i + 1] - counts[i] for i in range(0, len(counts), 2)])
+            counts = simulate_trace(profile, cfg, geom22, PatternSpec.alternating(), 2048, seed).counts
+            return np.mean(counts[1::2] - counts[0::2])
 
         ratio = mean_dc(15, seed=3) / mean_dc(13, seed=4)
         assert ratio == pytest.approx(4.0, rel=0.05)
@@ -243,16 +222,16 @@ class TestSimulateTrace:
     def test_linearity_in_time_noise_free(self, quiet_profile, geom22):
         def mean_dc(log2_ticks):
             cfg = MeasurementConfig(log2_ticks=log2_ticks)
-            trace = simulate_trace(quiet_profile, cfg, geom22, PatternSpec.alternating(), 1000, 5)
-            counts = trace.counts
-            return np.mean([counts[i + 1] - counts[i] for i in range(0, len(counts), 2)])
+            counts = simulate_trace(quiet_profile, cfg, geom22, PatternSpec.alternating(), 1000, 5).counts
+            return np.mean(counts[1::2] - counts[0::2])
 
         assert abs(mean_dc(15) - 4 * mean_dc(13)) <= 2.0
 
     def test_counts_saturate_at_zero(self, cfg13, geom22):
         profile = DeviceProfile(noise_sigma=1e6)
         trace = simulate_trace(profile, cfg13, geom22, PatternSpec.alternating(), 256, seed=8)
-        assert all(s.count >= 0 for s in trace.samples)
+        assert (trace.counts >= 0).all()
+        assert (trace.counts == 0).any()
 
 
 def replica_counts(profile, cfg, geom, stimuli, seed):
@@ -293,15 +272,14 @@ class TestStreamOracle:
     def test_trace_equals_replica(self, pattern, coupling, profile_name, cfg13):
         profile = {"default": DeviceProfile(), "clipping": self.CLIPPING, "noiseless": self.NOISELESS}[profile_name]
         geom = Geometry(v_t=2, v_r=2, coupling=coupling)
-        stimuli = [window_stimulus(pattern, i) for i in range(300)]
-        expected, clipped = replica_counts(profile, cfg13, geom, [(s.duty, s.toggle_rate) for s in stimuli], 17)
+        stimuli = [stimulus_oracle(pattern, i) for i in range(300)]
+        expected, clipped = replica_counts(profile, cfg13, geom, [(duty, toggle) for duty, toggle, _ in stimuli], 17)
         assert (clipped > 0) == (profile is self.CLIPPING)
         trace = simulate_trace(profile, cfg13, geom, pattern, 300, seed=17)
-        assert trace.counts == expected
-        assert all(type(c) is int for c in trace.counts)
-        assert [(s.window, s.duty, s.toggle_rate, s.tx_bit) for s in trace.samples] == [
-            (i, s.duty, s.toggle_rate, s.bit) for i, s in enumerate(stimuli)
-        ]
+        assert trace.counts.dtype == np.int64 and trace.duty.dtype == trace.toggle_rate.dtype == np.float64
+        assert trace.counts.tolist() == expected
+        assert trace.samples == tuple((i, c, *stim) for i, (c, stim) in enumerate(zip(expected, stimuli)))
+        assert all(type(s.count) is int and type(s.duty) is float for s in trace.samples)
 
     @pytest.mark.parametrize("repeats", [1, 4])
     @pytest.mark.parametrize("profile_name", ["default", "clipping"])
@@ -325,13 +303,6 @@ class TestStreamOracle:
         with pytest.raises(ValueError, match="toggle_rate"):
             simulate_counts(profile, cfg13, geom22, [0.5, 0.5], [0.0, -0.25], rng)
 
-    def test_window_keeps_scalar_draw_order(self, profile, cfg13, geom22):
-        drift = 3e-6
-        rng = np.random.default_rng(4)
-        noise, phase = rng.normal(0.0, profile.noise_sigma_for(cfg13.ticks_per_window)), rng.uniform(-1.0, 1.0)
-        expected = max(0, round(expected_count(profile, cfg13, geom22, 0.5, 0.0, drift) + noise + phase))
-        assert simulate_window(profile, cfg13, geom22, 0.5, 0.0, drift, np.random.default_rng(4)) == expected
-
 
 class TestTraceCSV:
     def test_round_trip(self, profile, cfg13, geom22):
@@ -340,23 +311,67 @@ class TestTraceCSV:
         assert again.samples == trace.samples
 
     def test_header_and_blank_bit(self):
-        trace = CountTrace((TraceSample(0, 10, 0.5, 0.125, None),))
+        trace = CountTrace([0], [10], [0.5], [0.125], [None])
         text = trace_to_csv(trace)
         assert text.splitlines()[0] == "window,count,duty,toggle_rate,tx_bit"
         assert text.splitlines()[1].endswith(",")
-        assert trace_from_csv(text).samples[0].tx_bit is None
+        assert trace_from_csv(text).tx_bits == [None]
+
+    def test_dynamic4_round_trip(self, profile, cfg13, geom22):
+        trace = simulate_trace(profile, cfg13, geom22, PatternSpec.dynamic4("1010"), 8, seed=2)
+        assert trace.tx_bits == [None] * 8
+        again = trace_from_csv(trace_to_csv(trace))
+        assert again.samples == trace.samples
+        assert again.tx_bits == [None] * 8
 
     def test_rejects_bad_header(self):
         with pytest.raises(ValueError):
             trace_from_csv("a,b,c\n1,2,3\n")
 
+    @pytest.mark.parametrize("row", ["0,10,0.5,0.0", "0,10,0.5,0.0,1,7"], ids=["short", "long"])
+    def test_rejects_wrong_field_count(self, row):
+        with pytest.raises(ValueError, match="line 3: expected 5 fields"):
+            trace_from_csv(f"window,count,duty,toggle_rate,tx_bit\n1,10,1,0,1\n{row}\n")
+
     def test_trace_validation(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            CountTrace([1, 1], [5, 5], [0.0, 0.0], [0.0, 0.0], [0, 0])
+        with pytest.raises(ValueError, match="counts must be >= 0"):
+            CountTrace([0], [-1], [0.0], [0.0], [0])
+        with pytest.raises(ValueError, match="duty"):
+            CountTrace([0], [5], [1.5], [0.0], [0])
+
+    @pytest.mark.parametrize(
+        "columns, match",
+        [
+            (([0, 1], [5, 5], [0.0, 1.0], [0.0, 0.0], [0]), "equal length"),
+            (([0, 1], [5], [0.0, 1.0], [0.0, 0.0], [0, 1]), "equal length"),
+            (([[0, 1]], [[5, 5]], [[0.0, 1.0]], [[0.0, 0.0]], [[0, 1]]), "one-dimensional"),
+            (([0, 1], [5, 5], [0.0, math.nan], [0.0, 0.0], [0, 1]), "duty"),
+            (([0, 3, 2], [5, 5, 5], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0, 1, 0]), "strictly increasing"),
+        ],
+        ids=["short-bits", "short-counts", "two-dimensional", "nan-duty", "decreasing-window"],
+    )
+    def test_rejects_bad_columns(self, columns, match):
+        with pytest.raises(ValueError, match=match):
+            CountTrace(*columns)
+
+    def test_columns_are_typed_arrays(self):
+        trace = CountTrace(range(3), (7, 8, 9), [0, 1, 0], [0, 0, 0], (0, 1, 0))
+        assert [c.dtype for c in (trace.window, trace.counts, trace.duty, trace.toggle_rate)] == [
+            np.int64, np.int64, np.float64, np.float64
+        ]
+        assert trace.tx_bits == [0, 1, 0] and len(trace) == 3
+        assert trace.samples[1] == (1, 8, 1.0, 0.0, 1)
+        assert CountTrace([], [], [], [], []).samples == ()
+
+    def test_columns_are_read_only_copies(self):
+        counts = np.array([7, 8])
+        trace = CountTrace([0, 1], counts, [0.0, 1.0], [0.0, 0.0], [0, 1])
+        counts[0] = -1
+        assert trace.counts.tolist() == [7, 8]
         with pytest.raises(ValueError):
-            CountTrace((TraceSample(1, 5, 0.0, 0.0, 0), TraceSample(1, 5, 0.0, 0.0, 0)))
-        with pytest.raises(ValueError):
-            CountTrace((TraceSample(0, -1, 0.0, 0.0, 0),))
-        with pytest.raises(ValueError):
-            CountTrace((TraceSample(0, 5, 1.5, 0.0, 0),))
+            trace.counts[0] = -1
 
 
 def test_noise_sigma_scales_with_sqrt_window():

@@ -1,6 +1,7 @@
 import ast
 import math
 import re
+import shlex
 
 import pytest
 
@@ -8,6 +9,7 @@ from longwire.cli import main
 from conftest import DOCS_DIR
 
 GRID = str(DOCS_DIR / "sample_grid.txt")
+REPO = DOCS_DIR.parent
 
 
 def run(capsys, *argv):
@@ -33,6 +35,46 @@ class TestExitCodes:
         code, _, err = run(capsys, "audit", "--grid", str(bad))
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--vt", "1/0", "--windows", "4", "--seed", "1"],
+            ["scaling-length", "--vt-list", "1,1/0", "--vr-list", "2", "--windows", "4", "--seed", "1"],
+        ],
+        ids=["vt", "vt-list"],
+    )
+    def test_zero_denominator_returns_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "1/0" in err
+
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("noise_sigma = nan", "noise_sigma"),
+            ("drift_bound = nan", "drift_bound"),
+            ("base_rate = inf", "base_rate"),
+            ("distance_atten = 1:nan", "distance_atten"),
+            ("f_clk_hz = nan", "f_clk_hz"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--windows", "4", "--seed", "1"],
+            ["exfil", "--key", "10110010", "--w", "3", "--single", "--noisy", "--n", "13"],
+        ],
+        ids=["simulate", "exfil-noisy"],
+    )
+    def test_non_finite_profile_returns_one(self, capsys, tmp_path, line, field, argv):
+        profile = tmp_path / "bad.profile"
+        profile.write_text(line + "\n")
+        code, out, err = run(capsys, *argv, "--profile", str(profile))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and f"{field} " in err
 
     def test_guard_blocked_returns_one(self, capsys):
         code, _, err = run(capsys, "audit", "--grid", GRID, "--guard", "aes_key_bus")
@@ -213,3 +255,12 @@ def test_makefile_reproduce_matches_bench_cli_runs():
     """The benchmark times and checks the Makefile's runs against out/, so the two lists must agree."""
     runs = makefile_reproduce_runs()
     assert runs and runs == list(bench_cli_runs().values())
+
+
+@pytest.mark.parametrize("name, args", [pytest.param(*run, id=run[0]) for run in makefile_reproduce_runs()])
+def test_reproduce_matches_committed_out(monkeypatch, tmp_path, name, args):
+    """Each Makefile `reproduce` run, in-process, writes its committed out/ file byte for byte."""
+    monkeypatch.chdir(REPO)  # the audit run names its grid relative to the checkout
+    target = tmp_path / name
+    assert main(["--out", str(target), *shlex.split(args)]) == 0
+    assert target.read_bytes() == (REPO / "out" / name).read_bytes()

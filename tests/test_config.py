@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from longwire import DeviceProfile, MeasurementConfig
@@ -67,3 +69,24 @@ class TestShippedProfiles:
     def test_alternate_profiles_load(self, docs_dir, name):
         profile = load_profile(docs_dir / "profiles" / f"{name}.profile")
         assert profile.base_rate > 0
+
+
+PROFILE_FLOATS = [f.name for f in fields(DeviceProfile) if f.name != "distance_atten"]
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", PROFILE_FLOATS + ["f_clk_hz"])
+    def test_float_field_rejected(self, tmp_path, key, value):
+        path = tmp_path / "bad.profile"
+        path.write_text(f"{key} = {value}\n")
+        load = load_measurement if key == "f_clk_hz" else load_profile
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            load(path)
+
+    @pytest.mark.parametrize("atten", ["1:nan", "1:inf", "1:1.0, 2:nan", "1:1.0, 2:-inf"])
+    def test_distance_multiplier_rejected(self, tmp_path, atten):
+        path = tmp_path / "bad.profile"
+        path.write_text(f"distance_atten = {atten}\n")
+        with pytest.raises(ValueError, match="distance_atten multiplier for d=[12] must be finite"):
+            load_profile(path)

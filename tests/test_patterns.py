@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from longwire.patterns import (
@@ -6,8 +7,8 @@ from longwire.patterns import (
     lfsr_next,
     parse_pattern,
     stimulus_columns,
-    window_stimulus,
 )
+from conftest import stimulus_oracle
 
 
 def lfsr_period(seed, taps):
@@ -48,23 +49,23 @@ class TestLfsr:
 
 class TestDynamic4:
     def test_duty_cycle_table(self):
-        duties = [window_stimulus(PatternSpec.dynamic4(c), 0).duty for c in DYNAMIC4_CODES]
+        duties = [stimulus_columns(PatternSpec.dynamic4(c), 1)[0][0] for c in DYNAMIC4_CODES]
         assert duties == [0.0, 0.25, 0.5, 0.5, 0.75, 1.0]
 
     def test_toggle_rates(self):
         f = 1.0 / 8.0
-        rates = [window_stimulus(PatternSpec.dynamic4(c), 0).toggle_rate for c in DYNAMIC4_CODES]
+        rates = [stimulus_columns(PatternSpec.dynamic4(c), 1)[1][0] for c in DYNAMIC4_CODES]
         assert rates == [0.0, f, f, 2 * f, f, 0.0]
 
     def test_code_1100(self):
-        stim = window_stimulus(PatternSpec.dynamic4("1100"), 17)
-        assert stim.duty == 0.5
-        assert stim.toggle_rate == 1.0 / 8.0
-        assert stim.bit is None
+        duty, toggle, bits = stimulus_columns(PatternSpec.dynamic4("1100"), 18)
+        assert (duty == 0.5).all()
+        assert (toggle == 1.0 / 8.0).all()
+        assert bits == [None] * 18
 
     def test_code_1111_has_no_switching(self):
-        stim = window_stimulus(PatternSpec.dynamic4("1111"), 0)
-        assert (stim.duty, stim.toggle_rate) == (1.0, 0.0)
+        duty, toggle, _ = stimulus_columns(PatternSpec.dynamic4("1111"), 1)
+        assert (duty[0], toggle[0]) == (1.0, 0.0)
 
     def test_invalid_codes_rejected(self):
         for bad in ("0101", "1001", "111", "20"):
@@ -72,29 +73,29 @@ class TestDynamic4:
                 PatternSpec.dynamic4(bad)
 
 
+def bits_of(spec, n):
+    return stimulus_columns(spec, n)[2]
+
+
 class TestStaticPatterns:
     def test_alternating_convention(self):
         spec = PatternSpec.alternating()
-        assert window_stimulus(spec, 7).bit == 1
-        assert [window_stimulus(spec, i).bit for i in range(6)] == [0, 1, 0, 1, 0, 1]
+        assert bits_of(spec, 8)[7] == 1
+        assert bits_of(spec, 6) == [0, 1, 0, 1, 0, 1]
 
     def test_long_runs_of_128(self):
-        spec = PatternSpec.long_runs(128)
-        bits = [window_stimulus(spec, i).bit for i in range(256)]
+        bits = bits_of(PatternSpec.long_runs(128), 256)
         assert bits[:128] == [0] * 128
         assert bits[128:] == [1] * 128
 
     def test_static_duty_equals_bit(self):
         for spec in (PatternSpec.alternating(), PatternSpec.long_runs(4), PatternSpec.lfsr()):
-            for i in range(40):
-                stim = window_stimulus(spec, i)
-                assert stim.duty == float(stim.bit)
-                assert stim.toggle_rate == 0.0
+            duty, toggle, bits = stimulus_columns(spec, 40)
+            assert duty.tolist() == [float(b) for b in bits]
+            assert (toggle == 0.0).all()
 
     def test_custom_cycles(self):
-        spec = PatternSpec.custom((1, 1, 0))
-        bits = [window_stimulus(spec, i).bit for i in range(7)]
-        assert bits == [1, 1, 0, 1, 1, 0, 1]
+        assert bits_of(PatternSpec.custom((1, 1, 0)), 7) == [1, 1, 0, 1, 1, 0, 1]
 
     def test_custom_validation(self):
         with pytest.raises(ValueError):
@@ -122,18 +123,20 @@ class TestPurity:
     def test_iterator_matches_indexing(self, spec):
         duty, toggle, bits = stimulus_columns(spec, 50)
         assert len(duty) == len(toggle) == len(bits) == 50
+        assert duty.dtype == toggle.dtype == np.float64
         for i in range(50):
-            stim = window_stimulus(spec, i)
-            assert (duty[i], toggle[i], bits[i]) == (stim.duty, stim.toggle_rate, stim.bit)
-            assert type(bits[i]) is type(stim.bit)
+            assert (duty[i], toggle[i], bits[i]) == stimulus_oracle(spec, i)
+            assert type(bits[i]) is type(stimulus_oracle(spec, i)[2])
 
     def test_repeated_indexing_is_stable(self):
         spec = PatternSpec.lfsr()
-        assert window_stimulus(spec, 10) == window_stimulus(spec, 10)
+        first, again = stimulus_columns(spec, 11), stimulus_columns(spec, 11)
+        assert first[0].tolist() == again[0].tolist() and first[2] == again[2]
+        assert bits_of(spec, 11) == bits_of(spec, 30)[:11]
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
-            window_stimulus(PatternSpec.alternating(), -1)
+            stimulus_columns(PatternSpec.alternating(), -1)
 
 
 class TestParsePattern:

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 import longwire
 from longwire import DeviceProfile, Geometry, MeasurementConfig, expected_delta_rc, simulate_trace
-from longwire.channel import CountTrace, TraceSample
+from longwire.channel import CountTrace
 from longwire.patterns import PatternSpec
 from longwire.cli import build_parser
 from longwire.stats import (
+    PairedDeltas,
     bit_error_rate,
     kolmogorov_sf,
     ks_two_sample,
@@ -29,26 +30,46 @@ from conftest import DOCS_DIR
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
-def alternating_trace(counts):
-    samples = tuple(
-        TraceSample(i, c, float(i % 2), 0.0, i % 2) for i, c in enumerate(counts)
-    )
-    return CountTrace(samples)
+def alternating_trace(counts, bits=None):
+    bits = [i % 2 for i in range(len(counts))] if bits is None else bits
+    duty = [0.5 if b is None else float(b) for b in bits]
+    return CountTrace(range(len(counts)), counts, duty, [0.0] * len(counts), bits)
 
 
 class TestPairedDeltaRC:
     def test_calibration_anchor_pair(self):
         deltas = paired_delta_rc(alternating_trace([24576, 24580]))
-        assert deltas.values == (4 / 24580,)
+        assert deltas.values.dtype == np.float64
+        assert deltas.values.tolist() == [4 / 24580]
         assert deltas.values[0] == pytest.approx(1.627e-4, rel=1e-3)
 
     def test_equal_counts(self):
-        assert paired_delta_rc(alternating_trace([100, 100])).values == (0.0,)
+        assert paired_delta_rc(alternating_trace([100, 100])).values.tolist() == [0.0]
 
     def test_rejects_non_alternating_ground_truth(self):
-        samples = (TraceSample(0, 10, 1.0, 0.0, 1), TraceSample(1, 12, 0.0, 0.0, 0))
-        with pytest.raises(ValueError):
-            paired_delta_rc(CountTrace(samples))
+        with pytest.raises(ValueError, match="window 0: expected alternating bit 0, got 1"):
+            paired_delta_rc(alternating_trace([10, 12], bits=[1, 0]))
+
+    def test_names_the_first_bad_window(self):
+        with pytest.raises(ValueError, match="window 3: expected alternating bit 1, got 0"):
+            paired_delta_rc(alternating_trace([10, 12, 10, 12, 10, 12], bits=[0, 1, 0, 0, 1, 1]))
+        with pytest.raises(ValueError, match="window 4: expected alternating bit 0, got None"):
+            paired_delta_rc(alternating_trace([10, 12, 10, 12, 10, 12], bits=[0, 1, 0, 1, None, 1]))
+
+    def test_rejects_zero_count(self):
+        with pytest.raises(ValueError, match="window 3: zero count"):
+            paired_delta_rc(alternating_trace([10, 12, 10, 0]))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_deltas_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PairedDeltas([0.1, bad])
+
+    def test_matches_scalar_pairs(self):
+        """Each delta is the correctly rounded (c1 - c0) / c1 of the Python ints."""
+        counts = np.random.default_rng(3).integers(1, 1 << 30, 2048).tolist()
+        expected = [(c1 - c0) / c1 for c0, c1 in zip(counts[0::2], counts[1::2])]
+        assert paired_delta_rc(alternating_trace(counts)).values.tolist() == expected
 
     def test_rejects_odd_length(self):
         with pytest.raises(ValueError):
