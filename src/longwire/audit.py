@@ -7,6 +7,9 @@ auditor flags sensitive spans with foreign neighbours inside that
 distance, and plans guard wires on the four adjacent tracks of a span
 that is still clean.  Every such question is local to one column, so a
 grid keeps its spans indexed by column and answers from that column only.
+One function checks a grid's invariants and builds its column and wire-id
+indexes, whether the grid is constructed, parsed or derived by adding
+guards, in which case it checks only the guards.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import csv
 import io
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import CapacityError, DuplicateOccupancy, GridSyntaxError, GuardBlocked
@@ -79,69 +83,81 @@ class RoutingGrid:
     def __post_init__(self):
         if self.tracks_per_column < 1 or self.n_longs < 1:
             raise ValueError("capacities must be >= 1")
-        _validate_spans(self.spans, self.tracks_per_column, self.n_longs)
-        # a plain attribute, not a field: ==, repr and asdict see only the spans
-        object.__setattr__(self, "_columns", _index_columns(self.spans))
+        _check_and_index(self.spans, self.tracks_per_column, self.n_longs, grid=self)
 
     def span(self, wire_id: str) -> LongWireSpan:
-        for s in self.spans:
-            if s.wire_id == wire_id:
-                return s
-        raise ValueError(f"no span with wire_id {wire_id!r}")
+        try:
+            return self._ids[wire_id]
+        except KeyError:
+            raise ValueError(f"no span with wire_id {wire_id!r}") from None
 
     def column(self, column: int) -> tuple[LongWireSpan, ...]:
         """The spans of one channel column, in grid order."""
         return self._columns.get(column, ())
 
 
-def _index_columns(spans) -> dict[int, tuple[LongWireSpan, ...]]:
-    columns: dict[int, list[LongWireSpan]] = {}
-    for s in spans:
-        columns.setdefault(s.column, []).append(s)
-    return {c: tuple(members) for c, members in columns.items()}
+def _check_and_index(
+    added, tracks_per_column: int, n_longs: int, parent=None, lines=None, grid=None
+) -> RoutingGrid:
+    """The grid of a valid parent's spans (none without a parent) followed by added.
 
-
-def _validated_grid(spans, tracks_per_column: int, n_longs: int, columns) -> RoutingGrid:
-    """A RoutingGrid over spans the caller has already validated, with their column index."""
-    grid = object.__new__(RoutingGrid)
-    object.__setattr__(grid, "spans", spans)
-    object.__setattr__(grid, "tracks_per_column", tracks_per_column)
-    object.__setattr__(grid, "n_longs", n_longs)
-    object.__setattr__(grid, "_columns", columns)
-    return grid
-
-
-def _validate_spans(spans, tracks_per_column: int, n_longs: int, lines=None) -> None:
+    Only the added spans are checked, in the order a fresh grid reports its
+    first fault: the span count, then the first span with a track outside
+    the channel or a repeated wire id, then an overlap on the first
+    (column, track) slot to appear.  The same pass builds the wire-id and
+    column indexes, kept as plain attributes so that ==, repr and asdict see
+    only the fields; columns no added span touches stay the parent's tuples.
+    lines, for a grid without a parent, gives each span's source line.
+    The indexes are stored on grid, or on a new grid when it is None.
+    """
     def where(i: int):
         return None if lines is None else lines[i]
 
+    spans = added if parent is None else tuple(parent.spans) + added
     if len(spans) > n_longs:
         raise CapacityError(f"{len(spans)} spans exceed the {n_longs} long-wire capacity")
-    seen: dict[str, int] = {}
-    for i, s in enumerate(spans):
+    ids = {} if parent is None else dict(parent._ids)
+    columns = {} if parent is None else dict(parent._columns)
+    touched: dict[int, list[LongWireSpan]] = {}
+    for i, s in enumerate(added):
         if s.track >= tracks_per_column:
             raise CapacityError(
                 f"span {s.wire_id}: track {s.track} outside channel of {tracks_per_column} tracks",
                 line=where(i),
             )
-        if s.wire_id in seen:
+        if s.wire_id in ids:
             raise DuplicateOccupancy(f"duplicate wire_id {s.wire_id}", line=where(i))
-        seen[s.wire_id] = i
-    by_slot: dict[tuple[int, int], list[int]] = {}
-    for i, s in enumerate(spans):
-        by_slot.setdefault((s.column, s.track), []).append(i)
-    for slot, members in by_slot.items():
-        ordered = sorted(members, key=lambda i: spans[i].y_start)
+        ids[s.wire_id] = s
+        touched.setdefault(s.column, []).append(s)
+    overlaps = {}
+    for c, new in touched.items():
+        columns[c] = members = columns.get(c, ()) + tuple(new)
+        # By track, then start (ties in grid order): each slot's spans are
+        # contiguous, and a slot with an overlap has one between neighbours.
+        ordered = sorted(members, key=attrgetter("track", "y_start"))
         for a, b in zip(ordered, ordered[1:]):
-            if spans[a].overlap(spans[b]) > 0:
-                first, second = sorted((a, b))
-                msg = (
-                    f"spans {spans[first].wire_id} and {spans[second].wire_id} overlap on "
-                    f"column {slot[0]} track {slot[1]}"
-                )
-                if lines is not None:
-                    msg += f" (lines {lines[first]} and {lines[second]})"
-                raise DuplicateOccupancy(msg, line=where(second))
+            if a.track == b.track and b.y_start <= a.y_end:
+                overlaps.setdefault((c, a.track), (a, b))
+    if overlaps:
+        at = {id(s): i for i, s in enumerate(spans)}
+
+        def first_seen(slot):
+            return min(at[id(s)] for s in columns[slot[0]] if s.track == slot[1])
+
+        (c, track), pair = min(overlaps.items(), key=lambda item: first_seen(item[0]))
+        first, second = sorted(at[id(s)] for s in pair)
+        msg = (
+            f"spans {spans[first].wire_id} and {spans[second].wire_id} overlap on "
+            f"column {c} track {track}"
+        )
+        if lines is not None:
+            msg += f" (lines {lines[first]} and {lines[second]})"
+        raise DuplicateOccupancy(msg, line=where(second))
+    if grid is None:
+        grid = object.__new__(RoutingGrid)
+    vars(grid).update(spans=spans, tracks_per_column=tracks_per_column, n_longs=n_longs,
+                      _ids=ids, _columns=columns)
+    return grid
 
 
 def parse_grid(text: str) -> RoutingGrid:
@@ -201,8 +217,7 @@ def parse_grid(text: str) -> RoutingGrid:
             raise GridSyntaxError(str(exc), line=lineno) from None
         spans.append(span)
         lines.append(lineno)
-    _validate_spans(spans, tracks, n_longs, lines=lines)
-    return _validated_grid(tuple(spans), tracks, n_longs, _index_columns(spans))
+    return _check_and_index(tuple(spans), tracks, n_longs, lines=lines)
 
 
 def serialize_grid(grid: RoutingGrid) -> str:
@@ -319,11 +334,11 @@ def plan_guards(grid: RoutingGrid, wire_id: str, fill_mode: str = "unoccupied") 
 def apply_guard_plan(grid: RoutingGrid, plan: GuardPlan) -> RoutingGrid:
     """Occupy the planned tracks with guard spans owned by the same core.
 
-    The parent grid is valid, so only the guards can break the derived
-    one: they are checked against the capacity, the channel width, the
-    grid's wire ids and the guarded column.  Every column but that one is
-    shared with the parent.  A guard that fails a check goes through the
-    full constructor, which raises the error a fresh grid would.
+    The parent grid is valid, so only the guards are checked: against the
+    capacity, the channel width, the grid's wire ids and the guarded
+    column.  A guard that breaks the grid raises the error a fresh grid of
+    the same spans would.  Every column but the guarded one is shared with
+    the parent.
     """
     target = grid.span(plan.wire_id)
     guards = tuple(
@@ -339,30 +354,7 @@ def apply_guard_plan(grid: RoutingGrid, plan: GuardPlan) -> RoutingGrid:
         )
         for i, g in enumerate(plan.guards)
     )
-    spans = tuple(grid.spans) + guards
-    if not _guards_fit(grid, plan.column, guards):
-        return RoutingGrid(spans, grid.tracks_per_column, grid.n_longs)
-    columns = dict(grid._columns)
-    columns[plan.column] = grid.column(plan.column) + guards
-    return _validated_grid(spans, grid.tracks_per_column, grid.n_longs, columns)
-
-
-def _guards_fit(grid: RoutingGrid, column: int, guards: tuple[LongWireSpan, ...]) -> bool:
-    """Whether guards in one column can join the valid grid without breaking it."""
-    if len(grid.spans) + len(guards) > grid.n_longs:
-        return False
-    if any(g.track >= grid.tracks_per_column for g in guards):
-        return False
-    ids = {g.wire_id for g in guards}
-    for s in grid.spans:
-        if s.wire_id in ids:
-            return False
-    placed = list(grid.column(column))
-    for g in guards:
-        if any(s.track == g.track and s.overlap(g) > 0 for s in placed):
-            return False
-        placed.append(g)
-    return True
+    return _check_and_index(guards, grid.tracks_per_column, grid.n_longs, parent=grid)
 
 
 def placement_success_probability(n_longs: int, w_adj: int, r_longs: int, t_longs: int) -> float:

@@ -155,7 +155,7 @@ def cmd_ber(args) -> str:
     for n in args.n_list:
         cfg_n = MeasurementConfig(log2_ticks=n, f_clk_hz=cfg.f_clk_hz)
         rng = np.random.default_rng((args.seed, n))
-        bits = [int(b) for b in rng.integers(0, 2, args.bits)]
+        bits = rng.integers(0, 2, args.bits)
         decoded = codec.simulate_covert_transfer(bits, profile, cfg_n, geom, args.seed + n)
         ber = stats.bit_error_rate(bits, decoded)
         errors = round(ber * len(bits))

@@ -71,10 +71,10 @@ class Frame:
 
 def _manchester_symbols(bits: Iterable[int]) -> np.ndarray:
     """Wire symbols of the payload in send order, two per bit."""
-    sent = np.asarray(list(bits))
+    sent = np.asarray(bits if isinstance(bits, np.ndarray) else list(bits))
     if not np.isin(sent, (0, 1)).all():
         raise ValueError("bits must be 0 or 1")
-    sent = sent.astype(np.int64)
+    sent = sent.astype(np.int64, copy=False)
     return np.column_stack((sent, 1 - sent)).ravel()
 
 

@@ -51,6 +51,8 @@ def parse_distance_atten(text: str) -> dict[int, float]:
         d, _, mult = item.partition(":")
         if not mult:
             raise ValueError(f"distance_atten entry {item!r} must look like d:multiplier")
+        if int(d) in atten:
+            raise ValueError(f"distance_atten repeats distance {int(d)}")
         atten[int(d)] = float(mult)
     if not atten:
         raise ValueError("distance_atten must contain at least one entry")

@@ -283,7 +283,7 @@ def bit_error_rate(sent: Sequence[int], received: Sequence[int]) -> float:
         raise ValueError("bit streams must have equal length")
     if len(sent) == 0:
         raise ValueError("bit streams must be non-empty")
-    return sum(1 for x, y in zip(sent, received) if x != y) / len(sent)
+    return np.count_nonzero(np.asarray(sent) != np.asarray(received)) / len(sent)
 
 
 def metrics_to_csv(rows: Iterable[tuple[str, float, float, float]]) -> str:

@@ -113,6 +113,74 @@ class TestParseGrid:
         assert err.value.line == 2
 
 
+def spans_of(text):
+    """The spans of a grid text's LONG lines, built without parse_grid."""
+    return tuple(
+        LongWireSpan(w, core, trust, kind == "sensitive", int(c), int(t), int(y0), int(y1))
+        for _, w, core, trust, kind, c, t, y0, y1 in (
+            line.split() for line in text.splitlines() if line.startswith("LONG")
+        )
+    )
+
+
+class TestErrorOrder:
+    """With several faults, the count comes first, then the first span with a bad
+    track or a repeated id, then the overlap on the (column, track) slot seen first."""
+
+    @pytest.mark.parametrize(
+        "text, error, message, lines, line",
+        [
+            (
+                "LONG x c trusted normal 0 0 0 5\n"
+                "LONG a c trusted normal 1 0 0 10\n"
+                "LONG b c trusted normal 0 1 0 10\n"
+                "LONG c2 c trusted normal 0 1 5 15\n"
+                "LONG d c trusted normal 1 0 5 15\n",
+                DuplicateOccupancy,
+                "spans a and d overlap on column 1 track 0",
+                " (lines 2 and 5)",
+                5,
+            ),
+            (
+                "LONG a c trusted normal 0 0 0 10\n"
+                "LONG b c trusted normal 0 0 5 15\n"
+                "LONG a c trusted normal 0 1 0 5\n",
+                DuplicateOccupancy,
+                "duplicate wire_id a",
+                "",
+                3,
+            ),
+            (
+                "CAPACITY 4 2\n"
+                "LONG a c trusted normal 0 9 0 5\n"
+                "LONG a c trusted normal 0 1 0 5\n"
+                "LONG b c trusted normal 0 1 0 5\n",
+                CapacityError,
+                "3 spans exceed the 2 long-wire capacity",
+                "",
+                None,
+            ),
+        ],
+        ids=["overlap-slot-order", "id-before-overlap", "count-first"],
+    )
+    def test_first_fault_reported(self, text, error, message, lines, line):
+        with pytest.raises(error) as err:
+            parse_grid(text)
+        assert str(err.value) == ("" if line is None else f"line {line}: ") + message + lines
+        assert err.value.line == line
+        tracks, n_longs = (4, 2) if text.startswith("CAPACITY") else (16, 8500)
+        with pytest.raises(error) as err:
+            RoutingGrid(spans_of(text), tracks, n_longs)
+        assert (str(err.value), err.value.line) == (message, None)
+
+    def test_missing_wire_id_names_it(self):
+        grid = parse_grid("LONG key c trusted sensitive 0 8 0 9\n")
+        guarded = apply_guard_plan(grid, plan_guards(grid, "key"))
+        for g in (grid, guarded):
+            with pytest.raises(ValueError, match="'missing'"):
+                g.span("missing")
+
+
 class TestSerializeRoundTrip:
     def test_parse_serialize_parse_is_identity(self, docs_dir):
         text = (docs_dir / "sample_grid.txt").read_text()
@@ -521,3 +589,19 @@ class TestColumnIndexOracle:
                     check_derived(apply_guard_plan(grid, plan), spans, grid)
                     seen["hand_ok"] += 1
         assert min(seen.values()) >= 20, seen
+
+    def test_parse_returns_the_same_grid(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            grid = random_grid(rng)
+            for wire_id in [s.wire_id for s in grid.spans if s.sensitive]:
+                try:
+                    grid = apply_guard_plan(grid, plan_guards(grid, wire_id))
+                except (GridError, GuardBlocked):
+                    pass
+            parsed = parse_grid(serialize_grid(grid))
+            assert parsed.spans == grid.spans
+            for c in range(-1, 6):
+                assert parsed.column(c) == grid.column(c)
+            for s in grid.spans:
+                assert parsed.span(s.wire_id) == grid.span(s.wire_id) == s

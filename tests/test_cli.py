@@ -76,6 +76,14 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and f"{field} " in err
 
+    def test_repeated_distance_returns_one(self, capsys, tmp_path):
+        profile = tmp_path / "repeated.profile"
+        profile.write_text("distance_atten = 1:1.0, 2:0.05, 2:0.9\n")
+        code, out, err = run(capsys, "simulate", "--windows", "4", "--seed", "1", "--profile", str(profile))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "repeats distance 2" in err
+
     def test_guard_blocked_returns_one(self, capsys):
         code, _, err = run(capsys, "audit", "--grid", GRID, "--guard", "aes_key_bus")
         assert code == 1

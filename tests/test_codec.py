@@ -59,6 +59,15 @@ class TestManchester:
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
             manchester_encode([2])
+        for bits in ([0, 0.5], np.array([1, 0.5]), iter([0.5])):
+            with pytest.raises(ValueError, match="0 or 1"):
+                manchester_encode(bits)
+
+    def test_array_iterator_and_list_encode_alike(self):
+        payload = [1, 0, 0, 1, 1]
+        expected = manchester_encode(payload)
+        assert manchester_encode(np.array(payload)) == expected
+        assert manchester_encode(iter(payload)) == expected
 
 
 class TestFrameSync:

@@ -30,6 +30,13 @@ class TestDistanceAtten:
         assert parse_distance_atten("1:1.0, 2:0.05") == {1: 1.0, 2: 0.05}
         assert parse_distance_atten("1:0.9") == {1: 0.9}
 
+    @pytest.mark.parametrize(
+        "text, distance", [("1:1.0, 2:0.05, 2:0.9", 2), ("1:0.5, 1:0.9", 1)]
+    )
+    def test_rejects_repeated_distance(self, text, distance):
+        with pytest.raises(ValueError, match=f"repeats distance {distance}$"):
+            parse_distance_atten(text)
+
     def test_rejects_bare_values(self):
         with pytest.raises(ValueError):
             parse_distance_atten("1.0 0.05")

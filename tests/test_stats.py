@@ -315,6 +315,13 @@ class TestBitErrorRate:
         received[123] = 1
         assert bit_error_rate(sent, received) == 0.001
 
+    def test_array_against_list(self):
+        sent = np.random.default_rng(3).integers(0, 2, 1000)
+        received = sent.tolist()
+        received[7] ^= 1
+        received[500] ^= 1
+        assert bit_error_rate(sent, received) == 0.002
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             bit_error_rate([1], [1, 0])
