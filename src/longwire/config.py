@@ -51,9 +51,10 @@ def parse_distance_atten(text: str) -> dict[int, float]:
         d, _, mult = item.partition(":")
         if not mult:
             raise ValueError(f"distance_atten entry {item!r} must look like d:multiplier")
-        if int(d) in atten:
-            raise ValueError(f"distance_atten repeats distance {int(d)}")
-        atten[int(d)] = float(mult)
+        multiplier, distance = float(mult), int(d)
+        if distance in atten:
+            raise ValueError(f"distance_atten repeats distance {distance}")
+        atten[distance] = multiplier
     if not atten:
         raise ValueError("distance_atten must contain at least one entry")
     return atten
