@@ -8,14 +8,20 @@ K_{j+w} = 0, a rise the reverse.  Chaining these relations resolves
 every residue class mod w that contains two different bits; repeating
 the pass with width w+1 links the classes together and recovers every
 key except the two constant ones.
+
+The chaining is bit-parallel: in a Python int, bit i stands for K_i (the
+kernels' layout), and shift-and-mask doubling steps close the masks of
+pinned bits over the equality links.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
-from enum import Enum
+from enum import IntEnum
 from fractions import Fraction
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -59,7 +65,11 @@ class KeyBits:
     def __post_init__(self):
         if len(self.bits) < 1:
             raise ValueError("key must have at least one bit")
-        if any(b not in (0, 1) for b in self.bits):
+        try:
+            binary = set(self.bits) <= {0, 1}
+        except TypeError:  # an unhashable item is no bit either
+            binary = False
+        if not binary:
             raise ValueError("key bits must be 0 or 1")
 
     def __len__(self) -> int:
@@ -67,14 +77,11 @@ class KeyBits:
 
     def to_int(self) -> int:
         """Pack bit i into integer bit i (kernel layout)."""
-        value = 0
-        for i, b in enumerate(self.bits):
-            value |= b << i
-        return value
+        return int(bytes(self.bits)[::-1].translate(_BIT_DIGITS), 2)
 
     @classmethod
     def from_int(cls, value: int, n: int) -> "KeyBits":
-        return cls(tuple((value >> i) & 1 for i in range(n)))
+        return cls(tuple(_mask_bits(value, n)) if n > 0 else ())
 
     @classmethod
     def from_binary(cls, text: str) -> "KeyBits":
@@ -82,10 +89,18 @@ class KeyBits:
 
     @classmethod
     def from_hex(cls, text: str) -> "KeyBits":
-        bits = []
-        for ch in _strip_prefix(text, "0x"):
-            bits.extend(int(b) for b in format(int(ch, 16), "04b"))
-        return cls(tuple(bits))
+        return cls(tuple(int(b) for ch in _strip_prefix(text, "0x") for b in format(int(ch, 16), "04b")))
+
+
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
+# Relation code -> b"1" where the relation is equal / a drop (K_j = 1) / a rise (K_j = 0), else b"0"
+_RELATION_DIGITS = [bytes.maketrans(b"\0\1\2", digits) for digits in (b"100", b"010", b"001")]
+
+
+def _mask_bits(mask: int, n: int) -> bytes:
+    """Bits 0..n-1 of mask as n bytes of 0 or 1, bit i at index i."""
+    return bin(operator.index(mask) & ((1 << n) - 1) | 1 << n)[:2:-1].encode().translate(_DIGIT_BITS)
 
 
 def _strip_prefix(text: str, prefix: str) -> str:
@@ -105,15 +120,13 @@ def parse_key(text: str) -> KeyBits:
 
 
 def _as_key(key) -> KeyBits:
-    if isinstance(key, KeyBits):
-        return key
-    return KeyBits(tuple(int(b) for b in key))
+    return key if isinstance(key, KeyBits) else KeyBits(tuple(int(b) for b in key))
 
 
-class Relation(Enum):
-    EQUAL = "equal"
-    FIRST_ONE_SECOND_ZERO = "first_one_second_zero"
-    FIRST_ZERO_SECOND_ONE = "first_zero_second_one"
+class Relation(IntEnum):
+    EQUAL = 0
+    FIRST_ONE_SECOND_ZERO = 1
+    FIRST_ZERO_SECOND_ONE = 2
 
 
 @dataclass(frozen=True)
@@ -126,6 +139,9 @@ class RelationSet:
     def __post_init__(self):
         if self.w < 1:
             raise ValueError("window width must be >= 1")
+        if not set(map(type, self.relations)) <= {Relation}:
+            bad = next(i for i, rel in enumerate(self.relations) if type(rel) is not Relation)
+            raise ValueError(f"relation {bad} is not a Relation member")
 
     @property
     def n_key(self) -> int:
@@ -212,8 +228,7 @@ def noise_tolerance(chan: ExfilChannel, w: int) -> float:
 def noise_feasibility(chan: ExfilChannel, w: int) -> dict[str, float]:
     """Per-bit count step against the effective noise level."""
     step = _full_swing(chan) / w
-    sigma = chan.profile.noise_sigma_for(chan.cfg.ticks_per_window)
-    sigma /= math.sqrt(chan.repeats)
+    sigma = chan.profile.noise_sigma_for(chan.cfg.ticks_per_window) / math.sqrt(chan.repeats)
     return {"count_step": step, "noise_sigma": sigma, "step_over_sigma": step / sigma if sigma else math.inf}
 
 
@@ -235,95 +250,80 @@ def infer_relations(counts: Sequence[float], w: int, tolerance: float) -> Relati
         raise ValueError("need at least 2 window measurements")
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
-    rels = []
-    for a, b in zip(counts, counts[1:]):
-        if abs(a - b) <= tolerance:
-            rels.append(Relation.EQUAL)
-        elif a > b:
-            rels.append(Relation.FIRST_ONE_SECOND_ZERO)
-        else:
-            rels.append(Relation.FIRST_ZERO_SECOND_ONE)
+    equal, drop, rise = Relation.EQUAL, Relation.FIRST_ONE_SECOND_ZERO, Relation.FIRST_ZERO_SECOND_ONE
+    rels = [equal if abs(a - b) <= tolerance else drop if a > b else rise for a, b in zip(counts, counts[1:])]
     return RelationSet(tuple(rels), w)
 
 
-_PIN = {
-    Relation.FIRST_ONE_SECOND_ZERO: (1, 0),
-    Relation.FIRST_ZERO_SECOND_ONE: (0, 1),
-}
+def _close(mask: int, links: list[list[tuple[int, int]]]) -> int:
+    """Close mask over the equality links: sweep each width's doubling steps (E, s), bit j of E
+    meaning K_j = K_{j+s}, forward and back until a round over all widths changes nothing."""
+    stable = i = 0
+    while stable < len(links):
+        before = mask
+        for equal, shift in links[i]:
+            mask |= (mask & equal) << shift
+        for equal, shift in links[i]:
+            mask |= (mask >> shift) & equal
+        stable = stable + 1 if mask == before else 1
+        i = (i + 1) % len(links)
+    return mask
 
 
 def propagate(relations: RelationSet | Sequence[RelationSet], n_key: int) -> RecoveryResult:
     """Turn the relations of one or more window widths into key bits.
 
-    Equality links join bits in a union-find; each inequality pins its
-    two endpoints, and a pin resolves its whole component.  A component
-    pinned to both values raises; one without pins is reported as an
-    all-equal unresolved class.  A width-w set costs n_key - w + 1
-    measurements in w runs: windows whose starts agree mod w never
-    overlap, so each residue is one run.
+    Each inequality pins its two endpoints into a ones or a zeros mask, and
+    closing both masks over the equality links resolves every pinned
+    component.  A component pinned to both values raises, naming its lowest
+    such bit; one without pins is reported as an all-equal unresolved class.
+    A width-w set costs n_key - w + 1 measurements in w runs: windows whose
+    starts agree mod w never overlap, so each residue is one run.
     """
     sets = (relations,) if isinstance(relations, RelationSet) else tuple(relations)
     if not sets:
         raise ValueError("need at least one relation set")
-    for rels in sets:
-        if n_key < rels.w:
-            raise ValueError("n_key must be >= w")
-        if len(rels.relations) != n_key - rels.w:
-            raise ValueError(f"expected {n_key - rels.w} relations, got {len(rels.relations)}")
-
-    parent = list(range(n_key))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    pins: list[tuple[int, int]] = []
+    ones = zeros = 0
+    links = []
     for rels in sets:
         w = rels.w
-        for j, rel in enumerate(rels.relations):
-            if rel is Relation.EQUAL:
-                ra, rb = find(j), find(j + w)
-                if ra != rb:
-                    parent[ra] = rb
-            else:
-                va, vb = _PIN[rel]
-                pins += ((j, va), (j + w, vb))
+        if n_key < w:
+            raise ValueError("n_key must be >= w")
+        if len(rels.relations) != n_key - w:
+            raise ValueError(f"expected {n_key - w} relations, got {len(rels.relations)}")
+        codes = bytes(rels.relations)[::-1]  # relation j at bit j
+        equal, drop, rise = [int(codes.translate(digits) or b"0", 2) for digits in _RELATION_DIGITS]
+        ones |= drop | rise << w
+        zeros |= rise | drop << w
+        links.append(steps := [])
+        while equal and w < n_key:
+            steps.append((equal, w))
+            equal &= equal >> w
+            w <<= 1
 
-    root_value: dict[int, int] = {}
-    for pos, val in pins:
-        if root_value.setdefault(find(pos), val) != val:
-            raise InconsistentMeasurements(f"component of bit {pos} pinned to both 0 and 1")
-
-    known: dict[int, int] = {}
-    components: dict[int, list[int]] = {}
-    for pos in range(n_key):
-        root = find(pos)
-        if root in root_value:
-            known[pos] = root_value[root]
-        else:
-            components.setdefault(root, []).append(pos)
-
+    ones, zeros = _close(ones, links), _close(zeros, links)
+    if clash := ones & zeros:
+        raise InconsistentMeasurements(f"component of bit {(clash & -clash).bit_length() - 1} pinned to both 0 and 1")
+    classes = []
+    free = ((1 << n_key) - 1) & ~(ones | zeros)
+    while free:  # the lowest free bit starts the next class, so classes come ordered by first bit
+        cls = _close(free & -free, links)
+        classes.append(tuple(compress(range(n_key), _mask_bits(cls, n_key))))
+        free &= ~cls
     return RecoveryResult(
         n_key=n_key,
-        known=known,
-        unresolved_classes=tuple(map(tuple, components.values())),  # ordered by first bit
+        known=dict(compress(enumerate(_mask_bits(ones, n_key)), _mask_bits(ones | zeros, n_key))),
+        unresolved_classes=tuple(classes),
         runs_used=sum(rels.w for rels in sets),
         measurements_used=sum(n_key - rels.w + 1 for rels in sets),
     )
 
 
 def _relations_for(key: KeyBits, w: int, chan: ExfilChannel | None) -> RelationSet:
-    if chan is None:
-        counts: Sequence[float] = measure_windows(key, w)
-        tolerance = 0.5
-    else:
-        counts = measure_windows_noisy(key, w, chan)
-        tolerance = noise_tolerance(chan, w)
+    counts = measure_windows(key, w) if chan is None else measure_windows_noisy(key, w, chan)
     if len(counts) == 1:
         return RelationSet((), w)
-    return infer_relations(counts, w, tolerance)
+    return infer_relations(counts, w, 0.5 if chan is None else noise_tolerance(chan, w))
 
 
 def single_window_recover(key, w: int, noise: ExfilChannel | None = None) -> RecoveryResult:
@@ -421,12 +421,15 @@ def _trial_bits(seed: int, start: int, stop: int, n: int) -> np.ndarray:
 
 
 def _single_window_complete(bits: np.ndarray, w: int) -> np.ndarray:
-    """Per row: does every residue class mod w hold both bit values?"""
-    ok = np.ones(len(bits), dtype=bool)
-    for r in range(w):
-        cls = bits[:, r::w]
-        ok &= cls.any(axis=1) & ~cls.all(axis=1)
-    return ok
+    """Per row: does every residue class mod w hold both bit values?
+
+    With n = q*w + m, columns [0, q*w) reshape (as a view) to q rows of w
+    classes; the m leftover columns add one more bit to classes 0..m-1.
+    """
+    q, m = divmod(bits.shape[1], w)
+    ones = bits[:, : q * w].reshape(len(bits), q, w).sum(axis=1, dtype=np.uint16)
+    ones[:, :m] += bits[:, q * w :]
+    return ((ones > 0) & (ones < q + (np.arange(w) < m))).all(axis=1)
 
 
 def monte_carlo_recovery_rate(
@@ -462,11 +465,7 @@ def monte_carlo_recovery_rate(
 
 def exhaustive_success_fraction(n_key: int, w: int, multi: bool = False) -> Fraction:
     """Exact full-recovery fraction over all 2^n keys (kernel-backed)."""
-    if multi:
-        hits = kernels.sweep_multi(n_key, w)
-    else:
-        hits = kernels.sweep_single(n_key, w)
-    return Fraction(hits, 2**n_key)
+    return Fraction((kernels.sweep_multi if multi else kernels.sweep_single)(n_key, w), 2**n_key)
 
 
 def recovery_to_rows(result: RecoveryResult) -> list[tuple[int, str]]:

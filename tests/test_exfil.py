@@ -71,6 +71,24 @@ class TestKeyBits:
             KeyBits(())
         with pytest.raises(ValueError):
             KeyBits((0, 2))
+        with pytest.raises(ValueError):
+            KeyBits(([1], 0))  # unhashable: still "not a bit", not a TypeError
+        for n in (0, -3):
+            with pytest.raises(ValueError):
+                KeyBits.from_int(5, n)
+        with pytest.raises(TypeError):
+            KeyBits.from_int(1.5, 3)
+
+    def test_from_int_keeps_the_low_bits(self):
+        assert KeyBits.from_int(0b1011, 3).bits == (1, 1, 0)
+        assert KeyBits.from_int(-1, 4).bits == (1, 1, 1, 1)
+        assert KeyBits.from_int(-6, 4).bits == (0, 1, 0, 1)  # two's complement of 6 is ...1010
+        rng = random.Random(0)
+        for n in (1, 7, 64, 65, 130, 264):
+            value = rng.getrandbits(n)
+            key = KeyBits.from_int(value, n)
+            assert key.bits == tuple((value >> i) & 1 for i in range(n))
+            assert key.to_int() == value
 
 
 class TestWindowOracle:
@@ -174,6 +192,24 @@ class TestPropagate:
             RecoveryResult(4, {0: 1}, ((1, 2),), 1, 1)
 
 
+class TestRelationSet:
+    def test_codes_pack_into_bytes(self):
+        rels = RelationSet((Relation.EQUAL, Relation.FIRST_ONE_SECOND_ZERO, Relation.FIRST_ZERO_SECOND_ONE), 1)
+        assert bytes(rels.relations) == b"\x00\x01\x02"
+
+    @pytest.mark.parametrize(
+        "relations, index",
+        [
+            (("x",), 0),
+            ((Relation.EQUAL, 1), 1),  # a plain int equal to a member's value is still no member
+            ((Relation.EQUAL, Relation.EQUAL, None, "equal"), 2),
+        ],
+    )
+    def test_rejects_items_that_are_not_members(self, relations, index):
+        with pytest.raises(ValueError, match=f"relation {index} is not a Relation member"):
+            RelationSet(relations, 2)
+
+
 def satisfying_keys(sets, n):
     """Independent oracle: every n-bit key meeting all relations, one row each."""
     keys = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
@@ -190,8 +226,8 @@ def satisfying_keys(sets, n):
     return keys[ok]
 
 
-def random_relations(rng, n, w):
-    p_equal = rng.random()
+def random_relations(rng, n, w, p_equal=None):
+    p_equal = rng.random() if p_equal is None else p_equal
     inequalities = [Relation.FIRST_ONE_SECOND_ZERO, Relation.FIRST_ZERO_SECOND_ONE]
     return RelationSet(
         tuple(Relation.EQUAL if rng.random() < p_equal else rng.choice(inequalities) for _ in range(n - w)), w
@@ -232,6 +268,75 @@ class TestPropagateOracle:
     def test_single_set_equals_one_element_sequence(self):
         rels = infer_relations(measure_windows(KeyBits.from_binary("1011001"), 3), 3, 0.5)
         assert propagate(rels, 7) == propagate([rels], 7)
+
+
+def union_find_oracle(sets, n):
+    """Independent oracle: union-find over the equality links, one relation at a time.
+
+    Returns (pins, groups): the set of values each component is pinned to,
+    and each component's positions, both keyed by the component's root.
+    """
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    pinned = []
+    for rels in sets:
+        for j, rel in enumerate(rels.relations):
+            if rel is Relation.EQUAL:
+                parent[find(j)] = find(j + rels.w)
+            else:
+                first = int(rel is Relation.FIRST_ONE_SECOND_ZERO)
+                pinned += [(j, first), (j + rels.w, 1 - first)]
+    pins: dict[int, set[int]] = {}
+    for pos, value in pinned:
+        pins.setdefault(find(pos), set()).add(value)
+    groups: dict[int, list[int]] = {}
+    for pos in range(n):
+        groups.setdefault(find(pos), []).append(pos)
+    return pins, groups
+
+
+def true_relations(key, w):
+    codes = {(0, 0): Relation.EQUAL, (1, 1): Relation.EQUAL, (1, 0): Relation.FIRST_ONE_SECOND_ZERO,
+             (0, 1): Relation.FIRST_ZERO_SECOND_ONE}
+    return RelationSet(tuple(codes[key[j], key[j + w]] for j in range(len(key) - w)), w)
+
+
+class TestPropagateUnionFindOracle:
+    """propagate against a union-find on keys too long to enumerate, multi-word masks included."""
+
+    def test_matches_union_find(self):
+        rng = random.Random(9)
+        seen = {"raised": 0, "complete": 0, "partial": 0}
+        for _ in range(3000):
+            n = rng.randint(2, 130)
+            widths = sorted(rng.sample(range(1, n + 1), rng.randint(1, min(3, n))))
+            if rng.random() < 0.4:  # a key's true relations: never contradictory, mostly complete
+                key = [rng.randint(0, 1) for _ in range(n)]
+                sets = [true_relations(key, w) for w in widths]
+            else:  # equality-heavy sets leave unpinned components; inequality-heavy ones contradict
+                sets = [random_relations(rng, n, w, rng.random() ** 0.2) for w in widths]
+            pins, groups = union_find_oracle(sets, n)
+            if any(len(values) == 2 for values in pins.values()):
+                with pytest.raises(InconsistentMeasurements) as err:
+                    propagate(sets, n)
+                bit = int(str(err.value).split("bit ")[1].split()[0])
+                both = [p for root, values in pins.items() if len(values) == 2 for p in groups[root]]
+                assert bit == min(both)
+                seen["raised"] += 1
+                continue
+            result = propagate(sets, n)
+            assert result.known == {p: next(iter(pins[root])) for root in pins for p in groups[root]}
+            free = sorted(tuple(groups[root]) for root in groups if root not in pins)
+            assert result.unresolved_classes == tuple(free)
+            assert result.runs_used == sum(widths)
+            assert result.measurements_used == sum(n - w + 1 for w in widths)
+            seen["partial" if free else "complete"] += 1
+        assert min(seen.values()) >= 100, seen
 
 
 class TestSingleWindowRecover:
@@ -401,6 +506,18 @@ class TestMonteCarlo:
         rate = monte_carlo_recovery_rate(80, 8, 200, 3)
         p = recovery_probability(80, 8)
         assert abs(rate - p) <= 4 * (p * (1 - p) / 200) ** 0.5
+
+    # (100, 30) recovers about one key in 1,200; (65, 33) none, as its class 32 holds one bit
+    @pytest.mark.parametrize("n, w, trials", [(264, 40, 300), (100, 30, 4000), (80, 8, 300), (65, 33, 300)])
+    def test_wide_keys_match_a_per_trial_class_check(self, n, w, trials):
+        seed = 11
+        hits = 0
+        for t in range(trials):
+            # the wide stream: word k of trial t's key is trial_key(trial_key(seed, t, 64), k, 64)
+            base = kernels.trial_key(seed, t, 64)
+            value = sum(kernels.trial_key(base, k, 64) << (64 * k) for k in range((n + 63) // 64))
+            hits += all(len({(value >> p) & 1 for p in range(r, n, w)}) == 2 for r in range(w))
+        assert monte_carlo_recovery_rate(n, w, trials, seed) == hits / trials
 
 
 class TestNoisyRecovery:
