@@ -99,8 +99,11 @@ def frame_sync(bitstream: Sequence[int], sof: Sequence[int]) -> list[int]:
     sof = tuple(sof)
     if not sof:
         raise ValueError("sof must be non-empty")
-    n, k = len(bitstream), len(sof)
-    return [i for i in range(n - k + 1) if tuple(bitstream[i : i + k]) == sof]
+    stream = np.asarray(bitstream)
+    hits = np.ones(max(len(stream) - len(sof) + 1, 0), dtype=bool)
+    for offset, bit in enumerate(sof):  # a start survives while each pattern bit matches at its offset
+        hits &= stream[offset : offset + len(hits)] == bit
+    return np.flatnonzero(hits).tolist()
 
 
 def frame_to_bits(frame: Frame) -> list[int]:
@@ -132,10 +135,11 @@ def find_frames(
     # start mod 10: keep the EOF positions in one sorted list per residue.
     period = 10 if line_code is LineCode.EIGHTB_TENB else 1
     ends: list[list[int]] = [[] for _ in range(period)]
-    for end in frame_sync(bitstream, eof):
+    stream = np.asarray(bitstream)  # converted once for both pattern searches
+    for end in frame_sync(stream, eof):
         ends[end % period].append(end)
     frames = []
-    for pos in frame_sync(bitstream, sof):
+    for pos in frame_sync(stream, sof):
         start = pos + len(sof)
         candidates = ends[start % period]
         k = bisect_left(candidates, start)

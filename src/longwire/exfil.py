@@ -9,9 +9,9 @@ every residue class mod w that contains two different bits; repeating
 the pass with width w+1 links the classes together and recovers every
 key except the two constant ones.
 
-The chaining is bit-parallel: in a Python int, bit i stands for K_i (the
-kernels' layout), and shift-and-mask doubling steps close the masks of
-pinned bits over the equality links.
+Relations are int bit masks, bit j of a width's equal, drop and rise masks
+for relation j: noise-free a closed form of the key int (bit i is K_i), noisy
+one count classifier's output, closed over the equal links by doubling shifts.
 """
 
 from __future__ import annotations
@@ -143,10 +143,6 @@ class RelationSet:
             bad = next(i for i, rel in enumerate(self.relations) if type(rel) is not Relation)
             raise ValueError(f"relation {bad} is not a Relation member")
 
-    @property
-    def n_key(self) -> int:
-        return len(self.relations) + self.w
-
 
 @dataclass
 class RecoveryResult:
@@ -187,7 +183,8 @@ def _window_weights(key, w: int) -> np.ndarray:
     key = _as_key(key)
     if not 1 <= w <= len(key):
         raise ValueError("window width must be in [1, key length]")
-    return np.convolve(key.bits, np.ones(w, dtype=np.int64), mode="valid")
+    ones = np.concatenate(([0], np.cumsum(np.frombuffer(bytes(key.bits), np.uint8), dtype=np.int64)))
+    return ones[w:] - ones[:-w]
 
 
 def measure_windows(key, w: int) -> list[int]:
@@ -232,6 +229,12 @@ def noise_feasibility(chan: ExfilChannel, w: int) -> dict[str, float]:
     return {"count_step": step, "noise_sigma": sigma, "step_over_sigma": step / sigma if sigma else math.inf}
 
 
+def _noisy_counts(key, w: int, chan: ExfilChannel) -> np.ndarray:
+    duty = np.repeat(_window_weights(key, w) / w, chan.repeats)
+    counts = simulate_counts(chan.profile, chan.cfg, chan.geom, duty, 0.0, np.random.default_rng(chan.seed))
+    return counts.reshape(-1, chan.repeats).sum(axis=1) / chan.repeats  # integer counts: exactly their mean
+
+
 def measure_windows_noisy(key, w: int, chan: ExfilChannel) -> list[float]:
     """Window measurements drawn from the count simulator (duty = HW / w).
 
@@ -239,20 +242,27 @@ def measure_windows_noisy(key, w: int, chan: ExfilChannel) -> list[float]:
     in order, as one trace whose drift carries across; a position reports
     the mean of its counts.
     """
-    duty = np.repeat(_window_weights(key, w) / w, chan.repeats)
-    counts = simulate_counts(chan.profile, chan.cfg, chan.geom, duty, 0.0, np.random.default_rng(chan.seed))
-    return counts.reshape(-1, chan.repeats).mean(axis=1).tolist()
+    return _noisy_counts(key, w, chan).tolist()
+
+
+def _count_masks(counts: np.ndarray, w: int, tolerance: float) -> tuple[int, int, int, int]:
+    """(equal, drop, rise, w) masks of float64 counts: j, j+1 within tolerance are equal, else j higher is a drop."""
+    if not tolerance >= 0:
+        raise ValueError("tolerance must be >= 0")
+    if not np.isfinite(counts).all():
+        raise ValueError(f"count {np.flatnonzero(~np.isfinite(counts))[0]} is not finite")
+    equal, higher = np.abs(np.diff(counts)) <= tolerance, counts[:-1] > counts[1:]
+    rows = np.packbits([equal, higher & ~equal, ~(higher | equal)], axis=1, bitorder="little")
+    return *(int.from_bytes(row.tobytes(), "little") for row in rows), w
 
 
 def infer_relations(counts: Sequence[float], w: int, tolerance: float) -> RelationSet:
     """Classify consecutive count differences into bit relations."""
     if len(counts) < 2:
         raise ValueError("need at least 2 window measurements")
-    if tolerance < 0:
-        raise ValueError("tolerance must be >= 0")
-    equal, drop, rise = Relation.EQUAL, Relation.FIRST_ONE_SECOND_ZERO, Relation.FIRST_ZERO_SECOND_ONE
-    rels = [equal if abs(a - b) <= tolerance else drop if a > b else rise for a, b in zip(counts, counts[1:])]
-    return RelationSet(tuple(rels), w)
+    _, drop, rise, _ = _count_masks(np.asarray(counts, dtype=np.float64), w, tolerance)
+    m, members = len(counts) - 1, tuple(Relation)
+    return RelationSet(tuple(members[d + 2 * r] for d, r in zip(_mask_bits(drop, m), _mask_bits(rise, m))), w)
 
 
 def _close(mask: int, links: list[list[tuple[int, int]]]) -> int:
@@ -283,16 +293,22 @@ def propagate(relations: RelationSet | Sequence[RelationSet], n_key: int) -> Rec
     sets = (relations,) if isinstance(relations, RelationSet) else tuple(relations)
     if not sets:
         raise ValueError("need at least one relation set")
+    masks = []
+    for rels in sets:
+        if n_key < rels.w:
+            raise ValueError("n_key must be >= w")
+        if len(rels.relations) != n_key - rels.w:
+            raise ValueError(f"expected {n_key - rels.w} relations, got {len(rels.relations)}")
+        codes = bytes(rels.relations)[::-1]  # relation j at bit j
+        masks.append((*[int(codes.translate(digits) or b"0", 2) for digits in _RELATION_DIGITS], rels.w))
+    return _solve(masks, n_key)
+
+
+def _solve(masks: Sequence[tuple[int, int, int, int]], n_key: int) -> RecoveryResult:
+    """propagate on (equal, drop, rise, w) masks, bit j of each standing for relation j."""
     ones = zeros = 0
     links = []
-    for rels in sets:
-        w = rels.w
-        if n_key < w:
-            raise ValueError("n_key must be >= w")
-        if len(rels.relations) != n_key - w:
-            raise ValueError(f"expected {n_key - w} relations, got {len(rels.relations)}")
-        codes = bytes(rels.relations)[::-1]  # relation j at bit j
-        equal, drop, rise = [int(codes.translate(digits) or b"0", 2) for digits in _RELATION_DIGITS]
+    for equal, drop, rise, w in masks:
         ones |= drop | rise << w
         zeros |= rise | drop << w
         links.append(steps := [])
@@ -300,7 +316,6 @@ def propagate(relations: RelationSet | Sequence[RelationSet], n_key: int) -> Rec
             steps.append((equal, w))
             equal &= equal >> w
             w <<= 1
-
     ones, zeros = _close(ones, links), _close(zeros, links)
     if clash := ones & zeros:
         raise InconsistentMeasurements(f"component of bit {(clash & -clash).bit_length() - 1} pinned to both 0 and 1")
@@ -314,16 +329,17 @@ def propagate(relations: RelationSet | Sequence[RelationSet], n_key: int) -> Rec
         n_key=n_key,
         known=dict(compress(enumerate(_mask_bits(ones, n_key)), _mask_bits(ones | zeros, n_key))),
         unresolved_classes=tuple(classes),
-        runs_used=sum(rels.w for rels in sets),
-        measurements_used=sum(n_key - rels.w + 1 for rels in sets),
+        runs_used=sum(m[3] for m in masks),
+        measurements_used=sum(n_key - m[3] + 1 for m in masks),
     )
 
 
-def _relations_for(key: KeyBits, w: int, chan: ExfilChannel | None) -> RelationSet:
-    counts = measure_windows(key, w) if chan is None else measure_windows_noisy(key, w, chan)
-    if len(counts) == 1:
-        return RelationSet((), w)
-    return infer_relations(counts, w, 0.5 if chan is None else noise_tolerance(chan, w))
+def _key_masks(key: int, n: int, w: int) -> tuple[int, int, int, int]:
+    """Noise-free (equal, drop, rise, w) masks of the n-bit key int: relation j is K_j against K_{j+w}."""
+    if not 1 <= w <= n:
+        raise ValueError("window width must be in [1, key length]")
+    later, cut = key >> w, (1 << (n - w)) - 1
+    return ~(key ^ later) & cut, key & ~later & cut, ~key & later & cut, w
 
 
 def single_window_recover(key, w: int, noise: ExfilChannel | None = None) -> RecoveryResult:
@@ -332,7 +348,9 @@ def single_window_recover(key, w: int, noise: ExfilChannel | None = None) -> Rec
     n = len(key)
     if n < 2 * w - 1:
         raise ValueError("key length must be >= 2w - 1")
-    return propagate(_relations_for(key, w, noise), n)
+    if noise is None:
+        return _solve([_key_masks(key.to_int(), n, w)], n)
+    return _solve([_count_masks(_noisy_counts(key, w, noise), w, noise_tolerance(noise, w))], n)
 
 
 def noisy_outcome(key, w: int, chan: ExfilChannel) -> tuple[str, RecoveryResult | None]:
@@ -362,10 +380,10 @@ def multi_window_recover(key, w: int) -> RecoveryResult:
     pass left all-equal.
     """
     key = _as_key(key)
-    n = len(key)
+    n, value = len(key), key.to_int()
     if n < 2 * w + 1:
         raise ValueError("key length must be >= 2w + 1")
-    return propagate([_relations_for(key, width, None) for width in (w, w + 1)], n)
+    return _solve([_key_masks(value, n, width) for width in (w, w + 1)], n)
 
 
 def _split_key_length(n_key: int, w: int) -> tuple[int, int]:

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -83,6 +84,21 @@ class TestFrameSync:
     def test_empty_sof_rejected(self):
         with pytest.raises(ValueError):
             frame_sync([0, 1], [])
+
+    def test_matches_a_slicing_oracle(self):
+        def oracle(stream, sof):
+            return [i for i in range(len(stream) - len(sof) + 1) if tuple(stream[i : i + len(sof)]) == tuple(sof)]
+
+        rng = random.Random(5)
+        cases = [([], (1,)), ([1, 0], (1, 0, 1)), ([1] * 6, (1, 1)), ([0, 1] * 5, (0, 1, 0, 1, 0))]
+        for _ in range(300):
+            stream = [rng.randint(0, 1) for _ in range(rng.randint(0, 80))]
+            cases.append((stream, tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 6)))))
+        for stream, sof in cases:
+            expected = oracle(stream, sof)
+            assert frame_sync(stream, sof) == expected
+            assert frame_sync(np.array(stream, dtype=np.int64), list(sof)) == expected
+            assert all(type(p) is int for p in frame_sync(stream, sof))
 
     def test_false_positive_rate_on_random_bits(self):
         rng = np.random.default_rng(2024)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,8 @@ from longwire.exfil import (
     monte_carlo_recovery_rate,
     multi_window_recover,
     noise_feasibility,
+    noise_tolerance,
+    noisy_outcome,
     parse_key,
     propagate,
     recovery_probability,
@@ -136,6 +139,16 @@ class TestInferRelations:
     def test_needs_two_measurements(self):
         with pytest.raises(ValueError):
             infer_relations([5], 3, 0.4)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_count_named(self, bad):
+        with pytest.raises(ValueError, match="count 1 is not finite"):
+            infer_relations([5.0, bad, 5.0, bad], 1, 0.4)
+
+    @pytest.mark.parametrize("tolerance", [-0.1, math.nan])
+    def test_tolerance_must_be_a_non_negative_number(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            infer_relations([5.0, 5.0], 1, tolerance)
 
 
 class TestPropagate:
@@ -337,6 +350,57 @@ class TestPropagateUnionFindOracle:
             assert result.measurements_used == sum(n - w + 1 for w in widths)
             seen["partial" if free else "complete"] += 1
         assert min(seen.values()) >= 100, seen
+
+
+def result_fields(result):
+    return result.known, result.unresolved_classes, result.runs_used, result.measurements_used
+
+
+class TestAgainstPublicPath:
+    """The attacks against measure -> infer_relations -> propagate, the path a caller can compose."""
+
+    def test_noise_free(self):
+        rng = random.Random(10)
+        for _ in range(1500):
+            n = rng.randint(2, 130)
+            key = KeyBits.from_int(rng.getrandbits(n), n)
+            w = rng.randint(1, (n + 1) // 2)
+            public = propagate(infer_relations(measure_windows(key, w), w, 0.5), n)
+            assert result_fields(single_window_recover(key, w)) == result_fields(public)
+            if n >= 2 * w + 1:
+                sets = [infer_relations(measure_windows(key, width), width, 0.5) for width in (w, w + 1)]
+                assert result_fields(multi_window_recover(key, w)) == result_fields(propagate(sets, n))
+        for w in (0, -1):
+            with pytest.raises(ValueError):
+                single_window_recover(KeyBits.from_binary("10110"), w)
+            with pytest.raises(ValueError):
+                multi_window_recover(KeyBits.from_binary("10110"), w)
+
+    def test_noisy(self):
+        rng = random.Random(11)
+        seen = {"correct": 0, "wrong": 0, "inconsistent": 0, "unresolved": 0}
+        for i in range(400):
+            n = rng.choice([16, 33, 64, 100])
+            key = KeyBits.from_int(rng.getrandbits(n), n)
+            w = rng.randint(1, (n + 1) // 2)
+            cfg = MeasurementConfig(log2_ticks=rng.randint(13, 23))
+            chan = ExfilChannel(DeviceProfile(), cfg, Geometry(v_t=2, v_r=2, d=1), rng.randrange(2**31), (1, 4)[i % 2])
+            counts = measure_windows_noisy(key, w, chan)
+            try:
+                public = propagate(infer_relations(counts, w, noise_tolerance(chan, w)), n)
+            except InconsistentMeasurements:
+                public = None
+            outcome, result = noisy_outcome(key, w, chan)
+            if public is None:
+                expected = "inconsistent"
+            elif not public.complete:
+                expected = "unresolved"
+            else:
+                expected = "correct" if public.known == dict(enumerate(key.bits)) else "wrong"
+            assert outcome == expected
+            assert result == public
+            seen[outcome] += 1
+        assert all(seen.values()), seen  # every outcome, "wrong" the rarest
 
 
 class TestSingleWindowRecover:
