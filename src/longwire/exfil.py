@@ -183,7 +183,7 @@ def _window_weights(key, w: int) -> np.ndarray:
     key = _as_key(key)
     if not 1 <= w <= len(key):
         raise ValueError("window width must be in [1, key length]")
-    ones = np.concatenate(([0], np.cumsum(np.frombuffer(bytes(key.bits), np.uint8), dtype=np.int64)))
+    ones = np.frombuffer(b"\0" + bytes(key.bits), np.uint8).cumsum(dtype=np.int64)  # ones[i]: ones before bit i
     return ones[w:] - ones[:-w]
 
 
@@ -251,9 +251,9 @@ def _count_masks(counts: np.ndarray, w: int, tolerance: float) -> tuple[int, int
         raise ValueError("tolerance must be >= 0")
     if not np.isfinite(counts).all():
         raise ValueError(f"count {np.flatnonzero(~np.isfinite(counts))[0]} is not finite")
-    equal, higher = np.abs(np.diff(counts)) <= tolerance, counts[:-1] > counts[1:]
-    rows = np.packbits([equal, higher & ~equal, ~(higher | equal)], axis=1, bitorder="little")
-    return *(int.from_bytes(row.tobytes(), "little") for row in rows), w
+    step, cut = counts[1:] - counts[:-1], (1 << (len(counts) - 1)) - 1  # drop: step < -tolerance; rise: > tolerance
+    both = int.from_bytes(np.packbits((step < -tolerance, step > tolerance), bitorder="little"), "little")
+    return cut & ~(both | both >> len(step)), both & cut, both >> len(step), w  # rises sit above the drop bits
 
 
 def infer_relations(counts: Sequence[float], w: int, tolerance: float) -> RelationSet:
