@@ -329,8 +329,8 @@ def _solve(masks: Sequence[tuple[int, int, int, int]], n_key: int) -> RecoveryRe
         n_key=n_key,
         known=dict(compress(enumerate(_mask_bits(ones, n_key)), _mask_bits(ones | zeros, n_key))),
         unresolved_classes=tuple(classes),
-        runs_used=sum(m[3] for m in masks),
-        measurements_used=sum(n_key - m[3] + 1 for m in masks),
+        runs_used=sum(w for *_, w in masks),
+        measurements_used=sum(n_key - w + 1 for *_, w in masks),
     )
 
 
