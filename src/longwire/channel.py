@@ -12,7 +12,9 @@ All counts come from one array engine, ``simulate_counts``.  For n windows
 it draws from the generator, in this order (``STREAM_VERSION`` 2): n drift
 innovations ``normal(0, drift_rate)``, then n noise values
 ``normal(0, sigma)``, then n counter phases ``uniform(-1, 1)``.  Version 1
-drew the same three values window by window, interleaved.  A run of
+drew the same three values window by window, interleaved.  The drift is a
+linear pass over blocks of windows up to the first window that leaves
++/-drift_bound, and the scalar clipped recursion from there on.  A run of
 windows is a ``CountTrace``: one array per column (window, count, duty,
 toggle rate) plus the list of transmitted bits.
 
@@ -25,6 +27,7 @@ only a very weak residual effect.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass, field, fields
@@ -323,21 +326,69 @@ def expected_count(
     return _mean_count(profile, cfg, geom, duty, toggle_rate, drift_state)
 
 
-def _drift_path(profile: DeviceProfile, innovations) -> list[float]:
-    """Clipped AR(1) baseline wander from 0, one state per innovation.
+# Windows per block of the drift pass: one matmul per block, then a carry between blocks.
+_BLOCK = 64
 
-    Each state depends on the one before, so this stays a sequential loop.
+
+@functools.lru_cache(maxsize=8)
+def _decay_matrix(keep: float) -> np.ndarray:
+    """Lower-triangular block x block matrix of keep^(i - j), read-only."""
+    lag = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
+    matrix = np.where(lag >= 0, keep ** np.maximum(lag, 0).astype(float), 0.0)
+    matrix.flags.writeable = False
+    return matrix
+
+
+def _linear_ar1(innovations: np.ndarray, keep: float) -> np.ndarray:
+    """x_t = keep * x_(t-1) + e_t from x_(-1) = 0, without clipping.
+
+    Each block of windows is one product with the decay matrix, which gives
+    the states the block would reach from 0.  The block ends then follow the
+    same recursion with keep^block, one state per block, and each block adds
+    the previous block's end times keep^(i + 1).  Every weight is at most 1
+    when keep is in [0, 1], so the pass is as stable as the loop.
     """
-    keep, high, low = 1.0 - profile.drift_reversion, profile.drift_bound, -profile.drift_bound
-    state, path = 0.0, []
+    n = len(innovations)
+    decay = _decay_matrix(keep)
+    if n <= _BLOCK:
+        return decay[:n, :n] @ innovations
+    blocks = -(-n // _BLOCK)
+    padded = np.zeros(blocks * _BLOCK)
+    padded[:n] = innovations
+    path = padded.reshape(blocks, _BLOCK) @ decay.T
+    ends = _linear_ar1(path[:, -1], keep**_BLOCK)
+    path[1:] += np.multiply.outer(ends[:-1], decay[:, 0] * keep)
+    return path.ravel()[:n]
+
+
+def _clipped_ar1(state: float, innovations, keep: float, bound: float) -> list[float]:
+    """The clipped recursion one window at a time, from ``state``."""
+    path = []
     append = path.append
     for innovation in innovations:
         state = state * keep + innovation
-        if state > high:
-            state = high
-        elif state < low:
-            state = low
+        if state > bound:
+            state = bound
+        elif state < -bound:
+            state = -bound
         append(state)
+    return path
+
+
+def _drift_path(profile: DeviceProfile, innovations: np.ndarray) -> np.ndarray:
+    """Clipped AR(1) baseline wander from 0, one state per innovation.
+
+    Until the first window that leaves +/-drift_bound, the clip does nothing
+    and the path is ``_linear_ar1``.  From that window on each clip feeds
+    back into the next state, so the rest runs as the scalar recursion.
+    """
+    keep, bound = 1.0 - profile.drift_reversion, profile.drift_bound
+    path = _linear_ar1(innovations, keep)
+    outside = np.abs(path) > bound
+    if np.count_nonzero(outside):
+        first = int(outside.argmax())
+        state = float(path[first - 1]) if first else 0.0
+        path[first:] = _clipped_ar1(state, innovations[first:].tolist(), keep, bound)
     return path
 
 
@@ -366,7 +417,7 @@ def simulate_counts(
     innovations = rng.normal(0.0, profile.drift_rate, n)
     noise = rng.normal(0.0, profile.noise_sigma_for(cfg.ticks_per_window), n)
     phase = rng.uniform(-1.0, 1.0, n)
-    drift = np.array(_drift_path(profile, innovations.tolist()))
+    drift = _drift_path(profile, innovations)
     raw = _mean_count(profile, cfg, geom, duty, toggle, drift) + noise + phase
     return np.maximum(np.rint(raw), 0.0).astype(np.int64)
 

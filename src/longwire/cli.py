@@ -8,6 +8,7 @@ left to external tooling.  Exit codes: 0 success, 1 domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -247,7 +248,9 @@ def cmd_audit(args) -> str:
     return "\n".join(lines) + "\n" + body
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; it is not changed after."""
     parser = argparse.ArgumentParser(
         prog="longwire",
         description="Simulate, encode, attack and audit the FPGA long-wire leakage channel.",

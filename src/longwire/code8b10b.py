@@ -7,11 +7,19 @@ code table or breaks disparity, which the decoder reports.  Control
 characters (K codes) are not implemented.
 
 Groups are bit tuples in wire order ``a b c d e i f g h j``.
+
+The code is read from tables built once from the sub-blocks: per running
+disparity, the group of each byte and the byte of each 10-bit group.  A
+group flips the disparity exactly when it does not hold five ones, at
+either disparity, so the disparity before each group of a stream is one
+cumulative sum and ``encode_bytes`` and ``decode_bits`` are gathers.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import InvalidCodeGroup
 
@@ -58,16 +66,8 @@ def _pick(table, code: int, rd: int, nbits: int, flip_neutral: int | None) -> in
     return value
 
 
-def _check_rd(rd: int) -> None:
-    if rd not in (-1, +1):
-        raise ValueError("running disparity must be -1 or +1")
-
-
-def encode_8b10b(byte: int, running_disparity: int) -> tuple[tuple[int, ...], int]:
-    """Encode one data byte; returns the 10-bit group and the new disparity."""
-    _check_rd(running_disparity)
-    if not 0 <= byte <= 0xFF:
-        raise ValueError("byte must be in [0, 255]")
+def _encode_group(byte: int, running_disparity: int) -> tuple[int, int]:
+    """The 10-bit group of one byte (bit 9 = a) and the disparity after it."""
     x, y = byte & 0x1F, byte >> 5
     six = _pick(_FIVE_SIX_RDNEG, x, running_disparity, 6, flip_neutral=7)
     rd6 = running_disparity if _disparity(six, 6) == 0 else -running_disparity
@@ -76,60 +76,124 @@ def encode_8b10b(byte: int, running_disparity: int) -> tuple[tuple[int, ...], in
     else:
         four = _pick(_THREE_FOUR_RDNEG, y, rd6, 4, flip_neutral=3)
     rd_out = rd6 if _disparity(four, 4) == 0 else -rd6
-    group = (six << 4) | four
-    bits = tuple((group >> (9 - i)) & 1 for i in range(10))
-    return bits, rd_out
+    return (six << 4) | four, rd_out
 
 
-def _build_decode_table() -> dict[tuple[int, ...], dict[int, tuple[int, int]]]:
-    table: dict[tuple[int, ...], dict[int, tuple[int, int]]] = {}
-    for byte in range(256):
-        for rd in (-1, +1):
-            bits, rd_out = encode_8b10b(byte, rd)
-            table.setdefault(bits, {})[rd] = (byte, rd_out)
-    return table
+def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Encode, decode and flip tables; row 0 of the first two is RD -1, row 1 RD +1.
+
+    ``encode[r, byte]`` is the group, ``decode[r, group]`` the byte, or -1
+    where the group is no data character at that disparity, and
+    ``flips[group]`` whether a data group flips the disparity.
+    """
+    encode: list[list[int]] = [[], []]
+    flips = [False] * 1024
+    for row, rd in enumerate((-1, +1)):
+        for byte in range(256):
+            group, rd_out = _encode_group(byte, rd)
+            encode[row].append(group)
+            flips[group] = rd_out != rd
+    encode_table = np.array(encode, dtype=np.intp)
+    decode_table = np.full((2, 1024), -1, dtype=np.intp)
+    decode_table[np.arange(2)[:, None], encode_table] = np.arange(256)
+    tables = encode_table, decode_table, np.array(flips)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
-_DECODE = _build_decode_table()
+_ENCODE, _DECODE, _FLIPS = _build_tables()
+# Bit weights of a group in wire order, a first.
+_WEIGHTS = 1 << np.arange(9, -1, -1)
+
+
+def _group_bits(group: int) -> tuple[int, ...]:
+    return tuple((group >> (9 - i)) & 1 for i in range(10))
+
+
+def _row(running_disparity: int) -> int:
+    if running_disparity not in (-1, +1):
+        raise ValueError("running disparity must be -1 or +1")
+    return (running_disparity + 1) // 2
+
+
+def _after(group: int, running_disparity: int) -> int:
+    return -running_disparity if _FLIPS[group] else running_disparity
+
+
+def _disparity_rows(flips: np.ndarray, running_disparity: int) -> tuple[np.ndarray, int]:
+    """Table row of the disparity before each group, and the disparity after the last.
+
+    A data group flips the disparity exactly when it does not hold five
+    ones, whatever the disparity before it, so the disparity before group i
+    is the starting one flipped once per flip before i.
+    """
+    row = _row(running_disparity)
+    odd = np.logical_xor.accumulate(flips)  # an odd number of flips up to and including group i
+    final = -running_disparity if len(odd) and odd[-1] else running_disparity
+    return (odd ^ flips ^ bool(row)).view(np.uint8), final
+
+
+def encode_8b10b(byte: int, running_disparity: int) -> tuple[tuple[int, ...], int]:
+    """Encode one data byte; returns the 10-bit group and the new disparity."""
+    row = _row(running_disparity)
+    if not 0 <= byte <= 0xFF:
+        raise ValueError("byte must be in [0, 255]")
+    group = int(_ENCODE[row, byte])
+    return _group_bits(group), _after(group, running_disparity)
 
 
 def valid_groups() -> frozenset[tuple[int, ...]]:
     """All 10-bit groups some data byte encodes to (either disparity)."""
-    return frozenset(_DECODE)
+    return frozenset(_group_bits(int(g)) for g in np.flatnonzero((_DECODE >= 0).any(axis=0)))
 
 
 def decode_8b10b(ten_bits: Sequence[int], running_disparity: int) -> tuple[int, int]:
     """Decode a 10-bit group; raises InvalidCodeGroup on anything off-table."""
-    _check_rd(running_disparity)
+    row = _row(running_disparity)
     bits = tuple(int(b) for b in ten_bits)
     if len(bits) != 10 or any(b not in (0, 1) for b in bits):
         raise ValueError("expected a sequence of 10 bits")
-    entry = _DECODE.get(bits)
-    if entry is None:
-        raise InvalidCodeGroup(bits, "not a data character")
-    hit = entry.get(running_disparity)
-    if hit is None:
+    group = int("".join(map(str, bits)), 2)
+    byte = int(_DECODE[row, group])
+    if byte < 0:
+        if (_DECODE[:, group] < 0).all():
+            raise InvalidCodeGroup(bits, "not a data character")
         raise InvalidCodeGroup(bits, f"disparity violation at RD={running_disparity:+d}")
-    return hit
+    return byte, _after(group, running_disparity)
 
 
 def encode_bytes(data: Iterable[int], running_disparity: int = -1) -> tuple[list[int], int]:
     """Encode a byte stream to a flat bit list, threading the disparity."""
-    out: list[int] = []
-    rd = running_disparity
-    for byte in data:
-        bits, rd = encode_8b10b(byte, rd)
-        out.extend(bits)
-    return out, rd
+    if isinstance(data, (bytes, bytearray)):
+        values = np.frombuffer(data, dtype=np.uint8)
+    else:
+        values = np.asarray(data if isinstance(data, np.ndarray) else list(data))
+    if values.ndim != 1 or (values.size and values.dtype.kind not in "biu"):
+        raise TypeError("data must be a sequence of integer bytes")
+    if np.count_nonzero((values < 0) | (values > 0xFF)):
+        raise ValueError("byte must be in [0, 255]")
+    values = values.astype(np.intp, copy=False)
+    # A byte's group flips the disparity at both disparities or at neither.
+    rows, rd = _disparity_rows(_FLIPS[_ENCODE[0, values]], running_disparity)
+    groups = _ENCODE[rows, values]
+    return ((groups[:, None] & _WEIGHTS) != 0).ravel().view(np.uint8).tolist(), rd
 
 
 def decode_bits(bits: Sequence[int], running_disparity: int = -1) -> tuple[bytes, int]:
     """Decode a flat bit stream (length multiple of 10) back to bytes."""
-    if len(bits) % 10 != 0:
-        raise ValueError("bit stream length must be a multiple of 10")
-    out = bytearray()
-    rd = running_disparity
-    for i in range(0, len(bits), 10):
-        byte, rd = decode_8b10b(bits[i : i + 10], rd)
-        out.append(byte)
-    return bytes(out), rd
+    stream = np.asarray(bits)
+    if stream.ndim != 1 or len(stream) % 10 != 0:
+        raise ValueError("bit stream must be flat, its length a multiple of 10")
+    if np.count_nonzero((stream != 0) & (stream != 1)):
+        raise ValueError("bits must be 0 or 1")
+    groups = (stream.reshape(-1, 10) @ _WEIGHTS).astype(np.intp, copy=False)
+    rows, rd = _disparity_rows(_FLIPS[groups], running_disparity)
+    data = _DECODE[rows, groups]
+    invalid = data < 0
+    if np.count_nonzero(invalid):
+        # Every group before the first invalid one is a data character, so
+        # its row is the disparity the group-by-group decoder would be at.
+        first = int(invalid.argmax())
+        decode_8b10b(stream[10 * first : 10 * first + 10].tolist(), 2 * int(rows[first]) - 1)  # raises
+    return data.astype(np.uint8).tobytes(), rd

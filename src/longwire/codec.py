@@ -10,8 +10,6 @@ and end-of-frame bit patterns, optionally with the payload run through
 
 from __future__ import annotations
 
-import csv
-import io
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -34,9 +32,6 @@ __all__ = [
     "find_frames",
     "channel_bandwidth",
     "simulate_covert_transfer",
-    "bits_to_text",
-    "bits_from_text",
-    "frames_to_csv",
 ]
 
 
@@ -109,11 +104,7 @@ def frame_sync(bitstream: Sequence[int], sof: Sequence[int]) -> list[int]:
 def frame_to_bits(frame: Frame) -> list[int]:
     """Serialize a frame: SOF, line-coded payload, EOF."""
     if frame.line_code is LineCode.EIGHTB_TENB:
-        data = [
-            int("".join(str(b) for b in frame.payload[i : i + 8]), 2)
-            for i in range(0, len(frame.payload), 8)
-        ]
-        body, _ = code8b10b.encode_bytes(data)
+        body, _ = code8b10b.encode_bytes(np.packbits(np.array(frame.payload, dtype=np.uint8)))
     else:
         body = list(frame.payload)
     return list(frame.sof) + body + list(frame.eof)
@@ -145,10 +136,11 @@ def find_frames(
         k = bisect_left(candidates, start)
         if k == len(candidates):
             continue
-        body = tuple(bitstream[start : candidates[k]])
         if line_code is LineCode.EIGHTB_TENB:
-            data, _ = code8b10b.decode_bits(body)
-            body = tuple(int(c) for byte in data for c in format(byte, "08b"))
+            data, _ = code8b10b.decode_bits(stream[start : candidates[k]])
+            body = tuple(np.unpackbits(np.frombuffer(data, dtype=np.uint8)).tolist())
+        else:
+            body = tuple(bitstream[start : candidates[k]])
         frames.append((pos, body))
     return frames
 
@@ -178,34 +170,3 @@ def simulate_covert_transfer(
         return []
     counts = simulate_counts(profile, cfg, geom, symbols, 0.0, np.random.default_rng(seed))
     return np.where(counts[0::2] < counts[1::2], 0, 1).tolist()
-
-
-def bits_to_text(bits: Sequence[int], width: int = 64) -> str:
-    """ASCII serialization: lines of 0/1 characters."""
-    chars = "".join(str(int(b)) for b in bits)
-    lines = [chars[i : i + width] for i in range(0, len(chars), width)] or [""]
-    return "\n".join(lines) + "\n"
-
-
-def bits_from_text(text: str) -> list[int]:
-    bits = []
-    for ch in text:
-        if ch in "01":
-            bits.append(int(ch))
-        elif not ch.isspace():
-            raise ValueError(f"unexpected character {ch!r} in bitstream")
-    return bits
-
-
-def frames_to_csv(frames: Iterable[tuple[int, Sequence[int]]]) -> str:
-    """CSV rows position,payload_hex (payload bits packed MSB-first)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["position", "payload_hex"])
-    for pos, payload in frames:
-        padded = list(payload) + [0] * (-len(payload) % 8)
-        data = bytes(
-            int("".join(str(b) for b in padded[i : i + 8]), 2) for i in range(0, len(padded), 8)
-        )
-        writer.writerow([pos, data.hex()])
-    return buf.getvalue()

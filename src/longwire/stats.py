@@ -7,13 +7,11 @@ Kolmogorov survival function, are computed here in pure ``math``."""
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +25,6 @@ __all__ = [
     "student_t_isf",
     "kolmogorov_sf",
     "bit_error_rate",
-    "metrics_to_csv",
 ]
 
 
@@ -284,13 +281,3 @@ def bit_error_rate(sent: Sequence[int], received: Sequence[int]) -> float:
     if len(sent) == 0:
         raise ValueError("bit streams must be non-empty")
     return np.count_nonzero(np.asarray(sent) != np.asarray(received)) / len(sent)
-
-
-def metrics_to_csv(rows: Iterable[tuple[str, float, float, float]]) -> str:
-    """CSV rows metric,mean,ci_low,ci_high."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["metric", "mean", "ci_low", "ci_high"])
-    for metric, mean, lo, hi in rows:
-        writer.writerow([metric, f"{mean:.10g}", f"{lo:.10g}", f"{hi:.10g}"])
-    return buf.getvalue()

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -60,6 +61,11 @@ class TestExhaustive:
             assert imbalance in (-2, 0, 2)
             assert rd_out == (rd if imbalance == 0 else -rd)
 
+    def test_flipping_does_not_depend_on_the_disparity(self):
+        # this is what lets the stream codec find every disparity with one scan
+        for byte in range(256):
+            assert len({encode_8b10b(byte, rd)[1] != rd for rd in (-1, +1)}) == 1
+
     def test_all_invalid_groups_detected(self):
         # decode must accept exactly the encoder's output language
         valid = valid_groups()
@@ -102,6 +108,65 @@ class TestStreams:
         with pytest.raises(ValueError):
             decode_bits([0, 1, 0])
 
+    @pytest.mark.parametrize("bad", [2, -1, 0.5], ids=["two", "minus-one", "half"])
+    def test_decode_bits_rejects_non_bits(self, bad):
+        stream, _ = encode_bytes([0x3C, 0xA5])
+        stream[13] = bad
+        with pytest.raises(ValueError):
+            decode_bits(stream)
+
+
+def chain_encode(data, rd):
+    """encode_bytes as a chain of single-group calls."""
+    out = []
+    for byte in data:
+        group, rd = encode_8b10b(byte, rd)
+        out.extend(group)
+    return out, rd
+
+
+def chain_decode(bits, rd):
+    """decode_bits as a chain of single-group calls."""
+    out = bytearray()
+    for i in range(0, len(bits), 10):
+        byte, rd = decode_8b10b(bits[i : i + 10], rd)
+        out.append(byte)
+    return bytes(out), rd
+
+
+def outcome(decode, bits, rd):
+    try:
+        return decode(bits, rd)
+    except InvalidCodeGroup as exc:
+        return type(exc), str(exc)
+
+
+class TestStreamsAgainstChain:
+    STREAMS = 300
+
+    def test_encode_and_decode_equal_the_chain(self):
+        rng = random.Random(11)
+        for _ in range(self.STREAMS):
+            data = [rng.randrange(256) for _ in range(rng.randint(0, 60))]
+            rd = rng.choice((-1, +1))
+            encoded = encode_bytes(data, rd)
+            assert encoded == chain_encode(data, rd)
+            assert decode_bits(encoded[0], rd) == chain_decode(encoded[0], rd) == (bytes(data), encoded[1])
+
+    def test_one_flipped_bit_gives_the_chain_outcome(self):
+        rng = random.Random(12)
+        errors = set()
+        for _ in range(self.STREAMS):
+            data = [rng.randrange(256) for _ in range(rng.randint(1, 60))]
+            rd = rng.choice((-1, +1))
+            bits, _ = encode_bytes(data, rd)
+            bits[rng.randrange(len(bits))] ^= 1
+            expected = outcome(chain_decode, bits, rd)
+            assert outcome(decode_bits, bits, rd) == expected
+            if expected[0] is InvalidCodeGroup:
+                errors.add(expected[1].split(": ")[1].split(" at ")[0])
+        assert errors == {"not a data character", "disparity violation"}
+
 
 class TestArguments:
     def test_rd_validation(self):
@@ -113,6 +178,11 @@ class TestArguments:
     def test_byte_range(self):
         with pytest.raises(ValueError):
             encode_8b10b(256, -1)
+        for data in ([1, 256], [-1]):
+            with pytest.raises(ValueError):
+                encode_bytes(data)
+        with pytest.raises(TypeError):
+            encode_bytes([1.5])
 
     def test_group_shape(self):
         with pytest.raises(ValueError):

@@ -236,18 +236,19 @@ class TestSimulateTrace:
 
 def replica_counts(profile, cfg, geom, stimuli, seed):
     """Stream version 2 one window at a time: three blocks drawn up front
-    (drift innovations, noise, counter phase), then a scalar window loop."""
+    (drift innovations, noise, counter phase), then a scalar window loop.
+    Returns the counts and the indices of the windows whose drift was clipped."""
     n = len(stimuli)
     rng = np.random.default_rng(seed)
     innovations = rng.normal(0.0, profile.drift_rate, n).tolist()
     noise = rng.normal(0.0, profile.noise_sigma_for(cfg.ticks_per_window), n).tolist()
     phase = rng.uniform(-1.0, 1.0, n).tolist()
-    drift, counts, clipped = 0.0, [], 0
-    for (duty, toggle), e, z, u in zip(stimuli, innovations, noise, phase):
+    drift, counts, clipped = 0.0, [], []
+    for i, ((duty, toggle), e, z, u) in enumerate(zip(stimuli, innovations, noise, phase)):
         drift = drift * (1.0 - profile.drift_reversion) + e
         if abs(drift) > profile.drift_bound:
             drift = math.copysign(profile.drift_bound, drift)
-            clipped += 1
+            clipped.append(i)
         counts.append(max(0, round(expected_count(profile, cfg, geom, duty, toggle, drift) + z + u)))
     return counts, clipped
 
@@ -274,12 +275,40 @@ class TestStreamOracle:
         geom = Geometry(v_t=2, v_r=2, coupling=coupling)
         stimuli = [stimulus_oracle(pattern, i) for i in range(300)]
         expected, clipped = replica_counts(profile, cfg13, geom, [(duty, toggle) for duty, toggle, _ in stimuli], 17)
-        assert (clipped > 0) == (profile is self.CLIPPING)
+        assert bool(clipped) == (profile is self.CLIPPING)
         trace = simulate_trace(profile, cfg13, geom, pattern, 300, seed=17)
         assert trace.counts.dtype == np.int64 and trace.duty.dtype == trace.toggle_rate.dtype == np.float64
         assert trace.counts.tolist() == expected
         assert trace.samples == tuple((i, c, *stim) for i, (c, stim) in enumerate(zip(expected, stimuli)))
         assert all(type(s.count) is int and type(s.duty) is float for s in trace.samples)
+
+    # Drift large enough to move counts by tens, so that the drift pass shows in them.
+    WANDER = {"drift_rate": 1e-4, "drift_bound": 1.0}
+
+    @pytest.mark.parametrize(
+        "overrides, windows, first_clip",
+        [
+            (WANDER, 4099, None),
+            (WANDER, 1, None),
+            (WANDER, 64, None),
+            (WANDER, 65, None),
+            ({**WANDER, "drift_reversion": 1.0}, 4099, None),
+            ({**WANDER, "drift_reversion": 0.0}, 4099, None),
+            ({"drift_rate": 1e-4, "drift_bound": 2.5e-3}, 4099, 500),
+            ({"drift_rate": 1e-4, "drift_bound": 2e-4}, 4099, 0),
+        ],
+        ids=["long", "single", "one-block", "block-and-one", "keep-0", "keep-1", "late-clip", "clipping"],
+    )
+    def test_counts_equal_replica(self, overrides, windows, first_clip, cfg13, geom22):
+        profile = DeviceProfile(**overrides)
+        stimuli = [(float(i % 2), 0.0) for i in range(windows)]
+        expected, clipped = replica_counts(profile, cfg13, geom22, stimuli, 31)
+        if first_clip is None:
+            assert not clipped
+        else:
+            assert clipped[0] >= first_clip
+        counts = simulate_counts(profile, cfg13, geom22, [d for d, _ in stimuli], 0.0, np.random.default_rng(31))
+        assert counts.tolist() == expected
 
     @pytest.mark.parametrize("repeats", [1, 4])
     @pytest.mark.parametrize("profile_name", ["default", "clipping"])

@@ -13,13 +13,10 @@ from longwire.codec import (
     DEFAULT_SOF,
     Frame,
     LineCode,
-    bits_from_text,
-    bits_to_text,
     channel_bandwidth,
     find_frames,
     frame_sync,
     frame_to_bits,
-    frames_to_csv,
     manchester_decode,
     manchester_encode,
     simulate_covert_transfer,
@@ -130,13 +127,6 @@ class TestFrames:
         with pytest.raises(ValueError):
             Frame(payload=(1,), sof=())
 
-    def test_frames_to_csv(self):
-        text = frames_to_csv([(3, (1, 0, 1, 1, 0, 0, 1, 0)), (40, (1, 1, 1, 1))])
-        lines = text.splitlines()
-        assert lines[0] == "position,payload_hex"
-        assert lines[1] == "3,b2"
-        assert lines[2] == "40,f0"
-
 
 def brute_force_frames(bitstream, sof, eof, line_code):
     """Every SOF match, paired with the first EOF at or after its payload that
@@ -209,20 +199,6 @@ class TestBandwidth:
     def test_21ms_window(self):
         cfg = MeasurementConfig(log2_ticks=21)
         assert channel_bandwidth(cfg) == pytest.approx(23.84, abs=0.01)
-
-
-class TestBitstreamText:
-    def test_round_trip(self):
-        bits = [1, 0, 1, 1, 0] * 30
-        assert bits_from_text(bits_to_text(bits)) == bits
-
-    def test_line_width(self):
-        text = bits_to_text([0] * 130, width=64)
-        assert [len(line) for line in text.splitlines()] == [64, 64, 2]
-
-    def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            bits_from_text("0102")
 
 
 class TestEndToEnd:

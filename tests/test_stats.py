@@ -21,7 +21,6 @@ from longwire.stats import (
     kolmogorov_sf,
     ks_two_sample,
     mean_ci,
-    metrics_to_csv,
     paired_delta_rc,
     student_t_isf,
 )
@@ -368,10 +367,3 @@ for argv in {SMALL_CLI_RUNS!r}:
 print(scipy_modules())
 """
     assert run_python(code).splitlines() == ["[]", "[]"]
-
-
-def test_metrics_csv_shape():
-    text = metrics_to_csv([("delta_rc", 1.6e-4, 1.5e-4, 1.7e-4)])
-    lines = text.splitlines()
-    assert lines[0] == "metric,mean,ci_low,ci_high"
-    assert lines[1].startswith("delta_rc,")
