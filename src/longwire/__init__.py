@@ -23,7 +23,6 @@ from .channel import (
     DeviceProfile,
     Geometry,
     MeasurementConfig,
-    Orientation,
     expected_count,
     expected_delta_rc,
     simulate_counts,

@@ -31,7 +31,6 @@ import functools
 import io
 import math
 from dataclasses import dataclass, field, fields
-from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -44,7 +43,6 @@ __all__ = [
     "DeviceProfile",
     "MeasurementConfig",
     "Geometry",
-    "Orientation",
     "TraceSample",
     "CountTrace",
     "as_longs",
@@ -171,13 +169,6 @@ class MeasurementConfig:
         return self.ticks_per_window / self.f_clk_hz
 
 
-class Orientation(Enum):
-    UP_UP = "up_up"
-    UP_DOWN = "up_down"
-    DOWN_UP = "down_up"
-    DOWN_DOWN = "down_down"
-
-
 def as_longs(value) -> Fraction:
     """Normalize a wire length to an exact multiple of 1/3 of a long."""
     if isinstance(value, Fraction):
@@ -207,15 +198,14 @@ class Geometry:
     """Placement of transmitter and receiver long wires.
 
     ``coupling`` selects the physical path: "long" for overlapping long
-    wires, "local" when the transmitter uses only local routing.
+    wires, "local" when the transmitter uses only local routing.  The model
+    gives the wires' relative offset, their signal directions and their
+    location on the chip no effect, so none of them is a field.
     """
 
     v_t: Fraction = Fraction(2)    # transmitter longs (thirds allowed)
     v_r: int = 2                   # receiver longs
     d: int = 1                     # track distance, 1 = adjacent
-    offset: int = 0                # relative offset o_r, in full longs
-    orientation: Orientation = Orientation.UP_UP
-    location: str = "center"
     coupling: str = "long"
 
     def __post_init__(self):
@@ -226,9 +216,6 @@ class Geometry:
             raise ValueError("v_r must be >= 1")
         if self.d < 1:
             raise ValueError("d must be >= 1")
-        max_offset = max(self.v_t, Fraction(self.v_r)) - min(math.ceil(self.v_t), self.v_r)
-        if not 0 <= self.offset <= max_offset:
-            raise ValueError(f"offset must be in [0, {max_offset}]")
         if self.coupling not in ("long", "local"):
             raise ValueError("coupling must be 'long' or 'local'")
 

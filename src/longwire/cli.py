@@ -1,14 +1,16 @@
 """Experiment runner: every study is a subcommand emitting deterministic CSV.
 
 Identical argv (and seed) produce byte-identical output; plotting is
-left to external tooling.  Exit codes: 0 success, 1 domain error,
-2 usage error.
+left to external tooling; ``reproduce DIR`` writes every study's CSV.
+Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
+import shlex
 import sys
 
 import numpy as np
@@ -30,6 +32,24 @@ from .patterns import DYNAMIC4_CODES, PatternSpec, parse_pattern
 
 DEFAULT_LOG2_TICKS = 21
 
+# `reproduce DIR` runs, in order: (CSV under DIR, argv), the pairs of bench/spec.py
+# CLI_RUNS.  The audit run names its grid relative to the checkout.
+REPRODUCE_RUNS = (
+    ("trace_alternating.csv", "simulate --pattern alternating --n 21 --vt 5 --vr 5 --windows 2048 --seed 1"),
+    ("trace_patterns_lfsr.csv", "simulate --pattern lfsr --n 21 --vt 5 --vr 5 --windows 2048 --seed 2"),
+    ("scaling_time.csv", "scaling-time --n-list 13,15,17,19,21 --windows 2048 --vt 5 --vr 5 --seed 3"),
+    ("scaling_length.csv", "scaling-length --n 21 --windows 1024 --seed 4"),
+    ("distance.csv", "distance --n 21 --d-list 1,2,3,4 --windows 2048 --seed 5"),
+    ("dynamic_long.csv", "dynamic --path long --n 21 --windows 2048 --seed 6"),
+    ("dynamic_local.csv", "dynamic --path local --n 21 --windows 2048 --seed 6"),
+    ("ber.csv", "ber --n-list 11,12,13,14,15 --bits 10000 --seed 7"),
+    ("bandwidth.csv", "bandwidth --n-list 13,15,17,19,21"),
+    ("exfil_demo.csv", "exfil --key 0xDEADBEEFCAFEBABE --w 10"),
+    ("prob_n64.csv", "prob --n 64 --w-list 4,6,8,10,12,14,16 --trials 20000 --seed 8"),
+    ("prob_n264.csv", "prob --n 264 --w-list 10,20,30,40 --trials 2000 --seed 9"),
+    ("audit_exposures.csv", "audit --grid docs/sample_grid.txt"),
+)
+
 
 def _positive_int(text: str) -> int:
     value = int(text)
@@ -42,12 +62,12 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
-def _add_channel_args(sub, vt_default="2", vr_default=2, d_default=1):
+def _add_channel_args(sub):
     sub.add_argument("--profile", help="device profile file (key = value format)")
     sub.add_argument("--n", type=int, help=f"log2 clock ticks per window (default {DEFAULT_LOG2_TICKS})")
-    sub.add_argument("--vt", default=vt_default, help="transmitter longs; thirds allowed, e.g. 1/3")
-    sub.add_argument("--vr", type=_positive_int, default=vr_default, help="receiver longs")
-    sub.add_argument("--d", type=_positive_int, default=d_default, help="track distance, 1 = adjacent")
+    sub.add_argument("--vt", default="2", help="transmitter longs; thirds allowed, e.g. 1/3")
+    sub.add_argument("--vr", type=_positive_int, default=2, help="receiver longs")
+    sub.add_argument("--d", type=_positive_int, default=1, help="track distance, 1 = adjacent")
 
 
 def _load_setup(args) -> tuple[DeviceProfile, MeasurementConfig, Geometry]:
@@ -57,18 +77,14 @@ def _load_setup(args) -> tuple[DeviceProfile, MeasurementConfig, Geometry]:
     else:
         profile = DeviceProfile()
         cfg = MeasurementConfig(log2_ticks=DEFAULT_LOG2_TICKS)
-    n = getattr(args, "n", None)
-    if n is not None:
-        cfg = MeasurementConfig(log2_ticks=n, f_clk_hz=cfg.f_clk_hz)
+    if args.n is not None:
+        cfg = MeasurementConfig(log2_ticks=args.n, f_clk_hz=cfg.f_clk_hz)
     geom = Geometry(v_t=args.vt, v_r=args.vr, d=args.d)
     return profile, cfg, geom
 
 
 def _csv_lines(header: list[str], rows: list[list]) -> str:
-    out = [",".join(header)]
-    for row in rows:
-        out.append(",".join(str(x) for x in row))
-    return "\n".join(out) + "\n"
+    return "".join(",".join(str(x) for x in row) + "\n" for row in [header, *rows])
 
 
 def _alternating_stats(profile, cfg, geom, windows, seed):
@@ -248,6 +264,14 @@ def cmd_audit(args) -> str:
     return "\n".join(lines) + "\n" + body
 
 
+def cmd_reproduce(args) -> str:
+    os.makedirs(args.dir, exist_ok=True)
+    for name, argv in REPRODUCE_RUNS:
+        if main(["--out", os.path.join(args.dir, name), *shlex.split(argv)]) != 0:
+            raise LongwireError(f"{name}: `longwire {argv}` failed")
+    return f"wrote {args.dir}/\n"
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; it is not changed after."""
@@ -297,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dynamic)
 
     p = sub.add_parser("ber", help="covert-channel accuracy vs window length")
-    _add_channel_args(p, vt_default="2", vr_default=2)
+    _add_channel_args(p)
     p.add_argument("--n-list", type=_int_list, default=[13])
     p.add_argument("--bits", type=_positive_int, default=10000)
     p.add_argument("--seed", type=int, required=True)
@@ -333,12 +357,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fill", choices=["unoccupied", "random_signal"], default="unoccupied")
     p.set_defaults(func=cmd_audit)
 
+    p = sub.add_parser("reproduce", help="write every committed out/ CSV into DIR")
+    p.add_argument("dir", metavar="DIR", help="directory for the CSVs; created if missing")
+    p.set_defaults(func=cmd_reproduce)
+
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         text = args.func(args)
     except (LongwireError, ValueError, OSError) as exc:

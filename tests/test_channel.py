@@ -8,7 +8,6 @@ from longwire import (
     DeviceProfile,
     Geometry,
     MeasurementConfig,
-    Orientation,
     expected_count,
     expected_delta_rc,
     simulate_counts,
@@ -68,17 +67,6 @@ class TestExpectedDeltaRC:
         below = [drc(profile, v_t=6, v_r=vr) for vr in range(1, 7)]
         assert all(a < b for a, b in zip(below, below[1:]))
 
-    def test_geometry_metadata_is_irrelevant(self, profile):
-        base = drc(profile, v_t=5, v_r=2)
-        for offset in (0, 1, 2, 3):
-            for orientation in Orientation:
-                for location in ("center", "top_left", "bottom_right"):
-                    geom = Geometry(
-                        v_t=5, v_r=2, d=1,
-                        offset=offset, orientation=orientation, location=location,
-                    )
-                    assert expected_delta_rc(profile, geom) == base
-
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError):
             Geometry(v_t=2, v_r=0)
@@ -89,14 +77,6 @@ class TestExpectedDeltaRC:
 
 
 class TestGeometry:
-    def test_offset_bounds(self):
-        # max offset = max(v_t, v_r) - min(ceil(v_t), v_r)
-        Geometry(v_t=5, v_r=2, offset=3)
-        with pytest.raises(ValueError):
-            Geometry(v_t=5, v_r=2, offset=4)
-        with pytest.raises(ValueError):
-            Geometry(v_t=2, v_r=2, offset=1)
-
     def test_lengths_snap_to_thirds(self):
         assert Geometry(v_t="1/3", v_r=1).v_t == Fraction(1, 3)
         assert Geometry(v_t=Fraction(4, 3), v_r=2).v_t == Fraction(4, 3)

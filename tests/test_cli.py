@@ -1,11 +1,9 @@
 import ast
 import math
-import re
-import shlex
 
 import pytest
 
-from longwire.cli import main
+from longwire.cli import REPRODUCE_RUNS, main
 from conftest import DOCS_DIR
 
 GRID = str(DOCS_DIR / "sample_grid.txt")
@@ -237,19 +235,6 @@ class TestSubcommandOutputs:
             assert "," in header and not any(ch.isdigit() for ch in header.split(",")[0])
 
 
-def makefile_reproduce_runs():
-    """(CSV name, argv) of every CLI line in the Makefile's `reproduce` recipe, in order."""
-    text = (DOCS_DIR.parent / "Makefile").read_text()
-    recipe = text.split("\nreproduce:\n", 1)[1].split("\n\n", 1)[0]
-    runs = []
-    for line in recipe.splitlines():
-        if "longwire.cli" in line:
-            match = re.fullmatch(r"\t\$\(PYTHON\) -m longwire\.cli --out \$\(OUT\)/(\S+) (.+)", line)
-            assert match, line
-            runs.append(match.groups())
-    return runs
-
-
 def bench_cli_runs():
     """bench/spec.py's CLI_RUNS, read as a literal: the module imports the harness."""
     tree = ast.parse((DOCS_DIR.parent / "bench" / "spec.py").read_text())
@@ -259,16 +244,34 @@ def bench_cli_runs():
     raise AssertionError("bench/spec.py defines no CLI_RUNS")
 
 
-def test_makefile_reproduce_matches_bench_cli_runs():
-    """The benchmark times and checks the Makefile's runs against out/, so the two lists must agree."""
-    runs = makefile_reproduce_runs()
-    assert runs and runs == list(bench_cli_runs().values())
+def test_reproduce_runs_match_bench_cli_runs():
+    """The benchmark times and checks the reproduce runs against out/, so the two tables must agree."""
+    assert REPRODUCE_RUNS and list(REPRODUCE_RUNS) == list(bench_cli_runs().values())
 
 
-@pytest.mark.parametrize("name, args", [pytest.param(*run, id=run[0]) for run in makefile_reproduce_runs()])
-def test_reproduce_matches_committed_out(monkeypatch, tmp_path, name, args):
-    """Each Makefile `reproduce` run, in-process, writes its committed out/ file byte for byte."""
-    monkeypatch.chdir(REPO)  # the audit run names its grid relative to the checkout
-    target = tmp_path / name
-    assert main(["--out", str(target), *shlex.split(args)]) == 0
-    assert target.read_bytes() == (REPO / "out" / name).read_bytes()
+@pytest.fixture(scope="module")
+def reproduced(tmp_path_factory):
+    """The directory one in-process `reproduce` run wrote, run from the checkout."""
+    target = tmp_path_factory.mktemp("reproduce")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(REPO)  # the audit run names its grid relative to the checkout
+        assert main(["reproduce", str(target)]) == 0
+    return target
+
+
+def test_reproduce_writes_exactly_out(reproduced):
+    assert sorted(p.name for p in reproduced.iterdir()) == sorted(p.name for p in (REPO / "out").iterdir())
+
+
+@pytest.mark.parametrize("name", [name for name, _ in REPRODUCE_RUNS])
+def test_reproduce_matches_committed_out(reproduced, name):
+    """Each reproduce run writes its committed out/ file byte for byte."""
+    assert (reproduced / name).read_bytes() == (REPO / "out" / name).read_bytes()
+
+
+def test_reproduce_failure_names_the_csv(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # no docs/sample_grid.txt here, so the audit run fails
+    code, out, err = run(capsys, "reproduce", str(tmp_path / "csv"))
+    assert code == 1
+    assert out == ""
+    assert any(line.startswith("error:") and "audit_exposures.csv" in line for line in err.splitlines())
