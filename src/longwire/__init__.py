@@ -48,7 +48,6 @@ from .exfil import (
     ExfilChannel,
     KeyBits,
     RecoveryResult,
-    Relation,
     RelationSet,
     infer_relations,
     monte_carlo_recovery_rate,

@@ -255,6 +255,8 @@ class CountTrace:
             raise ValueError("window indices must be strictly increasing")
         if not ((self.duty >= 0.0) & (self.duty <= 1.0)).all():
             raise ValueError("duty must be in [0, 1]")
+        if not ((self.toggle_rate >= 0.0) & (self.toggle_rate < np.inf)).all():
+            raise ValueError("toggle_rate must be finite and >= 0")
         if (self.counts < 0).any():
             raise ValueError("counts must be >= 0")
 
@@ -308,8 +310,8 @@ def expected_count(
     """Noise-free mean of the window count."""
     if not 0.0 <= duty <= 1.0:
         raise ValueError("duty must be in [0, 1]")
-    if toggle_rate < 0.0:
-        raise ValueError("toggle_rate must be >= 0")
+    if not 0.0 <= toggle_rate < math.inf:
+        raise ValueError("toggle_rate must be finite and >= 0")
     return _mean_count(profile, cfg, geom, duty, toggle_rate, drift_state)
 
 
@@ -398,8 +400,8 @@ def simulate_counts(
         raise ValueError("duty and toggle_rate must be one value per window")
     if not ((duty >= 0.0) & (duty <= 1.0)).all():
         raise ValueError("duty must be in [0, 1]")
-    if (toggle < 0.0).any():
-        raise ValueError("toggle_rate must be >= 0")
+    if not ((toggle >= 0.0) & (toggle < np.inf)).all():
+        raise ValueError("toggle_rate must be finite and >= 0")
     n = len(duty)
     innovations = rng.normal(0.0, profile.drift_rate, n)
     noise = rng.normal(0.0, profile.noise_sigma_for(cfg.ticks_per_window), n)

@@ -1,5 +1,10 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "LongwireError", "InvalidCodeGroup", "InconsistentMeasurements", "GridError", "GridSyntaxError",
+    "CapacityError", "DuplicateOccupancy", "GuardBlocked",
+]
+
 
 class LongwireError(Exception):
     """Base class for domain errors raised by this package."""

@@ -9,9 +9,10 @@ every residue class mod w that contains two different bits; repeating
 the pass with width w+1 links the classes together and recovers every
 key except the two constant ones.
 
-Relations are int bit masks, bit j of a width's equal, drop and rise masks
-for relation j: noise-free a closed form of the key int (bit i is K_i), noisy
-one count classifier's output, closed over the equal links by doubling shifts.
+A width's relations are one ``RelationSet`` of int bit masks, bit j of its
+equal, drop and rise masks for relation j: noise-free a closed form of the key
+int (bit i is K_i), noisy the count classifier's output, closed over the equal
+links by doubling shifts.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
-from enum import IntEnum
 from fractions import Fraction
 from itertools import compress
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .errors import InconsistentMeasurements
 
 __all__ = [
     "KeyBits",
-    "Relation",
     "RelationSet",
     "RecoveryResult",
     "ExfilChannel",
@@ -94,8 +93,6 @@ class KeyBits:
 
 _BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
 _DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
-# Relation code -> b"1" where the relation is equal / a drop (K_j = 1) / a rise (K_j = 0), else b"0"
-_RELATION_DIGITS = [bytes.maketrans(b"\0\1\2", digits) for digits in (b"100", b"010", b"001")]
 
 
 def _mask_bits(mask: int, n: int) -> bytes:
@@ -123,25 +120,14 @@ def _as_key(key) -> KeyBits:
     return key if isinstance(key, KeyBits) else KeyBits(tuple(int(b) for b in key))
 
 
-class Relation(IntEnum):
-    EQUAL = 0
-    FIRST_ONE_SECOND_ZERO = 1
-    FIRST_ZERO_SECOND_ONE = 2
+class RelationSet(NamedTuple):
+    """Relation j of width w is K_j against K_{j+w}, for every j in [0, N-w): bit j
+    is set in ``equal`` (K_j = K_{j+w}), ``drop`` (K_j = 1, K_{j+w} = 0) or ``rise``."""
 
-
-@dataclass(frozen=True)
-class RelationSet:
-    """Relation between K_j and K_{j+w} for every j in [0, N-w)."""
-
-    relations: tuple[Relation, ...]
+    equal: int
+    drop: int
+    rise: int
     w: int
-
-    def __post_init__(self):
-        if self.w < 1:
-            raise ValueError("window width must be >= 1")
-        if not set(map(type, self.relations)) <= {Relation}:
-            bad = next(i for i, rel in enumerate(self.relations) if type(rel) is not Relation)
-            raise ValueError(f"relation {bad} is not a Relation member")
 
 
 @dataclass
@@ -245,24 +231,18 @@ def measure_windows_noisy(key, w: int, chan: ExfilChannel) -> list[float]:
     return _noisy_counts(key, w, chan).tolist()
 
 
-def _count_masks(counts: np.ndarray, w: int, tolerance: float) -> tuple[int, int, int, int]:
-    """(equal, drop, rise, w) masks of float64 counts: j, j+1 within tolerance are equal, else j higher is a drop."""
+def infer_relations(counts: Sequence[float], w: int, tolerance: float) -> RelationSet:
+    """Classify consecutive count differences: j, j+1 within tolerance are equal, else j higher is a drop."""
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.ndim != 1 or not len(counts):
+        raise ValueError("need a one-dimensional sequence of at least 1 window measurement")
     if not tolerance >= 0:
         raise ValueError("tolerance must be >= 0")
     if not np.isfinite(counts).all():
         raise ValueError(f"count {np.flatnonzero(~np.isfinite(counts))[0]} is not finite")
     step, cut = counts[1:] - counts[:-1], (1 << (len(counts) - 1)) - 1  # drop: step < -tolerance; rise: > tolerance
     both = int.from_bytes(np.packbits((step < -tolerance, step > tolerance), bitorder="little"), "little")
-    return cut & ~(both | both >> len(step)), both & cut, both >> len(step), w  # rises sit above the drop bits
-
-
-def infer_relations(counts: Sequence[float], w: int, tolerance: float) -> RelationSet:
-    """Classify consecutive count differences into bit relations."""
-    if len(counts) < 2:
-        raise ValueError("need at least 2 window measurements")
-    _, drop, rise, _ = _count_masks(np.asarray(counts, dtype=np.float64), w, tolerance)
-    m, members = len(counts) - 1, tuple(Relation)
-    return RelationSet(tuple(members[d + 2 * r] for d, r in zip(_mask_bits(drop, m), _mask_bits(rise, m))), w)
+    return RelationSet(cut & ~(both | both >> len(step)), both & cut, both >> len(step), w)  # rises sit above drops
 
 
 def _close(mask: int, links: list[list[tuple[int, int]]]) -> int:
@@ -288,27 +268,21 @@ def propagate(relations: RelationSet | Sequence[RelationSet], n_key: int) -> Rec
     component.  A component pinned to both values raises, naming its lowest
     such bit; one without pins is reported as an all-equal unresolved class.
     A width-w set costs n_key - w + 1 measurements in w runs: windows whose
-    starts agree mod w never overlap, so each residue is one run.
+    starts agree mod w never overlap, so each residue is one run.  A set
+    whose w is outside [1, n_key], or whose masks do not partition relations
+    0..n_key-w-1, raises ValueError.
     """
     sets = (relations,) if isinstance(relations, RelationSet) else tuple(relations)
     if not sets:
         raise ValueError("need at least one relation set")
-    masks = []
-    for rels in sets:
-        if n_key < rels.w:
-            raise ValueError("n_key must be >= w")
-        if len(rels.relations) != n_key - rels.w:
-            raise ValueError(f"expected {n_key - rels.w} relations, got {len(rels.relations)}")
-        codes = bytes(rels.relations)[::-1]  # relation j at bit j
-        masks.append((*[int(codes.translate(digits) or b"0", 2) for digits in _RELATION_DIGITS], rels.w))
-    return _solve(masks, n_key)
-
-
-def _solve(masks: Sequence[tuple[int, int, int, int]], n_key: int) -> RecoveryResult:
-    """propagate on (equal, drop, rise, w) masks, bit j of each standing for relation j."""
     ones = zeros = 0
     links = []
-    for equal, drop, rise, w in masks:
+    for equal, drop, rise, w in sets:
+        if not 1 <= w <= n_key:
+            raise ValueError(f"window width {w} must be in [1, n_key = {n_key}]")
+        cut = (1 << (n_key - w)) - 1
+        if equal | drop | rise != cut or equal + drop + rise != cut:
+            raise ValueError(f"width {w}: equal, drop and rise must partition bits 0..{n_key - w - 1}")
         ones |= drop | rise << w
         zeros |= rise | drop << w
         links.append(steps := [])
@@ -329,17 +303,17 @@ def _solve(masks: Sequence[tuple[int, int, int, int]], n_key: int) -> RecoveryRe
         n_key=n_key,
         known=dict(compress(enumerate(_mask_bits(ones, n_key)), _mask_bits(ones | zeros, n_key))),
         unresolved_classes=tuple(classes),
-        runs_used=sum(w for *_, w in masks),
-        measurements_used=sum(n_key - w + 1 for *_, w in masks),
+        runs_used=sum(w for *_, w in sets),
+        measurements_used=sum(n_key - w + 1 for *_, w in sets),
     )
 
 
-def _key_masks(key: int, n: int, w: int) -> tuple[int, int, int, int]:
-    """Noise-free (equal, drop, rise, w) masks of the n-bit key int: relation j is K_j against K_{j+w}."""
+def _key_masks(key: int, n: int, w: int) -> RelationSet:
+    """Noise-free relations of the n-bit key int: relation j is K_j against K_{j+w}."""
     if not 1 <= w <= n:
         raise ValueError("window width must be in [1, key length]")
     later, cut = key >> w, (1 << (n - w)) - 1
-    return ~(key ^ later) & cut, key & ~later & cut, ~key & later & cut, w
+    return RelationSet(~(key ^ later) & cut, key & ~later & cut, ~key & later & cut, w)
 
 
 def single_window_recover(key, w: int, noise: ExfilChannel | None = None) -> RecoveryResult:
@@ -349,8 +323,8 @@ def single_window_recover(key, w: int, noise: ExfilChannel | None = None) -> Rec
     if n < 2 * w - 1:
         raise ValueError("key length must be >= 2w - 1")
     if noise is None:
-        return _solve([_key_masks(key.to_int(), n, w)], n)
-    return _solve([_count_masks(_noisy_counts(key, w, noise), w, noise_tolerance(noise, w))], n)
+        return propagate(_key_masks(key.to_int(), n, w), n)
+    return propagate(infer_relations(_noisy_counts(key, w, noise), w, noise_tolerance(noise, w)), n)
 
 
 def noisy_outcome(key, w: int, chan: ExfilChannel) -> tuple[str, RecoveryResult | None]:
@@ -383,7 +357,7 @@ def multi_window_recover(key, w: int) -> RecoveryResult:
     n, value = len(key), key.to_int()
     if n < 2 * w + 1:
         raise ValueError("key length must be >= 2w + 1")
-    return _solve([_key_masks(value, n, width) for width in (w, w + 1)], n)
+    return propagate([_key_masks(value, n, width) for width in (w, w + 1)], n)
 
 
 def _split_key_length(n_key: int, w: int) -> tuple[int, int]:
@@ -400,8 +374,7 @@ def recovery_probability(n_key: int, w: int) -> float:
     With n_key = nq*w + m: classes of size nq+1 resolve unless all nq+1
     bits agree, so P = (1 - 2^-nq)^m * (1 - 2^(1-nq))^(w-m).
     """
-    nq, m = _split_key_length(n_key, w)
-    return (1.0 - 2.0 ** -nq) ** m * (1.0 - 2.0 ** (1 - nq)) ** (w - m)
+    return float(recovery_probability_exact(n_key, w))
 
 
 def recovery_probability_exact(n_key: int, w: int) -> Fraction:

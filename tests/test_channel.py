@@ -313,6 +313,18 @@ class TestStreamOracle:
             simulate_counts(profile, cfg13, geom22, [0.5, 0.5], [0.0, -0.25], rng)
 
 
+@pytest.mark.parametrize("toggle", [math.nan, math.inf, -0.1])
+@pytest.mark.parametrize("entry", ["simulate_counts", "expected_count", "trace_from_csv"])
+def test_toggle_rate_must_be_finite_and_non_negative(entry, toggle, profile, cfg13, geom22):
+    with pytest.raises(ValueError, match="toggle_rate"):
+        if entry == "simulate_counts":
+            simulate_counts(profile, cfg13, geom22, [0.5, 0.5], [toggle, 0.0], np.random.default_rng(0))
+        elif entry == "expected_count":
+            expected_count(profile, cfg13, geom22, 0.5, toggle)
+        else:
+            trace_from_csv(f"window,count,duty,toggle_rate,tx_bit\n0,10,0.5,0,1\n1,10,0.5,{toggle},1\n")
+
+
 class TestTraceCSV:
     def test_round_trip(self, profile, cfg13, geom22):
         trace = simulate_trace(profile, cfg13, geom22, PatternSpec.alternating(), 8, seed=2)

@@ -216,6 +216,12 @@ class TestSubcommandOutputs:
             values = "".join(row.split(",")[1] for row in rows)
             assert (values == key) == (outcome == "correct")
 
+    def test_exfil_noisy_one_bit_key_is_unresolved(self, capsys):
+        # one window gives no relation, so the lone bit stays an unresolved class
+        code, out, _ = run(capsys, "exfil", "--key", "0b1", "--w", "1", "--noisy")
+        assert code == 0
+        assert "# outcome=unresolved" in out.splitlines()
+
     def test_every_csv_subcommand_emits_header(self, capsys):
         cases = [
             ["simulate", "--windows", "2", "--seed", "1"],

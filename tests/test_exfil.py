@@ -13,7 +13,6 @@ from longwire.exfil import (
     ExfilChannel,
     KeyBits,
     RecoveryResult,
-    Relation,
     RelationSet,
     eq2_lower_bound,
     exhaustive_success_fraction,
@@ -119,31 +118,37 @@ class TestWindowOracle:
 
 
 class TestInferRelations:
+    """Results are RelationSet(equal, drop, rise, w), bit j of a mask standing for relation j."""
+
     def test_equal_within_tolerance(self):
-        rels = infer_relations([5, 5], 3, 0.4)
-        assert rels.relations == (Relation.EQUAL,)
+        assert infer_relations([5, 5], 3, 0.4) == RelationSet(1, 0, 0, 3)
 
     def test_drop_means_first_one(self):
-        rels = infer_relations([6, 5], 3, 0.4)
-        assert rels.relations == (Relation.FIRST_ONE_SECOND_ZERO,)
+        assert infer_relations([6, 5], 3, 0.4) == RelationSet(0, 1, 0, 3)
 
     def test_rise_means_first_zero(self):
-        rels = infer_relations([5.0, 6.2], 3, 0.4)
-        assert rels.relations == (Relation.FIRST_ZERO_SECOND_ONE,)
+        assert infer_relations([5.0, 6.2], 3, 0.4) == RelationSet(0, 0, 1, 3)
 
     def test_difference_at_the_tolerance_is_equal(self):
-        equal, drop, rise = Relation.EQUAL, Relation.FIRST_ONE_SECOND_ZERO, Relation.FIRST_ZERO_SECOND_ONE
-        assert infer_relations([5.0, 6.0, 5.0, 5.0, 7.5, 6.0], 3, 1.0).relations == (equal, equal, equal, rise, drop)
-        assert infer_relations([2.0, 2.0], 1, 0.0).relations == (equal,)
+        # relations 0-2 equal, 3 a rise, 4 a drop
+        assert infer_relations([5.0, 6.0, 5.0, 5.0, 7.5, 6.0], 3, 1.0) == RelationSet(0b00111, 0b10000, 0b01000, 3)
+        assert infer_relations([2.0, 2.0], 1, 0.0) == RelationSet(1, 0, 0, 1)
 
     def test_exact_oracle_key_1010(self):
         counts = measure_windows(KeyBits.from_binary("1010"), 2)
-        rels = infer_relations(counts, 2, 0.5)
-        assert rels.relations == (Relation.EQUAL, Relation.EQUAL)
+        assert infer_relations(counts, 2, 0.5) == RelationSet(0b11, 0, 0, 2)
 
-    def test_needs_two_measurements(self):
+    def test_one_measurement_gives_no_relations(self):
+        assert infer_relations([5], 3, 0.4) == RelationSet(0, 0, 0, 3)
+
+    def test_needs_a_measurement(self):
         with pytest.raises(ValueError):
-            infer_relations([5], 3, 0.4)
+            infer_relations([], 3, 0.4)
+
+    @pytest.mark.parametrize("counts", [[[1.0, 2.0], [3.0, 9.0]], 5.0], ids=["two-dimensional", "scalar"])
+    def test_counts_must_be_one_dimensional(self, counts):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            infer_relations(counts, 1, 0.5)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_count_named(self, bad):
@@ -184,60 +189,47 @@ class TestPropagate:
             assert len({p % 3 for p in cls}) == 1
 
     def test_contradiction_raises(self):
-        rels = RelationSet(
-            (
-                Relation.FIRST_ONE_SECOND_ZERO,
-                Relation.EQUAL,
-                Relation.FIRST_ONE_SECOND_ZERO,
-                Relation.EQUAL,
-            ),
-            2,
-        )
+        # relations 0 and 2 drops, 1 and 3 equal: K_0 = 1 = K_4 and K_2 = 0 = K_4
         with pytest.raises(InconsistentMeasurements):
-            propagate(rels, 6)
+            propagate(RelationSet(0b1010, 0b0101, 0, 2), 6)
 
-    def test_relation_count_must_match(self):
-        for relations in (
-            RelationSet((Relation.EQUAL,), 2),
-            [RelationSet((Relation.EQUAL,) * 3, 2), RelationSet((Relation.EQUAL,), 3)],
-            [],
-        ):
-            with pytest.raises(ValueError):
-                propagate(relations, 5)
+    @pytest.mark.parametrize(
+        "relations, match",
+        [
+            (RelationSet(0b111, 0b001, 0, 2), "partition"),
+            (RelationSet(0b011, 0, 0, 2), "partition"),
+            (RelationSet(0b1111, 0, 0, 2), "partition"),
+            (RelationSet(0b111, 0b1000, 0, 2), "partition"),
+            (RelationSet(0b1111, -0b1000, 0, 2), "partition"),  # the masks still sum to 0b111
+            ([RelationSet(0b111, 0, 0, 2), RelationSet(0b1, 0, 0, 3)], "partition"),
+            (RelationSet(0b11111, 0, 0, 0), "window width"),
+            (RelationSet(0, 0, 0, 6), "window width"),
+            ([], "at least one"),
+        ],
+        ids=[
+            "overlapping", "in-no-mask", "equal-bit-above", "drop-bit-above", "negative",
+            "second-set", "w-zero", "w-above-n", "no-sets",
+        ],
+    )
+    def test_rejects_sets_that_do_not_fit_the_key(self, relations, match):
+        with pytest.raises(ValueError, match=match):
+            propagate(relations, 5)
 
     def test_partition_is_validated(self):
         with pytest.raises(ValueError):
             RecoveryResult(4, {0: 1}, ((1, 2),), 1, 1)
 
 
-class TestRelationSet:
-    def test_codes_pack_into_bytes(self):
-        rels = RelationSet((Relation.EQUAL, Relation.FIRST_ONE_SECOND_ZERO, Relation.FIRST_ZERO_SECOND_ONE), 1)
-        assert bytes(rels.relations) == b"\x00\x01\x02"
-
-    @pytest.mark.parametrize(
-        "relations, index",
-        [
-            (("x",), 0),
-            ((Relation.EQUAL, 1), 1),  # a plain int equal to a member's value is still no member
-            ((Relation.EQUAL, Relation.EQUAL, None, "equal"), 2),
-        ],
-    )
-    def test_rejects_items_that_are_not_members(self, relations, index):
-        with pytest.raises(ValueError, match=f"relation {index} is not a Relation member"):
-            RelationSet(relations, 2)
-
-
 def satisfying_keys(sets, n):
     """Independent oracle: every n-bit key meeting all relations, one row each."""
     keys = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
     ok = np.ones(len(keys), dtype=bool)
-    for rels in sets:
-        for j, rel in enumerate(rels.relations):
-            a, b = keys[:, j], keys[:, j + rels.w]
-            if rel is Relation.EQUAL:
+    for equal, drop, rise, w in sets:
+        for j in range(n - w):
+            a, b = keys[:, j], keys[:, j + w]
+            if equal >> j & 1:
                 ok &= a == b
-            elif rel is Relation.FIRST_ONE_SECOND_ZERO:
+            elif drop >> j & 1:
                 ok &= (a == 1) & (b == 0)
             else:
                 ok &= (a == 0) & (b == 1)
@@ -245,11 +237,12 @@ def satisfying_keys(sets, n):
 
 
 def random_relations(rng, n, w, p_equal=None):
+    """Each relation j set in one mask: equal with chance p_equal, else a drop or a rise."""
     p_equal = rng.random() if p_equal is None else p_equal
-    inequalities = [Relation.FIRST_ONE_SECOND_ZERO, Relation.FIRST_ZERO_SECOND_ONE]
-    return RelationSet(
-        tuple(Relation.EQUAL if rng.random() < p_equal else rng.choice(inequalities) for _ in range(n - w)), w
-    )
+    masks = [0, 0, 0]  # equal, drop, rise
+    for j in range(n - w):
+        masks[0 if rng.random() < p_equal else rng.choice((1, 2))] |= 1 << j
+    return RelationSet(*masks, w)
 
 
 class TestPropagateOracle:
@@ -302,13 +295,13 @@ def union_find_oracle(sets, n):
         return a
 
     pinned = []
-    for rels in sets:
-        for j, rel in enumerate(rels.relations):
-            if rel is Relation.EQUAL:
-                parent[find(j)] = find(j + rels.w)
+    for equal, drop, _, w in sets:
+        for j in range(n - w):
+            if equal >> j & 1:
+                parent[find(j)] = find(j + w)
             else:
-                first = int(rel is Relation.FIRST_ONE_SECOND_ZERO)
-                pinned += [(j, first), (j + rels.w, 1 - first)]
+                first = drop >> j & 1
+                pinned += [(j, first), (j + w, 1 - first)]
     pins: dict[int, set[int]] = {}
     for pos, value in pinned:
         pins.setdefault(find(pos), set()).add(value)
@@ -319,9 +312,11 @@ def union_find_oracle(sets, n):
 
 
 def true_relations(key, w):
-    codes = {(0, 0): Relation.EQUAL, (1, 1): Relation.EQUAL, (1, 0): Relation.FIRST_ONE_SECOND_ZERO,
-             (0, 1): Relation.FIRST_ZERO_SECOND_ONE}
-    return RelationSet(tuple(codes[key[j], key[j + w]] for j in range(len(key) - w)), w)
+    """The key's own relations at width w, one bit pair at a time."""
+    masks = [0, 0, 0]  # equal, drop, rise
+    for j in range(len(key) - w):
+        masks[0 if key[j] == key[j + w] else 1 if key[j] else 2] |= 1 << j
+    return RelationSet(*masks, w)
 
 
 class TestPropagateUnionFindOracle:
@@ -540,6 +535,11 @@ class TestRecoveryProbability:
             recovery_probability(8, 5)
         with pytest.raises(ValueError):
             recovery_probability(8, 0)
+
+    def test_float_is_the_exact_value_rounded(self):
+        for n in range(1, 300, 3):
+            for w in range(1, (n + 1) // 2 + 1):
+                assert recovery_probability(n, w) == float(recovery_probability_exact(n, w)), (n, w)
 
     def test_exhaustive_equivalence_smallish(self):
         for n in range(1, 13):
