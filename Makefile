@@ -3,7 +3,7 @@ OUT ?= out
 # Run from the checkout without installing the package.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test acceptance bench reproduce check-reproduce clean
+.PHONY: install test acceptance bench reproduce check-reproduce check clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -25,6 +25,9 @@ reproduce:
 check-reproduce:
 	tmp=$$(mktemp -d) && $(PYTHON) -m longwire.cli reproduce $$tmp && diff -r $$tmp out; \
 	status=$$?; rm -rf $$tmp; exit $$status
+
+# The two gates a change must pass: the test suite, then the out/ comparison.
+check: test check-reproduce
 
 clean:
 	rm -rf build src/*.egg-info

@@ -12,6 +12,7 @@ import functools
 import os
 import shlex
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .channel import (
     simulate_trace,
     trace_to_csv,
 )
-from .config import load_measurement, load_profile
+from .config import load_setup
 from .errors import LongwireError
 from .patterns import DYNAMIC4_CODES, PatternSpec, parse_pattern
 
@@ -58,29 +59,41 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _str_list(text: str) -> list[str]:
+    items = [x for x in text.split(",") if x.strip()]
+    if not items:
+        raise argparse.ArgumentTypeError(f"{text!r} lists no values")
+    return items
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+    return [int(x) for x in _str_list(text)]
 
 
-def _add_channel_args(sub):
+# The channel options; a study registers the ones it reads, not the ones it sweeps.
+_CHANNEL_OPTIONS = {
+    "--n": dict(type=int, help=f"log2 clock ticks per window (default {DEFAULT_LOG2_TICKS})"),
+    "--vt": dict(default="2", help="transmitter longs; thirds allowed, e.g. 1/3"),
+    "--vr": dict(type=_positive_int, default=2, help="receiver longs"),
+    "--d": dict(type=_positive_int, default=1, help="track distance, 1 = adjacent"),
+    "--path": dict(choices=["long", "local"], default="long",
+                   help="long-wire overlap, or local routing only"),
+}
+
+
+def _add_channel_args(sub, *options):
     sub.add_argument("--profile", help="device profile file (key = value format)")
-    sub.add_argument("--n", type=int, help=f"log2 clock ticks per window (default {DEFAULT_LOG2_TICKS})")
-    sub.add_argument("--vt", default="2", help="transmitter longs; thirds allowed, e.g. 1/3")
-    sub.add_argument("--vr", type=_positive_int, default=2, help="receiver longs")
-    sub.add_argument("--d", type=_positive_int, default=1, help="track distance, 1 = adjacent")
+    for option in options:
+        sub.add_argument(option, **_CHANNEL_OPTIONS[option])
 
 
-def _load_setup(args) -> tuple[DeviceProfile, MeasurementConfig, Geometry]:
-    if args.profile:
-        profile = load_profile(args.profile)
-        cfg = load_measurement(args.profile, default=MeasurementConfig(log2_ticks=DEFAULT_LOG2_TICKS))
-    else:
-        profile = DeviceProfile()
-        cfg = MeasurementConfig(log2_ticks=DEFAULT_LOG2_TICKS)
-    if args.n is not None:
-        cfg = MeasurementConfig(log2_ticks=args.n, f_clk_hz=cfg.f_clk_hz)
-    geom = Geometry(v_t=args.vt, v_r=args.vr, d=args.d)
-    return profile, cfg, geom
+def _load_setup(args) -> tuple[DeviceProfile, MeasurementConfig]:
+    """The --profile file's setup (built-in defaults without one), at --n where the study has it."""
+    cfg = MeasurementConfig(log2_ticks=DEFAULT_LOG2_TICKS)
+    profile, cfg = load_setup(args.profile, cfg) if args.profile else (DeviceProfile(), cfg)
+    if getattr(args, "n", None) is not None:
+        cfg = replace(cfg, log2_ticks=args.n)
+    return profile, cfg
 
 
 def _csv_lines(header: list[str], rows: list[list]) -> str:
@@ -95,19 +108,19 @@ def _alternating_stats(profile, cfg, geom, windows, seed):
 
 
 def cmd_simulate(args) -> str:
-    profile, cfg, geom = _load_setup(args)
-    if args.local:
-        geom = Geometry(geom.v_t, geom.v_r, geom.d, coupling="local")
+    profile, cfg = _load_setup(args)
+    geom = Geometry(v_t=args.vt, v_r=args.vr, d=args.d, coupling=args.path)
     pattern = parse_pattern(args.pattern)
     trace = simulate_trace(profile, cfg, geom, pattern, args.windows, args.seed)
     return trace_to_csv(trace)
 
 
 def cmd_scaling_time(args) -> str:
-    profile, cfg, geom = _load_setup(args)
+    profile, cfg = _load_setup(args)
+    geom = Geometry(v_t=args.vt, v_r=args.vr, d=args.d)
     rows = []
     for n in args.n_list:
-        cfg_n = MeasurementConfig(log2_ticks=n, f_clk_hz=cfg.f_clk_hz)
+        cfg_n = replace(cfg, log2_ticks=n)
         _, dc, drc = _alternating_stats(profile, cfg_n, geom, args.windows, args.seed + n)
         dc_m, dc_lo, dc_hi = stats.mean_ci(dc)
         drc_m, drc_lo, drc_hi = stats.mean_ci(drc)
@@ -122,12 +135,11 @@ def cmd_scaling_time(args) -> str:
 
 
 def cmd_scaling_length(args) -> str:
-    profile, cfg, _ = _load_setup(args)
-    vts = [as_longs(x) for x in args.vt_list.split(",") if x.strip()]
-    vrs = _int_list(args.vr_list)
+    profile, cfg = _load_setup(args)
+    vts = [as_longs(x) for x in args.vt_list]
     rows = []
     for i, vt in enumerate(vts):
-        for j, vr in enumerate(vrs):
+        for j, vr in enumerate(args.vr_list):
             geom = Geometry(v_t=vt, v_r=vr, d=args.d)
             model = expected_delta_rc(profile, geom)
             _, _, drc = _alternating_stats(profile, cfg, geom, args.windows, args.seed + 1000 * i + j)
@@ -136,10 +148,10 @@ def cmd_scaling_length(args) -> str:
 
 
 def cmd_distance(args) -> str:
-    profile, cfg, geom0 = _load_setup(args)
+    profile, cfg = _load_setup(args)
     rows = []
     for d in args.d_list:
-        geom = Geometry(v_t=geom0.v_t, v_r=geom0.v_r, d=d)
+        geom = Geometry(v_t=args.vt, v_r=args.vr, d=d)
         model = expected_delta_rc(profile, geom)
         trace, _, drc = _alternating_stats(profile, cfg, geom, args.windows, args.seed + d)
         _, p = stats.ks_two_sample(trace.counts[0::2], trace.counts[1::2])
@@ -148,9 +160,8 @@ def cmd_distance(args) -> str:
 
 
 def cmd_dynamic(args) -> str:
-    profile, cfg, geom = _load_setup(args)
-    if args.path == "local":
-        geom = Geometry(geom.v_t, geom.v_r, geom.d, coupling="local")
+    profile, cfg = _load_setup(args)
+    geom = Geometry(v_t=args.vt, v_r=args.vr, d=args.d, coupling=args.path)
     rows = []
     # one seed for all six codes: differences between patterns are then
     # not masked by noise realization
@@ -167,10 +178,11 @@ def cmd_dynamic(args) -> str:
 
 
 def cmd_ber(args) -> str:
-    profile, cfg, geom = _load_setup(args)
+    profile, cfg = _load_setup(args)
+    geom = Geometry(v_t=args.vt, v_r=args.vr, d=args.d)
     rows = []
     for n in args.n_list:
-        cfg_n = MeasurementConfig(log2_ticks=n, f_clk_hz=cfg.f_clk_hz)
+        cfg_n = replace(cfg, log2_ticks=n)
         rng = np.random.default_rng((args.seed, n))
         bits = rng.integers(0, 2, args.bits)
         decoded = codec.simulate_covert_transfer(bits, profile, cfg_n, geom, args.seed + n)
@@ -181,10 +193,10 @@ def cmd_ber(args) -> str:
 
 
 def cmd_bandwidth(args) -> str:
-    _, cfg, _ = _load_setup(args)
+    _, cfg = _load_setup(args)
     rows = []
     for n in args.n_list:
-        cfg_n = MeasurementConfig(log2_ticks=n, f_clk_hz=cfg.f_clk_hz)
+        cfg_n = replace(cfg, log2_ticks=n)
         raw = codec.channel_bandwidth(cfg_n, codec.LineCode.NONE)
         enc = codec.channel_bandwidth(cfg_n, codec.LineCode.EIGHTB_TENB)
         rows.append([n, f"{cfg_n.window_seconds:.8g}", f"{raw:.6g}", f"{enc:.6g}"])
@@ -196,7 +208,8 @@ def cmd_exfil(args) -> str:
     n = len(key)
     noise = None
     if args.noisy:
-        profile, cfg, geom = _load_setup(args)
+        profile, cfg = _load_setup(args)
+        geom = Geometry(v_t=args.vt, v_r=args.vr, d=args.d)
         noise = exfil.ExfilChannel(profile, cfg, geom, seed=args.seed, repeats=args.repeats)
     single = args.single or n < 2 * args.w + 1
     if noise is not None and not single:
@@ -227,11 +240,8 @@ def cmd_exfil(args) -> str:
 
 
 def cmd_prob(args) -> str:
-    widths = args.w_list if args.w_list else [args.w]
-    if any(w is None for w in widths):
-        raise ValueError("pass --w or --w-list")
     rows = []
-    for w in widths:
+    for w in args.w_list or [args.w]:
         p = exfil.recovery_probability(args.n_key, w)
         bound = f"{exfil.eq2_lower_bound(args.n_key, w):.4f}" if args.n_key % w == 0 else ""
         mc = ""
@@ -280,48 +290,50 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate, encode, attack and audit the FPGA long-wire leakage channel.",
     )
     parser.add_argument("--out", help="write output to this file instead of stdout")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # No abbreviations: where a study sweeps n, `--n` must not stand for `--n-list`.
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False),
+    )
 
     p = sub.add_parser("simulate", help="simulate a count trace")
-    _add_channel_args(p)
+    _add_channel_args(p, "--n", "--vt", "--vr", "--d", "--path")
     p.add_argument("--pattern", default="alternating",
                    help="alternating | longruns[:len] | lfsr[:seed] | d0..d5 | custom:<bits>")
     p.add_argument("--windows", type=_positive_int, default=2048)
-    p.add_argument("--local", action="store_true", help="local-routing path (no long-wire overlap)")
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("scaling-time", help="count differences vs measurement time")
-    _add_channel_args(p)
+    _add_channel_args(p, "--vt", "--vr", "--d")
     p.add_argument("--n-list", type=_int_list, default=[13, 15, 17, 19, 21])
     p.add_argument("--windows", type=_positive_int, default=2048)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=cmd_scaling_time)
 
     p = sub.add_parser("scaling-length", help="relative difference over transmitter x receiver lengths")
-    _add_channel_args(p)
-    p.add_argument("--vt-list", default="1/3,2/3,1,2,3,4,5")
-    p.add_argument("--vr-list", default="1,2,3,4,5")
+    _add_channel_args(p, "--n", "--d")
+    p.add_argument("--vt-list", type=_str_list, default=["1/3", "2/3", "1", "2", "3", "4", "5"])
+    p.add_argument("--vr-list", type=_int_list, default=[1, 2, 3, 4, 5])
     p.add_argument("--windows", type=_positive_int, default=1024)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=cmd_scaling_length)
 
     p = sub.add_parser("distance", help="effect and KS p-value vs wire distance")
-    _add_channel_args(p)
+    _add_channel_args(p, "--n", "--vt", "--vr")
     p.add_argument("--d-list", type=_int_list, default=[1, 2, 3, 4])
     p.add_argument("--windows", type=_positive_int, default=2048)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("dynamic", help="mean counts for the six 4-bit loop codes")
-    _add_channel_args(p)
-    p.add_argument("--path", choices=["long", "local"], default="long")
+    _add_channel_args(p, "--n", "--vt", "--vr", "--d", "--path")
     p.add_argument("--windows", type=_positive_int, default=2048)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=cmd_dynamic)
 
     p = sub.add_parser("ber", help="covert-channel accuracy vs window length")
-    _add_channel_args(p)
+    _add_channel_args(p, "--vt", "--vr", "--d")
     p.add_argument("--n-list", type=_int_list, default=[13])
     p.add_argument("--bits", type=_positive_int, default=10000)
     p.add_argument("--seed", type=int, required=True)
@@ -333,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bandwidth)
 
     p = sub.add_parser("exfil", help="recover a key from sliding-window measurements")
-    _add_channel_args(p)
+    _add_channel_args(p, "--n", "--vt", "--vr", "--d")
     p.add_argument("--key", required=True, help="key as hex (0x...) or binary string")
     p.add_argument("--w", type=_positive_int, required=True, help="window width in bits")
     p.add_argument("--single", action="store_true", help="single window width only")
@@ -344,8 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prob", help="full-recovery probability table")
     p.add_argument("--n", dest="n_key", type=_positive_int, required=True, help="key length in bits")
-    p.add_argument("--w", type=_positive_int, help="window width in bits")
-    p.add_argument("--w-list", type=_int_list, help="sweep several window widths")
+    widths = p.add_mutually_exclusive_group(required=True)
+    widths.add_argument("--w", type=_positive_int, help="window width in bits")
+    widths.add_argument("--w-list", type=_int_list, help="sweep several window widths")
     p.add_argument("--trials", type=int, default=0, help="Monte Carlo trials (0 = analytic only)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_prob)

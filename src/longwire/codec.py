@@ -19,6 +19,7 @@ import numpy as np
 
 from . import code8b10b
 from .channel import DeviceProfile, Geometry, MeasurementConfig, simulate_counts
+from .errors import InvalidCodeGroup
 
 __all__ = [
     "LineCode",
@@ -119,7 +120,8 @@ def find_frames(
     """Extract (sof_position, payload_bits) for every complete frame.
 
     A frame ends at the first EOF at or after its payload start; with 8b/10b,
-    at the first one that leaves a whole number of 10-bit groups.
+    at the first one that leaves a whole number of 10-bit groups, and a frame
+    whose groups do not decode (from RD -1) is skipped.
     """
     sof, eof = tuple(sof), tuple(eof)
     # An 8b/10b payload is whole 10-bit groups, so its EOF sits at the payload
@@ -137,7 +139,10 @@ def find_frames(
         if k == len(candidates):
             continue
         if line_code is LineCode.EIGHTB_TENB:
-            data, _ = code8b10b.decode_bits(stream[start : candidates[k]])
+            try:
+                data, _ = code8b10b.decode_bits(stream[start : candidates[k]])
+            except InvalidCodeGroup:
+                continue
             body = tuple(np.unpackbits(np.frombuffer(data, dtype=np.uint8)).tolist())
         else:
             body = tuple(bitstream[start : candidates[k]])

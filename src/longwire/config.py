@@ -1,4 +1,4 @@
-"""Flat key-value config files for device profiles and measurement setups.
+"""Flat key-value profile files: a device profile and its measurement setup.
 
 Format: one ``key = value`` per line, ``#`` comments, keys matching the
 field names of DeviceProfile / MeasurementConfig.  The distance map is
@@ -9,22 +9,15 @@ Unknown keys are rejected so typos do not silently fall back to defaults.
 from __future__ import annotations
 
 import os
-from dataclasses import fields
-from typing import Mapping
+from dataclasses import fields, replace
 
 from .channel import DeviceProfile, MeasurementConfig
 
-__all__ = [
-    "parse_kv",
-    "parse_distance_atten",
-    "profile_from_mapping",
-    "measurement_from_mapping",
-    "load_profile",
-    "load_measurement",
-]
+__all__ = ["parse_kv", "parse_distance_atten", "load_setup"]
 
 _PROFILE_KEYS = {f.name for f in fields(DeviceProfile)}
-_MEASUREMENT_KEYS = {f.name for f in fields(MeasurementConfig)}
+# MeasurementConfig's fields, each with the type its value is read as.
+_MEASUREMENT_TYPES = {"log2_ticks": int, "f_clk_hz": float}
 
 
 def parse_kv(text: str) -> dict[str, str]:
@@ -60,43 +53,23 @@ def parse_distance_atten(text: str) -> dict[int, float]:
     return atten
 
 
-def _check_keys(mapping: Mapping[str, str], allowed: set[str], what: str) -> None:
-    unknown = set(mapping) - allowed
+def load_setup(
+    path: str | os.PathLike, base: MeasurementConfig
+) -> tuple[DeviceProfile, MeasurementConfig]:
+    """The profile file's device, and ``base`` with the file's measurement keys applied.
+
+    Profile keys the file leaves out keep DeviceProfile's defaults.
+    """
+    with open(path, encoding="utf-8") as fh:
+        mapping = parse_kv(fh.read())
+    unknown = set(mapping) - _PROFILE_KEYS - set(_MEASUREMENT_TYPES)
     if unknown:
-        raise ValueError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
-
-
-def profile_from_mapping(mapping: Mapping[str, str]) -> DeviceProfile:
-    relevant = {k: v for k, v in mapping.items() if k not in _MEASUREMENT_KEYS}
-    _check_keys(relevant, _PROFILE_KEYS, "profile")
-    kwargs: dict = {}
-    for key, value in relevant.items():
-        if key == "distance_atten":
-            kwargs[key] = parse_distance_atten(value)
-        else:
-            kwargs[key] = float(value)
-    return DeviceProfile(**kwargs)
-
-
-def measurement_from_mapping(
-    mapping: Mapping[str, str], default: MeasurementConfig | None = None
-) -> MeasurementConfig:
-    base = default if default is not None else MeasurementConfig()
-    kwargs = {"log2_ticks": base.log2_ticks, "f_clk_hz": base.f_clk_hz}
-    if "log2_ticks" in mapping:
-        kwargs["log2_ticks"] = int(mapping["log2_ticks"])
-    if "f_clk_hz" in mapping:
-        kwargs["f_clk_hz"] = float(mapping["f_clk_hz"])
-    return MeasurementConfig(**kwargs)
-
-
-def load_profile(path: str | os.PathLike) -> DeviceProfile:
-    with open(path, encoding="utf-8") as fh:
-        return profile_from_mapping(parse_kv(fh.read()))
-
-
-def load_measurement(
-    path: str | os.PathLike, default: MeasurementConfig | None = None
-) -> MeasurementConfig:
-    with open(path, encoding="utf-8") as fh:
-        return measurement_from_mapping(parse_kv(fh.read()), default=default)
+        raise ValueError(f"unknown profile keys: {', '.join(sorted(unknown))}")
+    profile = DeviceProfile(**{
+        key: parse_distance_atten(value) if key == "distance_atten" else float(value)
+        for key, value in mapping.items() if key in _PROFILE_KEYS
+    })
+    cfg = replace(base, **{
+        key: read(mapping[key]) for key, read in _MEASUREMENT_TYPES.items() if key in mapping
+    })
+    return profile, cfg

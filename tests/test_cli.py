@@ -1,4 +1,5 @@
 import ast
+import builtins
 import math
 
 import pytest
@@ -86,6 +87,83 @@ class TestExitCodes:
         code, _, err = run(capsys, "audit", "--grid", GRID, "--guard", "aes_key_bus")
         assert code == 1
         assert "blocked" in err
+
+
+# Each study with its smallest argv, and the channel options it keeps, each with a non-default value.
+STUDIES = {
+    "simulate": (["simulate", "--windows", "8", "--seed", "1"],
+                 [("--n", "13"), ("--vt", "1"), ("--vr", "1"), ("--d", "2"), ("--path", "local")]),
+    "scaling-time": (["scaling-time", "--n-list", "13", "--windows", "16", "--seed", "1"],
+                     [("--vt", "1"), ("--vr", "1"), ("--d", "2")]),
+    "scaling-length": (["scaling-length", "--vt-list", "1", "--vr-list", "1", "--windows", "16", "--seed", "1"],
+                       [("--n", "13"), ("--d", "2")]),
+    "distance": (["distance", "--d-list", "1", "--windows", "16", "--seed", "1"],
+                 [("--n", "13"), ("--vt", "1"), ("--vr", "1")]),
+    "dynamic": (["dynamic", "--windows", "16", "--seed", "1"],
+                [("--n", "13"), ("--vt", "1"), ("--vr", "1"), ("--d", "2"), ("--path", "local")]),
+    "ber": (["ber", "--n-list", "9", "--bits", "200", "--seed", "1"], [("--vt", "1"), ("--vr", "1"), ("--d", "2")]),
+    "bandwidth": (["bandwidth", "--n-list", "13"], []),
+    "exfil-noisy": (["exfil", "--key", "10110010", "--w", "3", "--single", "--noisy", "--seed", "4"],
+                    [("--n", "13"), ("--vt", "1"), ("--vr", "1"), ("--d", "2")]),
+}
+
+
+# argv that names an option its study would ignore, or an empty list, with the usage error it gets.
+REJECTED = [
+    (STUDIES["scaling-time"][0] + ["--n", "15"], "unrecognized arguments: --n 15"),
+    (STUDIES["ber"][0] + ["--n", "15"], "unrecognized arguments: --n 15"),
+    (STUDIES["scaling-length"][0] + ["--vt", "3"], "unrecognized arguments: --vt 3"),
+    (STUDIES["scaling-length"][0] + ["--vr", "3"], "unrecognized arguments: --vr 3"),
+    (STUDIES["distance"][0] + ["--d", "2"], "unrecognized arguments: --d 2"),
+    *[(STUDIES["bandwidth"][0] + [option, "3"], f"unrecognized arguments: {option} 3")
+      for option in ("--n", "--vt", "--vr", "--d")],
+    (STUDIES["simulate"][0] + ["--local"], "unrecognized arguments: --local"),
+    (["prob", "--n", "64", "--w", "5", "--w-list", "4"], "--w-list: not allowed with argument --w"),
+    (["prob", "--n", "64"], "one of the arguments --w --w-list is required"),
+    (["scaling-time", "--n-list", ",", "--windows", "8", "--seed", "1"], "--n-list: ',' lists no values"),
+    (["scaling-length", "--vt-list", " , ", "--seed", "1"], "--vt-list: ' , ' lists no values"),
+    (["scaling-length", "--vr-list", ",", "--seed", "1"], "--vr-list: ',' lists no values"),
+    (["distance", "--d-list", ",", "--seed", "1"], "--d-list: ',' lists no values"),
+    (["ber", "--n-list", ",", "--seed", "1"], "--n-list: ',' lists no values"),
+    (["bandwidth", "--n-list", ","], "--n-list: ',' lists no values"),
+    (["prob", "--n", "64", "--w-list", ","], "--w-list: ',' lists no values"),
+]
+
+
+class TestChannelOptions:
+    @pytest.mark.parametrize("argv, message", REJECTED, ids=[" ".join(argv) for argv, _ in REJECTED])
+    def test_rejected_argv_is_a_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    @pytest.mark.parametrize(
+        "study, option, value",
+        [(study, option, value) for study, (_, kept) in STUDIES.items() for option, value in kept],
+    )
+    def test_kept_option_changes_the_csv(self, capsys, study, option, value):
+        argv = STUDIES[study][0]
+        code, default, _ = run(capsys, *argv)
+        code_changed, changed, _ = run(capsys, *argv, option, value)
+        assert code == code_changed == 0
+        assert changed != default
+
+    @pytest.mark.parametrize("study", STUDIES)
+    def test_profile_is_opened_once(self, capsys, monkeypatch, study):
+        profile = str(DOCS_DIR / "profiles" / "virtex6.profile")
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        code, out, _ = run(capsys, *STUDIES[study][0], "--profile", profile)
+        assert code == 0 and out
+        assert opened.count(profile) == 1
 
 
 class TestDeterminism:

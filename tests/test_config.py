@@ -3,14 +3,15 @@ from dataclasses import fields
 import pytest
 
 from longwire import DeviceProfile, MeasurementConfig
-from longwire.config import (
-    load_measurement,
-    load_profile,
-    measurement_from_mapping,
-    parse_distance_atten,
-    parse_kv,
-    profile_from_mapping,
-)
+from longwire.config import load_setup, parse_distance_atten, parse_kv
+
+BASE = MeasurementConfig()
+
+
+def setup_from(tmp_path, text, base=BASE):
+    path = tmp_path / "setup.profile"
+    path.write_text(text)
+    return load_setup(path, base)
 
 
 class TestParseKV:
@@ -45,37 +46,48 @@ class TestDistanceAtten:
 
 
 class TestProfileMapping:
-    def test_defaults_when_empty(self):
-        assert profile_from_mapping({}) == DeviceProfile()
+    def test_defaults_when_empty(self, tmp_path):
+        assert setup_from(tmp_path, "# nothing set\n") == (DeviceProfile(), BASE)
+        base = MeasurementConfig(log2_ticks=21, f_clk_hz=50e6)
+        assert setup_from(tmp_path, "", base) == (DeviceProfile(), base)
 
-    def test_overrides(self):
-        profile = profile_from_mapping(
-            {"noise_sigma": "0.3", "distance_atten": "1:0.8,2:0.01", "log2_ticks": "13"}
+    def test_overrides(self, tmp_path):
+        profile, cfg = setup_from(
+            tmp_path, "noise_sigma = 0.3\ndistance_atten = 1:0.8,2:0.01\nlog2_ticks = 13\n"
         )
         assert profile.noise_sigma == 0.3
         assert profile.attenuation(1) == 0.8
         assert profile.attenuation(3) == 0.0
+        assert profile.base_rate == DeviceProfile().base_rate
+        assert cfg == MeasurementConfig(log2_ticks=13)
 
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError, match="unknown profile keys"):
-            profile_from_mapping({"noise": "1.0"})
+    def test_unknown_keys_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="^unknown profile keys: noise, ticks$"):
+            setup_from(tmp_path, "ticks = 13\nnoise_sigma = 0.3\nnoise = 1.0\n")
 
-    def test_measurement_keys(self):
-        cfg = measurement_from_mapping({"log2_ticks": "15", "f_clk_hz": "200e6"})
-        assert cfg == MeasurementConfig(log2_ticks=15, f_clk_hz=200e6)
-        assert measurement_from_mapping({}) == MeasurementConfig()
+    def test_measurement_keys(self, tmp_path):
+        base = MeasurementConfig(log2_ticks=21, f_clk_hz=50e6)
+        profile, cfg = setup_from(tmp_path, "log2_ticks = 15\nf_clk_hz = 200e6\n", base)
+        assert (profile, cfg) == (DeviceProfile(), MeasurementConfig(log2_ticks=15, f_clk_hz=200e6))
+        # a key the file leaves out keeps the base's value
+        assert setup_from(tmp_path, "f_clk_hz = 200e6\n", base)[1] == MeasurementConfig(21, 200e6)
+        assert setup_from(tmp_path, "log2_ticks = 15\n", base)[1] == MeasurementConfig(15, 50e6)
+        with pytest.raises(ValueError):
+            setup_from(tmp_path, "log2_ticks = 15.5\n")
+        with pytest.raises(ValueError, match="log2_ticks must be in"):
+            setup_from(tmp_path, "log2_ticks = 40\n")
 
 
 class TestShippedProfiles:
     def test_default_profile_file_matches_builtin(self, docs_dir):
         path = docs_dir / "profiles" / "default.profile"
-        assert load_profile(path) == DeviceProfile()
-        assert load_measurement(path) == MeasurementConfig(log2_ticks=21)
+        assert load_setup(path, BASE) == (DeviceProfile(), MeasurementConfig(log2_ticks=21))
 
     @pytest.mark.parametrize("name", ["virtex5", "virtex6", "artix7", "drifty"])
     def test_alternate_profiles_load(self, docs_dir, name):
-        profile = load_profile(docs_dir / "profiles" / f"{name}.profile")
+        profile, cfg = load_setup(docs_dir / "profiles" / f"{name}.profile", BASE)
         assert profile.base_rate > 0
+        assert cfg == MeasurementConfig(log2_ticks=21)  # the file's, not BASE's 13
 
 
 PROFILE_FLOATS = [f.name for f in fields(DeviceProfile) if f.name != "distance_atten"]
@@ -85,15 +97,10 @@ class TestNonFiniteValues:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", PROFILE_FLOATS + ["f_clk_hz"])
     def test_float_field_rejected(self, tmp_path, key, value):
-        path = tmp_path / "bad.profile"
-        path.write_text(f"{key} = {value}\n")
-        load = load_measurement if key == "f_clk_hz" else load_profile
         with pytest.raises(ValueError, match=f"^{key} must be finite"):
-            load(path)
+            setup_from(tmp_path, f"{key} = {value}\n")
 
     @pytest.mark.parametrize("atten", ["1:nan", "1:inf", "1:1.0, 2:nan", "1:1.0, 2:-inf"])
     def test_distance_multiplier_rejected(self, tmp_path, atten):
-        path = tmp_path / "bad.profile"
-        path.write_text(f"distance_atten = {atten}\n")
         with pytest.raises(ValueError, match="distance_atten multiplier for d=[12] must be finite"):
-            load_profile(path)
+            setup_from(tmp_path, f"distance_atten = {atten}\n")
