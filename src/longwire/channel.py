@@ -430,17 +430,36 @@ def simulate_trace(
 TRACE_CSV_HEADER = ("window", "count", "duty", "toggle_rate", "tx_bit")
 
 
+def _format_column(column: np.ndarray, fmt) -> list[str]:
+    """fmt(v) for each value of an int64 or float64 column, called once per distinct value.
+
+    Values are grouped by their 64 bits, not by ==, which keeps -0.0 apart from 0.0.
+    """
+    keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    text = [fmt(v) for v in keys.view(column.dtype).tolist()]
+    return list(map(text.__getitem__, inverse.tolist()))
+
+
 def trace_to_csv(trace: CountTrace) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRACE_CSV_HEADER)
-    for s in trace.samples:
-        bit = "" if s.tx_bit is None else s.tx_bit
-        writer.writerow([s.window, s.count, f"{s.duty:.6g}", f"{s.toggle_rate:.6g}", bit])
-    return buf.getvalue()
+    """One header line, then one line per window; a bit of None is an empty field."""
+    rows = zip(
+        map(str, trace.window.tolist()),  # all distinct, so not grouped
+        _format_column(trace.counts, str),
+        _format_column(trace.duty, "{:.6g}".format),
+        _format_column(trace.toggle_rate, "{:.6g}".format),
+        ["" if b is None else str(b) for b in trace.tx_bits],
+    )
+    return "\n".join([",".join(TRACE_CSV_HEADER), *map(",".join, rows), ""])
+
+
+def _parse_column(texts: tuple[str, ...], parse) -> list:
+    """parse(v) for each text, called once per distinct text."""
+    values = {v: parse(v) for v in set(texts)}
+    return list(map(values.__getitem__, texts))
 
 
 def trace_from_csv(text: str) -> CountTrace:
+    """Inverse of ``trace_to_csv``; blank lines are skipped."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or tuple(header) != TRACE_CSV_HEADER:
@@ -452,9 +471,9 @@ def trace_from_csv(text: str) -> CountTrace:
         rows.append(row)
     window, count, duty, toggle_rate, bit = zip(*rows) if rows else [()] * len(TRACE_CSV_HEADER)
     return CountTrace(
-        [int(v) for v in window],
-        [int(v) for v in count],
-        [float(v) for v in duty],
-        [float(v) for v in toggle_rate],
-        [None if v == "" else int(v) for v in bit],
+        list(map(int, window)),  # all distinct in a valid trace, so not grouped
+        _parse_column(count, int),
+        _parse_column(duty, float),
+        _parse_column(toggle_rate, float),
+        _parse_column(bit, lambda v: None if v == "" else int(v)),
     )

@@ -81,10 +81,18 @@ _CHANNEL_OPTIONS = {
 }
 
 
-def _add_channel_args(sub, *options):
-    sub.add_argument("--profile", help="device profile file (key = value format)")
+def _add_channel_args(sub, *options, action="store"):
+    sub.add_argument("--profile", action=action, help="device profile file (key = value format)")
     for option in options:
-        sub.add_argument(option, **_CHANNEL_OPTIONS[option])
+        sub.add_argument(option, action=action, **_CHANNEL_OPTIONS[option])
+
+
+class _NoisyOnly(argparse.Action):
+    """Store the value, and list the option in ``noisy_only``: exfil reads it with --noisy only."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.noisy_only = [*namespace.noisy_only, option_string]
 
 
 def _load_setup(args) -> tuple[DeviceProfile, MeasurementConfig]:
@@ -345,14 +353,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bandwidth)
 
     p = sub.add_parser("exfil", help="recover a key from sliding-window measurements")
-    _add_channel_args(p, "--n", "--vt", "--vr", "--d")
     p.add_argument("--key", required=True, help="key as hex (0x...) or binary string")
     p.add_argument("--w", type=_positive_int, required=True, help="window width in bits")
     p.add_argument("--single", action="store_true", help="single window width only")
     p.add_argument("--noisy", action="store_true", help="measure through the count simulator")
-    p.add_argument("--repeats", type=_positive_int, default=1, help="averaged counts per window")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_exfil)
+    noisy = p.add_argument_group("count simulator (with --noisy only)")
+    _add_channel_args(noisy, "--n", "--vt", "--vr", "--d", action=_NoisyOnly)
+    noisy.add_argument("--repeats", action=_NoisyOnly, type=_positive_int, default=1,
+                       help="averaged counts per window")
+    noisy.add_argument("--seed", action=_NoisyOnly, type=int, default=0)
+    p.set_defaults(func=cmd_exfil, noisy_only=[])
 
     p = sub.add_parser("prob", help="full-recovery probability table")
     p.add_argument("--n", dest="n_key", type=_positive_int, required=True, help="key length in bits")
@@ -378,7 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "noisy_only", None) and not args.noisy:
+        parser.error(f"{args.command} reads {', '.join(dict.fromkeys(args.noisy_only))} only with --noisy")
     try:
         text = args.func(args)
     except (LongwireError, ValueError, OSError) as exc:

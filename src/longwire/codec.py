@@ -59,7 +59,11 @@ class Frame:
     def __post_init__(self):
         if not self.sof or not self.eof:
             raise ValueError("sof and eof patterns must be non-empty")
-        if any(b not in (0, 1) for b in self.sof + self.eof + self.payload):
+        try:
+            binary = {*self.sof, *self.eof, *self.payload} <= {0, 1}
+        except TypeError:  # an unhashable item is no bit either
+            binary = False
+        if not binary:
             raise ValueError("frame fields must contain bits")
         if self.line_code is LineCode.EIGHTB_TENB and len(self.payload) % 8 != 0:
             raise ValueError("8b/10b payload length must be a multiple of 8")
@@ -67,8 +71,8 @@ class Frame:
 
 def _manchester_symbols(bits: Iterable[int]) -> np.ndarray:
     """Wire symbols of the payload in send order, two per bit."""
-    sent = np.asarray(bits if isinstance(bits, np.ndarray) else list(bits))
-    if not np.isin(sent, (0, 1)).all():
+    sent = np.asarray(bits if isinstance(bits, (np.ndarray, list, tuple)) else list(bits))
+    if ((sent != 0) & (sent != 1)).any():
         raise ValueError("bits must be 0 or 1")
     sent = sent.astype(np.int64, copy=False)
     return np.column_stack((sent, 1 - sent)).ravel()
@@ -107,8 +111,8 @@ def frame_to_bits(frame: Frame) -> list[int]:
     if frame.line_code is LineCode.EIGHTB_TENB:
         body, _ = code8b10b.encode_bytes(np.packbits(np.array(frame.payload, dtype=np.uint8)))
     else:
-        body = list(frame.payload)
-    return list(frame.sof) + body + list(frame.eof)
+        body = frame.payload
+    return [*frame.sof, *body, *frame.eof]
 
 
 def find_frames(

@@ -17,6 +17,7 @@ links by doubling shifts.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -130,6 +131,11 @@ class RelationSet(NamedTuple):
     w: int
 
 
+@functools.lru_cache(maxsize=16)
+def _key_positions(n_key: int) -> frozenset[int]:
+    return frozenset(range(n_key))
+
+
 @dataclass
 class RecoveryResult:
     """Outcome of a recovery pass: resolved bits plus all-equal classes."""
@@ -141,8 +147,10 @@ class RecoveryResult:
     measurements_used: int
 
     def __post_init__(self):
-        covered = sorted(list(self.known) + [p for cls in self.unresolved_classes for p in cls])
-        if covered != list(range(self.n_key)):
+        # n entries that leave none of the n positions uncovered hold each one exactly once
+        classes = self.unresolved_classes
+        if (len(self.known) + sum(map(len, classes)) != self.n_key
+                or _key_positions(self.n_key).difference(self.known, *classes)):
             raise ValueError("known bits and unresolved classes must partition the key")
 
     @property

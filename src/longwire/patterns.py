@@ -4,7 +4,8 @@ Static variants hold one bit for a whole measurement window.  The
 dynamic variant loops a 4-bit code at clock speed inside the window, so
 what the receiver sees is the code's duty cycle plus its switching rate.
 ``stimulus_columns`` serves a whole run of windows at once, as columns;
-an LFSR register is stepped once per window, never replayed per index.
+an LFSR's bits come from its output recurrence in whole numpy slices, and
+``lfsr_next`` remains the one-step register.
 """
 
 from __future__ import annotations
@@ -121,6 +122,33 @@ def _lfsr_step(state: int, taps: tuple[int, ...], width: int) -> tuple[int, int]
     return out, (state >> 1) | (fb << (width - 1))
 
 
+def _lfsr_bits(state: int, taps: tuple[int, ...], n: int) -> np.ndarray:
+    """The first n bits ``lfsr_next`` emits from ``state``, as an int64 array.
+
+    Bit t is bit t of the register for t < width; after that each step
+    shifts in the XOR of the tapped bits, so o[t] = XOR over p in taps of
+    o[t - p].  Over GF(2) squaring the feedback polynomial doubles every
+    lag, so the recurrence also holds with lags scale * p from t =
+    scale * width on (scale a power of two).  A slice of scale * min(taps)
+    new bits then reads only known bits: one numpy step per slice, and the
+    slices double in length as the known prefix does.
+    """
+    width, shortest = max(taps), min(taps)
+    bits = np.empty(max(n, width), dtype=np.int64)
+    bits[:width] = [(state >> k) & 1 for k in range(width)]  # Python ints: a register may be wider than 64 bits
+    t, scale = width, 1
+    while t < n:
+        while 2 * scale * width <= t:
+            scale *= 2
+        end = min(t + scale * shortest, n)
+        new = np.zeros(end - t, dtype=np.int64)
+        for p in taps:
+            new ^= bits[t - scale * p : end - scale * p]
+        bits[t:end] = new
+        t = end
+    return bits[:n]
+
+
 def stimulus_columns(spec: PatternSpec, num_windows: int) -> tuple[np.ndarray, np.ndarray, list[int | None]]:
     """Duty cycles, toggle rates and ground-truth bits of windows 0..num_windows-1.
 
@@ -139,11 +167,7 @@ def stimulus_columns(spec: PatternSpec, num_windows: int) -> tuple[np.ndarray, n
     elif spec.kind == "longruns":
         bits = (index // spec.run_len) & 1
     elif spec.kind == "lfsr":
-        state, width, out = spec.lfsr_seed, max(spec.taps), []
-        for _ in range(num_windows):
-            bit, state = _lfsr_step(state, spec.taps, width)
-            out.append(bit)
-        bits = np.array(out, dtype=np.int64)
+        bits = _lfsr_bits(spec.lfsr_seed, spec.taps, num_windows)
     else:  # custom, cycling
         bits = np.array(spec.bits, dtype=np.int64)[index % len(spec.bits)]
     return bits.astype(float), np.zeros(num_windows), bits.tolist()

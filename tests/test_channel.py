@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 from fractions import Fraction
 
@@ -13,7 +15,7 @@ from longwire import (
     simulate_counts,
     simulate_trace,
 )
-from longwire.channel import CountTrace, trace_from_csv, trace_to_csv
+from longwire.channel import TRACE_CSV_HEADER, CountTrace, trace_from_csv, trace_to_csv
 from longwire.exfil import ExfilChannel, KeyBits, measure_windows_noisy, window_hw_oracle
 from longwire.patterns import PatternSpec
 from longwire.stats import ks_two_sample
@@ -354,6 +356,10 @@ class TestTraceCSV:
         with pytest.raises(ValueError, match="line 3: expected 5 fields"):
             trace_from_csv(f"window,count,duty,toggle_rate,tx_bit\n1,10,1,0,1\n{row}\n")
 
+    def test_rejects_unparsable_value(self):
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            trace_from_csv("window,count,duty,toggle_rate,tx_bit\n0,ten,1,0,1\n")
+
     def test_trace_validation(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             CountTrace([1, 1], [5, 5], [0.0, 0.0], [0.0, 0.0], [0, 0])
@@ -393,6 +399,86 @@ class TestTraceCSV:
         assert trace.counts.tolist() == [7, 8]
         with pytest.raises(ValueError):
             trace.counts[0] = -1
+
+
+def csv_writer_reference(trace):
+    """The trace as CSV, one csv.writer row per TraceSample: the row-at-a-time form."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(TRACE_CSV_HEADER)
+    for s in trace.samples:
+        bit = "" if s.tx_bit is None else s.tx_bit
+        writer.writerow([s.window, s.count, f"{s.duty:.6g}", f"{s.toggle_rate:.6g}", bit])
+    return buf.getvalue()
+
+
+def simulated(pattern, windows, coupling="long", seed=3):
+    return simulate_trace(DeviceProfile(), MeasurementConfig(log2_ticks=15),
+                          Geometry(v_t=2, v_r=2, coupling=coupling), pattern, windows, seed)
+
+
+CSV_TRACES = {
+    "alternating": lambda: simulated(PatternSpec.alternating(), 64),
+    "longruns": lambda: simulated(PatternSpec.long_runs(5), 64),
+    "lfsr": lambda: simulated(PatternSpec.lfsr(), 300),
+    "custom": lambda: simulated(PatternSpec.custom((1, 1, 0)), 64),
+    **{f"dynamic4-{code}": (lambda code=code: simulated(PatternSpec.dynamic4(code), 16))
+       for code in ("0000", "1010", "1110")},
+    "alternating-local": lambda: simulated(PatternSpec.alternating(), 64, coupling="local"),
+    "dynamic4-local": lambda: simulated(PatternSpec.dynamic4("1100"), 16, coupling="local"),
+    "fractional-duty": lambda: CountTrace(
+        [0, 1, 2, 5, 6, 9, 10, 11],
+        [0, 7, 123456789, 5, 5, 6, 2**40, 5],
+        [1 / 3, 0.1234567, 1e-7, -0.0, 0.0, 1.0, 2 / 3, 1 / 3],
+        [1 / 16, 0.0, 1e6, 1 / 8, 123456.7, 0.0, 2.5e-300, 1 / 16],
+        [None, 0, 1, None, 1, 0, None, 1],
+    ),
+    "none-bits": lambda: CountTrace([0, 1, 2], [3, 4, 5], [0.5, 0.5, 0.25], [0.125] * 3, [None] * 3),
+    "one-window": lambda: simulated(PatternSpec.lfsr(), 1),
+    "one-window-none": lambda: CountTrace([7], [10], [0.75], [0.0625], [None]),
+    "empty": lambda: CountTrace([], [], [], [], []),
+}
+
+
+@pytest.mark.parametrize("make", CSV_TRACES.values(), ids=CSV_TRACES.keys())
+class TestTraceCSVColumns:
+    def test_matches_csv_writer(self, make):
+        trace = make()
+        assert trace_to_csv(trace) == csv_writer_reference(trace)
+
+    def test_round_trip(self, make):
+        trace = make()
+        text = trace_to_csv(trace)
+        again = trace_from_csv(text)
+        assert again.window.tolist() == trace.window.tolist()
+        assert again.counts.tolist() == trace.counts.tolist()
+        assert again.tx_bits == trace.tx_bits
+        # the CSV keeps 6 significant digits of duty and toggle rate, sign of zero included
+        for column in ("duty", "toggle_rate"):
+            parsed, sent = getattr(again, column).tolist(), getattr(trace, column).tolist()
+            assert list(map(repr, parsed)) == [repr(float(f"{v:.6g}")) for v in sent]
+        assert trace_to_csv(again) == text
+
+
+def test_trace_from_csv_reads_quoted_fields_and_blank_lines():
+    text = (
+        "window,count,duty,toggle_rate,tx_bit\n"
+        '"0","10","0.5","0.125",""\n'
+        "\n"
+        '1,"11",1,0,"1"\n'
+    )
+    trace = trace_from_csv(text)
+    assert trace.samples == ((0, 10, 0.5, 0.125, None), (1, 11, 1.0, 0.0, 1))
+
+
+def test_trace_from_csv_counts_blank_lines_in_the_line_number():
+    with pytest.raises(ValueError, match="^line 4: expected 5 fields, got 3$"):
+        trace_from_csv("window,count,duty,toggle_rate,tx_bit\n0,10,1,0,1\n\n1,10,1\n")
+
+
+def test_trace_from_csv_names_the_header():
+    with pytest.raises(ValueError, match="^expected header window,count,duty,toggle_rate,tx_bit$"):
+        trace_from_csv("")
 
 
 def test_noise_sigma_scales_with_sqrt_window():

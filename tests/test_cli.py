@@ -104,7 +104,7 @@ STUDIES = {
     "ber": (["ber", "--n-list", "9", "--bits", "200", "--seed", "1"], [("--vt", "1"), ("--vr", "1"), ("--d", "2")]),
     "bandwidth": (["bandwidth", "--n-list", "13"], []),
     "exfil-noisy": (["exfil", "--key", "10110010", "--w", "3", "--single", "--noisy", "--seed", "4"],
-                    [("--n", "13"), ("--vt", "1"), ("--vr", "1"), ("--d", "2")]),
+                    [("--n", "13"), ("--vt", "1"), ("--vr", "1"), ("--d", "2"), ("--repeats", "3")]),
 }
 
 
@@ -118,6 +118,11 @@ REJECTED = [
     *[(STUDIES["bandwidth"][0] + [option, "3"], f"unrecognized arguments: {option} 3")
       for option in ("--n", "--vt", "--vr", "--d")],
     (STUDIES["simulate"][0] + ["--local"], "unrecognized arguments: --local"),
+    (["exfil", "--key", "0xDEAD", "--w", "3", "--n", "30", "--d", "9", "--vt", "7", "--repeats", "5",
+      "--seed", "3", "--profile", "no-such.profile"],
+     "exfil reads --n, --d, --vt, --repeats, --seed, --profile only with --noisy"),
+    *[(["exfil", "--key", "0xDEAD", "--w", "3", "--single", option, value], f"exfil reads {option} only with --noisy")
+      for option, value in (("--vr", "3"), ("--seed", "0"), ("--repeats", "1"), ("--profile", "x.profile"))],
     (["prob", "--n", "64", "--w", "5", "--w-list", "4"], "--w-list: not allowed with argument --w"),
     (["prob", "--n", "64"], "one of the arguments --w --w-list is required"),
     (["scaling-time", "--n-list", ",", "--windows", "8", "--seed", "1"], "--n-list: ',' lists no values"),

@@ -142,6 +142,20 @@ class TestFrames:
         with pytest.raises(ValueError):
             Frame(payload=(1,), sof=())
 
+    @pytest.mark.parametrize(
+        "fields",
+        [dict(payload=(1, 2)), dict(payload=([0],)), dict(payload=(1,), sof=(1, 0.5)),
+         dict(payload=(1,), eof=({},)), dict(payload=("1",))],
+        ids=["two", "list-item", "half", "dict-item", "text"],
+    )
+    def test_fields_must_hold_bits(self, fields):
+        with pytest.raises(ValueError, match="frame fields must contain bits"):
+            Frame(**fields)
+
+    def test_frame_to_bits_is_sof_payload_eof(self):
+        frame = Frame(payload=(1, 0, 0), sof=(1, 1), eof=(0,))
+        assert frame_to_bits(frame) == [1, 1, 1, 0, 0, 0]
+
 
 def brute_force_frames(bitstream, sof, eof, line_code):
     """Every SOF match, paired with the first EOF at or after its payload that

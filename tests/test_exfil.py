@@ -220,6 +220,70 @@ class TestPropagate:
             RecoveryResult(4, {0: 1}, ((1, 2),), 1, 1)
 
 
+def sorted_partition_oracle(n_key, known, classes):
+    """Every position once: the positions, sorted, are 0..n_key-1."""
+    return sorted(list(known) + [p for cls in classes for p in cls]) == list(range(n_key))
+
+
+# (n_key, known, unresolved_classes) that do not partition the key
+NOT_PARTITIONS = {
+    "duplicate-in-known-and-class": (4, {0: 1, 1: 0, 2: 1}, ((2, 3),)),
+    "duplicate-in-two-classes": (4, {0: 1}, ((1, 2), (2, 3))),
+    "duplicate-in-one-class": (3, {0: 1}, ((1, 1),)),
+    "missing": (4, {0: 1, 1: 0}, ((3,),)),
+    "missing-and-duplicate": (4, {0: 1, 1: 0}, ((1, 3),)),
+    "out-of-range": (4, {0: 1, 1: 0, 2: 1}, ((4,),)),
+    "negative": (4, {-1: 1, 1: 0, 2: 1, 3: 0}, ()),
+    "fraction": (2, {0: 1, 0.5: 0}, ()),
+    "too-many": (2, {0: 1, 1: 0, 2: 1}, ()),
+    "empty-for-a-key": (3, {}, ()),
+}
+
+
+class TestRecoveryResultPartition:
+    @pytest.mark.parametrize("n_key, known, classes", NOT_PARTITIONS.values(), ids=NOT_PARTITIONS.keys())
+    def test_rejects_what_is_no_partition(self, n_key, known, classes):
+        assert not sorted_partition_oracle(n_key, known, classes)
+        with pytest.raises(ValueError, match="must partition the key"):
+            RecoveryResult(n_key, known, classes, 1, 1)
+
+    def test_accepts_partitions_in_any_order(self):
+        for n_key, known, classes in [(0, {}, ()), (1, {}, ((0,),)), (4, {3: 1, 0: 0}, ((2, 1),)),
+                                      (5, {}, ((4, 0), (3,), (1, 2)))]:
+            assert RecoveryResult(n_key, known, classes, 1, 1).n_key == n_key
+
+    def test_agrees_with_sorted_check_on_perturbed_partitions(self):
+        rng = random.Random(5)
+        for _ in range(2000):
+            n = rng.randint(1, 12)
+            positions = list(range(n))
+            rng.shuffle(positions)
+            if rng.random() < 0.8:  # replace, drop, duplicate or add one position
+                k = rng.randrange(n)
+                edit = rng.choice(["replace", "drop", "duplicate", "add"])
+                value = rng.randint(-2, n + 1)
+                if edit == "replace":
+                    positions[k] = value
+                elif edit == "drop":
+                    del positions[k]
+                elif edit == "duplicate":
+                    positions.append(positions[k])
+                else:
+                    positions.append(value)
+            cut = rng.randint(0, len(positions))
+            known_positions, rest = positions[:cut], positions[cut:]
+            known = dict.fromkeys(known_positions, 1)
+            classes = tuple(tuple(rest[i : i + 3]) for i in range(0, len(rest), 3))
+            # the dict drops repeated known positions, so the oracle sees what the result holds
+            expected = sorted_partition_oracle(n, known, classes)
+            try:
+                RecoveryResult(n, known, classes, 1, 1)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == expected, (n, known, classes)
+
+
 def satisfying_keys(sets, n):
     """Independent oracle: every n-bit key meeting all relations, one row each."""
     keys = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1

@@ -47,6 +47,57 @@ class TestLfsr:
             lfsr_next(1 << 16, (16, 14, 13, 11))
 
 
+def oracle_columns(spec, n):
+    """stimulus_columns' three columns as lists, built from the oracle one window at a time."""
+    rows = [stimulus_oracle(spec, i) for i in range(n)]
+    return [list(column) for column in zip(*rows)] if rows else [[], [], []]
+
+
+def columns(spec, n):
+    duty, toggle, bits = stimulus_columns(spec, n)
+    return [duty.tolist(), toggle.tolist(), bits]
+
+
+class TestLfsrColumns:
+    @pytest.mark.parametrize(
+        "taps, seed",
+        [
+            ((1,), 1),
+            ((2, 1), 3),
+            ((3, 1), 5),
+            ((5, 4, 3, 2, 1), 0b10110),
+            ((5, 3), 0b10011),
+            ((7, 6), 0x41),
+            ((16, 14, 13, 11), 1),
+            ((11, 13, 14, 16), 0xFFFF),
+            ((32, 22, 2, 1), 0xDEADBEEF),
+            ((70, 9), (1 << 69) | 0x12345),
+        ],
+        ids=str,
+    )
+    def test_taps_and_seeds_match_oracle(self, taps, seed):
+        spec = PatternSpec.lfsr(taps, seed)
+        assert columns(spec, 300) == oracle_columns(spec, 300)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 10, 15, 16, 17, 27, 28])
+    def test_runs_around_the_register_width_match_oracle(self, n):
+        spec = PatternSpec.lfsr()
+        assert columns(spec, n) == oracle_columns(spec, n)
+
+    def test_zero_windows_are_empty_columns(self):
+        duty, toggle, bits = stimulus_columns(PatternSpec.lfsr(), 0)
+        assert duty.shape == toggle.shape == (0,) and duty.dtype == toggle.dtype == np.float64
+        assert bits == []
+
+    @pytest.mark.parametrize("taps, seed", [((16, 14, 13, 11), 0xACE1), ((3, 1), 6), ((9, 5), 0x1A5)], ids=str)
+    def test_long_run_matches_the_one_step_register(self, taps, seed):
+        state, expected = seed, []
+        for _ in range(5000):
+            bit, state = lfsr_next(state, taps)
+            expected.append(bit)
+        assert bits_of(PatternSpec.lfsr(taps, seed), 5000) == expected
+
+
 class TestDynamic4:
     def test_duty_cycle_table(self):
         duties = [stimulus_columns(PatternSpec.dynamic4(c), 1)[0][0] for c in DYNAMIC4_CODES]
