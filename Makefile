@@ -1,7 +1,5 @@
 PYTHON ?= python3
 OUT ?= out
-WORKLOAD ?= all
-SEED ?= 1
 # Run from the checkout without installing the package.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
@@ -16,9 +14,8 @@ test:
 acceptance:
 	$(PYTHON) -m pytest tests/test_acceptance.py -v -s
 
-# One workload with `make bench WORKLOAD=sim-link SEED=7`; bench/README.md names them.
 bench:
-	$(PYTHON) bench/run.py --workload $(WORKLOAD) --seed $(SEED) --seconds 15
+	$(PYTHON) bench/run.py --workload all --seed 1 --seconds 15
 
 # Write every experiment's CSV into $(OUT)/ (the table is longwire.cli.REPRODUCE_RUNS).
 reproduce:

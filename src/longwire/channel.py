@@ -431,7 +431,7 @@ TRACE_CSV_HEADER = ("window", "count", "duty", "toggle_rate", "tx_bit")
 
 
 def _format_column(column: np.ndarray, fmt) -> list[str]:
-    """fmt(v) for each value of an int64 or float64 column, called once per distinct value.
+    """fmt(v) for each value of a float64 column, called once per distinct value.
 
     Values are grouped by their 64 bits, not by ==, which keeps -0.0 apart from 0.0.
     """
@@ -443,8 +443,8 @@ def _format_column(column: np.ndarray, fmt) -> list[str]:
 def trace_to_csv(trace: CountTrace) -> str:
     """One header line, then one line per window; a bit of None is an empty field."""
     rows = zip(
-        map(str, trace.window.tolist()),  # all distinct, so not grouped
-        _format_column(trace.counts, str),
+        map(str, trace.window.tolist()),
+        map(str, trace.counts.tolist()),
         _format_column(trace.duty, "{:.6g}".format),
         _format_column(trace.toggle_rate, "{:.6g}".format),
         ["" if b is None else str(b) for b in trace.tx_bits],
@@ -453,8 +453,8 @@ def trace_to_csv(trace: CountTrace) -> str:
 
 
 def _parse_column(texts: tuple[str, ...], parse) -> list:
-    """parse(v) for each text, called once per distinct text."""
-    values = {v: parse(v) for v in set(texts)}
+    """parse(v) for each text, called once per distinct text in file order."""
+    values = {v: parse(v) for v in dict.fromkeys(texts)}
     return list(map(values.__getitem__, texts))
 
 
@@ -471,8 +471,8 @@ def trace_from_csv(text: str) -> CountTrace:
         rows.append(row)
     window, count, duty, toggle_rate, bit = zip(*rows) if rows else [()] * len(TRACE_CSV_HEADER)
     return CountTrace(
-        list(map(int, window)),  # all distinct in a valid trace, so not grouped
-        _parse_column(count, int),
+        list(map(int, window)),
+        list(map(int, count)),
         _parse_column(duty, float),
         _parse_column(toggle_rate, float),
         _parse_column(bit, lambda v: None if v == "" else int(v)),

@@ -57,6 +57,8 @@ class Frame:
     line_code: LineCode = LineCode.NONE
 
     def __post_init__(self):
+        for name in ("payload", "sof", "eof"):  # tuples, so a frozen frame stays hashable
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.sof or not self.eof:
             raise ValueError("sof and eof patterns must be non-empty")
         try:

@@ -17,12 +17,11 @@ links by doubling shifts.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -131,11 +130,6 @@ class RelationSet(NamedTuple):
     w: int
 
 
-@functools.lru_cache(maxsize=16)
-def _key_positions(n_key: int) -> frozenset[int]:
-    return frozenset(range(n_key))
-
-
 @dataclass
 class RecoveryResult:
     """Outcome of a recovery pass: resolved bits plus all-equal classes."""
@@ -147,10 +141,7 @@ class RecoveryResult:
     measurements_used: int
 
     def __post_init__(self):
-        # n entries that leave none of the n positions uncovered hold each one exactly once
-        classes = self.unresolved_classes
-        if (len(self.known) + sum(map(len, classes)) != self.n_key
-                or _key_positions(self.n_key).difference(self.known, *classes)):
+        if sorted(chain(self.known, *self.unresolved_classes)) != list(range(self.n_key)):
             raise ValueError("known bits and unresolved classes must partition the key")
 
     @property

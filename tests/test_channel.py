@@ -360,6 +360,16 @@ class TestTraceCSV:
         with pytest.raises(ValueError, match="invalid literal for int"):
             trace_from_csv("window,count,duty,toggle_rate,tx_bit\n0,ten,1,0,1\n")
 
+    @pytest.mark.parametrize("column", [1, 2, 3, 4])
+    def test_names_first_unparsable_value_in_file_order(self, column):
+        bad = ["zeta", "alpha", "mu", "beta", "pi", "chi", "eta", "rho"]
+        rows = [[str(w), "5", "1", "0", "1"] for w in range(len(bad) + 1)]
+        for row, value in zip(rows[1:], bad):
+            row[column] = value
+        text = "window,count,duty,toggle_rate,tx_bit\n" + "".join(",".join(r) + "\n" for r in rows)
+        with pytest.raises(ValueError, match="'zeta'"):
+            trace_from_csv(text)
+
     def test_trace_validation(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             CountTrace([1, 1], [5, 5], [0.0, 0.0], [0.0, 0.0], [0, 0])

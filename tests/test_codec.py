@@ -156,6 +156,14 @@ class TestFrames:
         frame = Frame(payload=(1, 0, 0), sof=(1, 1), eof=(0,))
         assert frame_to_bits(frame) == [1, 1, 1, 0, 0, 0]
 
+    def test_list_fields_are_stored_as_tuples(self):
+        payload, sof, eof = [1, 0, 0], [1, 1], [0]
+        frame = Frame(payload=payload, sof=sof, eof=eof)
+        payload[0] = 2
+        assert (frame.payload, frame.sof, frame.eof) == ((1, 0, 0), (1, 1), (0,))
+        assert hash(frame) == hash(Frame(payload=(1, 0, 0), sof=(1, 1), eof=(0,)))
+        assert frame_to_bits(frame) == [1, 1, 1, 0, 0, 0]
+
 
 def brute_force_frames(bitstream, sof, eof, line_code):
     """Every SOF match, paired with the first EOF at or after its payload that
