@@ -293,10 +293,22 @@ def _coupling_terms(profile: DeviceProfile, geom: Geometry) -> tuple[float, floa
 
 
 def _mean_count(profile, cfg, geom, duty, toggle_rate, drift):
-    """Noise-free window count; floats or arrays alike."""
+    """Noise-free window count, (m * base_rate) * (1 + drift) * (1 + duty * delta - penalty * toggle_rate).
+
+    Floats or arrays alike.  An array ``drift`` is overwritten with the
+    result; the terms are combined in place, in the order written above.
+    """
     delta, penalty = _coupling_terms(profile, geom)
-    m = cfg.ticks_per_window
-    return m * profile.base_rate * (1.0 + drift) * (1.0 + duty * delta - penalty * toggle_rate)
+    level = duty * delta
+    level += 1.0
+    load = penalty * toggle_rate
+    if not (isinstance(load, float) and load == 0.0):  # x - 0.0 == x
+        level -= load
+    mean = drift
+    mean += 1.0
+    mean *= cfg.ticks_per_window * profile.base_rate
+    mean *= level
+    return mean
 
 
 def expected_count(
@@ -395,20 +407,23 @@ def simulate_counts(
     stream in three blocks (see the module docstring), then adds mean,
     noise and counter phase, rounded half to even and clipped at 0.
     """
-    duty, toggle = np.asarray(duty, dtype=float), np.asarray(toggle_rate, dtype=float)
-    if duty.ndim != 1 or toggle.ndim > 1:
+    duty = np.asarray(duty, dtype=float)
+    scalar = isinstance(toggle_rate, (int, float))
+    toggle = float(toggle_rate) if scalar else np.asarray(toggle_rate, dtype=float)
+    if duty.ndim != 1 or (not scalar and toggle.ndim > 1):
         raise ValueError("duty and toggle_rate must be one value per window")
     if not ((duty >= 0.0) & (duty <= 1.0)).all():
         raise ValueError("duty must be in [0, 1]")
-    if not ((toggle >= 0.0) & (toggle < np.inf)).all():
+    if not (0.0 <= toggle < math.inf if scalar else ((toggle >= 0.0) & (toggle < np.inf)).all()):
         raise ValueError("toggle_rate must be finite and >= 0")
     n = len(duty)
     innovations = rng.normal(0.0, profile.drift_rate, n)
     noise = rng.normal(0.0, profile.noise_sigma_for(cfg.ticks_per_window), n)
     phase = rng.uniform(-1.0, 1.0, n)
-    drift = _drift_path(profile, innovations)
-    raw = _mean_count(profile, cfg, geom, duty, toggle, drift) + noise + phase
-    return np.maximum(np.rint(raw), 0.0).astype(np.int64)
+    raw = _mean_count(profile, cfg, geom, duty, toggle, _drift_path(profile, innovations))
+    raw += noise
+    raw += phase
+    return np.maximum(np.rint(raw, out=raw), 0.0, out=raw).astype(np.int64)
 
 
 def simulate_trace(

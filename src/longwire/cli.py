@@ -59,6 +59,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} must be a non-negative integer")
+    return value
+
+
 def _str_list(text: str) -> list[str]:
     items = [x for x in text.split(",") if x.strip()]
     if not items:
@@ -309,14 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", default="alternating",
                    help="alternating | longruns[:len] | lfsr[:seed] | d0..d5 | custom:<bits>")
     p.add_argument("--windows", type=_positive_int, default=2048)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_non_negative_int, required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("scaling-time", help="count differences vs measurement time")
     _add_channel_args(p, "--vt", "--vr", "--d")
     p.add_argument("--n-list", type=_int_list, default=[13, 15, 17, 19, 21])
     p.add_argument("--windows", type=_positive_int, default=2048)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_non_negative_int, required=True)
     p.set_defaults(func=cmd_scaling_time)
 
     p = sub.add_parser("scaling-length", help="relative difference over transmitter x receiver lengths")
@@ -324,27 +331,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vt-list", type=_str_list, default=["1/3", "2/3", "1", "2", "3", "4", "5"])
     p.add_argument("--vr-list", type=_int_list, default=[1, 2, 3, 4, 5])
     p.add_argument("--windows", type=_positive_int, default=1024)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_non_negative_int, required=True)
     p.set_defaults(func=cmd_scaling_length)
 
     p = sub.add_parser("distance", help="effect and KS p-value vs wire distance")
     _add_channel_args(p, "--n", "--vt", "--vr")
     p.add_argument("--d-list", type=_int_list, default=[1, 2, 3, 4])
     p.add_argument("--windows", type=_positive_int, default=2048)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_non_negative_int, required=True)
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("dynamic", help="mean counts for the six 4-bit loop codes")
     _add_channel_args(p, "--n", "--vt", "--vr", "--d", "--path")
     p.add_argument("--windows", type=_positive_int, default=2048)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_non_negative_int, required=True)
     p.set_defaults(func=cmd_dynamic)
 
     p = sub.add_parser("ber", help="covert-channel accuracy vs window length")
     _add_channel_args(p, "--vt", "--vr", "--d")
     p.add_argument("--n-list", type=_int_list, default=[13])
     p.add_argument("--bits", type=_positive_int, default=10000)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_non_negative_int, required=True)
     p.set_defaults(func=cmd_ber)
 
     p = sub.add_parser("bandwidth", help="channel bandwidth per window length")
@@ -361,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel_args(noisy, "--n", "--vt", "--vr", "--d", action=_NoisyOnly)
     noisy.add_argument("--repeats", action=_NoisyOnly, type=_positive_int, default=1,
                        help="averaged counts per window")
-    noisy.add_argument("--seed", action=_NoisyOnly, type=int, default=0)
+    noisy.add_argument("--seed", action=_NoisyOnly, type=_non_negative_int, default=0)
     p.set_defaults(func=cmd_exfil, noisy_only=[])
 
     p = sub.add_parser("prob", help="full-recovery probability table")
@@ -369,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     widths = p.add_mutually_exclusive_group(required=True)
     widths.add_argument("--w", type=_positive_int, help="window width in bits")
     widths.add_argument("--w-list", type=_int_list, help="sweep several window widths")
-    p.add_argument("--trials", type=int, default=0, help="Monte Carlo trials (0 = analytic only)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_non_negative_int, default=0, help="Monte Carlo trials (0 = analytic only)")
+    p.add_argument("--seed", type=int, default=0, help="any integer; the trial keys use it mod 2^64")
     p.set_defaults(func=cmd_prob)
 
     p = sub.add_parser("audit", help="exposure report and guard planning for a routing grid")

@@ -18,6 +18,7 @@ links by doubling shifts.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -177,12 +178,20 @@ def measure_windows(key, w: int) -> list[int]:
     return _window_weights(key, w).tolist()
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExfilChannel:
     """Noise configuration: measurements go through the count simulator.
 
-    ``repeats`` averages that many counts per window; whether averaging
-    buys accuracy is reported by noise_feasibility, not assumed.
+    ``seed`` is an int >= 0: each measurement pass draws from a fresh
+    generator seeded with it, as ``numpy.random.default_rng(seed)`` would.
+    ``repeats`` is an int >= 1 and averages that many counts per window;
+    whether averaging buys accuracy is reported by noise_feasibility, not
+    assumed.  Any other value of either, a bool or a float included, raises
+    ValueError when the channel is built.
     """
 
     profile: DeviceProfile
@@ -192,14 +201,15 @@ class ExfilChannel:
     repeats: int = 1
 
     def __post_init__(self):
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
+        if not _is_int(self.repeats) or self.repeats < 1:
+            raise ValueError(f"repeats must be an int >= 1, got {self.repeats!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
 
 
 def _full_swing(chan: ExfilChannel) -> float:
-    high = expected_count(chan.profile, chan.cfg, chan.geom, 1.0)
-    low = expected_count(chan.profile, chan.cfg, chan.geom, 0.0)
-    return high - low
+    """expected_count at duty 1 less that at duty 0, which is exactly ticks_per_window * base_rate."""
+    return expected_count(chan.profile, chan.cfg, chan.geom, 1.0) - chan.cfg.ticks_per_window * chan.profile.base_rate
 
 
 def noise_tolerance(chan: ExfilChannel, w: int) -> float:
@@ -215,9 +225,15 @@ def noise_feasibility(chan: ExfilChannel, w: int) -> dict[str, float]:
 
 
 def _noisy_counts(key, w: int, chan: ExfilChannel) -> np.ndarray:
-    duty = np.repeat(_window_weights(key, w) / w, chan.repeats)
-    counts = simulate_counts(chan.profile, chan.cfg, chan.geom, duty, 0.0, np.random.default_rng(chan.seed))
-    return counts.reshape(-1, chan.repeats).sum(axis=1) / chan.repeats  # integer counts: exactly their mean
+    duty = _window_weights(key, w) / w
+    repeats = chan.repeats
+    if repeats > 1:
+        duty = duty.repeat(repeats)
+    rng = np.random.Generator(np.random.PCG64(chan.seed))  # what default_rng(seed) builds
+    counts = simulate_counts(chan.profile, chan.cfg, chan.geom, duty, 0.0, rng)
+    if repeats > 1:
+        counts = counts.reshape(-1, repeats).sum(axis=1)
+    return counts / repeats  # integer counts: exactly their mean
 
 
 def measure_windows_noisy(key, w: int, chan: ExfilChannel) -> list[float]:
@@ -239,8 +255,11 @@ def infer_relations(counts: Sequence[float], w: int, tolerance: float) -> Relati
         raise ValueError("tolerance must be >= 0")
     if not np.isfinite(counts).all():
         raise ValueError(f"count {np.flatnonzero(~np.isfinite(counts))[0]} is not finite")
-    step, cut = counts[1:] - counts[:-1], (1 << (len(counts) - 1)) - 1  # drop: step < -tolerance; rise: > tolerance
-    both = int.from_bytes(np.packbits((step < -tolerance, step > tolerance), bitorder="little"), "little")
+    step, cut = counts[1:] - counts[:-1], (1 << (len(counts) - 1)) - 1
+    flags = np.empty((2, len(step)), dtype=bool)  # row 0 drops (step < -tolerance), row 1 rises (> tolerance)
+    np.less(step, -tolerance, out=flags[0])
+    np.greater(step, tolerance, out=flags[1])
+    both = int.from_bytes(np.packbits(flags, bitorder="little"), "little")
     return RelationSet(cut & ~(both | both >> len(step)), both & cut, both >> len(step), w)  # rises sit above drops
 
 
@@ -294,13 +313,16 @@ def propagate(relations: RelationSet | Sequence[RelationSet], n_key: int) -> Rec
         raise InconsistentMeasurements(f"component of bit {(clash & -clash).bit_length() - 1} pinned to both 0 and 1")
     classes = []
     free = ((1 << n_key) - 1) & ~(ones | zeros)
+    known = enumerate(_mask_bits(ones, n_key))
+    if free:  # else every bit is known
+        known = compress(known, _mask_bits(ones | zeros, n_key))
     while free:  # the lowest free bit starts the next class, so classes come ordered by first bit
         cls = _close(free & -free, links)
         classes.append(tuple(compress(range(n_key), _mask_bits(cls, n_key))))
         free &= ~cls
     return RecoveryResult(
         n_key=n_key,
-        known=dict(compress(enumerate(_mask_bits(ones, n_key)), _mask_bits(ones | zeros, n_key))),
+        known=dict(known),
         unresolved_classes=tuple(classes),
         runs_used=sum(w for *_, w in sets),
         measurements_used=sum(n_key - w + 1 for *_, w in sets),

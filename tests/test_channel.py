@@ -305,6 +305,15 @@ class TestStreamOracle:
         expected = [sum(counts[i : i + repeats]) / repeats for i in range(0, len(counts), repeats)]
         assert measure_windows_noisy(key, w, chan) == expected
 
+    @pytest.mark.parametrize("coupling", ["long", "local"])
+    def test_scalar_toggle_equals_toggle_column(self, coupling, cfg13):
+        profile, geom = DeviceProfile(), Geometry(v_t=2, v_r=2, coupling=coupling)
+        duty = [float(i % 2) for i in range(300)]
+        expected, _ = replica_counts(profile, cfg13, geom, [(d, 0.25) for d in duty], 41)
+        scalar = simulate_counts(profile, cfg13, geom, duty, 0.25, np.random.default_rng(41))
+        column = simulate_counts(profile, cfg13, geom, duty, np.full(300, 0.25), np.random.default_rng(41))
+        assert scalar.tolist() == column.tolist() == expected
+
     def test_counts_validate_stimulus(self, profile, cfg13, geom22):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="duty"):
@@ -316,11 +325,13 @@ class TestStreamOracle:
 
 
 @pytest.mark.parametrize("toggle", [math.nan, math.inf, -0.1])
-@pytest.mark.parametrize("entry", ["simulate_counts", "expected_count", "trace_from_csv"])
+@pytest.mark.parametrize("entry", ["simulate_counts", "simulate_counts_scalar", "expected_count", "trace_from_csv"])
 def test_toggle_rate_must_be_finite_and_non_negative(entry, toggle, profile, cfg13, geom22):
     with pytest.raises(ValueError, match="toggle_rate"):
         if entry == "simulate_counts":
             simulate_counts(profile, cfg13, geom22, [0.5, 0.5], [toggle, 0.0], np.random.default_rng(0))
+        elif entry == "simulate_counts_scalar":
+            simulate_counts(profile, cfg13, geom22, [0.5, 0.5], toggle, np.random.default_rng(0))
         elif entry == "expected_count":
             expected_count(profile, cfg13, geom22, 0.5, toggle)
         else:

@@ -132,6 +132,10 @@ REJECTED = [
     (["ber", "--n-list", ",", "--seed", "1"], "--n-list: ',' lists no values"),
     (["bandwidth", "--n-list", ","], "--n-list: ',' lists no values"),
     (["prob", "--n", "64", "--w-list", ","], "--w-list: ',' lists no values"),
+    *[([*argv[: argv.index("--seed") + 1], "-3", *argv[argv.index("--seed") + 2 :]],
+       "argument --seed: '-3' must be a non-negative integer")
+      for study, (argv, _) in STUDIES.items() if "--seed" in argv],
+    (["prob", "--n", "64", "--w", "10", "--trials", "-5"], "argument --trials: '-5' must be a non-negative integer"),
 ]
 
 
@@ -190,6 +194,11 @@ class TestDeterminism:
         assert code1 == code2 == 0
         assert out1 == out2
         assert "nan" not in out1.lower()
+
+    def test_prob_seed_is_taken_mod_2_64(self, capsys):
+        argv = ["prob", "--n", "64", "--w", "10", "--trials", "200", "--seed"]
+        negative, wrapped = run(capsys, *argv, "-5"), run(capsys, *argv, str(2**64 - 5))
+        assert negative == wrapped and negative[0] == 0
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         target = tmp_path / "x.csv"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longwire import DeviceProfile, Geometry, MeasurementConfig, kernels
+from longwire import DeviceProfile, Geometry, MeasurementConfig, expected_count, kernels
 from longwire.errors import InconsistentMeasurements
 from longwire.exfil import (
     ExfilChannel,
@@ -678,9 +678,28 @@ class TestNoisyRecovery:
         assert feas["noise_sigma"] == pytest.approx(6.4)  # 0.8 * sqrt(2^8) / 2
         assert feas["step_over_sigma"] == pytest.approx(40.0)
 
+    @pytest.mark.parametrize("coupling", ["long", "local"])
+    @pytest.mark.parametrize("log2_ticks, base_rate", [(13, 3.0), (21, 3.0), (19, 2.7182818)])
+    def test_tolerance_is_half_the_expected_count_step(self, coupling, log2_ticks, base_rate):
+        chan = ExfilChannel(DeviceProfile(base_rate=base_rate), MeasurementConfig(log2_ticks=log2_ticks),
+                            Geometry(v_t="1/3", v_r=3, d=2, coupling=coupling), seed=0)
+        swing = (expected_count(chan.profile, chan.cfg, chan.geom, 1.0)
+                 - expected_count(chan.profile, chan.cfg, chan.geom, 0.0))
+        assert noise_tolerance(chan, 7) == swing / 14.0
+
     def test_repeats_validated(self):
         with pytest.raises(ValueError):
             self.channel(repeats=0)
+        # rejected when the channel is built, not at the first measurement
+        for field, value in [("repeats", True), ("repeats", 1.0), ("repeats", 2.0), ("repeats", "2"),
+                             ("seed", -1), ("seed", 1.0), ("seed", "3"), ("seed", True)]:
+            with pytest.raises(ValueError, match=field):
+                self.channel(**{field: value})
+
+    def test_numpy_int_seed_and_repeats_measure_like_ints(self):
+        key = KeyBits.from_binary("1011001010010")
+        chan = self.channel(seed=np.uint64(7), repeats=np.int64(3))
+        assert measure_windows_noisy(key, 4, chan) == measure_windows_noisy(key, 4, self.channel(seed=7, repeats=3))
 
 
 class TestNoisyMonteCarlo:
