@@ -332,12 +332,13 @@ _BLOCK = 64
 
 
 @functools.lru_cache(maxsize=8)
-def _decay_matrix(keep: float) -> np.ndarray:
-    """Lower-triangular block x block matrix of keep^(i - j), read-only."""
+def _decay_matrix(keep: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lower-triangular block x block matrix of keep^(i - j), and its first column times keep; read-only."""
     lag = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
     matrix = np.where(lag >= 0, keep ** np.maximum(lag, 0).astype(float), 0.0)
-    matrix.flags.writeable = False
-    return matrix
+    carry = matrix[:, 0] * keep
+    matrix.flags.writeable = carry.flags.writeable = False
+    return matrix, carry
 
 
 def _linear_ar1(innovations: np.ndarray, keep: float) -> np.ndarray:
@@ -350,7 +351,7 @@ def _linear_ar1(innovations: np.ndarray, keep: float) -> np.ndarray:
     when keep is in [0, 1], so the pass is as stable as the loop.
     """
     n = len(innovations)
-    decay = _decay_matrix(keep)
+    decay, carry = _decay_matrix(keep)
     if n <= _BLOCK:
         return decay[:n, :n] @ innovations
     blocks = -(-n // _BLOCK)
@@ -358,7 +359,7 @@ def _linear_ar1(innovations: np.ndarray, keep: float) -> np.ndarray:
     padded[:n] = innovations
     path = padded.reshape(blocks, _BLOCK) @ decay.T
     ends = _linear_ar1(path[:, -1], keep**_BLOCK)
-    path[1:] += np.multiply.outer(ends[:-1], decay[:, 0] * keep)
+    path[1:] += ends[:-1, None] * carry
     return path.ravel()[:n]
 
 
@@ -416,6 +417,11 @@ def simulate_counts(
         raise ValueError("duty must be in [0, 1]")
     if not (0.0 <= toggle < math.inf if scalar else ((toggle >= 0.0) & (toggle < np.inf)).all()):
         raise ValueError("toggle_rate must be finite and >= 0")
+    return _count_engine(profile, cfg, geom, duty, toggle, rng)
+
+
+def _count_engine(profile, cfg, geom, duty: np.ndarray, toggle, rng) -> np.ndarray:
+    """simulate_counts past its checks: duty a 1-D float array in [0, 1], toggle a float or array, finite and >= 0."""
     n = len(duty)
     innovations = rng.normal(0.0, profile.drift_rate, n)
     noise = rng.normal(0.0, profile.noise_sigma_for(cfg.ticks_per_window), n)

@@ -18,7 +18,6 @@ links by doubling shifts.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -28,7 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import kernels
-from .channel import DeviceProfile, Geometry, MeasurementConfig, expected_count, simulate_counts
+from .channel import DeviceProfile, Geometry, MeasurementConfig, _count_engine, expected_count
 from .errors import InconsistentMeasurements
 
 __all__ = [
@@ -179,7 +178,7 @@ def measure_windows(key, w: int) -> list[int]:
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -230,7 +229,7 @@ def _noisy_counts(key, w: int, chan: ExfilChannel) -> np.ndarray:
     if repeats > 1:
         duty = duty.repeat(repeats)
     rng = np.random.Generator(np.random.PCG64(chan.seed))  # what default_rng(seed) builds
-    counts = simulate_counts(chan.profile, chan.cfg, chan.geom, duty, 0.0, rng)
+    counts = _count_engine(chan.profile, chan.cfg, chan.geom, duty, 0.0, rng)  # duty = weight / w is in [0, 1]
     if repeats > 1:
         counts = counts.reshape(-1, repeats).sum(axis=1)
     return counts / repeats  # integer counts: exactly their mean
@@ -255,6 +254,11 @@ def infer_relations(counts: Sequence[float], w: int, tolerance: float) -> Relati
         raise ValueError("tolerance must be >= 0")
     if not np.isfinite(counts).all():
         raise ValueError(f"count {np.flatnonzero(~np.isfinite(counts))[0]} is not finite")
+    return _classify(counts, w, tolerance)
+
+
+def _classify(counts: np.ndarray, w: int, tolerance: float) -> RelationSet:
+    """infer_relations past its checks: counts a finite 1-D float64 array of at least 1 value, tolerance >= 0."""
     step, cut = counts[1:] - counts[:-1], (1 << (len(counts) - 1)) - 1
     flags = np.empty((2, len(step)), dtype=bool)  # row 0 drops (step < -tolerance), row 1 rises (> tolerance)
     np.less(step, -tolerance, out=flags[0])
@@ -293,7 +297,7 @@ def propagate(relations: RelationSet | Sequence[RelationSet], n_key: int) -> Rec
     sets = (relations,) if isinstance(relations, RelationSet) else tuple(relations)
     if not sets:
         raise ValueError("need at least one relation set")
-    ones = zeros = 0
+    ones = zeros = runs = measurements = 0
     links = []
     for equal, drop, rise, w in sets:
         if not 1 <= w <= n_key:
@@ -303,6 +307,8 @@ def propagate(relations: RelationSet | Sequence[RelationSet], n_key: int) -> Rec
             raise ValueError(f"width {w}: equal, drop and rise must partition bits 0..{n_key - w - 1}")
         ones |= drop | rise << w
         zeros |= rise | drop << w
+        runs += w
+        measurements += n_key - w + 1
         links.append(steps := [])
         while equal and w < n_key:
             steps.append((equal, w))
@@ -324,8 +330,8 @@ def propagate(relations: RelationSet | Sequence[RelationSet], n_key: int) -> Rec
         n_key=n_key,
         known=dict(known),
         unresolved_classes=tuple(classes),
-        runs_used=sum(w for *_, w in sets),
-        measurements_used=sum(n_key - w + 1 for *_, w in sets),
+        runs_used=runs,
+        measurements_used=measurements,
     )
 
 
@@ -345,7 +351,7 @@ def single_window_recover(key, w: int, noise: ExfilChannel | None = None) -> Rec
         raise ValueError("key length must be >= 2w - 1")
     if noise is None:
         return propagate(_key_masks(key.to_int(), n, w), n)
-    return propagate(infer_relations(_noisy_counts(key, w, noise), w, noise_tolerance(noise, w)), n)
+    return propagate(_classify(_noisy_counts(key, w, noise), w, noise_tolerance(noise, w)), n)
 
 
 def noisy_outcome(key, w: int, chan: ExfilChannel) -> tuple[str, RecoveryResult | None]:
