@@ -186,7 +186,7 @@ class ExfilChannel:
     """Noise configuration: measurements go through the count simulator.
 
     ``seed`` is an int >= 0: each measurement pass draws from a fresh
-    generator seeded with it, as ``numpy.random.default_rng(seed)`` would.
+    ``numpy.random.default_rng(seed)``.
     ``repeats`` is an int >= 1 and averages that many counts per window;
     whether averaging buys accuracy is reported by noise_feasibility, not
     assumed.  Any other value of either, a bool or a float included, raises
@@ -228,8 +228,8 @@ def _noisy_counts(key, w: int, chan: ExfilChannel) -> np.ndarray:
     repeats = chan.repeats
     if repeats > 1:
         duty = duty.repeat(repeats)
-    rng = np.random.Generator(np.random.PCG64(chan.seed))  # what default_rng(seed) builds
-    counts = _count_engine(chan.profile, chan.cfg, chan.geom, duty, 0.0, rng)  # duty = weight / w is in [0, 1]
+    # weight / w is in [0, 1] and the toggle rate is 0.0, so the engine's stimulus checks would pass
+    counts = _count_engine(chan.profile, chan.cfg, chan.geom, duty, 0.0, np.random.default_rng(chan.seed))
     if repeats > 1:
         counts = counts.reshape(-1, repeats).sum(axis=1)
     return counts / repeats  # integer counts: exactly their mean
@@ -259,11 +259,8 @@ def infer_relations(counts: Sequence[float], w: int, tolerance: float) -> Relati
 
 def _classify(counts: np.ndarray, w: int, tolerance: float) -> RelationSet:
     """infer_relations past its checks: counts a finite 1-D float64 array of at least 1 value, tolerance >= 0."""
-    step, cut = counts[1:] - counts[:-1], (1 << (len(counts) - 1)) - 1
-    flags = np.empty((2, len(step)), dtype=bool)  # row 0 drops (step < -tolerance), row 1 rises (> tolerance)
-    np.less(step, -tolerance, out=flags[0])
-    np.greater(step, tolerance, out=flags[1])
-    both = int.from_bytes(np.packbits(flags, bitorder="little"), "little")
+    step, cut = counts[1:] - counts[:-1], (1 << (len(counts) - 1)) - 1  # drop: step < -tolerance; rise: > tolerance
+    both = int.from_bytes(np.packbits((step < -tolerance, step > tolerance), bitorder="little"), "little")
     return RelationSet(cut & ~(both | both >> len(step)), both & cut, both >> len(step), w)  # rises sit above drops
 
 
