@@ -17,7 +17,10 @@ from __future__ import annotations
 import csv
 import io
 import sys
-from dataclasses import dataclass
+import threading
+from collections import defaultdict
+from dataclasses import dataclass, fields
+from itertools import islice
 from operator import attrgetter
 from typing import Iterable
 
@@ -47,8 +50,11 @@ DEFAULT_N_LONGS = 8500
 # Guard wires sit two tracks to each side of the protected span.
 GUARD_DISTANCES = (-2, -1, 1, 2)
 
+# Held while a derived grid claims or copies its parent's wire-id index.
+_INDEX_LOCK = threading.Lock()
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class LongWireSpan:
     wire_id: str
     core_id: str
@@ -59,19 +65,34 @@ class LongWireSpan:
     y_start: int
     y_end: int
 
-    def __post_init__(self):
-        if self.trust not in ("trusted", "untrusted"):
+    def __init__(self, wire_id: str, core_id: str, trust: str, sensitive: bool,
+                 column: int, track: int, y_start: int, y_end: int):
+        if trust not in ("trusted", "untrusted"):
             raise ValueError("trust must be 'trusted' or 'untrusted'")
-        if self.y_start > self.y_end:
+        if y_start > y_end:
             raise ValueError("y_start must be <= y_end")
-        if self.column < 0:
+        if column < 0:
             raise ValueError("column must be >= 0")
-        if self.track < 0:
+        if track < 0:
             raise ValueError("track must be >= 0")
+        # A frozen span stores its fields through the slots' own descriptors,
+        # as object.__setattr__ would, without the attribute lookup.
+        _set_wire_id(self, wire_id)
+        _set_core_id(self, core_id)
+        _set_trust(self, trust)
+        _set_sensitive(self, sensitive)
+        _set_column(self, column)
+        _set_track(self, track)
+        _set_y_start(self, y_start)
+        _set_y_end(self, y_end)
 
     def overlap(self, other: "LongWireSpan") -> int:
         """Shared extent in long-wire units (inclusive coordinates)."""
         return max(0, min(self.y_end, other.y_end) - max(self.y_start, other.y_start) + 1)
+
+
+(_set_wire_id, _set_core_id, _set_trust, _set_sensitive, _set_column, _set_track, _set_y_start,
+ _set_y_end) = (vars(LongWireSpan)[f.name].__set__ for f in fields(LongWireSpan))
 
 
 @dataclass(frozen=True)
@@ -86,10 +107,11 @@ class RoutingGrid:
         _check_and_index(self.spans, self.tracks_per_column, self.n_longs, grid=self)
 
     def span(self, wire_id: str) -> LongWireSpan:
-        try:
-            return self._ids[wire_id]
-        except KeyError:
-            raise ValueError(f"no span with wire_id {wire_id!r}") from None
+        # The wire-id index may run on past this grid's spans into a derived grid's.
+        i = self._ids.get(wire_id, len(self.spans))
+        if i < len(self.spans):
+            return self.spans[i]
+        raise ValueError(f"no span with wire_id {wire_id!r}")
 
     def column(self, column: int) -> tuple[LongWireSpan, ...]:
         """The spans of one channel column, in grid order."""
@@ -107,28 +129,35 @@ def _check_and_index(
     (column, track) slot to appear.  The same pass builds the wire-id and
     column indexes, kept as plain attributes so that ==, repr and asdict see
     only the fields; columns no added span touches stay the parent's tuples.
+    The wire-id index maps each id to its position in spans.  The first grid
+    derived from a parent extends the parent's index in place, and so shares
+    it; a later one copies the parent's part of it first.  An index thus holds,
+    in grid order, the ids of the longest grid that shares it, and each of
+    those grids reads only the entries below its own span count.
     lines, for a grid without a parent, gives each span's source line.
     The indexes are stored on grid, or on a new grid when it is None.
     """
     def where(i: int):
         return None if lines is None else lines[i]
 
+    base = 0 if parent is None else len(parent.spans)
     spans = added if parent is None else tuple(parent.spans) + added
     if len(spans) > n_longs:
         raise CapacityError(f"{len(spans)} spans exceed the {n_longs} long-wire capacity")
-    ids = {} if parent is None else dict(parent._ids)
+    known = {} if parent is None else parent._ids
+    ids: dict[str, int] = {}
     columns = {} if parent is None else dict(parent._columns)
-    touched: dict[int, list[LongWireSpan]] = {}
-    for i, s in enumerate(added):
+    touched: defaultdict[int, list[LongWireSpan]] = defaultdict(list)
+    for pos, s in enumerate(added, base):
         if s.track >= tracks_per_column:
             raise CapacityError(
                 f"span {s.wire_id}: track {s.track} outside channel of {tracks_per_column} tracks",
-                line=where(i),
+                line=where(pos - base),
             )
-        if s.wire_id in ids:
-            raise DuplicateOccupancy(f"duplicate wire_id {s.wire_id}", line=where(i))
-        ids[s.wire_id] = s
-        touched.setdefault(s.column, []).append(s)
+        w = s.wire_id
+        if ids.setdefault(w, pos) != pos or w in known and known[w] < base:
+            raise DuplicateOccupancy(f"duplicate wire_id {w}", line=where(pos - base))
+        touched[s.column].append(s)
     overlaps = {}
     for c, new in touched.items():
         columns[c] = members = columns.get(c, ()) + tuple(new)
@@ -153,6 +182,15 @@ def _check_and_index(
         if lines is not None:
             msg += f" (lines {lines[first]} and {lines[second]})"
         raise DuplicateOccupancy(msg, line=where(second))
+    if parent is not None:
+        with _INDEX_LOCK:  # grids may be shared between threads
+            if len(known) != base:  # a grid derived earlier extended it: copy it without the later ids
+                tail = list(islice(reversed(known), len(known) - base))
+                known = dict(known)
+                for w in tail:
+                    del known[w]
+            known.update(ids)
+        ids = known
     if grid is None:
         grid = object.__new__(RoutingGrid)
     vars(grid).update(spans=spans, tracks_per_column=tracks_per_column, n_longs=n_longs,
@@ -173,10 +211,11 @@ def parse_grid(text: str) -> RoutingGrid:
     spans: list[LongWireSpan] = []
     lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if "#" in raw:
+            raw = raw[: raw.index("#")]
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
         if fields[0] == "CAPACITY":
             if len(fields) != 3:
                 raise GridSyntaxError("CAPACITY takes <tracks_per_column> <n_longs>", line=lineno)
@@ -202,17 +241,9 @@ def parse_grid(text: str) -> RoutingGrid:
         if kind not in ("sensitive", "normal"):
             raise GridSyntaxError("span kind must be 'sensitive' or 'normal'", line=lineno)
         try:
-            span = LongWireSpan(
-                wire_id=wire_id,
-                # a grid names a handful of cores: share one string per name
-                core_id=sys.intern(core_id),
-                trust=sys.intern(trust),
-                sensitive=kind == "sensitive",
-                column=int(column),
-                track=int(track),
-                y_start=int(y0),
-                y_end=int(y1),
-            )
+            # a grid names a handful of cores: share one string per name
+            span = LongWireSpan(wire_id, sys.intern(core_id), sys.intern(trust), kind == "sensitive",
+                                int(column), int(track), int(y0), int(y1))
         except ValueError as exc:
             raise GridSyntaxError(str(exc), line=lineno) from None
         spans.append(span)
@@ -253,12 +284,12 @@ def find_exposures(grid: RoutingGrid, d_max: int = 2) -> list[Exposure]:
         if not s.sensitive:
             continue
         for f in grid.column(s.column):
-            distance = abs(f.track - s.track)
-            if not 1 <= distance <= d_max or f.core_id == s.core_id:
-                continue
-            overlap = s.overlap(f)
-            if overlap > 0:
-                found.append(Exposure(s, f, distance, overlap))
+            # Valid extents overlap when each starts no later than the other
+            # ends: two comparisons that rule out most of the column first.
+            if f.y_start <= s.y_end and s.y_start <= f.y_end and f.core_id != s.core_id:
+                distance = abs(f.track - s.track)
+                if 1 <= distance <= d_max:
+                    found.append(Exposure(s, f, distance, s.overlap(f)))
     found.sort(key=lambda e: (e.distance, -e.overlap, e.sensitive.wire_id, e.foreign.wire_id))
     return found
 
@@ -300,7 +331,7 @@ def plan_guards(grid: RoutingGrid, wire_id: str, fill_mode: str = "unoccupied") 
     )
     by_track: dict[int, list[LongWireSpan]] = {track: [] for track in required}
     for s in grid.column(target.column):
-        if s.track in by_track and s.overlap(target) > 0:
+        if s.y_start <= target.y_end and target.y_start <= s.y_end and s.track in by_track:
             by_track[s.track].append(s)
     blockers = []
     guards = []

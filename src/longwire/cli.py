@@ -94,12 +94,12 @@ def _add_channel_args(sub, *options, action="store"):
         sub.add_argument(option, action=action, **_CHANNEL_OPTIONS[option])
 
 
-class _NoisyOnly(argparse.Action):
-    """Store the value, and list the option in ``noisy_only``: exfil reads it with --noisy only."""
+class _Gated(argparse.Action):
+    """Store the value, and list the option in ``gated``: the study reads it only with its ``gate`` option."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, values)
-        namespace.noisy_only = [*namespace.noisy_only, option_string]
+        namespace.gated = [*namespace.gated, option_string]
 
 
 def _load_setup(args) -> tuple[DeviceProfile, MeasurementConfig]:
@@ -365,11 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--single", action="store_true", help="single window width only")
     p.add_argument("--noisy", action="store_true", help="measure through the count simulator")
     noisy = p.add_argument_group("count simulator (with --noisy only)")
-    _add_channel_args(noisy, "--n", "--vt", "--vr", "--d", action=_NoisyOnly)
-    noisy.add_argument("--repeats", action=_NoisyOnly, type=_positive_int, default=1,
+    _add_channel_args(noisy, "--n", "--vt", "--vr", "--d", action=_Gated)
+    noisy.add_argument("--repeats", action=_Gated, type=_positive_int, default=1,
                        help="averaged counts per window")
-    noisy.add_argument("--seed", action=_NoisyOnly, type=_non_negative_int, default=0)
-    p.set_defaults(func=cmd_exfil, noisy_only=[])
+    noisy.add_argument("--seed", action=_Gated, type=_non_negative_int, default=0)
+    p.set_defaults(func=cmd_exfil, gate="noisy", gated=[])
 
     p = sub.add_parser("prob", help="full-recovery probability table")
     p.add_argument("--n", dest="n_key", type=_positive_int, required=True, help="key length in bits")
@@ -384,8 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="grid description file")
     p.add_argument("--d-max", type=_positive_int, default=2)
     p.add_argument("--guard", help="plan guard wires for this sensitive wire id")
-    p.add_argument("--fill", choices=["unoccupied", "random_signal"], default="unoccupied")
-    p.set_defaults(func=cmd_audit)
+    p.add_argument("--fill", action=_Gated, choices=["unoccupied", "random_signal"], default="unoccupied",
+                   help="guard fill (with --guard only)")
+    p.set_defaults(func=cmd_audit, gate="guard", gated=[])
 
     p = sub.add_parser("reproduce", help="write every committed out/ CSV into DIR")
     p.add_argument("dir", metavar="DIR", help="directory for the CSVs; created if missing")
@@ -397,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "noisy_only", None) and not args.noisy:
-        parser.error(f"{args.command} reads {', '.join(dict.fromkeys(args.noisy_only))} only with --noisy")
+    if getattr(args, "gated", None) and getattr(args, args.gate) in (None, False):
+        parser.error(f"{args.command} reads {', '.join(dict.fromkeys(args.gated))} only with --{args.gate}")
     try:
         text = args.func(args)
     except (LongwireError, ValueError, OSError) as exc:

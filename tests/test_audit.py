@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import inspect
+import pickle
 import random
 import re
 import weakref
@@ -111,6 +115,240 @@ class TestParseGrid:
         with pytest.raises(GridSyntaxError, match="line 2") as err:
             parse_grid("LONG a c trusted normal 0 1 0 5\nLONG b c trusted normal -3 1 0 5\n")
         assert err.value.line == 2
+
+
+GOOD = "LONG a c trusted normal 0 1 0 5\n"
+
+# (text, error type, message, line): the first fault by line, with its exact message.
+PARSE_ERRORS = [
+    ("unknown-directive", GOOD + "WIRE nope\n", GridSyntaxError, "unknown directive 'WIRE'", 2),
+    ("long-too-few", "LONG too few fields\n", GridSyntaxError, "LONG takes 8 fields", 1),
+    ("long-too-many", "LONG a c trusted normal 0 1 0 5 6\n", GridSyntaxError, "LONG takes 8 fields", 1),
+    ("bad-kind", "LONG a c trusted spicy 0 1 0 5\n", GridSyntaxError,
+     "span kind must be 'sensitive' or 'normal'", 1),
+    ("column-not-int", "LONG a c trusted normal x 1 0 5\n", GridSyntaxError,
+     "invalid literal for int() with base 10: 'x'", 1),
+    ("track-not-int", GOOD + "LONG b c trusted normal 0 1.5 0 5\n", GridSyntaxError,
+     "invalid literal for int() with base 10: '1.5'", 2),
+    ("y-start-not-int", "LONG a c trusted normal 0 1 y 5\n", GridSyntaxError,
+     "invalid literal for int() with base 10: 'y'", 1),
+    ("y-end-not-int", "LONG a c trusted normal 0 1 0 0x5\n", GridSyntaxError,
+     "invalid literal for int() with base 10: '0x5'", 1),
+    ("bad-trust", "LONG a c maybe normal 0 1 0 5\n", GridSyntaxError,
+     "trust must be 'trusted' or 'untrusted'", 1),
+    ("y-start-after-end", "LONG a c trusted normal 0 1 6 5\n", GridSyntaxError, "y_start must be <= y_end", 1),
+    ("negative-column", "LONG a c trusted normal -3 1 0 5\n", GridSyntaxError, "column must be >= 0", 1),
+    ("negative-track", "LONG a c trusted normal 0 -1 0 5\n", GridSyntaxError, "track must be >= 0", 1),
+    ("capacity-arity", "CAPACITY 8\n", GridSyntaxError, "CAPACITY takes <tracks_per_column> <n_longs>", 1),
+    ("capacity-not-int", "CAPACITY 8 lots\n", GridSyntaxError, "CAPACITY values must be integers", 1),
+    ("capacity-repeated", "CAPACITY 8 100\n# again\nCAPACITY 8 100\n", GridSyntaxError,
+     "CAPACITY already given on line 1", 3),
+    ("capacity-after-long", GOOD + "CAPACITY 8 100\n", GridSyntaxError,
+     "CAPACITY must precede all LONG lines", 2),
+    # several faulty lines: the earliest line wins, whatever its kind of fault
+    ("earliest-line-wins",
+     GOOD
+     + "# comment\n"
+     + "LONG b c trusted normal 0 -2 0 5\n"
+     + "LONG c c trusted normal x 1 0 5\n"
+     + "LONG d c trusted spicy 0 1 0 5\n"
+     + "WIRE nope\n",
+     GridSyntaxError, "track must be >= 0", 3),
+    ("earliest-line-later-field",
+     "LONG a c trusted normal 0 1 0 z\nLONG b c trusted normal x 1 0 5\n",
+     GridSyntaxError, "invalid literal for int() with base 10: 'z'", 1),
+    ("earliest-line-directive",
+     GOOD + "LONG b c trusted normal\nLONG c c maybe normal 0 1 0 5\nLONG d c trusted normal x 1 0 5\n",
+     GridSyntaxError, "LONG takes 8 fields", 2),
+    # several faults on one line: the kind, then the numbers in order, then the span checks
+    ("one-line-kind-first", "LONG a c maybe spicy x 1 0 5\n", GridSyntaxError,
+     "span kind must be 'sensitive' or 'normal'", 1),
+    ("one-line-number-before-trust", "LONG a c maybe normal 0 t -1 -5\n", GridSyntaxError,
+     "invalid literal for int() with base 10: 't'", 1),
+    ("one-line-trust-first", "LONG a c maybe normal -1 -1 6 5\n", GridSyntaxError,
+     "trust must be 'trusted' or 'untrusted'", 1),
+    # a syntax fault on any line comes before a fault of the grid as a whole
+    ("syntax-before-grid", GOOD + GOOD + "LONG b c trusted normal 0 1 0 -\n", GridSyntaxError,
+     "invalid literal for int() with base 10: '-'", 3),
+]
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize(
+        "text, error, message, line", [row[1:] for row in PARSE_ERRORS], ids=[row[0] for row in PARSE_ERRORS]
+    )
+    def test_first_fault_by_line(self, text, error, message, line):
+        with pytest.raises(GridError) as err:
+            parse_grid(text)
+        assert (type(err.value), str(err.value), err.value.line) == (error, f"line {line}: {message}", line)
+
+
+def reference_syntax_error(text):
+    """The first line's own fault, found one line at a time (None if every line is well formed)."""
+    capacity_line = None
+    longs = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
+            continue
+        if fields[0] == "CAPACITY":
+            if len(fields) != 3:
+                return lineno, "CAPACITY takes <tracks_per_column> <n_longs>"
+            if capacity_line is not None:
+                return lineno, f"CAPACITY already given on line {capacity_line}"
+            if longs:
+                return lineno, "CAPACITY must precede all LONG lines"
+            capacity_line = lineno
+            continue
+        if fields[0] != "LONG":
+            return lineno, f"unknown directive {fields[0]!r}"
+        if len(fields) != 9:
+            return lineno, "LONG takes 8 fields"
+        _, wire_id, core_id, trust, kind, column, track, y0, y1 = fields
+        if kind not in ("sensitive", "normal"):
+            return lineno, "span kind must be 'sensitive' or 'normal'"
+        try:
+            LongWireSpan(wire_id, core_id, trust, kind == "sensitive", int(column), int(track), int(y0), int(y1))
+        except ValueError as exc:
+            return lineno, str(exc)
+        longs += 1
+    return None
+
+
+FAULTS = {
+    "kind": lambda f: f.__setitem__(4, "spicy"),
+    "trust": lambda f: f.__setitem__(3, "maybe"),
+    "column": lambda f: f.__setitem__(5, "x"),
+    "track": lambda f: f.__setitem__(6, "1.5"),
+    "y_start": lambda f: f.__setitem__(7, "0x5"),
+    "y_end": lambda f: f.__setitem__(8, "y"),
+    "order": lambda f: f.__setitem__(7, str(int(f[8]) + 1)),
+    "negative-column": lambda f: f.__setitem__(5, "-1"),
+    "negative-track": lambda f: f.__setitem__(6, "-2"),
+    "short": lambda f: f.pop(),
+    "directive": lambda f: f.__setitem__(0, "WIRE"),
+}
+
+
+class TestParseOracle:
+    """Texts long enough to be built in several batches, with faults on random lines."""
+
+    def text(self, rng, n):
+        lines = ["# generated", "CAPACITY 16 8500"]
+        for i in range(n):
+            column, slot = divmod(i, 64)  # four spans a track, one above the other
+            y = slot // 16 * 40
+            lines.append(f"LONG w{i} core{i % 3} {rng.choice(['trusted', 'untrusted'])} "
+                         f"{rng.choice(['sensitive', 'normal'])} {column} {slot % 16} {y} {y + 30}")
+            if rng.random() < 0.05:
+                lines.append(rng.choice(["", "   # note", "\t"]))
+        return lines
+
+    def test_well_formed_text_parses_as_the_constructor(self):
+        rng = random.Random(3)
+        lines = self.text(rng, 1300)
+        grid = parse_grid("\n".join(lines))
+        assert grid == RoutingGrid(spans_of("\n".join(lines)), 16, 8500)
+        assert len(grid.spans) == 1300
+        assert [s.wire_id for s in grid.spans] == [f"w{i}" for i in range(1300)]
+
+    def test_first_faulty_line_wins(self):
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(60):
+            lines = self.text(rng, rng.choice([400, 700, 1300]))
+            longs = [i for i, line in enumerate(lines) if line.startswith("LONG")]
+            for i in rng.sample(longs, rng.randint(1, 3)):
+                fields = lines[i].split()
+                for name in rng.sample(sorted(FAULTS), rng.choice([1, 1, 2])):
+                    FAULTS[name](fields)
+                    seen.add(name)
+                lines[i] = " ".join(fields)
+            if rng.random() < 0.2:
+                lines.insert(rng.choice(longs), "CAPACITY 16 8500")
+            text = "\n".join(lines)
+            expected = reference_syntax_error(text)
+            assert expected is not None
+            with pytest.raises(GridSyntaxError) as err:
+                parse_grid(text)
+            assert (err.value.line, str(err.value)) == (expected[0], f"line {expected[0]}: {expected[1]}")
+        assert seen == set(FAULTS)
+
+
+SPAN_FIELDS = ("wire_id", "core_id", "trust", "sensitive", "column", "track", "y_start", "y_end")
+SPAN_VALUES = ("a", "crypto", "trusted", True, 3, 5, 10, 20)
+
+
+class TestLongWireSpan:
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"trust": "maybe"}, "trust must be 'trusted' or 'untrusted'"),
+            ({"y_start": 21}, "y_start must be <= y_end"),
+            ({"column": -1}, "column must be >= 0"),
+            ({"track": -1}, "track must be >= 0"),
+            ({"trust": "maybe", "y_start": 21, "column": -1, "track": -1}, "trust must be 'trusted' or 'untrusted'"),
+            ({"y_start": 21, "column": -1, "track": -1}, "y_start must be <= y_end"),
+            ({"column": -1, "track": -1}, "column must be >= 0"),
+        ],
+    )
+    def test_checks_positional_and_keyword(self, changes, message):
+        values = dict(zip(SPAN_FIELDS, SPAN_VALUES), **changes)
+        with pytest.raises(ValueError) as err:
+            LongWireSpan(*values.values())
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            LongWireSpan(**values)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            dataclasses.replace(LongWireSpan(*SPAN_VALUES), **changes)
+        assert str(err.value) == message
+
+    def test_fields_and_signature(self):
+        assert tuple(f.name for f in dataclasses.fields(LongWireSpan)) == SPAN_FIELDS
+        assert tuple(inspect.signature(LongWireSpan).parameters) == SPAN_FIELDS
+        assert LongWireSpan.__match_args__ == SPAN_FIELDS
+        s = LongWireSpan(*SPAN_VALUES)
+        assert tuple(getattr(s, name) for name in SPAN_FIELDS) == SPAN_VALUES
+        assert dataclasses.astuple(s) == SPAN_VALUES
+        with pytest.raises(TypeError):
+            LongWireSpan(*SPAN_VALUES[:-1])
+        with pytest.raises(TypeError):
+            LongWireSpan(*SPAN_VALUES, 7)
+        assert not hasattr(s, "__dict__")
+
+    @pytest.mark.parametrize("name", SPAN_FIELDS)
+    def test_frozen(self, name):
+        s = LongWireSpan(*SPAN_VALUES)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, name, getattr(s, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(s, name)
+        assert s == LongWireSpan(*SPAN_VALUES)
+
+    def test_replace_keeps_the_other_fields(self):
+        s = LongWireSpan(*SPAN_VALUES)
+        moved = dataclasses.replace(s, track=7, y_end=30)
+        assert moved == LongWireSpan("a", "crypto", "trusted", True, 3, 7, 10, 30)
+        assert s.track == 5
+
+    def test_equality_hash_repr(self):
+        s, t = LongWireSpan(*SPAN_VALUES), LongWireSpan(**dict(zip(SPAN_FIELDS, SPAN_VALUES)))
+        assert s == t and hash(s) == hash(t) and repr(s) == repr(t)
+        assert repr(s) == (
+            "LongWireSpan(wire_id='a', core_id='crypto', trust='trusted', sensitive=True, "
+            "column=3, track=5, y_start=10, y_end=20)"
+        )
+        assert s != dataclasses.replace(s, y_end=21)
+        assert s != SPAN_VALUES
+        assert len({s, t, dataclasses.replace(s, wire_id="b")}) == 2
+
+    def test_pickle_round_trip(self):
+        s = LongWireSpan(*SPAN_VALUES)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(s, protocol))
+            assert back == s and hash(back) == hash(s) and repr(back) == repr(s)
+        assert copy.copy(s) == s and copy.deepcopy(s) == s
 
 
 def spans_of(text):
@@ -605,3 +843,95 @@ class TestColumnIndexOracle:
                 assert parsed.column(c) == grid.column(c)
             for s in grid.spans:
                 assert parsed.span(s.wire_id) == grid.span(s.wire_id) == s
+
+
+class TestBranchingLineage:
+    """Grids derived from one parent, or from each other, answer only for their own spans."""
+
+    def parent(self):
+        return RoutingGrid(
+            (
+                span("k0", "crypto", 8, 0, 19, sensitive=True, trust="trusted"),
+                span("k1", "cpu", 3, 0, 9, column=1, sensitive=True, trust="trusted"),
+                span("k2", "crypto", 6, 30, 39, sensitive=True, trust="trusted"),
+                span("other", "ip0", 12, 0, 50),
+            ),
+            n_longs=40,
+        )
+
+    def test_siblings_and_repeats(self):
+        parent = self.parent()
+        plans = {w: plan_guards(parent, w) for w in ("k0", "k1", "k2")}
+        a = apply_guard_plan(parent, plans["k0"])
+        b = apply_guard_plan(parent, plans["k1"])
+        a2 = apply_guard_plan(parent, plans["k0"])
+        ab = apply_guard_plan(a, plans["k1"])
+        c = apply_guard_plan(parent, plans["k2"])
+        ba = apply_guard_plan(b, plans["k0"])
+        grids = {"parent": parent, "a": a, "b": b, "a2": a2, "ab": ab, "c": c, "ba": ba}
+        owned = {"parent": (), "a": ("k0",), "b": ("k1",), "a2": ("k0",), "ab": ("k0", "k1"),
+                 "c": ("k2",), "ba": ("k1", "k0")}
+        assert a == a2 and a is not a2
+        for name, grid in grids.items():
+            expected = parent.spans + sum((guard_spans(parent, plans[w]) for w in owned[name]), ())
+            assert grid == RoutingGrid(expected, parent.tracks_per_column, parent.n_longs), name
+            for s in expected:
+                assert grid.span(s.wire_id) == s
+            for w in set(plans) - set(owned[name]):
+                for i in range(len(plans[w].guards)):
+                    with pytest.raises(ValueError, match=f"'guard_{w}_{i}'"):
+                        grid.span(f"guard_{w}_{i}")
+            for d_max in (1, 2, 3):
+                assert find_exposures(grid, d_max) == brute_exposures(grid, d_max)
+
+    def test_cross_applied_plans_act_as_the_constructor(self):
+        parent = self.parent()
+        plans = [plan_guards(parent, w) for w in ("k0", "k1", "k2")]
+        grids = [parent]
+        for plan in plans:
+            grids.append(apply_guard_plan(parent, plan))
+        grids.append(apply_guard_plan(grids[1], plans[1]))
+        outcomes = {"ok": 0, "error": 0}
+        for grid in list(grids):
+            for plan in plans:
+                spans = grid.spans + guard_spans(grid, plan)
+                try:
+                    RoutingGrid(spans, grid.tracks_per_column, grid.n_longs)
+                except GridError:
+                    with pytest.raises(GridError) as err:
+                        apply_guard_plan(grid, plan)
+                    assert_same_error(err.value, constructor_error(grid, plan))
+                    outcomes["error"] += 1
+                else:
+                    derived = apply_guard_plan(grid, plan)
+                    check_derived(derived, spans, grid)
+                    grids.append(derived)
+                    outcomes["ok"] += 1
+        assert min(outcomes.values()) >= 4, outcomes
+        for grid in grids:  # deriving more grids changed no earlier one
+            for s in grid.spans:
+                assert grid.span(s.wire_id) == s
+            assert {s.wire_id for s in grid.spans} >= {"k0", "k1", "k2", "other"}
+
+    def test_failed_derivation_leaves_the_parent_as_it_was(self):
+        parent = self.parent()
+        plan = GuardPlan("k0", 0, (), (GuardSpan(9, 0, 5), GuardSpan(9, 5, 8)))
+        with pytest.raises(DuplicateOccupancy):
+            apply_guard_plan(parent, plan)
+        with pytest.raises(ValueError, match="'guard_k0_0'"):
+            parent.span("guard_k0_0")
+        derived = apply_guard_plan(parent, plan_guards(parent, "k0"))
+        assert derived.span("guard_k0_0").track == 6
+        with pytest.raises(CapacityError):
+            apply_guard_plan(RoutingGrid(parent.spans, n_longs=5), plan_guards(parent, "k0"))
+
+    def test_siblings_do_not_grow_an_index(self):
+        parent = self.parent()
+        plan = plan_guards(parent, "k0")
+        children = [apply_guard_plan(parent, plan) for _ in range(20)]
+        grandchild = apply_guard_plan(children[0], plan_guards(parent, "k1"))
+        # the first child and its own child extend the parent's index; later siblings copy
+        assert len(parent._ids) == len(grandchild.spans)
+        for child in children[1:]:
+            assert len(child._ids) == len(child.spans)
+            assert child == children[0]

@@ -123,6 +123,8 @@ REJECTED = [
      "exfil reads --n, --d, --vt, --repeats, --seed, --profile only with --noisy"),
     *[(["exfil", "--key", "0xDEAD", "--w", "3", "--single", option, value], f"exfil reads {option} only with --noisy")
       for option, value in (("--vr", "3"), ("--seed", "0"), ("--repeats", "1"), ("--profile", "x.profile"))],
+    (["audit", "--grid", GRID, "--fill", "random_signal"], "audit reads --fill only with --guard"),
+    (["audit", "--grid", GRID, "--d-max", "3", "--fill", "unoccupied"], "audit reads --fill only with --guard"),
     (["prob", "--n", "64", "--w", "5", "--w-list", "4"], "--w-list: not allowed with argument --w"),
     (["prob", "--n", "64"], "one of the arguments --w --w-list is required"),
     (["scaling-time", "--n-list", ",", "--windows", "8", "--seed", "1"], "--n-list: ',' lists no values"),
@@ -227,6 +229,12 @@ class TestSubcommandOutputs:
         code, out, _ = run(capsys, "audit", "--grid", GRID, "--guard", "rsa_exp_bus")
         assert code == 0
         assert "exposures remaining for rsa_exp_bus after guarding: 0" in out
+
+    def test_audit_fill_with_guard(self, capsys):
+        code, out, _ = run(capsys, "audit", "--grid", GRID, "--guard", "rsa_exp_bus", "--fill", "random_signal")
+        assert code == 0
+        assert "fill=random_signal" in out.splitlines()[0]
+        assert all(row.endswith(",random_signal") for row in out.splitlines()[3:])
 
     def test_simulate_alternating_duties(self, capsys):
         code, out, _ = run(
