@@ -3,7 +3,7 @@ OUT ?= out
 # Run from the checkout without installing the package.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test acceptance bench reproduce check-reproduce check clean
+.PHONY: install test acceptance bench selftest reproduce check-reproduce check clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -17,6 +17,10 @@ acceptance:
 bench:
 	$(PYTHON) bench/run.py --workload all --seed 1 --seconds 15
 
+# Every benchmark workload at tiny sizes, untraced and traced, with its scoring checked.
+selftest:
+	$(PYTHON) bench/selftest.py
+
 # Write every experiment's CSV into $(OUT)/ (the table is longwire.cli.REPRODUCE_RUNS).
 reproduce:
 	$(PYTHON) -m longwire.cli reproduce $(OUT)
@@ -26,8 +30,8 @@ check-reproduce:
 	tmp=$$(mktemp -d) && $(PYTHON) -m longwire.cli reproduce $$tmp && diff -r $$tmp out; \
 	status=$$?; rm -rf $$tmp; exit $$status
 
-# The two gates a change must pass: the test suite, then the out/ comparison.
-check: test check-reproduce
+# The gates a change must pass: the test suite, the benchmark's self-test, then the out/ comparison.
+check: test selftest check-reproduce
 
 clean:
 	rm -rf build src/*.egg-info

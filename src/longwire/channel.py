@@ -169,6 +169,11 @@ class MeasurementConfig:
         return self.ticks_per_window / self.f_clk_hz
 
 
+def _is_int(value) -> bool:
+    """An int or a numpy integer, but no bool."""
+    return type(value) is int or (isinstance(value, (int, np.integer)) and not isinstance(value, bool))
+
+
 def as_longs(value) -> Fraction:
     """Normalize a wire length to an exact multiple of 1/3 of a long."""
     if isinstance(value, Fraction):
@@ -209,13 +214,15 @@ class Geometry:
     coupling: str = "long"
 
     def __post_init__(self):
-        object.__setattr__(self, "v_t", as_longs(self.v_t))
-        if self.v_t <= 0:
+        v_t = self.v_t
+        if type(v_t) is not Fraction or v_t.denominator not in (1, 3):  # else as_longs returns it as it is
+            object.__setattr__(self, "v_t", v_t := as_longs(v_t))
+        if v_t.numerator <= 0:
             raise ValueError("v_t must be > 0")
-        if self.v_r < 1:
-            raise ValueError("v_r must be >= 1")
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
+        if not _is_int(self.v_r) or self.v_r < 1:
+            raise ValueError(f"v_r must be an int >= 1, got {self.v_r!r}")
+        if not _is_int(self.d) or self.d < 1:
+            raise ValueError(f"d must be an int >= 1, got {self.d!r}")
         if self.coupling not in ("long", "local"):
             raise ValueError("coupling must be 'long' or 'local'")
 
@@ -292,13 +299,14 @@ def _coupling_terms(profile: DeviceProfile, geom: Geometry) -> tuple[float, floa
     return profile.local_static_epsilon, profile.local_switch_penalty
 
 
-def _mean_count(profile, cfg, geom, duty, toggle_rate, drift):
+def _mean_count(profile, cfg, terms, duty, toggle_rate, drift):
     """Noise-free window count, (m * base_rate) * (1 + drift) * (1 + duty * delta - penalty * toggle_rate).
 
+    ``terms`` is the geometry's (delta, penalty) from ``_coupling_terms``.
     Floats or arrays alike.  An array ``drift`` is overwritten with the
     result; the terms are combined in place, in the order written above.
     """
-    delta, penalty = _coupling_terms(profile, geom)
+    delta, penalty = terms
     level = duty * delta
     level += 1.0
     load = penalty * toggle_rate
@@ -324,7 +332,7 @@ def expected_count(
         raise ValueError("duty must be in [0, 1]")
     if not 0.0 <= toggle_rate < math.inf:
         raise ValueError("toggle_rate must be finite and >= 0")
-    return _mean_count(profile, cfg, geom, duty, toggle_rate, drift_state)
+    return _mean_count(profile, cfg, _coupling_terms(profile, geom), duty, toggle_rate, drift_state)
 
 
 # Windows per block of the drift pass: one matmul per block, then a carry between blocks.
@@ -417,16 +425,17 @@ def simulate_counts(
         raise ValueError("duty must be in [0, 1]")
     if not (0.0 <= toggle < math.inf if scalar else ((toggle >= 0.0) & (toggle < np.inf)).all()):
         raise ValueError("toggle_rate must be finite and >= 0")
-    return _count_engine(profile, cfg, geom, duty, toggle, rng)
+    return _count_engine(profile, cfg, _coupling_terms(profile, geom), duty, toggle, rng)
 
 
-def _count_engine(profile, cfg, geom, duty: np.ndarray, toggle, rng) -> np.ndarray:
-    """simulate_counts past its checks: duty a 1-D float array in [0, 1], toggle a float or array, finite and >= 0."""
+def _count_engine(profile, cfg, terms, duty: np.ndarray, toggle, rng) -> np.ndarray:
+    """simulate_counts past its checks, the geometry given as its _coupling_terms: duty a 1-D float array
+    in [0, 1], toggle a float or array, finite and >= 0."""
     n = len(duty)
     innovations = rng.normal(0.0, profile.drift_rate, n)
     noise = rng.normal(0.0, profile.noise_sigma_for(cfg.ticks_per_window), n)
     phase = rng.uniform(-1.0, 1.0, n)
-    raw = _mean_count(profile, cfg, geom, duty, toggle, _drift_path(profile, innovations))
+    raw = _mean_count(profile, cfg, terms, duty, toggle, _drift_path(profile, innovations))
     raw += noise
     raw += phase
     return np.maximum(np.rint(raw, out=raw), 0.0, out=raw).astype(np.int64)

@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import kernels
-from .channel import DeviceProfile, Geometry, MeasurementConfig, _count_engine, expected_count
+from .channel import DeviceProfile, Geometry, MeasurementConfig, _count_engine, _coupling_terms, _is_int, expected_count
 from .errors import InconsistentMeasurements
 
 __all__ = [
@@ -168,6 +168,11 @@ def _window_weights(key, w: int) -> np.ndarray:
     key = _as_key(key)
     if not 1 <= w <= len(key):
         raise ValueError("window width must be in [1, key length]")
+    return _weights(key, w)
+
+
+def _weights(key: KeyBits, w: int) -> np.ndarray:
+    """_window_weights past its checks."""
     ones = np.frombuffer(b"\0" + bytes(key.bits), np.uint8).cumsum(dtype=np.int64)  # ones[i]: ones before bit i
     return ones[w:] - ones[:-w]
 
@@ -175,10 +180,6 @@ def _window_weights(key, w: int) -> np.ndarray:
 def measure_windows(key, w: int) -> list[int]:
     """Exact Hamming weights of every window position, in order."""
     return _window_weights(key, w).tolist()
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -223,13 +224,14 @@ def noise_feasibility(chan: ExfilChannel, w: int) -> dict[str, float]:
     return {"count_step": step, "noise_sigma": sigma, "step_over_sigma": step / sigma if sigma else math.inf}
 
 
-def _noisy_counts(key, w: int, chan: ExfilChannel) -> np.ndarray:
-    duty = _window_weights(key, w) / w
+def _noisy_counts(weights: np.ndarray, w: int, chan: ExfilChannel, terms: tuple[float, float]) -> np.ndarray:
+    """Mean count per window from its weight and the channel's _coupling_terms."""
+    duty = weights / w
     repeats = chan.repeats
     if repeats > 1:
         duty = duty.repeat(repeats)
     # weight / w is in [0, 1] and the toggle rate is 0.0, so the engine's stimulus checks would pass
-    counts = _count_engine(chan.profile, chan.cfg, chan.geom, duty, 0.0, np.random.default_rng(chan.seed))
+    counts = _count_engine(chan.profile, chan.cfg, terms, duty, 0.0, np.random.default_rng(chan.seed))
     if repeats > 1:
         counts = counts.reshape(-1, repeats).sum(axis=1)
     return counts / repeats  # integer counts: exactly their mean
@@ -242,7 +244,7 @@ def measure_windows_noisy(key, w: int, chan: ExfilChannel) -> list[float]:
     in order, as one trace whose drift carries across; a position reports
     the mean of its counts.
     """
-    return _noisy_counts(key, w, chan).tolist()
+    return _noisy_counts(_window_weights(key, w), w, chan, _coupling_terms(chan.profile, chan.geom)).tolist()
 
 
 def infer_relations(counts: Sequence[float], w: int, tolerance: float) -> RelationSet:
@@ -266,7 +268,12 @@ def _classify(counts: np.ndarray, w: int, tolerance: float) -> RelationSet:
 
 def _close(mask: int, links: list[list[tuple[int, int]]]) -> int:
     """Close mask over the equality links: sweep each width's doubling steps (E, s), bit j of E
-    meaning K_j = K_{j+s}, forward and back until a round over all widths changes nothing."""
+    meaning K_j = K_{j+s}, forward and back until a round over all widths changes nothing.
+
+    A width's links are runs along its residue classes, and its steps, taken
+    in increasing order, reach any distance within a run, so one round closes
+    them: with one width the loop ends after its first round.
+    """
     stable = i = 0
     while stable < len(links):
         before = mask
@@ -284,7 +291,9 @@ def propagate(relations: RelationSet | Sequence[RelationSet], n_key: int) -> Rec
 
     Each inequality pins its two endpoints into a ones or a zeros mask, and
     closing both masks over the equality links resolves every pinned
-    component.  A component pinned to both values raises, naming its lowest
+    component; they close as one int, the zeros n_key bits above the ones
+    (a link K_j = K_{j+s} has j + s < n_key, so no shift carries a bit
+    across).  A component pinned to both values raises, naming its lowest
     such bit; one without pins is reported as an all-equal unresolved class.
     A width-w set costs n_key - w + 1 measurements in w runs: windows whose
     starts agree mod w never overlap, so each residue is one run.  A set
@@ -294,7 +303,7 @@ def propagate(relations: RelationSet | Sequence[RelationSet], n_key: int) -> Rec
     sets = (relations,) if isinstance(relations, RelationSet) else tuple(relations)
     if not sets:
         raise ValueError("need at least one relation set")
-    ones = zeros = runs = measurements = 0
+    pins = runs = measurements = 0
     links = []
     for equal, drop, rise, w in sets:
         if not 1 <= w <= n_key:
@@ -302,20 +311,20 @@ def propagate(relations: RelationSet | Sequence[RelationSet], n_key: int) -> Rec
         cut = (1 << (n_key - w)) - 1
         if equal | drop | rise != cut or equal + drop + rise != cut:
             raise ValueError(f"width {w}: equal, drop and rise must partition bits 0..{n_key - w - 1}")
-        ones |= drop | rise << w
-        zeros |= rise | drop << w
+        pins |= drop | rise << w | (rise | drop << w) << n_key
         runs += w
         measurements += n_key - w + 1
         links.append(steps := [])
         while equal and w < n_key:
-            steps.append((equal, w))
+            steps.append((equal | equal << n_key, w))
             equal &= equal >> w
             w <<= 1
-    ones, zeros = _close(ones, links), _close(zeros, links)
+    pins, full = _close(pins, links), (1 << n_key) - 1
+    ones, zeros = pins & full, pins >> n_key
     if clash := ones & zeros:
         raise InconsistentMeasurements(f"component of bit {(clash & -clash).bit_length() - 1} pinned to both 0 and 1")
     classes = []
-    free = ((1 << n_key) - 1) & ~(ones | zeros)
+    free = full & ~(ones | zeros)
     known = enumerate(_mask_bits(ones, n_key))
     if free:  # else every bit is known
         known = compress(known, _mask_bits(ones | zeros, n_key))
@@ -323,13 +332,10 @@ def propagate(relations: RelationSet | Sequence[RelationSet], n_key: int) -> Rec
         cls = _close(free & -free, links)
         classes.append(tuple(compress(range(n_key), _mask_bits(cls, n_key))))
         free &= ~cls
-    return RecoveryResult(
-        n_key=n_key,
-        known=dict(known),
-        unresolved_classes=tuple(classes),
-        runs_used=runs,
-        measurements_used=measurements,
-    )
+    result = object.__new__(RecoveryResult)  # a partition by construction: no __post_init__ re-check
+    vars(result).update(n_key=n_key, known=dict(known), unresolved_classes=tuple(classes), runs_used=runs,
+                        measurements_used=measurements)
+    return result
 
 
 def _key_masks(key: int, n: int, w: int) -> RelationSet:
@@ -348,7 +354,11 @@ def single_window_recover(key, w: int, noise: ExfilChannel | None = None) -> Rec
         raise ValueError("key length must be >= 2w - 1")
     if noise is None:
         return propagate(_key_masks(key.to_int(), n, w), n)
-    return propagate(_classify(_noisy_counts(key, w, noise), w, noise_tolerance(noise, w)), n)
+    if w < 1:
+        raise ValueError("window width must be in [1, key length]")
+    terms, scale = _coupling_terms(noise.profile, noise.geom), noise.cfg.ticks_per_window * noise.profile.base_rate
+    tolerance = (scale * (terms[0] + 1.0) - scale) / (2.0 * w)  # noise_tolerance's value: expected_count's order
+    return propagate(_classify(_noisy_counts(_weights(key, w), w, noise, terms), w, tolerance), n)
 
 
 def noisy_outcome(key, w: int, chan: ExfilChannel) -> tuple[str, RecoveryResult | None]:

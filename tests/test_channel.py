@@ -15,8 +15,10 @@ from longwire import (
     simulate_counts,
     simulate_trace,
 )
-from longwire.channel import TRACE_CSV_HEADER, CountTrace, trace_from_csv, trace_to_csv
-from longwire.exfil import ExfilChannel, KeyBits, measure_windows_noisy, window_hw_oracle
+from longwire.channel import TRACE_CSV_HEADER, CountTrace, as_longs, trace_from_csv, trace_to_csv
+from longwire import exfil
+from longwire.errors import InconsistentMeasurements
+from longwire.exfil import ExfilChannel, KeyBits, measure_windows_noisy, single_window_recover, window_hw_oracle
 from longwire.patterns import PatternSpec
 from longwire.stats import ks_two_sample
 from conftest import stimulus_oracle
@@ -92,6 +94,34 @@ class TestGeometry:
         Geometry(v_t=2, v_r=2, coupling="local")
         with pytest.raises(ValueError):
             Geometry(v_t=2, v_r=2, coupling="wireless")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("d", 1.5), ("d", 1.0), ("d", True), ("d", "1"), ("d", None), ("d", 0), ("d", np.int64(-1)),
+         ("v_r", 2.5), ("v_r", 2.0), ("v_r", True), ("v_r", False), ("v_r", Fraction(2)), ("v_r", 0)],
+    )
+    def test_receiver_length_and_distance_must_be_ints(self, field, value):
+        # d = 1.5 used to pass and read no attenuation entry, so the coupling came out 0
+        with pytest.raises(ValueError, match=f"^{field} must be an int >= 1, got "):
+            Geometry(**{"v_t": 2, "v_r": 2, "d": 1, field: value})
+
+    @pytest.mark.parametrize("cast", [int, np.int64, np.int32, np.uint8])
+    def test_numpy_ints_count_as_ints(self, cast, profile):
+        geom = Geometry(v_t=2, v_r=cast(3), d=cast(2))
+        assert geom.v_r == 3 and geom.d == 2
+        assert drc(profile, v_t=2, v_r=cast(3), d=cast(2)) == drc(profile, v_t=2, v_r=3, d=2) > 0
+
+    @pytest.mark.parametrize("v_t", [Fraction(2), Fraction(1, 3), Fraction(5, 3), 2, "4/3", 1.0 / 3.0])
+    def test_normalised_lengths_are_kept(self, v_t):
+        geom = Geometry(v_t=v_t, v_r=2)
+        assert type(geom.v_t) is Fraction and geom.v_t == as_longs(v_t)
+        if isinstance(v_t, Fraction):
+            assert geom.v_t is v_t
+
+    @pytest.mark.parametrize("v_t", [Fraction(0), Fraction(-1, 3), Fraction(-2), Fraction(2, 5), Fraction(1, 6)])
+    def test_fraction_lengths_are_checked(self, v_t):
+        with pytest.raises(ValueError, match="v_t must be > 0|multiple of 1/3"):
+            Geometry(v_t=v_t, v_r=2)
 
 
 class TestProfileInvariants:
@@ -293,17 +323,34 @@ class TestStreamOracle:
         assert counts.tolist() == expected
 
     @pytest.mark.parametrize("repeats", [1, 4])
-    @pytest.mark.parametrize("profile_name", ["default", "clipping"])
-    def test_noisy_windows_equal_replica(self, repeats, profile_name):
-        profile = {"default": DeviceProfile(), "clipping": self.CLIPPING}[profile_name]
-        chan = ExfilChannel(profile, MeasurementConfig(log2_ticks=15), Geometry(), seed=23, repeats=repeats)
-        key = KeyBits.from_int(0x9E3779B97F4A7C15, 64)
-        w = 10
-        duties = [window_hw_oracle(key, pos, w) / w for pos in range(len(key) - w + 1)]
-        stimuli = [(duty, 0.0) for duty in duties for _ in range(repeats)]
-        counts, _ = replica_counts(profile, chan.cfg, chan.geom, stimuli, chan.seed)
-        expected = [sum(counts[i : i + repeats]) / repeats for i in range(0, len(counts), repeats)]
-        assert measure_windows_noisy(key, w, chan) == expected
+    @pytest.mark.parametrize("profile_name", ["default", "clipping", "noiseless"])
+    def test_noisy_windows_equal_replica(self, repeats, profile_name, monkeypatch):
+        """The window means, of measure_windows_noisy and of the attack's classifier input, on 20 random keys."""
+        profile = {"default": DeviceProfile(), "clipping": self.CLIPPING, "noiseless": self.NOISELESS}[profile_name]
+        attack_counts, classify = [], exfil._classify
+
+        def record(counts, *args):
+            attack_counts.append(counts)
+            return classify(counts, *args)
+
+        monkeypatch.setattr(exfil, "_classify", record)
+        rng = np.random.default_rng(repeats)
+        cases = [(10, 0x9E3779B97F4A7C15, 23)]  # the case this test first pinned, then 20 random keys
+        for w in (3, 10):
+            cases += [(w, int.from_bytes(rng.bytes(8), "little"), int(rng.integers(0, 2**31))) for _ in range(10)]
+        for w, value, seed in cases:
+            key = KeyBits.from_int(value, 64)
+            chan = ExfilChannel(profile, MeasurementConfig(log2_ticks=15), Geometry(), seed, repeats)
+            duties = [window_hw_oracle(key, pos, w) / w for pos in range(len(key) - w + 1)]
+            stimuli = [(duty, 0.0) for duty in duties for _ in range(repeats)]
+            counts, _ = replica_counts(profile, chan.cfg, chan.geom, stimuli, chan.seed)
+            expected = [sum(counts[i : i + repeats]) / repeats for i in range(0, len(counts), repeats)]
+            assert measure_windows_noisy(key, w, chan) == expected
+            try:
+                single_window_recover(key, w, chan)
+            except InconsistentMeasurements:
+                pass
+            assert attack_counts.pop().tolist() == expected
 
     @pytest.mark.parametrize("coupling", ["long", "local"])
     def test_scalar_toggle_equals_toggle_column(self, coupling, cfg13):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longwire import DeviceProfile, Geometry, MeasurementConfig, expected_count, kernels
+from longwire import DeviceProfile, Geometry, MeasurementConfig, exfil, expected_count, kernels
+from longwire.config import load_setup
 from longwire.errors import InconsistentMeasurements
 from longwire.exfil import (
     ExfilChannel,
@@ -32,6 +33,7 @@ from longwire.exfil import (
     single_window_recover,
     window_hw_oracle,
 )
+from conftest import DOCS_DIR
 
 
 def keyspace(n):
@@ -383,6 +385,26 @@ def true_relations(key, w):
     return RelationSet(*masks, w)
 
 
+def check_union_find(sets, n) -> str:
+    """propagate(sets, n) against union_find_oracle: "raised", "complete" or "partial"."""
+    pins, groups = union_find_oracle(sets, n)
+    if any(len(values) == 2 for values in pins.values()):
+        with pytest.raises(InconsistentMeasurements) as err:
+            propagate(sets, n)
+        bit = int(str(err.value).split("bit ")[1].split()[0])
+        both = [p for root, values in pins.items() if len(values) == 2 for p in groups[root]]
+        assert bit == min(both)
+        return "raised"
+    result = propagate(sets, n)
+    assert result.known == {p: next(iter(pins[root])) for root in pins for p in groups[root]}
+    free = sorted(tuple(groups[root]) for root in groups if root not in pins)
+    assert result.unresolved_classes == tuple(free)
+    assert result.runs_used == sum(r.w for r in sets)
+    assert result.measurements_used == sum(n - r.w + 1 for r in sets)
+    assert RecoveryResult(**vars(result)) == result  # every field set, and a partition
+    return "partial" if free else "complete"
+
+
 class TestPropagateUnionFindOracle:
     """propagate against a union-find on keys too long to enumerate, multi-word masks included."""
 
@@ -397,23 +419,71 @@ class TestPropagateUnionFindOracle:
                 sets = [true_relations(key, w) for w in widths]
             else:  # equality-heavy sets leave unpinned components; inequality-heavy ones contradict
                 sets = [random_relations(rng, n, w, rng.random() ** 0.2) for w in widths]
-            pins, groups = union_find_oracle(sets, n)
-            if any(len(values) == 2 for values in pins.values()):
-                with pytest.raises(InconsistentMeasurements) as err:
-                    propagate(sets, n)
-                bit = int(str(err.value).split("bit ")[1].split()[0])
-                both = [p for root, values in pins.items() if len(values) == 2 for p in groups[root]]
-                assert bit == min(both)
-                seen["raised"] += 1
-                continue
-            result = propagate(sets, n)
-            assert result.known == {p: next(iter(pins[root])) for root in pins for p in groups[root]}
-            free = sorted(tuple(groups[root]) for root in groups if root not in pins)
-            assert result.unresolved_classes == tuple(free)
-            assert result.runs_used == sum(widths)
-            assert result.measurements_used == sum(n - w + 1 for w in widths)
-            seen["partial" if free else "complete"] += 1
+            seen[check_union_find(sets, n)] += 1
         assert min(seen.values()) >= 100, seen
+
+
+def run_key(n, w, links, where):
+    """An n-bit key whose residue classes mod w alternate but for one run of equal bits each.
+
+    The run spans ``links`` equal links (fewer in a class too short for
+    them) and sits at the class's start, middle or end, so the inequality
+    links next to it pin its last bit, both end bits or its first bit.
+    """
+    key = [0] * n
+    for r in range(w):
+        size = len(range(r, n, w))
+        length = min(links, size - 1)
+        start = {"start": 0, "middle": (size - 1 - length) // 2, "end": size - 1 - length}[where]
+        for i in range(size):
+            past = start - i if i < start else max(0, i - start - length)
+            key[r + i * w] = (r ^ past) & 1
+    return key
+
+
+def flip_link(rels, j):
+    """rels with relation j, an inequality, turned the other way."""
+    bit = 1 << j
+    assert not rels.equal & bit
+    return rels._replace(drop=rels.drop ^ bit, rise=rels.rise ^ bit)
+
+
+class TestPropagateOneSweep:
+    """A single width closes in one sweep each way: runs of equal links that need every doubling step."""
+
+    @pytest.mark.parametrize("n", [64, 65, 127, 128, 130])
+    @pytest.mark.parametrize("w", [1, 2, 3, 5])
+    def test_runs_against_union_find(self, n, w, monkeypatch):
+        links_seen, close = [], exfil._close
+
+        def record(mask, links):
+            links_seen.append(links)
+            return close(mask, links)
+
+        monkeypatch.setattr(exfil, "_close", record)
+        seen = {"raised": 0, "complete": 0, "partial": 0}
+        longest = len(range(0, n, w)) - 1
+        for k in range(1, longest.bit_length() + 1):
+            for links in (2**k - 1, 2**k):
+                for where in ("start", "middle", "end"):
+                    key = run_key(n, w, links, where)
+                    rels = true_relations(key, w)
+                    # a clash at either end of a run: the inequality just before or just after it turned round,
+                    # for the lowest and the highest run
+                    unequal = [j for j in range(n - w) if not rels.equal >> j & 1]
+                    before = [j for j in unequal if rels.equal >> (j + w) & 1]
+                    after = [j for j in unequal if j >= w and rels.equal >> (j - w) & 1]
+                    for j in {*before[:1], *before[-1:], *after[:1], *after[-1:]}:
+                        seen[check_union_find([flip_link(rels, j)], n)] += 1
+                    seen[check_union_find([rels], n)] += 1
+                    # closing from the first, middle or last bit of any component gives the whole component
+                    _, groups = union_find_oracle([rels], n)
+                    steps = links_seen[-1]
+                    for group in groups.values():
+                        whole = sum(1 << p for p in group)
+                        for p in {group[0], group[len(group) // 2], group[-1]}:
+                            assert close(1 << p, steps) == whole
+        assert min(seen.values()), seen
 
 
 class TestAgainstPublicPath:
@@ -461,6 +531,9 @@ class TestAgainstPublicPath:
             assert result == public
             seen[outcome] += 1
         assert all(seen.values()), seen  # every outcome, "wrong" the rarest
+        for w in (0, -1):
+            with pytest.raises(ValueError, match="window width"):
+                single_window_recover(KeyBits.from_binary("10110"), w, chan)
 
 
 class TestSingleWindowRecover:
@@ -686,6 +759,29 @@ class TestNoisyRecovery:
         swing = (expected_count(chan.profile, chan.cfg, chan.geom, 1.0)
                  - expected_count(chan.profile, chan.cfg, chan.geom, 0.0))
         assert noise_tolerance(chan, 7) == swing / 14.0
+
+    @pytest.mark.parametrize("coupling", ["long", "local"])
+    @pytest.mark.parametrize("name", sorted(path.stem for path in (DOCS_DIR / "profiles").glob("*.profile")))
+    def test_attack_tolerance_is_noise_tolerance(self, name, coupling, monkeypatch):
+        """The attack works its tolerance out itself; it must be noise_tolerance's, to the bit."""
+        tolerances, classify = [], exfil._classify
+
+        def record(counts, w, tolerance):
+            tolerances.append(tolerance)
+            return classify(counts, w, tolerance)
+
+        monkeypatch.setattr(exfil, "_classify", record)
+        profile, _ = load_setup(DOCS_DIR / "profiles" / f"{name}.profile", MeasurementConfig())
+        key = KeyBits.from_int(0x9E3779B97F4A7C15, 64)
+        for log2_ticks in (13, 19, 21, 23):
+            for geom in (Geometry(coupling=coupling), Geometry(v_t="1/3", v_r=3, d=2, coupling=coupling)):
+                chan = ExfilChannel(profile, MeasurementConfig(log2_ticks=log2_ticks), geom, seed=log2_ticks)
+                for w in (1, 3, 7, 10, 32):
+                    try:
+                        single_window_recover(key, w, chan)
+                    except InconsistentMeasurements:
+                        pass
+                    assert tolerances.pop().hex() == noise_tolerance(chan, w).hex()
 
     def test_repeats_validated(self):
         with pytest.raises(ValueError):
