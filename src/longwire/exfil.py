@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import kernels
-from .channel import DeviceProfile, Geometry, MeasurementConfig, _count_engine, _coupling_terms, _is_int, expected_count
+from .channel import DeviceProfile, Geometry, MeasurementConfig, _count_engine, _coupling_terms, _is_int
 from .errors import InconsistentMeasurements
 
 __all__ = [
@@ -168,11 +168,6 @@ def _window_weights(key, w: int) -> np.ndarray:
     key = _as_key(key)
     if not 1 <= w <= len(key):
         raise ValueError("window width must be in [1, key length]")
-    return _weights(key, w)
-
-
-def _weights(key: KeyBits, w: int) -> np.ndarray:
-    """_window_weights past its checks."""
     ones = np.frombuffer(b"\0" + bytes(key.bits), np.uint8).cumsum(dtype=np.int64)  # ones[i]: ones before bit i
     return ones[w:] - ones[:-w]
 
@@ -207,19 +202,26 @@ class ExfilChannel:
             raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
 
 
-def _full_swing(chan: ExfilChannel) -> float:
-    """expected_count at duty 1 less that at duty 0, which is exactly ticks_per_window * base_rate."""
-    return expected_count(chan.profile, chan.cfg, chan.geom, 1.0) - chan.cfg.ticks_per_window * chan.profile.base_rate
+def _full_swing(chan: ExfilChannel, delta: float) -> float:
+    """expected_count at duty 1 less that at duty 0 (ticks_per_window * base_rate), in its order of operations,
+    for the coupling delta from _coupling_terms."""
+    scale = chan.cfg.ticks_per_window * chan.profile.base_rate
+    return scale * (delta + 1.0) - scale
+
+
+def _tolerance(chan: ExfilChannel, delta: float, w: int) -> float:
+    """Midpoint decision rule: half the per-bit count step."""
+    return _full_swing(chan, delta) / (2.0 * w)
 
 
 def noise_tolerance(chan: ExfilChannel, w: int) -> float:
     """Midpoint decision rule: half the per-bit count step."""
-    return _full_swing(chan) / (2.0 * w)
+    return _tolerance(chan, _coupling_terms(chan.profile, chan.geom)[0], w)
 
 
 def noise_feasibility(chan: ExfilChannel, w: int) -> dict[str, float]:
     """Per-bit count step against the effective noise level."""
-    step = _full_swing(chan) / w
+    step = _full_swing(chan, _coupling_terms(chan.profile, chan.geom)[0]) / w
     sigma = chan.profile.noise_sigma_for(chan.cfg.ticks_per_window) / math.sqrt(chan.repeats)
     return {"count_step": step, "noise_sigma": sigma, "step_over_sigma": step / sigma if sigma else math.inf}
 
@@ -354,11 +356,9 @@ def single_window_recover(key, w: int, noise: ExfilChannel | None = None) -> Rec
         raise ValueError("key length must be >= 2w - 1")
     if noise is None:
         return propagate(_key_masks(key.to_int(), n, w), n)
-    if w < 1:
-        raise ValueError("window width must be in [1, key length]")
-    terms, scale = _coupling_terms(noise.profile, noise.geom), noise.cfg.ticks_per_window * noise.profile.base_rate
-    tolerance = (scale * (terms[0] + 1.0) - scale) / (2.0 * w)  # noise_tolerance's value: expected_count's order
-    return propagate(_classify(_noisy_counts(_weights(key, w), w, noise, terms), w, tolerance), n)
+    terms = _coupling_terms(noise.profile, noise.geom)
+    counts = _noisy_counts(_window_weights(key, w), w, noise, terms)
+    return propagate(_classify(counts, w, _tolerance(noise, terms[0], w)), n)
 
 
 def noisy_outcome(key, w: int, chan: ExfilChannel) -> tuple[str, RecoveryResult | None]:
