@@ -5,11 +5,14 @@ channel, inclusive y extent).  Leakage needs two spans in the same
 column within two tracks of each other with overlapping extents, so the
 auditor flags sensitive spans with foreign neighbours inside that
 distance, and plans guard wires on the four adjacent tracks of a span
-that is still clean.  Every such question is local to one column, so a
-grid keeps its spans indexed by column and answers from that column only.
-One function checks a grid's invariants and builds its column and wire-id
-indexes, whether the grid is constructed, parsed or derived by adding
-guards, in which case it checks only the guards.
+that is still clean.  Every such question is local to a few (column,
+track) slots, so a grid keeps each slot's spans ordered by y.  Spans in
+one slot never overlap, so their ends are in order too, and one bisect on
+each finds the spans in any y range: exposures and guard plans read only
+the tracks they ask about.  One function checks a grid's invariants and
+builds its slot, column and wire-id indexes, whether the grid is
+constructed, parsed or derived by adding guards, in which case it checks
+only the guards, each against its two neighbours in its slot.
 """
 
 from __future__ import annotations
@@ -18,12 +21,14 @@ import csv
 import io
 import sys
 import threading
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, fields
 from itertools import islice
 from operator import attrgetter
 from typing import Iterable
 
+from .channel import _is_int
 from .errors import CapacityError, DuplicateOccupancy, GridSyntaxError, GuardBlocked
 
 __all__ = [
@@ -52,6 +57,9 @@ GUARD_DISTANCES = (-2, -1, 1, 2)
 
 # Held while a derived grid claims or copies its parent's wire-id index.
 _INDEX_LOCK = threading.Lock()
+
+_Y_START = attrgetter("y_start")
+_Y_END = attrgetter("y_end")
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -126,9 +134,12 @@ def _check_and_index(
     Only the added spans are checked, in the order a fresh grid reports its
     first fault: the span count, then the first span with a track outside
     the channel or a repeated wire id, then an overlap on the first
-    (column, track) slot to appear.  The same pass builds the wire-id and
-    column indexes, kept as plain attributes so that ==, repr and asdict see
-    only the fields; columns no added span touches stay the parent's tuples.
+    (column, track) slot to appear.  The same pass builds the indexes, kept
+    as plain attributes so that ==, repr and asdict see only the fields:
+    the column index (each column's spans in grid order), the slot index
+    (column -> track -> the slot's spans by y_start, ties in grid order)
+    and the wire-id index.  Columns no added span touches stay the parent's
+    tuples and slot maps, and slots no added span touches the parent's lists.
     The wire-id index maps each id to its position in spans.  The first grid
     derived from a parent extends the parent's index in place, and so shares
     it; a later one copies the parent's part of it first.  An index thus holds,
@@ -147,6 +158,7 @@ def _check_and_index(
     known = {} if parent is None else parent._ids
     ids: dict[str, int] = {}
     columns = {} if parent is None else dict(parent._columns)
+    slots = {} if parent is None else dict(parent._slots)
     touched: defaultdict[int, list[LongWireSpan]] = defaultdict(list)
     for pos, s in enumerate(added, base):
         if s.track >= tracks_per_column:
@@ -160,18 +172,39 @@ def _check_and_index(
         touched[s.column].append(s)
     overlaps = {}
     for c, new in touched.items():
-        columns[c] = members = columns.get(c, ()) + tuple(new)
-        # By track, then start (ties in grid order): each slot's spans are
-        # contiguous, and a slot with an overlap has one between neighbours.
-        ordered = sorted(members, key=attrgetter("track", "y_start"))
-        for a, b in zip(ordered, ordered[1:]):
-            if a.track == b.track and b.y_start <= a.y_end:
-                overlaps.setdefault((c, a.track), (a, b))
+        columns[c] = columns.get(c, ()) + tuple(new)
+        slots[c] = tracks = dict(slots.get(c, ()))
+        by_track: defaultdict[int, list[LongWireSpan]] = defaultdict(list)
+        for s in new:
+            by_track[s.track].append(s)
+        for t, mine in by_track.items():
+            slot = tracks.get(t)
+            if slot is None:
+                # A new slot, by start with ties in grid order: an overlap shows between neighbours.
+                mine.sort(key=_Y_START)
+                tracks[t] = slot = mine
+                pairs = zip(slot, islice(slot, 1, None))
+            else:
+                # The slot's own spans do not overlap, so only an added span's neighbours
+                # can.  Added in y order, each stays at the index it is inserted at.
+                tracks[t] = slot = slot.copy()
+                inserted = []
+                for s in sorted(mine, key=_Y_START):
+                    i = bisect_right(slot, s.y_start, key=_Y_START)
+                    slot.insert(i, s)
+                    inserted.append(i)
+                pairs = ((slot[j], slot[j + 1]) for i in inserted for j in (i - 1, i)
+                         if 0 <= j < len(slot) - 1)
+            for a, b in pairs:
+                if b.y_start <= a.y_end:
+                    overlaps[c, t] = a, b
+                    break
     if overlaps:
         at = {id(s): i for i, s in enumerate(spans)}
 
         def first_seen(slot):
-            return min(at[id(s)] for s in columns[slot[0]] if s.track == slot[1])
+            c, t = slot
+            return min(at[id(s)] for s in slots[c][t])
 
         (c, track), pair = min(overlaps.items(), key=lambda item: first_seen(item[0]))
         first, second = sorted(at[id(s)] for s in pair)
@@ -194,7 +227,7 @@ def _check_and_index(
     if grid is None:
         grid = object.__new__(RoutingGrid)
     vars(grid).update(spans=spans, tracks_per_column=tracks_per_column, n_longs=n_longs,
-                      _ids=ids, _columns=columns)
+                      _ids=ids, _columns=columns, _slots=slots)
     return grid
 
 
@@ -252,14 +285,31 @@ def parse_grid(text: str) -> RoutingGrid:
 
 
 def serialize_grid(grid: RoutingGrid) -> str:
+    """The line format of grid; ValueError if an id would not read back as one field."""
     out = [f"CAPACITY {grid.tracks_per_column} {grid.n_longs}"]
     for s in grid.spans:
+        for name, value in (("wire_id", s.wire_id), ("core_id", s.core_id)):
+            text = str(value)
+            if "#" in text or text.split() != [text]:
+                raise ValueError(
+                    f"span {s.wire_id!r}: {name} must be non-empty, without whitespace or '#', got {value!r}"
+                )
         kind = "sensitive" if s.sensitive else "normal"
         out.append(
             f"LONG {s.wire_id} {s.core_id} {s.trust} {kind} "
             f"{s.column} {s.track} {s.y_start} {s.y_end}"
         )
     return "\n".join(out) + "\n"
+
+
+def _overlapping(slot, y_start: int, y_end: int):
+    """The spans of one slot whose extents overlap [y_start, y_end], in y order.
+
+    A slot's spans never overlap, so their ends are in order as well as
+    their starts.
+    """
+    first = bisect_left(slot, y_start, key=_Y_END)
+    return slot[first:bisect_right(slot, y_end, first, key=_Y_START)]
 
 
 @dataclass(frozen=True)
@@ -275,21 +325,23 @@ def find_exposures(grid: RoutingGrid, d_max: int = 2) -> list[Exposure]:
 
     A pair is reported when both share a column, their extents overlap
     and the track distance is in [1, d_max]; sorted by distance, then
-    overlap descending.
+    overlap descending.  Only the slots within d_max tracks are read.
     """
-    if d_max < 1:
-        raise ValueError("d_max must be >= 1")
+    if not _is_int(d_max) or d_max < 1:
+        raise ValueError(f"d_max must be an int >= 1, got {d_max!r}")
+    last = grid.tracks_per_column - 1
     found = []
     for s in grid.spans:
         if not s.sensitive:
             continue
-        for f in grid.column(s.column):
-            # Valid extents overlap when each starts no later than the other
-            # ends: two comparisons that rule out most of the column first.
-            if f.y_start <= s.y_end and s.y_start <= f.y_end and f.core_id != s.core_id:
-                distance = abs(f.track - s.track)
-                if 1 <= distance <= d_max:
-                    found.append(Exposure(s, f, distance, s.overlap(f)))
+        tracks = grid._slots[s.column]
+        for track in range(max(s.track - d_max, 0), min(s.track + d_max, last) + 1):
+            slot = tracks.get(track)
+            if slot is None or track == s.track:
+                continue
+            for f in _overlapping(slot, s.y_start, s.y_end):
+                if f.core_id != s.core_id:
+                    found.append(Exposure(s, f, abs(track - s.track), s.overlap(f)))
     found.sort(key=lambda e: (e.distance, -e.overlap, e.sensitive.wire_id, e.foreign.wire_id))
     return found
 
@@ -310,8 +362,12 @@ class GuardPlan:
     fill_mode: str = "unoccupied"   # or "random_signal"
 
     def __post_init__(self):
-        if self.fill_mode not in ("unoccupied", "random_signal"):
-            raise ValueError("fill_mode must be 'unoccupied' or 'random_signal'")
+        _check_fill_mode(self.fill_mode)
+
+
+def _check_fill_mode(fill_mode: str) -> None:
+    if fill_mode not in ("unoccupied", "random_signal"):
+        raise ValueError("fill_mode must be 'unoccupied' or 'random_signal'")
 
 
 def plan_guards(grid: RoutingGrid, wire_id: str, fill_mode: str = "unoccupied") -> GuardPlan:
@@ -319,8 +375,9 @@ def plan_guards(grid: RoutingGrid, wire_id: str, fill_mode: str = "unoccupied") 
 
     Tracks are clipped at the channel edges.  Stretches already occupied
     by the same core need no guard; any foreign span on a required track
-    raises GuardBlocked naming the blockers.
+    raises GuardBlocked naming the blockers, track by track in grid order.
     """
+    _check_fill_mode(fill_mode)
     target = grid.span(wire_id)
     if not target.sensitive:
         raise ValueError(f"{wire_id} is not marked sensitive")
@@ -329,20 +386,19 @@ def plan_guards(grid: RoutingGrid, wire_id: str, fill_mode: str = "unoccupied") 
         for d in GUARD_DISTANCES
         if 0 <= target.track + d < grid.tracks_per_column
     )
-    by_track: dict[int, list[LongWireSpan]] = {track: [] for track in required}
-    for s in grid.column(target.column):
-        if s.y_start <= target.y_end and target.y_start <= s.y_end and s.track in by_track:
-            by_track[s.track].append(s)
+    tracks = grid._slots[target.column]
+    ids = grid._ids
     blockers = []
     guards = []
-    for track, occupants in by_track.items():
+    for track in required:
+        occupants = _overlapping(tracks.get(track, ()), target.y_start, target.y_end)
         foreign = [s for s in occupants if s.core_id != target.core_id]
         if foreign:
-            blockers.extend(foreign)
+            blockers.extend(sorted(foreign, key=lambda s: ids[s.wire_id]))
             continue
         # free sub-intervals of the target extent not already held by the core
         cursor = target.y_start
-        for s in sorted(occupants, key=lambda s: s.y_start):
+        for s in occupants:
             if s.y_start > cursor:
                 guards.append(GuardSpan(track, cursor, min(s.y_start - 1, target.y_end)))
             cursor = max(cursor, s.y_end + 1)
@@ -350,8 +406,8 @@ def plan_guards(grid: RoutingGrid, wire_id: str, fill_mode: str = "unoccupied") 
             guards.append(GuardSpan(track, cursor, target.y_end))
     if blockers:
         # A caller that keeps the exception keeps this frame through its
-        # traceback; the grid it holds need not be kept with it.
-        del grid
+        # traceback; the grid and its indexes need not be kept with it.
+        del grid, tracks, ids
         raise GuardBlocked(wire_id, blockers)
     return GuardPlan(
         wire_id=wire_id,
@@ -366,10 +422,10 @@ def apply_guard_plan(grid: RoutingGrid, plan: GuardPlan) -> RoutingGrid:
     """Occupy the planned tracks with guard spans owned by the same core.
 
     The parent grid is valid, so only the guards are checked: against the
-    capacity, the channel width, the grid's wire ids and the guarded
-    column.  A guard that breaks the grid raises the error a fresh grid of
-    the same spans would.  Every column but the guarded one is shared with
-    the parent.
+    capacity, the channel width, the grid's wire ids and their neighbours
+    on their own tracks.  A guard that breaks the grid raises the error a
+    fresh grid of the same spans would.  Every column but the guarded one,
+    and every slot of it without a guard, is shared with the parent.
     """
     target = grid.span(plan.wire_id)
     guards = tuple(

@@ -6,6 +6,7 @@ import random
 import re
 import weakref
 
+import numpy as np
 import pytest
 
 from longwire.audit import (
@@ -427,6 +428,20 @@ class TestSerializeRoundTrip:
         assert parse_grid(canonical) == grid
         assert serialize_grid(parse_grid(canonical)) == canonical
 
+    @pytest.mark.parametrize(
+        "wire_id, core_id, field",
+        [("a b", "c", "wire_id"), ("", "c", "wire_id"), ("w#1", "c", "wire_id"), ("w\n1", "c", "wire_id"),
+         ("a", "co re", "core_id"), ("a", "", "core_id"), ("a", "#", "core_id"), ("a", "c\t", "core_id")],
+    )
+    def test_unwritable_ids_are_rejected(self, wire_id, core_id, field):
+        grid = RoutingGrid((span("ok", "c", 0, 0, 5), span(wire_id, core_id, 1, 0, 5)))
+        with pytest.raises(ValueError) as err:
+            serialize_grid(grid)
+        value = wire_id if field == "wire_id" else core_id
+        assert str(err.value) == (
+            f"span {wire_id!r}: {field} must be non-empty, without whitespace or '#', got {value!r}"
+        )
+
 
 class TestFindExposures:
     def grid(self):
@@ -451,6 +466,15 @@ class TestFindExposures:
     def test_distance_three_not_reported(self):
         names = {e.foreign.wire_id for e in find_exposures(self.grid(), d_max=2)}
         assert "too_far" not in names
+        for d_max in (True, 2.5, 2.0, "2", None, 0, -1):
+            with pytest.raises(ValueError) as err:
+                find_exposures(self.grid(), d_max)
+            assert str(err.value) == f"d_max must be an int >= 1, got {d_max!r}"
+        assert find_exposures(self.grid(), np.int64(2)) == find_exposures(self.grid())
+        # at or beyond the channel width every track is read once
+        wide = find_exposures(self.grid(), 16)
+        assert [(e.foreign.wire_id, e.distance) for e in wide] == [("near", 1), ("far", 2), ("too_far", 3)]
+        assert find_exposures(self.grid(), 15) == find_exposures(self.grid(), 10**9) == wide
 
     def test_other_column_not_reported(self):
         names = {e.foreign.wire_id for e in find_exposures(self.grid())}
@@ -561,6 +585,12 @@ class TestGuardPlanning:
         assert plan.fill_mode == "random_signal"
         with pytest.raises(ValueError):
             GuardPlan("x", 0, (), (), fill_mode="lava")
+        blocked = RoutingGrid(self.isolated_grid().spans + (span("intruder", "spy", 10, 5, 12),))
+        with pytest.raises(GuardBlocked):
+            plan_guards(blocked, "key_bus")
+        for grid in (self.isolated_grid(), blocked):  # the mode is checked before any planning
+            with pytest.raises(ValueError, match="fill_mode must be 'unoccupied' or 'random_signal'"):
+                plan_guards(grid, "key_bus", fill_mode="lava")
 
 
 class TestPlacementProbability:
@@ -658,8 +688,14 @@ class TestApplyGuardPlanErrors:
             (GuardSpan(6, 35, 50),),                         # over a foreign span
             (GuardSpan(9, 0, 10), GuardSpan(9, 10, 19)),     # over another guard
             (GuardSpan(16, 0, 19),),                         # outside the channel
+            (GuardSpan(6, 0, 10), GuardSpan(6, 40, 45)),     # over the span just before it in y
+            (GuardSpan(6, 30, 30),),                         # the same y_start as a span
+            (GuardSpan(8, 0, 0),),                           # the same y_start as the target
+            (GuardSpan(9, 10, 15), GuardSpan(9, 0, 12)),     # the second guard sorts before the first
+            (GuardSpan(6, 41, 50), GuardSpan(6, 0, 30)),     # ... and it meets the span after it
         ],
-        ids=["foreign", "guard", "channel"],
+        ids=["foreign", "guard", "channel", "before", "same-start", "same-start-target", "reversed",
+             "reversed-foreign"],
     )
     def test_hand_built_plan_raises_as_the_constructor_does(self, guards):
         grid = self.grid()
@@ -667,6 +703,13 @@ class TestApplyGuardPlanErrors:
         with pytest.raises(GridError) as err:
             apply_guard_plan(grid, plan)
         assert_same_error(err.value, constructor_error(grid, plan))
+
+    def test_guards_next_to_a_foreign_span_fit(self):
+        grid = self.grid()
+        plan = GuardPlan("key_bus", 0, (6, 7, 9, 10), (GuardSpan(6, 41, 50), GuardSpan(6, 20, 29)))
+        derived = apply_guard_plan(grid, plan)  # one unit after and one unit before "spy" (30..40)
+        check_derived(derived, grid.spans + guard_spans(grid, plan), grid)
+        assert [s.wire_id for s in derived._slots[0][6]] == ["guard_key_bus_1", "spy", "guard_key_bus_0"]
 
     def test_unguarded_columns_are_shared_with_the_parent(self):
         grid = RoutingGrid(
@@ -771,7 +814,7 @@ def check_derived(derived, spans, grid):
         assert derived.column(c) == tuple(s for s in spans if s.column == c)
     for s in spans:
         assert derived.span(s.wire_id) == s
-    for d_max in (1, 2, 3):
+    for d_max in (1, 2, 3, grid.tracks_per_column + 3):
         assert find_exposures(derived, d_max) == brute_exposures(reference, d_max)
 
 
@@ -783,7 +826,7 @@ class TestColumnIndexOracle:
         )
         for _ in range(300):
             grid = random_grid(rng)
-            for d_max in (1, 2, 3):
+            for d_max in (1, 2, 3, grid.tracks_per_column + 3):
                 found = find_exposures(grid, d_max)
                 assert found == brute_exposures(grid, d_max)
                 seen["exposed"] += bool(found)
@@ -881,7 +924,7 @@ class TestBranchingLineage:
                 for i in range(len(plans[w].guards)):
                     with pytest.raises(ValueError, match=f"'guard_{w}_{i}'"):
                         grid.span(f"guard_{w}_{i}")
-            for d_max in (1, 2, 3):
+            for d_max in (1, 2, 3, grid.tracks_per_column + 3):
                 assert find_exposures(grid, d_max) == brute_exposures(grid, d_max)
 
     def test_cross_applied_plans_act_as_the_constructor(self):
