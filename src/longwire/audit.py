@@ -10,9 +10,9 @@ track) slots, so a grid keeps each slot's spans ordered by y.  Spans in
 one slot never overlap, so their ends are in order too, and one bisect on
 each finds the spans in any y range: exposures and guard plans read only
 the tracks they ask about.  One function checks a grid's invariants and
-builds its slot, column and wire-id indexes, whether the grid is
-constructed, parsed or derived by adding guards, in which case it checks
-only the guards, each against its two neighbours in its slot.
+builds its slot and wire-id indexes, whether the grid is constructed,
+parsed or derived by adding guards, in which case it checks only the
+guards and rebuilds only the slots they land in.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from itertools import islice
 from operator import attrgetter
 from typing import Iterable
 
-from .channel import _is_int
+from .patterns import _is_int
 from .errors import CapacityError, DuplicateOccupancy, GridSyntaxError, GuardBlocked
 
 __all__ = [
@@ -112,7 +112,8 @@ class RoutingGrid:
     def __post_init__(self):
         if self.tracks_per_column < 1 or self.n_longs < 1:
             raise ValueError("capacities must be >= 1")
-        _check_and_index(self.spans, self.tracks_per_column, self.n_longs, grid=self)
+        # A tuple of the caller's spans: a list they keep could change under the indexes.
+        _check_and_index(tuple(self.spans), self.tracks_per_column, self.n_longs, grid=self)
 
     def span(self, wire_id: str) -> LongWireSpan:
         # The wire-id index may run on past this grid's spans into a derived grid's.
@@ -120,10 +121,6 @@ class RoutingGrid:
         if i < len(self.spans):
             return self.spans[i]
         raise ValueError(f"no span with wire_id {wire_id!r}")
-
-    def column(self, column: int) -> tuple[LongWireSpan, ...]:
-        """The spans of one channel column, in grid order."""
-        return self._columns.get(column, ())
 
 
 def _check_and_index(
@@ -136,10 +133,12 @@ def _check_and_index(
     the channel or a repeated wire id, then an overlap on the first
     (column, track) slot to appear.  The same pass builds the indexes, kept
     as plain attributes so that ==, repr and asdict see only the fields:
-    the column index (each column's spans in grid order), the slot index
-    (column -> track -> the slot's spans by y_start, ties in grid order)
-    and the wire-id index.  Columns no added span touches stay the parent's
-    tuples and slot maps, and slots no added span touches the parent's lists.
+    the slot index (column -> track -> the slot's spans by y_start, ties in
+    grid order) and the wire-id index.  A slot an added span lands in is
+    the parent's spans in it, if any, then the added ones in grid order,
+    stably sorted by y_start, and an overlap shows between neighbours.
+    Columns no added span touches keep the parent's slot maps, and slots
+    no added span touches the parent's lists.
     The wire-id index maps each id to its position in spans.  The first grid
     derived from a parent extends the parent's index in place, and so shares
     it; a later one copies the parent's part of it first.  An index thus holds,
@@ -157,9 +156,8 @@ def _check_and_index(
         raise CapacityError(f"{len(spans)} spans exceed the {n_longs} long-wire capacity")
     known = {} if parent is None else parent._ids
     ids: dict[str, int] = {}
-    columns = {} if parent is None else dict(parent._columns)
     slots = {} if parent is None else dict(parent._slots)
-    touched: defaultdict[int, list[LongWireSpan]] = defaultdict(list)
+    touched: defaultdict[int, defaultdict[int, list[LongWireSpan]]] = defaultdict(lambda: defaultdict(list))
     for pos, s in enumerate(added, base):
         if s.track >= tracks_per_column:
             raise CapacityError(
@@ -169,33 +167,15 @@ def _check_and_index(
         w = s.wire_id
         if ids.setdefault(w, pos) != pos or w in known and known[w] < base:
             raise DuplicateOccupancy(f"duplicate wire_id {w}", line=where(pos - base))
-        touched[s.column].append(s)
+        touched[s.column][s.track].append(s)
     overlaps = {}
-    for c, new in touched.items():
-        columns[c] = columns.get(c, ()) + tuple(new)
+    for c, by_track in touched.items():
         slots[c] = tracks = dict(slots.get(c, ()))
-        by_track: defaultdict[int, list[LongWireSpan]] = defaultdict(list)
-        for s in new:
-            by_track[s.track].append(s)
-        for t, mine in by_track.items():
-            slot = tracks.get(t)
-            if slot is None:
-                # A new slot, by start with ties in grid order: an overlap shows between neighbours.
-                mine.sort(key=_Y_START)
-                tracks[t] = slot = mine
-                pairs = zip(slot, islice(slot, 1, None))
-            else:
-                # The slot's own spans do not overlap, so only an added span's neighbours
-                # can.  Added in y order, each stays at the index it is inserted at.
-                tracks[t] = slot = slot.copy()
-                inserted = []
-                for s in sorted(mine, key=_Y_START):
-                    i = bisect_right(slot, s.y_start, key=_Y_START)
-                    slot.insert(i, s)
-                    inserted.append(i)
-                pairs = ((slot[j], slot[j + 1]) for i in inserted for j in (i - 1, i)
-                         if 0 <= j < len(slot) - 1)
-            for a, b in pairs:
+        for t, slot in by_track.items():
+            slot[:0] = tracks.get(t, ())
+            slot.sort(key=_Y_START)
+            tracks[t] = slot
+            for a, b in zip(slot, islice(slot, 1, None)):
                 if b.y_start <= a.y_end:
                     overlaps[c, t] = a, b
                     break
@@ -227,7 +207,7 @@ def _check_and_index(
     if grid is None:
         grid = object.__new__(RoutingGrid)
     vars(grid).update(spans=spans, tracks_per_column=tracks_per_column, n_longs=n_longs,
-                      _ids=ids, _columns=columns, _slots=slots)
+                      _ids=ids, _slots=slots)
     return grid
 
 

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .patterns import PatternSpec, stimulus_columns
+from .patterns import PatternSpec, _is_int, stimulus_columns
 
 __all__ = [
     "STREAM_VERSION",
@@ -137,9 +137,7 @@ class DeviceProfile:
         """Distance multiplier: 1.0 for adjacent wires, 0 for d >= 3."""
         if d < 1:
             raise ValueError("distance must be >= 1")
-        if d >= 3:
-            return 0.0
-        return self.distance_atten.get(d, 0.0)
+        return self.distance_atten.get(d, 0.0)  # _validate_atten holds d >= 3 at 0
 
     def noise_sigma_for(self, ticks_per_window: int) -> float:
         """Counting noise grows with the square root of the window length."""
@@ -154,8 +152,8 @@ class MeasurementConfig:
     f_clk_hz: float = 100e6
 
     def __post_init__(self):
-        if not 1 <= self.log2_ticks <= 32:
-            raise ValueError("log2_ticks must be in [1, 32]")
+        if not _is_int(self.log2_ticks) or not 1 <= self.log2_ticks <= 32:
+            raise ValueError(f"log2_ticks must be in [1, 32] and an int, got {self.log2_ticks!r}")
         _require_finite(self, ["f_clk_hz"])
         if self.f_clk_hz <= 0:
             raise ValueError("f_clk_hz must be > 0")
@@ -167,11 +165,6 @@ class MeasurementConfig:
     @property
     def window_seconds(self) -> float:
         return self.ticks_per_window / self.f_clk_hz
-
-
-def _is_int(value) -> bool:
-    """An int or a numpy integer, but no bool."""
-    return type(value) is int or (isinstance(value, (int, np.integer)) and not isinstance(value, bool))
 
 
 def as_longs(value) -> Fraction:
@@ -284,10 +277,6 @@ def expected_delta_rc(profile: DeviceProfile, geom: Geometry) -> float:
     diluted by the oscillator's fixed stage delay; fractions of a long
     count as the whole driven segment.
     """
-    if geom.v_r < 1:
-        raise ValueError("v_r must be >= 1")
-    if geom.d < 1:
-        raise ValueError("d must be >= 1")
     overlap = min(math.ceil(geom.v_t), geom.v_r)
     base = profile.coupling_alpha * overlap / (profile.stage_beta + geom.v_r)
     return profile.attenuation(geom.d) * base

@@ -27,8 +27,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import kernels
-from .channel import DeviceProfile, Geometry, MeasurementConfig, _count_engine, _coupling_terms, _is_int
+from .channel import DeviceProfile, Geometry, MeasurementConfig, _count_engine, _coupling_terms
 from .errors import InconsistentMeasurements
+from .patterns import _is_int
 
 __all__ = [
     "KeyBits",

@@ -59,8 +59,8 @@ class PatternSpec:
     def __post_init__(self):
         if self.kind not in ("alternating", "longruns", "lfsr", "dynamic4", "custom"):
             raise ValueError(f"unknown pattern kind {self.kind!r}")
-        if self.kind == "longruns" and self.run_len < 1:
-            raise ValueError("run_len must be >= 1")
+        if self.kind == "longruns" and (not _is_int(self.run_len) or self.run_len < 1):
+            raise ValueError(f"run_len must be an int >= 1, got {self.run_len!r}")
         if self.kind == "lfsr":
             _check_lfsr(self.lfsr_seed, self.taps)
         if self.kind == "dynamic4" and self.code not in DYNAMIC4_CODES:
@@ -92,12 +92,19 @@ class PatternSpec:
         return cls(kind="custom", bits=tuple(int(b) for b in bits))
 
 
+def _is_int(value) -> bool:
+    """An int or a numpy integer, but no bool."""
+    return type(value) is int or (isinstance(value, (int, np.integer)) and not isinstance(value, bool))
+
+
 def _check_lfsr(state: int, taps: tuple[int, ...]) -> None:
-    if not taps or any(t < 1 for t in taps):
-        raise ValueError("taps must be positive bit positions")
+    if not taps or any(not _is_int(t) or t < 1 for t in taps):
+        raise ValueError(f"taps must be positive int bit positions, got {taps!r}")
     if len(set(taps)) != len(taps):
         raise ValueError("taps must be distinct")
     width = max(taps)
+    if not _is_int(state):
+        raise ValueError(f"LFSR state must be an int, got {state!r}")
     if state == 0:
         raise ValueError("LFSR state must be nonzero")
     if not 0 < state < (1 << width):
@@ -111,10 +118,7 @@ def lfsr_next(state: int, taps: tuple[int, ...] = DEFAULT_LFSR_TAPS) -> tuple[in
     default (16, 14, 13, 11) register is maximal with period 2^16 - 1.
     """
     _check_lfsr(state, taps)
-    return _lfsr_step(state, taps, max(taps))
-
-
-def _lfsr_step(state: int, taps: tuple[int, ...], width: int) -> tuple[int, int]:
+    width = max(taps)
     out = state & 1
     fb = 0
     for p in taps:

@@ -5,6 +5,7 @@ import pickle
 import random
 import re
 import weakref
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -350,6 +351,21 @@ class TestLongWireSpan:
             back = pickle.loads(pickle.dumps(s, protocol))
             assert back == s and hash(back) == hash(s) and repr(back) == repr(s)
         assert copy.copy(s) == s and copy.deepcopy(s) == s
+
+
+class TestRoutingGrid:
+    def test_keeps_a_tuple_of_the_callers_list(self):
+        a, b = span("a", "cpu", 3, 0, 9), span("b", "cpu", 4, 0, 9)
+        given = [a, b]
+        grid = RoutingGrid(given)
+        given.append(span("c", "ip0", 3, 5, 12))  # overlaps "a"
+        assert grid.spans == (a, b)
+        assert grid == RoutingGrid((a, b)) and hash(grid) == hash(RoutingGrid((a, b)))
+        assert grid._slots[0][3] == [a]
+        with pytest.raises(ValueError, match="no span with wire_id 'c'"):
+            grid.span("c")
+        with pytest.raises(DuplicateOccupancy, match="spans a and c overlap on column 0 track 3"):
+            RoutingGrid(given)
 
 
 def spans_of(text):
@@ -721,13 +737,14 @@ class TestApplyGuardPlanErrors:
         )
         derived = apply_guard_plan(grid, plan_guards(grid, "w2_8"))
         for c in range(4):
-            assert (derived.column(c) is grid.column(c)) == (c != 2)
-        assert derived.column(2)[: len(grid.column(2))] == grid.column(2)
-        assert derived.column(7) == ()
+            assert (derived._slots[c] is grid._slots[c]) == (c != 2)
+        assert all(derived._slots[2][t] is slot for t, slot in grid._slots[2].items())
+        assert sorted(derived._slots[2]) == [3, 6, 7, 8, 9, 10, 12]
+        assert 7 not in derived._slots
 
 
 # --------------------------------------------------------------------------- oracle
-# Brute-force copies of the all-pairs scans the column index replaces.
+# Brute-force copies of the all-pairs scans the slot index replaces.
 
 
 def brute_exposures(grid, d_max):
@@ -809,9 +826,12 @@ def random_plan(rng, grid):
 def check_derived(derived, spans, grid):
     reference = RoutingGrid(spans, grid.tracks_per_column, grid.n_longs)
     assert derived == reference
-    for c in {s.column for s in spans} | {s.column for s in grid.spans}:
-        assert derived.column(c) == reference.column(c)
-        assert derived.column(c) == tuple(s for s in spans if s.column == c)
+    assert derived._slots == reference._slots
+    # each slot's spans by y_start, ties in grid order
+    brute = defaultdict(lambda: defaultdict(list))
+    for s in sorted(spans, key=lambda s: s.y_start):
+        brute[s.column][s.track].append(s)
+    assert derived._slots == brute
     for s in spans:
         assert derived.span(s.wire_id) == s
     for d_max in (1, 2, 3, grid.tracks_per_column + 3):
@@ -852,8 +872,13 @@ class TestColumnIndexOracle:
                     continue
                 derived = apply_guard_plan(grid, plan)
                 check_derived(derived, spans, grid)
-                for c in {s.column for s in grid.spans} - {plan.column}:
-                    assert derived.column(c) is grid.column(c)
+                guarded = {g.track for g in plan.guards}
+                for c, tracks in grid._slots.items():
+                    if c != plan.column:
+                        assert derived._slots[c] is tracks
+                        continue
+                    for t, slot in tracks.items():
+                        assert (derived._slots[c][t] is slot) == (t not in guarded)
                 grid = derived
                 seen["applied"] += 1
             for _ in range(3):
@@ -882,8 +907,7 @@ class TestColumnIndexOracle:
                     pass
             parsed = parse_grid(serialize_grid(grid))
             assert parsed.spans == grid.spans
-            for c in range(-1, 6):
-                assert parsed.column(c) == grid.column(c)
+            assert parsed._slots == grid._slots
             for s in grid.spans:
                 assert parsed.span(s.wire_id) == grid.span(s.wire_id) == s
 

@@ -150,8 +150,8 @@ class TestMeasurementConfig:
         assert cfg.window_seconds == pytest.approx(81.92e-6)
 
     def test_bounds(self):
-        for bad in (0, 33):
-            with pytest.raises(ValueError):
+        for bad in (0, 33, 13.5, True, "13"):
+            with pytest.raises(ValueError, match="log2_ticks must be in"):
                 MeasurementConfig(log2_ticks=bad)
 
 

@@ -46,6 +46,22 @@ class TestLfsr:
         with pytest.raises(ValueError):
             lfsr_next(1 << 16, (16, 14, 13, 11))
 
+    @pytest.mark.parametrize(
+        "seed, taps, match",
+        [
+            (1.5, (16, 14, 13, 11), "LFSR state must be an int"),
+            (True, (2, 1), "LFSR state must be an int"),
+            ("1", (2, 1), "LFSR state must be an int"),
+            (1, (16.0, 14, 13, 11), "taps must be positive int bit positions"),
+            (1, (2, True), "taps must be positive int bit positions"),
+        ],
+    )
+    def test_non_int_state_or_taps_rejected(self, seed, taps, match):
+        with pytest.raises(ValueError, match=match):
+            lfsr_next(seed, taps)
+        with pytest.raises(ValueError, match=match):
+            PatternSpec.lfsr(taps, seed)
+
 
 def oracle_columns(spec, n):
     """stimulus_columns' three columns as lists, built from the oracle one window at a time."""
@@ -155,8 +171,9 @@ class TestStaticPatterns:
             PatternSpec.custom((0, 2))
 
     def test_run_len_validation(self):
-        with pytest.raises(ValueError):
-            PatternSpec.long_runs(0)
+        for bad in (0, 2.5, True, "2"):
+            with pytest.raises(ValueError, match="run_len must be an int >= 1"):
+                PatternSpec.long_runs(bad)
 
 
 class TestPurity:
