@@ -10,9 +10,9 @@ track) slots, so a grid keeps each slot's spans ordered by y.  Spans in
 one slot never overlap, so their ends are in order too, and one bisect on
 each finds the spans in any y range: exposures and guard plans read only
 the tracks they ask about.  One function checks a grid's invariants and
-builds its slot and wire-id indexes, whether the grid is constructed,
-parsed or derived by adding guards, in which case it checks only the
-guards and rebuilds only the slots they land in.
+builds its slot and wire-id indexes, never written again, for a grid
+constructed, parsed or derived by adding guards: then only the guards are
+checked, and the parts of the parent's indexes they leave alone are shared.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import io
 import sys
-import threading
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, fields
@@ -54,9 +53,6 @@ DEFAULT_N_LONGS = 8500
 
 # Guard wires sit two tracks to each side of the protected span.
 GUARD_DISTANCES = (-2, -1, 1, 2)
-
-# Held while a derived grid claims or copies its parent's wire-id index.
-_INDEX_LOCK = threading.Lock()
 
 _Y_START = attrgetter("y_start")
 _Y_END = attrgetter("y_end")
@@ -116,11 +112,15 @@ class RoutingGrid:
         _check_and_index(tuple(self.spans), self.tracks_per_column, self.n_longs, grid=self)
 
     def span(self, wire_id: str) -> LongWireSpan:
-        # The wire-id index may run on past this grid's spans into a derived grid's.
-        i = self._ids.get(wire_id, len(self.spans))
-        if i < len(self.spans):
-            return self.spans[i]
-        raise ValueError(f"no span with wire_id {wire_id!r}")
+        i = _position(self, wire_id)
+        if i is None:
+            raise ValueError(f"no span with wire_id {wire_id!r}")
+        return self.spans[i]
+
+
+def _position(grid: RoutingGrid, wire_id: str) -> int | None:
+    """The index of wire_id in grid.spans, or None."""
+    return grid._ids.get(wire_id, grid._added.get(wire_id))
 
 
 def _check_and_index(
@@ -139,11 +139,10 @@ def _check_and_index(
     stably sorted by y_start, and an overlap shows between neighbours.
     Columns no added span touches keep the parent's slot maps, and slots
     no added span touches the parent's lists.
-    The wire-id index maps each id to its position in spans.  The first grid
-    derived from a parent extends the parent's index in place, and so shares
-    it; a later one copies the parent's part of it first.  An index thus holds,
-    in grid order, the ids of the longest grid that shares it, and each of
-    those grids reads only the entries below its own span count.
+    The wire-id index maps each id to its position in spans, in two dicts:
+    _ids, built with the lineage's root and shared by every grid derived
+    from it, and _added, a copy of the parent's extended by the added ids.
+    Derivation only appends, so a position holds along the whole lineage.
     lines, for a grid without a parent, gives each span's source line.
     The indexes are stored on grid, or on a new grid when it is None.
     """
@@ -154,8 +153,9 @@ def _check_and_index(
     spans = added if parent is None else tuple(parent.spans) + added
     if len(spans) > n_longs:
         raise CapacityError(f"{len(spans)} spans exceed the {n_longs} long-wire capacity")
-    known = {} if parent is None else parent._ids
-    ids: dict[str, int] = {}
+    ids: dict[str, int] = {} if parent is None else parent._ids
+    added_ids: dict[str, int] = {} if parent is None else dict(parent._added)
+    new_ids = ids if parent is None else added_ids
     slots = {} if parent is None else dict(parent._slots)
     touched: defaultdict[int, defaultdict[int, list[LongWireSpan]]] = defaultdict(lambda: defaultdict(list))
     for pos, s in enumerate(added, base):
@@ -165,7 +165,7 @@ def _check_and_index(
                 line=where(pos - base),
             )
         w = s.wire_id
-        if ids.setdefault(w, pos) != pos or w in known and known[w] < base:
+        if new_ids.setdefault(w, pos) != pos or parent is not None and w in ids:
             raise DuplicateOccupancy(f"duplicate wire_id {w}", line=where(pos - base))
         touched[s.column][s.track].append(s)
     overlaps = {}
@@ -195,19 +195,10 @@ def _check_and_index(
         if lines is not None:
             msg += f" (lines {lines[first]} and {lines[second]})"
         raise DuplicateOccupancy(msg, line=where(second))
-    if parent is not None:
-        with _INDEX_LOCK:  # grids may be shared between threads
-            if len(known) != base:  # a grid derived earlier extended it: copy it without the later ids
-                tail = list(islice(reversed(known), len(known) - base))
-                known = dict(known)
-                for w in tail:
-                    del known[w]
-            known.update(ids)
-        ids = known
     if grid is None:
         grid = object.__new__(RoutingGrid)
     vars(grid).update(spans=spans, tracks_per_column=tracks_per_column, n_longs=n_longs,
-                      _ids=ids, _slots=slots)
+                      _ids=ids, _added=added_ids, _slots=slots)
     return grid
 
 
@@ -367,14 +358,13 @@ def plan_guards(grid: RoutingGrid, wire_id: str, fill_mode: str = "unoccupied") 
         if 0 <= target.track + d < grid.tracks_per_column
     )
     tracks = grid._slots[target.column]
-    ids = grid._ids
     blockers = []
     guards = []
     for track in required:
         occupants = _overlapping(tracks.get(track, ()), target.y_start, target.y_end)
         foreign = [s for s in occupants if s.core_id != target.core_id]
         if foreign:
-            blockers.extend(sorted(foreign, key=lambda s: ids[s.wire_id]))
+            blockers.extend(sorted(foreign, key=lambda s: _position(grid, s.wire_id)))
             continue
         # free sub-intervals of the target extent not already held by the core
         cursor = target.y_start
@@ -387,7 +377,7 @@ def plan_guards(grid: RoutingGrid, wire_id: str, fill_mode: str = "unoccupied") 
     if blockers:
         # A caller that keeps the exception keeps this frame through its
         # traceback; the grid and its indexes need not be kept with it.
-        del grid, tracks, ids
+        del grid, tracks
         raise GuardBlocked(wire_id, blockers)
     return GuardPlan(
         wire_id=wire_id,

@@ -30,6 +30,7 @@ import csv
 import functools
 import io
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import NamedTuple
@@ -68,7 +69,22 @@ def _require_finite(obj, names) -> None:
             raise ValueError(f"{name} must be finite")
 
 
-def _validate_atten(atten: dict[int, float]) -> dict[int, float]:
+class _ReadOnlyDict(dict):
+    """A dict that refuses writes; it hashes, pickles and copies as its items."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
+def _validate_atten(atten: dict[int, float]) -> _ReadOnlyDict:
     clean: dict[int, float] = {}
     for d, mult in atten.items():
         d = int(d)
@@ -82,12 +98,10 @@ def _validate_atten(atten: dict[int, float]) -> dict[int, float]:
         if d >= 3 and mult != 0.0:
             raise ValueError("distance_atten must be exactly 0 for d >= 3")
         clean[d] = mult
-    last = None
-    for d in sorted(clean):
-        if last is not None and clean[d] > last:
-            raise ValueError("distance_atten must be non-increasing in d")
-        last = clean[d]
-    return clean
+    by_distance = [clean[d] for d in sorted(clean)]
+    if any(near < far for near, far in zip(by_distance, by_distance[1:])):
+        raise ValueError("distance_atten must be non-increasing in d")
+    return _ReadOnlyDict(clean)
 
 
 @dataclass(frozen=True)
@@ -102,7 +116,7 @@ class DeviceProfile:
     base_rate: float = 3.0                 # f_RO / f_CLK
     coupling_alpha: float = 1.0 / 4096.0   # relative delay reduction per overlapped long
     stage_beta: float = 1.0                # LUT stage delay, in long-segment-delay units
-    distance_atten: dict[int, float] = field(default_factory=lambda: {1: 1.0, 2: 0.05})
+    distance_atten: Mapping[int, float] = field(default_factory=lambda: {1: 1.0, 2: 0.05})
     noise_sigma: float = 0.8               # counts per window at the 2^13-tick reference
     drift_rate: float = 5e-9               # per-window drift innovation (fraction of base_rate)
     drift_reversion: float = 0.005
@@ -169,11 +183,7 @@ class MeasurementConfig:
 
 def as_longs(value) -> Fraction:
     """Normalize a wire length to an exact multiple of 1/3 of a long."""
-    if isinstance(value, Fraction):
-        frac = value
-    elif isinstance(value, int):
-        frac = Fraction(value)
-    elif isinstance(value, str):
+    if isinstance(value, (Fraction, int, str)):
         try:
             frac = Fraction(value)
         except ZeroDivisionError:

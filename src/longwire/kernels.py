@@ -27,20 +27,13 @@ def _check_bits(n: int) -> None:
         raise ValueError("key length must be in [1, 64] for the kernels")
 
 
-def _check_single(n: int, w: int) -> None:
+def _check_window(n: int, w: int, multi: bool) -> None:
+    """A key the single-window (n >= 2w - 1) or two-width (n >= 2w + 1) pass can take."""
     _check_bits(n)
     if w < 1:
         raise ValueError("window width must be >= 1")
-    if n < 2 * w - 1:
-        raise ValueError("key length must be >= 2w - 1")
-
-
-def _check_multi(n: int, w: int) -> None:
-    _check_bits(n)
-    if w < 1:
-        raise ValueError("window width must be >= 1")
-    if n < 2 * w + 1:
-        raise ValueError("key length must be >= 2w + 1")
+    if n < 2 * w + (1 if multi else -1):
+        raise ValueError(f"key length must be >= 2w {'+' if multi else '-'} 1")
 
 
 def _check_sweep(n: int) -> None:
@@ -94,7 +87,7 @@ def _count_single_resolved(keys: np.ndarray, n: int, w: int) -> int:
 
 def sweep_single(n: int, w: int) -> int:
     """Number of keys in [0, 2^n) fully recovered by the single-window pass."""
-    _check_single(n, w)
+    _check_window(n, w, multi=False)
     _check_sweep(n)
     return sum(_count_single_resolved(keys, n, w) for keys in _index_chunks(1 << n))
 
@@ -105,14 +98,14 @@ def sweep_multi(n: int, w: int) -> int:
     For n >= 2w+1 the equality links j~j+w and j~j+w+1 connect all n
     positions, so every key resolves except the two constant ones.
     """
-    _check_multi(n, w)
+    _check_window(n, w, multi=True)
     _check_sweep(n)
     return (1 << n) - 2
 
 
 def mc_single(n: int, w: int, trials: int, seed: int) -> int:
     """Full single-window recoveries over `trials` uniform random keys."""
-    _check_single(n, w)
+    _check_window(n, w, multi=False)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     return sum(_count_single_resolved(trial_keys(seed, t, n), n, w) for t in _index_chunks(trials))

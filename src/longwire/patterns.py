@@ -57,6 +57,9 @@ class PatternSpec:
     bits: tuple[int, ...] = ()
 
     def __post_init__(self):
+        # Tuples of the caller's sequences: a list they keep could change the spec.
+        object.__setattr__(self, "taps", tuple(self.taps))
+        object.__setattr__(self, "bits", tuple(self.bits))
         if self.kind not in ("alternating", "longruns", "lfsr", "dynamic4", "custom"):
             raise ValueError(f"unknown pattern kind {self.kind!r}")
         if self.kind == "longruns" and (not _is_int(self.run_len) or self.run_len < 1):
@@ -81,7 +84,7 @@ class PatternSpec:
 
     @classmethod
     def lfsr(cls, taps: tuple[int, ...] = DEFAULT_LFSR_TAPS, seed: int = DEFAULT_LFSR_SEED) -> "PatternSpec":
-        return cls(kind="lfsr", taps=tuple(taps), lfsr_seed=seed)
+        return cls(kind="lfsr", taps=taps, lfsr_seed=seed)
 
     @classmethod
     def dynamic4(cls, code: str) -> "PatternSpec":

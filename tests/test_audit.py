@@ -4,8 +4,10 @@ import inspect
 import pickle
 import random
 import re
+import sys
 import weakref
 from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -691,6 +693,20 @@ class TestApplyGuardPlanErrors:
             apply_guard_plan(guarded, plan)
         assert_same_error(err.value, constructor_error(guarded, plan))
 
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_guard_named_as_a_root_span_is_a_duplicate_wire_id(self, depth):
+        grid = RoutingGrid(self.grid().spans + (
+            span("guard_key_bus_1", "ip0", 3, 0, 9, column=1),
+            span("k0", "cpu", 8, 0, 9, column=2, sensitive=True, trust="trusted"),
+            span("k1", "cpu", 8, 0, 9, column=3, sensitive=True, trust="trusted"),
+        ))
+        for wire_id in ("k0", "k1")[:depth]:  # grids derived from the one that holds the id
+            grid = apply_guard_plan(grid, plan_guards(grid, wire_id))
+        plan = plan_guards(grid, "key_bus")
+        with pytest.raises(DuplicateOccupancy, match="duplicate wire_id guard_key_bus_1") as err:
+            apply_guard_plan(grid, plan)
+        assert_same_error(err.value, constructor_error(grid, plan))
+
     def test_full_grid_is_a_capacity_error(self):
         grid = self.grid(n_longs=3)
         plan = plan_guards(grid, "key_bus")
@@ -821,6 +837,12 @@ def random_plan(rng, grid):
         guards.append(GuardSpan(rng.randint(0, grid.tracks_per_column), y, y + rng.randint(0, 8)))
     column = rng.choice([target.column, target.column, rng.randint(0, 4)])
     return GuardPlan(target.wire_id, column, (), tuple(guards))
+
+
+def index_snapshot(grid):
+    """Copies of a grid's wire-id dicts and slot index, to compare later."""
+    slots = {c: {t: list(slot) for t, slot in tracks.items()} for c, tracks in grid._slots.items()}
+    return dict(grid._ids), dict(grid._added), slots
 
 
 def check_derived(derived, spans, grid):
@@ -992,13 +1014,56 @@ class TestBranchingLineage:
         with pytest.raises(CapacityError):
             apply_guard_plan(RoutingGrid(parent.spans, n_longs=5), plan_guards(parent, "k0"))
 
-    def test_siblings_do_not_grow_an_index(self):
+    def test_derivations_write_no_existing_index(self):
         parent = self.parent()
         plan = plan_guards(parent, "k0")
-        children = [apply_guard_plan(parent, plan) for _ in range(20)]
-        grandchild = apply_guard_plan(children[0], plan_guards(parent, "k1"))
-        # the first child and its own child extend the parent's index; later siblings copy
-        assert len(parent._ids) == len(grandchild.spans)
+        grids, seen = [parent], [index_snapshot(parent)]
+
+        def derive(grid, plan):
+            try:
+                derived = apply_guard_plan(grid, plan)
+            finally:
+                assert [index_snapshot(g) for g in grids] == seen  # no earlier grid changed
+            grids.append(derived)
+            seen.append(index_snapshot(derived))
+            return derived
+
+        children = [derive(parent, plan) for _ in range(20)]
+        grandchild = derive(children[0], plan_guards(parent, "k1"))
+        broken = GuardPlan("k2", 0, (), (GuardSpan(7, 30, 35), GuardSpan(7, 35, 39)))
+        with pytest.raises(DuplicateOccupancy):
+            derive(parent, broken)
         for child in children[1:]:
-            assert len(child._ids) == len(child.spans)
             assert child == children[0]
+        assert all(grid._ids is parent._ids for grid in grids)  # the root's index is shared
+        every_id = {s.wire_id for s in grandchild.spans} | {"guard_k2_0", "guard_k2_1"}
+        for grid in grids:
+            own = {s.wire_id: s for s in grid.spans}
+            for w in every_id:
+                if w in own:
+                    assert grid.span(w) is own[w]
+                else:
+                    with pytest.raises(ValueError, match=f"'{w}'"):
+                        grid.span(w)
+
+    def test_threads_derive_from_one_parent(self):
+        parent = self.parent()
+        plan = plan_guards(parent, "k0")
+        before = index_snapshot(parent)
+        expected = RoutingGrid(parent.spans + guard_spans(parent, plan), parent.tracks_per_column,
+                               parent.n_longs)
+
+        def siblings(_):
+            return [apply_guard_plan(parent, plan) for _ in range(25)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside derivations
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                derived = [grid for batch in pool.map(siblings, range(4), timeout=60) for grid in batch]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(derived) == 100
+        for grid in derived:
+            check_derived(grid, expected.spans, parent)
+        assert index_snapshot(parent) == before

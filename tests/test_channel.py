@@ -1,6 +1,9 @@
+import copy
 import csv
+import dataclasses
 import io
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -141,6 +144,54 @@ class TestProfileInvariants:
         with pytest.raises(ValueError):
             DeviceProfile(distance_atten={1: 1.0, 2: 0.05, 3: 0.01})
         DeviceProfile(distance_atten={1: 1.0, 2: 0.05, 3: 0.0})
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda m: m.__setitem__(3, 1.0),
+            lambda m: m.__delitem__(2),
+            lambda m: m.__ior__({3: 1.0}),
+            lambda m: m.update({3: 1.0}),
+            lambda m: m.setdefault(3, 1.0),
+            lambda m: m.pop(2),
+            lambda m: m.popitem(),
+            lambda m: m.clear(),
+        ],
+        ids=["setitem", "delitem", "ior", "update", "setdefault", "pop", "popitem", "clear"],
+    )
+    def test_attenuation_is_read_only(self, write):
+        profile = DeviceProfile()
+        with pytest.raises(TypeError, match="read-only"):
+            write(profile.distance_atten)
+        assert profile.distance_atten == {1: 1.0, 2: 0.05}
+        assert expected_delta_rc(profile, Geometry(d=3)) == 0.0
+
+    def test_repr_and_equality(self):
+        profile = DeviceProfile(distance_atten={1: 1.0, 2: 0.5})
+        assert "distance_atten={1: 1.0, 2: 0.5}," in repr(profile)
+        assert profile == DeviceProfile(distance_atten={1: 1.0, 2: 0.5})
+        assert profile != DeviceProfile()
+
+    def test_hash(self):
+        assert hash(DeviceProfile()) == hash(DeviceProfile(distance_atten={2: 0.05, 1: 1.0}))
+        assert len({DeviceProfile(), DeviceProfile(), DeviceProfile(noise_sigma=0.5)}) == 2
+
+    def test_replace(self):
+        profile = DeviceProfile(distance_atten={1: 1.0, 2: 0.5})
+        quieter = dataclasses.replace(profile, noise_sigma=0.1)
+        assert quieter.distance_atten == profile.distance_atten and quieter.noise_sigma == 0.1
+        with pytest.raises(TypeError):
+            quieter.distance_atten[3] = 1.0
+
+    @pytest.mark.parametrize(
+        "clone", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    def test_pickle_and_deepcopy(self, clone):
+        profile = DeviceProfile(distance_atten={1: 1.0, 2: 0.5})
+        other = clone(profile)
+        assert other == profile and hash(other) == hash(profile)
+        with pytest.raises(TypeError):
+            other.distance_atten[3] = 1.0
 
 
 class TestMeasurementConfig:

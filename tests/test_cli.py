@@ -1,6 +1,7 @@
 import ast
 import builtins
 import math
+from pathlib import Path
 
 import pytest
 
@@ -218,9 +219,8 @@ class TestSubcommandOutputs:
         assert out.splitlines()[0] == "n_key,w,probability,eq2_lower_bound,monte_carlo"
 
     def test_audit_matches_fixture_annotation(self, capsys):
-        annotated = int(
-            [l for l in open(GRID) if "expected-exposures" in l][0].split(":")[1]
-        )
+        lines = Path(GRID).read_text().splitlines()
+        annotated = int([l for l in lines if "expected-exposures" in l][0].split(":")[1])
         code, out, _ = run(capsys, "audit", "--grid", GRID)
         assert code == 0
         assert len(out.splitlines()) - 1 == annotated

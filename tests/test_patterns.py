@@ -170,6 +170,18 @@ class TestStaticPatterns:
         with pytest.raises(ValueError):
             PatternSpec.custom((0, 2))
 
+    def test_keeps_tuples_of_the_callers_lists(self):
+        bits, taps = [1, 0], [2, 1]
+        custom = PatternSpec(kind="custom", bits=bits)
+        lfsr = PatternSpec(kind="lfsr", taps=taps, lfsr_seed=1)
+        bits.append(7)
+        taps.append(5)
+        assert custom.bits == (1, 0) and lfsr.taps == (2, 1)
+        assert bits_of(custom, 4) == [1, 0, 1, 0]
+        assert bits_of(lfsr, 6) == bits_of(PatternSpec.lfsr((2, 1), 1), 6)
+        assert hash(custom) == hash(PatternSpec.custom((1, 0)))
+        assert hash(lfsr) == hash(PatternSpec.lfsr((2, 1), 1))
+
     def test_run_len_validation(self):
         for bad in (0, 2.5, True, "2"):
             with pytest.raises(ValueError, match="run_len must be an int >= 1"):
