@@ -3,7 +3,7 @@ OUT ?= out
 # Run from the checkout without installing the package.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test acceptance bench selftest reproduce check-reproduce check clean
+.PHONY: install test acceptance bench selftest reproduce check-reproduce check size clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -32,6 +32,10 @@ check-reproduce:
 
 # The gates a change must pass: the test suite, the benchmark's self-test, then the out/ comparison.
 check: test selftest check-reproduce
+
+# Line count of the package source, stated in every change.
+size:
+	@wc -l src/longwire/*.py
 
 clean:
 	rm -rf build src/*.egg-info

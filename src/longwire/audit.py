@@ -333,6 +333,8 @@ class GuardPlan:
     fill_mode: str = "unoccupied"   # or "random_signal"
 
     def __post_init__(self):
+        for name in ("required_tracks", "guards"):  # tuples: a list the caller keeps could change the plan
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         _check_fill_mode(self.fill_mode)
 
 
@@ -383,7 +385,7 @@ def plan_guards(grid: RoutingGrid, wire_id: str, fill_mode: str = "unoccupied") 
         wire_id=wire_id,
         column=target.column,
         required_tracks=required,
-        guards=tuple(guards),
+        guards=guards,
         fill_mode=fill_mode,
     )
 

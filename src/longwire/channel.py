@@ -263,10 +263,7 @@ class CountTrace:
             raise ValueError("trace columns must be one-dimensional and of equal length")
         if (np.diff(self.window) <= 0).any():
             raise ValueError("window indices must be strictly increasing")
-        if not ((self.duty >= 0.0) & (self.duty <= 1.0)).all():
-            raise ValueError("duty must be in [0, 1]")
-        if not ((self.toggle_rate >= 0.0) & (self.toggle_rate < np.inf)).all():
-            raise ValueError("toggle_rate must be finite and >= 0")
+        _check_stimulus(self.duty, self.toggle_rate)
         if (self.counts < 0).any():
             raise ValueError("counts must be >= 0")
 
@@ -278,6 +275,14 @@ class CountTrace:
         """The trace as rows, built anew on each call."""
         columns = (self.window, self.counts, self.duty, self.toggle_rate)
         return tuple(map(TraceSample, *(c.tolist() for c in columns), self.tx_bits))
+
+
+def _check_stimulus(duty, toggle_rate) -> None:
+    """Duty in [0, 1] and toggle rate finite and >= 0, each a float or an array."""
+    if not np.all((duty >= 0.0) & (duty <= 1.0)):
+        raise ValueError("duty must be in [0, 1]")
+    if not np.all((toggle_rate >= 0.0) & (toggle_rate < np.inf)):
+        raise ValueError("toggle_rate must be finite and >= 0")
 
 
 def expected_delta_rc(profile: DeviceProfile, geom: Geometry) -> float:
@@ -327,10 +332,7 @@ def expected_count(
     drift_state: float = 0.0,
 ) -> float:
     """Noise-free mean of the window count."""
-    if not 0.0 <= duty <= 1.0:
-        raise ValueError("duty must be in [0, 1]")
-    if not 0.0 <= toggle_rate < math.inf:
-        raise ValueError("toggle_rate must be finite and >= 0")
+    _check_stimulus(duty, toggle_rate)
     return _mean_count(profile, cfg, _coupling_terms(profile, geom), duty, toggle_rate, drift_state)
 
 
@@ -415,21 +417,16 @@ def simulate_counts(
     stream in three blocks (see the module docstring), then adds mean,
     noise and counter phase, rounded half to even and clipped at 0.
     """
-    duty = np.asarray(duty, dtype=float)
-    scalar = isinstance(toggle_rate, (int, float))
-    toggle = float(toggle_rate) if scalar else np.asarray(toggle_rate, dtype=float)
-    if duty.ndim != 1 or (not scalar and toggle.ndim > 1):
+    duty, toggle = np.asarray(duty, dtype=float), np.asarray(toggle_rate, dtype=float)
+    if duty.ndim != 1 or toggle.ndim > 1:
         raise ValueError("duty and toggle_rate must be one value per window")
-    if not ((duty >= 0.0) & (duty <= 1.0)).all():
-        raise ValueError("duty must be in [0, 1]")
-    if not (0.0 <= toggle < math.inf if scalar else ((toggle >= 0.0) & (toggle < np.inf)).all()):
-        raise ValueError("toggle_rate must be finite and >= 0")
+    _check_stimulus(duty, toggle)
     return _count_engine(profile, cfg, _coupling_terms(profile, geom), duty, toggle, rng)
 
 
 def _count_engine(profile, cfg, terms, duty: np.ndarray, toggle, rng) -> np.ndarray:
     """simulate_counts past its checks, the geometry given as its _coupling_terms: duty a 1-D float array
-    in [0, 1], toggle a float or array, finite and >= 0."""
+    in [0, 1], toggle a float or a 0-d or 1-D array, finite and >= 0."""
     n = len(duty)
     innovations = rng.normal(0.0, profile.drift_rate, n)
     noise = rng.normal(0.0, profile.noise_sigma_for(cfg.ticks_per_window), n)

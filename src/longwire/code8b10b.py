@@ -107,8 +107,9 @@ _ENCODE, _DECODE, _FLIPS = _build_tables()
 _WEIGHTS = 1 << np.arange(9, -1, -1)
 
 
-def _group_bits(group: int) -> tuple[int, ...]:
-    return tuple((group >> (9 - i)) & 1 for i in range(10))
+def _word_bits(word: int, width: int) -> tuple[int, ...]:
+    """The width low bits of word, most significant first."""
+    return tuple((word >> (width - 1 - i)) & 1 for i in range(width))
 
 
 def _row(running_disparity: int) -> int:
@@ -140,12 +141,12 @@ def encode_8b10b(byte: int, running_disparity: int) -> tuple[tuple[int, ...], in
     if not 0 <= byte <= 0xFF:
         raise ValueError("byte must be in [0, 255]")
     group = int(_ENCODE[row, byte])
-    return _group_bits(group), _after(group, running_disparity)
+    return _word_bits(group, 10), _after(group, running_disparity)
 
 
 def valid_groups() -> frozenset[tuple[int, ...]]:
     """All 10-bit groups some data byte encodes to (either disparity)."""
-    return frozenset(_group_bits(int(g)) for g in np.flatnonzero((_DECODE >= 0).any(axis=0)))
+    return frozenset(_word_bits(int(g), 10) for g in np.flatnonzero((_DECODE >= 0).any(axis=0)))
 
 
 def decode_8b10b(ten_bits: Sequence[int], running_disparity: int) -> tuple[int, int]:

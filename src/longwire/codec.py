@@ -20,6 +20,7 @@ import numpy as np
 from . import code8b10b
 from .channel import DeviceProfile, Geometry, MeasurementConfig, simulate_counts
 from .errors import InvalidCodeGroup
+from .patterns import _is_bits
 
 __all__ = [
     "LineCode",
@@ -41,12 +42,8 @@ class LineCode(Enum):
     EIGHTB_TENB = "8b10b"
 
 
-def _word_bits(word: int, width: int) -> tuple[int, ...]:
-    return tuple((word >> (width - 1 - i)) & 1 for i in range(width))
-
-
-DEFAULT_SOF = _word_bits(0xF0D5, 16)
-DEFAULT_EOF = _word_bits(0x0B2F, 16)
+DEFAULT_SOF = code8b10b._word_bits(0xF0D5, 16)
+DEFAULT_EOF = code8b10b._word_bits(0x0B2F, 16)
 
 
 @dataclass(frozen=True)
@@ -61,11 +58,7 @@ class Frame:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.sof or not self.eof:
             raise ValueError("sof and eof patterns must be non-empty")
-        try:
-            binary = {*self.sof, *self.eof, *self.payload} <= {0, 1}
-        except TypeError:  # an unhashable item is no bit either
-            binary = False
-        if not binary:
+        if not _is_bits(self.sof + self.eof + self.payload):
             raise ValueError("frame fields must contain bits")
         if self.line_code is LineCode.EIGHTB_TENB and len(self.payload) % 8 != 0:
             raise ValueError("8b/10b payload length must be a multiple of 8")

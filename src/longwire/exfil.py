@@ -27,9 +27,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import kernels
-from .channel import DeviceProfile, Geometry, MeasurementConfig, _count_engine, _coupling_terms
+from .channel import DeviceProfile, Geometry, MeasurementConfig, _count_engine, _coupling_terms, _mean_count
 from .errors import InconsistentMeasurements
-from .patterns import _is_int
+from .patterns import _is_bits, _is_int
 
 __all__ = [
     "KeyBits",
@@ -63,13 +63,10 @@ class KeyBits:
     bits: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "bits", tuple(self.bits))  # a list the caller keeps could change the key
         if len(self.bits) < 1:
             raise ValueError("key must have at least one bit")
-        try:
-            binary = set(self.bits) <= {0, 1}
-        except TypeError:  # an unhashable item is no bit either
-            binary = False
-        if not binary:
+        if not _is_bits(self.bits):
             raise ValueError("key bits must be 0 or 1")
 
     def __len__(self) -> int:
@@ -109,10 +106,7 @@ def _strip_prefix(text: str, prefix: str) -> str:
 def parse_key(text: str) -> KeyBits:
     """Key from a CLI string: 0x... is hex, 0b... or pure 0/1 is binary."""
     text = text.strip()
-    prefix = text[:2].lower()
-    if prefix == "0x":
-        return KeyBits.from_hex(text)
-    if prefix == "0b" or (text and all(c in "01" for c in text)):
+    if text[:2].lower() == "0b" or (text and all(c in "01" for c in text)):
         return KeyBits.from_binary(text)
     return KeyBits.from_hex(text)
 
@@ -204,10 +198,10 @@ class ExfilChannel:
 
 
 def _full_swing(chan: ExfilChannel, delta: float) -> float:
-    """expected_count at duty 1 less that at duty 0 (ticks_per_window * base_rate), in its order of operations,
-    for the coupling delta from _coupling_terms."""
-    scale = chan.cfg.ticks_per_window * chan.profile.base_rate
-    return scale * (delta + 1.0) - scale
+    """The count step of a full window: the noise-free count at duty 1 less that at duty 0, no toggle
+    and no drift, for the coupling delta from _coupling_terms; expected_count's value to the bit."""
+    terms, profile, cfg = (delta, 0.0), chan.profile, chan.cfg
+    return _mean_count(profile, cfg, terms, 1.0, 0.0, 0.0) - _mean_count(profile, cfg, terms, 0.0, 0.0, 0.0)
 
 
 def _tolerance(chan: ExfilChannel, delta: float, w: int) -> float:
@@ -342,9 +336,7 @@ def propagate(relations: RelationSet | Sequence[RelationSet], n_key: int) -> Rec
 
 
 def _key_masks(key: int, n: int, w: int) -> RelationSet:
-    """Noise-free relations of the n-bit key int: relation j is K_j against K_{j+w}."""
-    if not 1 <= w <= n:
-        raise ValueError("window width must be in [1, key length]")
+    """Noise-free relations of the n-bit key int: relation j is K_j against K_{j+w}, for w in [1, n]."""
     later, cut = key >> w, (1 << (n - w)) - 1
     return RelationSet(~(key ^ later) & cut, key & ~later & cut, ~key & later & cut, w)
 
@@ -353,8 +345,7 @@ def single_window_recover(key, w: int, noise: ExfilChannel | None = None) -> Rec
     """Measure every window of width w, infer relations, propagate."""
     key = _as_key(key)
     n = len(key)
-    if n < 2 * w - 1:
-        raise ValueError("key length must be >= 2w - 1")
+    kernels._check_window(n, w, multi=False)
     if noise is None:
         return propagate(_key_masks(key.to_int(), n, w), n)
     terms = _coupling_terms(noise.profile, noise.geom)
@@ -390,16 +381,12 @@ def multi_window_recover(key, w: int) -> RecoveryResult:
     """
     key = _as_key(key)
     n, value = len(key), key.to_int()
-    if n < 2 * w + 1:
-        raise ValueError("key length must be >= 2w + 1")
+    kernels._check_window(n, w, multi=True)
     return propagate([_key_masks(value, n, width) for width in (w, w + 1)], n)
 
 
 def _split_key_length(n_key: int, w: int) -> tuple[int, int]:
-    if w < 1:
-        raise ValueError("window width must be >= 1")
-    if n_key < 2 * w - 1:
-        raise ValueError("key length must be >= 2w - 1")
+    kernels._check_window(n_key, w, multi=False)
     return divmod(n_key, w)
 
 

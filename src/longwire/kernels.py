@@ -28,8 +28,8 @@ def _check_bits(n: int) -> None:
 
 
 def _check_window(n: int, w: int, multi: bool) -> None:
-    """A key the single-window (n >= 2w - 1) or two-width (n >= 2w + 1) pass can take."""
-    _check_bits(n)
+    """The width rule, for every caller: a key the single-window (n >= 2w - 1) or two-width
+    (n >= 2w + 1) pass can take, at any length; the kernels check their 64-bit cap first."""
     if w < 1:
         raise ValueError("window width must be >= 1")
     if n < 2 * w + (1 if multi else -1):
@@ -87,6 +87,7 @@ def _count_single_resolved(keys: np.ndarray, n: int, w: int) -> int:
 
 def sweep_single(n: int, w: int) -> int:
     """Number of keys in [0, 2^n) fully recovered by the single-window pass."""
+    _check_bits(n)
     _check_window(n, w, multi=False)
     _check_sweep(n)
     return sum(_count_single_resolved(keys, n, w) for keys in _index_chunks(1 << n))
@@ -98,6 +99,7 @@ def sweep_multi(n: int, w: int) -> int:
     For n >= 2w+1 the equality links j~j+w and j~j+w+1 connect all n
     positions, so every key resolves except the two constant ones.
     """
+    _check_bits(n)
     _check_window(n, w, multi=True)
     _check_sweep(n)
     return (1 << n) - 2
@@ -105,6 +107,7 @@ def sweep_multi(n: int, w: int) -> int:
 
 def mc_single(n: int, w: int, trials: int, seed: int) -> int:
     """Full single-window recoveries over `trials` uniform random keys."""
+    _check_bits(n)
     _check_window(n, w, multi=False)
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -29,17 +29,6 @@ DEFAULT_RUN_LEN = 128
 # The six 4-bit loop codes, ordered d0..d5.
 DYNAMIC4_CODES = ("0000", "1000", "1100", "1010", "1110", "1111")
 
-# Switching rate of each looped code, in transitions per clock tick
-# (f = 1/8; the codes come out as 0, f, f, 2f, f, 0).
-_DYNAMIC4_TOGGLE = {
-    "0000": 0.0,
-    "1000": 1.0 / 8.0,
-    "1100": 1.0 / 8.0,
-    "1010": 1.0 / 4.0,
-    "1110": 1.0 / 8.0,
-    "1111": 0.0,
-}
-
 
 @dataclass(frozen=True)
 class PatternSpec:
@@ -71,7 +60,7 @@ class PatternSpec:
         if self.kind == "custom":
             if not self.bits:
                 raise ValueError("custom pattern needs at least one bit")
-            if any(b not in (0, 1) for b in self.bits):
+            if not _is_bits(self.bits):
                 raise ValueError("custom bits must be 0 or 1")
 
     @classmethod
@@ -98,6 +87,14 @@ class PatternSpec:
 def _is_int(value) -> bool:
     """An int or a numpy integer, but no bool."""
     return type(value) is int or (isinstance(value, (int, np.integer)) and not isinstance(value, bool))
+
+
+def _is_bits(values) -> bool:
+    """Every item is 0 or 1; an unhashable item is no bit either."""
+    try:
+        return set(values) <= {0, 1}
+    except TypeError:
+        return False
 
 
 def _check_lfsr(state: int, taps: tuple[int, ...]) -> None:
@@ -166,7 +163,8 @@ def stimulus_columns(spec: PatternSpec, num_windows: int) -> tuple[np.ndarray, n
         raise ValueError("num_windows must be >= 0")
     if spec.kind == "dynamic4":
         duty = spec.code.count("1") / 4.0
-        toggle = _DYNAMIC4_TOGGLE[spec.code]
+        # transitions per clock tick: those around the loop over 16, so f = 1/8 and the codes give 0, f, f, 2f, f, 0
+        toggle = sum(a != b for a, b in zip(spec.code, spec.code[1:] + spec.code[0])) / 16.0
         return np.full(num_windows, duty), np.full(num_windows, toggle), [None] * num_windows
     index = np.arange(num_windows)
     if spec.kind == "alternating":

@@ -537,6 +537,16 @@ class TestGuardPlanning:
         # track 9 is fully covered by the same core: no guard span needed there
         assert sorted({g.track for g in plan.guards}) == [6, 7, 10]
 
+    def test_keeps_tuples_of_the_callers_lists(self):
+        grid = self.isolated_grid()
+        planned = plan_guards(grid, "key_bus")
+        tracks, guards = list(planned.required_tracks), list(planned.guards)
+        plan = GuardPlan("key_bus", 0, tracks, guards)
+        tracks.append(11)
+        guards.append(GuardSpan(11, 0, 19))
+        assert plan == planned and hash(plan) == hash(planned)
+        assert serialize_grid(apply_guard_plan(grid, plan)) == serialize_grid(apply_guard_plan(grid, planned))
+
     def test_edge_span_gets_clipped_plan(self):
         grid = RoutingGrid(
             (span("edge", "crypto", 0, 0, 9, sensitive=True, trust="trusted"),)

@@ -422,6 +422,26 @@ class TestStreamOracle:
             simulate_counts(profile, cfg13, geom22, [0.5, 0.5], [0.0, -0.25], rng)
 
 
+STIMULUS_ENTRIES = {
+    "expected_count": lambda p, c, g, duty, toggle: expected_count(p, c, g, duty, toggle),
+    "simulate_counts_scalar": lambda p, c, g, duty, toggle: simulate_counts(p, c, g, [duty], toggle, np.random.default_rng(0)),
+    "simulate_counts": lambda p, c, g, duty, toggle: simulate_counts(p, c, g, [duty], [toggle], np.random.default_rng(0)),
+    "CountTrace": lambda p, c, g, duty, toggle: CountTrace([0], [10], [duty], [toggle], [None]),
+}
+
+
+@pytest.mark.parametrize(
+    "duty, toggle, message",
+    [(d, 0.0, "duty must be in [0, 1]") for d in (-0.1, 1.1, math.nan)]
+    + [(0.5, t, "toggle_rate must be finite and >= 0") for t in (-1e-9, math.inf, math.nan)],
+)
+def test_every_entry_states_the_one_stimulus_rule(duty, toggle, message, profile, cfg13, geom22):
+    for name, entry in STIMULUS_ENTRIES.items():
+        with pytest.raises(ValueError) as err:
+            entry(profile, cfg13, geom22, duty, toggle)
+        assert str(err.value) == message, name
+
+
 @pytest.mark.parametrize("toggle", [math.nan, math.inf, -0.1])
 @pytest.mark.parametrize("entry", ["simulate_counts", "simulate_counts_scalar", "expected_count", "trace_from_csv"])
 def test_toggle_rate_must_be_finite_and_non_negative(entry, toggle, profile, cfg13, geom22):

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from longwire.cli import REPRODUCE_RUNS, main
+from longwire.exfil import parse_key, recovery_to_rows, single_window_recover
 from conftest import DOCS_DIR
 
 GRID = str(DOCS_DIR / "sample_grid.txt")
@@ -281,6 +282,23 @@ class TestSubcommandOutputs:
         assert code == 0
         assert "# recovered=64/64" in out
         assert "# schedule: runs=21 measurements=109" in out
+
+    def test_exfil_single_on_a_key_long_enough_for_two_widths(self, capsys):
+        # 8 >= 2w + 1, so only --single keeps the one-width pass; bits 0, 3, 6 are all 1 and 1, 4, 7 all 0
+        code, out, _ = run(capsys, "exfil", "--key", "10110010", "--w", "3", "--single")
+        assert code == 0
+        lines = out.splitlines()
+        assert not any(line.startswith("# schedule:") for line in lines)
+        rows = lines[lines.index("position,value_or_class_id") + 1 :]
+        expected = recovery_to_rows(single_window_recover(parse_key("10110010"), 3))
+        assert rows == [f"{p},{v}" for p, v in expected]
+        assert rows == ["0,S0", "1,S1", "2,1", "3,S0", "4,S1", "5,0", "6,S0", "7,S1"]
+
+    def test_exfil_noisy_needs_single_on_a_key_long_enough_for_two_widths(self, capsys):
+        code, out, err = run(capsys, "exfil", "--key", "10110010", "--w", "3", "--noisy")
+        assert code == 1
+        assert out == ""
+        assert err == "error: noisy recovery is single-window only; pass --single\n"
 
     def test_exfil_noisy_reports_feasibility(self, capsys):
         code, out, _ = run(

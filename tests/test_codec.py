@@ -106,6 +106,10 @@ class TestFrameSync:
 
 
 class TestFrames:
+    def test_default_delimiters(self):
+        assert DEFAULT_SOF == (1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 0, 1, 0, 1, 0, 1)  # 0xF0D5, most significant first
+        assert DEFAULT_EOF == (0, 0, 0, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 1)  # 0x0B2F
+
     def test_plain_roundtrip(self):
         frame = Frame(payload=(1, 0, 1, 1, 0, 0, 1, 0))
         stream = [1, 1, 0] + frame_to_bits(frame) + [0, 0]

@@ -83,6 +83,14 @@ class TestKeyBits:
         with pytest.raises(TypeError):
             KeyBits.from_int(1.5, 3)
 
+    def test_keeps_a_tuple_of_the_callers_list(self):
+        bits = [1, 0, 1, 1, 0]
+        key = KeyBits(bits)
+        bits.append(7)
+        assert key.bits == (1, 0, 1, 1, 0)
+        assert key.to_int() == 0b01101
+        assert hash(key) == hash(KeyBits.from_binary("10110"))
+
     def test_from_int_keeps_the_low_bits(self):
         assert KeyBits.from_int(0b1011, 3).bits == (1, 1, 0)
         assert KeyBits.from_int(-1, 4).bits == (1, 1, 1, 1)
@@ -717,6 +725,57 @@ class TestMonteCarlo:
             value = sum(kernels.trial_key(base, k, 64) << (64 * k) for k in range((n + 63) // 64))
             hits += all(len({(value >> p) & 1 for p in range(r, n, w)}) == 2 for r in range(w))
         assert monte_carlo_recovery_rate(n, w, trials, seed) == hits / trials
+
+
+def width_table():
+    """(n, w) at and around both width limits, with a long key at each w; only n >= 1."""
+    pairs = [(n, w) for w in (-1, 0, 1, 3) for n in (2 * w - 2, 2 * w - 1, 2 * w, 2 * w + 1, 70)]
+    return [(n, w) for n, w in pairs if n >= 1]
+
+
+def value_error(call):
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def table_key(n):
+    return KeyBits.from_int(random.Random(n).getrandbits(n), n)
+
+
+QUIET = ExfilChannel(
+    DeviceProfile(noise_sigma=0.0, drift_rate=0.0, drift_bound=0.0), MeasurementConfig(log2_ticks=21), Geometry(), seed=3
+)
+WIDTH_ENTRIES = {
+    "single": (False, 70, lambda n, w: single_window_recover(table_key(n), w)),
+    "single-noisy": (False, 70, lambda n, w: single_window_recover(table_key(n), w, noise=QUIET)),
+    "multi": (True, 70, lambda n, w: multi_window_recover(table_key(n), w)),
+    "probability": (False, 70, recovery_probability_exact),
+    "monte-carlo": (False, 70, lambda n, w: monte_carlo_recovery_rate(n, w, 8, 1)),
+    "mc_single": (False, 28, lambda n, w: kernels.mc_single(n, w, 8, 1)),
+    "sweep_single": (False, 28, kernels.sweep_single),
+    "sweep_multi": (True, 28, kernels.sweep_multi),
+}
+
+
+class TestOneWidthRule:
+    """Every entry point accepts and rejects exactly the (n, w) kernels._check_window does, with its message."""
+
+    @pytest.mark.parametrize("name", WIDTH_ENTRIES)
+    def test_entry_points_follow_check_window(self, name):
+        multi, max_n, call = WIDTH_ENTRIES[name]
+        table = [(n, w) for n, w in width_table() if n <= max_n]
+        expected = [value_error(lambda: kernels._check_window(n, w, multi)) for n, w in table]
+        assert None in expected and len(set(expected)) == 3  # both limits and the accepted pairs are in the table
+        assert [value_error(lambda: call(n, w)) for n, w in table] == expected
+
+    @pytest.mark.parametrize("w", [0, -1])
+    def test_width_below_one_names_the_width(self, w):
+        for call in (single_window_recover, multi_window_recover):
+            with pytest.raises(ValueError, match=r"^window width must be >= 1$"):
+                call(table_key(70), w)
 
 
 class TestNoisyRecovery:

@@ -8,7 +8,30 @@ from longwire.patterns import (
     parse_pattern,
     stimulus_columns,
 )
+from longwire.codec import Frame
+from longwire.exfil import KeyBits
 from conftest import stimulus_oracle
+
+# One bit rule, each caller with its own message.
+BIT_CHECKS = {
+    "key bits must be 0 or 1": lambda b: KeyBits((b, 0)),
+    "frame fields must contain bits": lambda b: Frame(payload=(b, 0)),
+    "custom bits must be 0 or 1": lambda b: PatternSpec(kind="custom", bits=(b, 0)),
+}
+
+
+@pytest.mark.parametrize("item", [0, 1, True, 1.0, np.int64(1)])
+def test_bit_rule_accepts(item):
+    for make in BIT_CHECKS.values():
+        make(item)
+
+
+@pytest.mark.parametrize("item", [2, -1, 0.5, "1", None, [1], np.array([1])])
+def test_bit_rule_rejects(item):
+    for message, make in BIT_CHECKS.items():
+        with pytest.raises(ValueError) as err:
+            make(item)
+        assert str(err.value) == message
 
 
 def lfsr_period(seed, taps):
@@ -123,6 +146,13 @@ class TestDynamic4:
         f = 1.0 / 8.0
         rates = [stimulus_columns(PatternSpec.dynamic4(c), 1)[1][0] for c in DYNAMIC4_CODES]
         assert rates == [0.0, f, f, 2 * f, f, 0.0]
+
+    def test_toggle_rates_to_the_bit(self):
+        # the rates once written out by hand, one per code: transitions around the loop over 16
+        table = {"0000": 0.0, "1000": 1.0 / 8.0, "1100": 1.0 / 8.0, "1010": 1.0 / 4.0, "1110": 1.0 / 8.0, "1111": 0.0}
+        for code in DYNAMIC4_CODES:
+            toggle = stimulus_columns(PatternSpec.dynamic4(code), 3)[1]
+            assert [float(t).hex() for t in toggle] == [table[code].hex()] * 3
 
     def test_code_1100(self):
         duty, toggle, bits = stimulus_columns(PatternSpec.dynamic4("1100"), 18)
