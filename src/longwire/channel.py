@@ -278,10 +278,10 @@ class CountTrace:
 
 
 def _check_stimulus(duty, toggle_rate) -> None:
-    """Duty in [0, 1] and toggle rate finite and >= 0, each a float or an array."""
-    if not np.all((duty >= 0.0) & (duty <= 1.0)):
+    """Duty in [0, 1] and toggle rate finite and >= 0, each a float or an array (the ufunc gives both .all())."""
+    if not np.logical_and(duty >= 0.0, duty <= 1.0).all():
         raise ValueError("duty must be in [0, 1]")
-    if not np.all((toggle_rate >= 0.0) & (toggle_rate < np.inf)):
+    if not np.logical_and(toggle_rate >= 0.0, toggle_rate < np.inf).all():
         raise ValueError("toggle_rate must be finite and >= 0")
 
 
