@@ -771,12 +771,6 @@ class TestOneWidthRule:
         assert None in expected and len(set(expected)) == 3  # both limits and the accepted pairs are in the table
         assert [value_error(lambda: call(n, w)) for n, w in table] == expected
 
-    @pytest.mark.parametrize("w", [0, -1])
-    def test_width_below_one_names_the_width(self, w):
-        for call in (single_window_recover, multi_window_recover):
-            with pytest.raises(ValueError, match=r"^window width must be >= 1$"):
-                call(table_key(70), w)
-
 
 class TestNoisyRecovery:
     # at 2^21 ticks the full-swing shift is 1024 counts, so a one-bit
