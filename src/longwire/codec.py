@@ -20,7 +20,7 @@ import numpy as np
 from . import code8b10b
 from .channel import DeviceProfile, Geometry, MeasurementConfig, simulate_counts
 from .errors import InvalidCodeGroup
-from .patterns import _is_bits
+from .patterns import _as_bits
 
 __all__ = [
     "LineCode",
@@ -58,8 +58,10 @@ class Frame:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.sof or not self.eof:
             raise ValueError("sof and eof patterns must be non-empty")
-        if not _is_bits(self.sof + self.eof + self.payload):
-            raise ValueError("frame fields must contain bits")
+        for name in ("payload", "sof", "eof"):
+            if (bits := _as_bits(getattr(self, name))) is None:
+                raise ValueError("frame fields must contain bits")
+            object.__setattr__(self, name, bits)
         if self.line_code is LineCode.EIGHTB_TENB and len(self.payload) % 8 != 0:
             raise ValueError("8b/10b payload length must be a multiple of 8")
 

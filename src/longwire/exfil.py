@@ -29,7 +29,7 @@ import numpy as np
 from . import kernels
 from .channel import DeviceProfile, Geometry, MeasurementConfig, _count_engine, _coupling_terms, _mean_count
 from .errors import InconsistentMeasurements
-from .patterns import _is_bits, _is_int
+from .patterns import _as_bits, _is_int
 
 __all__ = [
     "KeyBits",
@@ -63,11 +63,12 @@ class KeyBits:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(self.bits))  # a list the caller keeps could change the key
-        if len(self.bits) < 1:
+        bits = tuple(self.bits)  # a list the caller keeps could change the key
+        if len(bits) < 1:
             raise ValueError("key must have at least one bit")
-        if not _is_bits(self.bits):
+        if (bits := _as_bits(bits)) is None:
             raise ValueError("key bits must be 0 or 1")
+        object.__setattr__(self, "bits", bits)
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -413,36 +414,7 @@ def eq2_lower_bound(n_key: int, w: int) -> float:
     return 1.0 - w * 2.0 ** (1 - nq)
 
 
-_MC_CHUNK_BITS = 1 << 23  # bit-matrix cells per chunk, one byte each: 8 MiB at any trial count
-
-
-def _trial_bits(seed: int, start: int, stop: int, n: int) -> np.ndarray:
-    """Keys of trials [start, stop) as a (trials x n) 0/1 matrix, bit K_i in column i.
-
-    Keys up to 64 bits are kernels.trial_key(seed, t, n).  A wider key takes
-    base = trial_key(seed, t, 64) and fills its k-th 64-bit word, least
-    significant first, with trial_key(base, k, 64).
-    """
-    t = np.arange(start, stop, dtype=np.uint64)
-    if n <= kernels.KERNEL_MAX_BITS:
-        words = kernels.trial_keys(seed, t, n)[:, None]
-    else:
-        base = kernels.trial_keys(seed, t, 64)
-        words = np.stack([kernels.trial_keys(base, k, 64) for k in range((n + 63) // 64)], axis=1)
-    octets = words.astype("<u8", copy=False).view(np.uint8)
-    return np.unpackbits(octets, axis=1, count=n, bitorder="little")
-
-
-def _single_window_complete(bits: np.ndarray, w: int) -> np.ndarray:
-    """Per row: does every residue class mod w hold both bit values?
-
-    With n = q*w + m, columns [0, q*w) reshape (as a view) to q rows of w
-    classes; the m leftover columns add one more bit to classes 0..m-1.
-    """
-    q, m = divmod(bits.shape[1], w)
-    ones = bits[:, : q * w].reshape(len(bits), q, w).sum(axis=1, dtype=np.uint16)
-    ones[:, :m] += bits[:, q * w :]
-    return ((ones > 0) & (ones < q + (np.arange(w) < m))).all(axis=1)
+_MC_CHUNK_BITS = 1 << 23  # trial-key bits per chunk: at most 2^23 / n keys, at any trial count
 
 
 def monte_carlo_recovery_rate(
@@ -461,16 +433,15 @@ def monte_carlo_recovery_rate(
     _split_key_length(n_key, w)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if noise is None and n_key <= kernels.KERNEL_MAX_BITS:
-        return kernels.mc_single(n_key, w, trials, seed) / trials
     hits = 0
     rows = max(1, _MC_CHUNK_BITS // n_key)
     for start in range(0, trials, rows):
-        bits = _trial_bits(seed, start, min(start + rows, trials), n_key)
+        words = kernels._trial_words(seed, start, min(start + rows, trials), n_key)
         if noise is None:
-            hits += int(np.count_nonzero(_single_window_complete(bits, w)))
-        else:
-            for t, row in enumerate(bits.tolist(), start):
+            hits += kernels._count_complete(words, n_key, w)
+        else:  # trial keys as rows of bits, bit K_i in column i
+            octets = np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8)
+            for t, row in enumerate(np.unpackbits(octets, axis=1, count=n_key, bitorder="little").tolist(), start):
                 outcome, _ = noisy_outcome(KeyBits(tuple(row)), w, replace(noise, seed=noise.seed + t))
                 hits += outcome == "correct"
     return hits / trials

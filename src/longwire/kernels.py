@@ -1,10 +1,13 @@
-"""Recovery kernels: batched numpy over keys packed into uint64.
+"""Recovery kernels: batched numpy over keys packed into uint64 words.
 
-Bit i of a packed key is key bit K_i, for key lengths up to 64 bits.  A
+Bit i of a packed key is key bit K_i, least significant word first.  A
 single window width w relates K_j to K_{j+w} only, so residue class r mod w
-resolves iff it holds both bit values: ``key & M_r`` is neither 0 nor
-``M_r``, where ``M_r`` sets every position congruent to r.  Over an array
-of keys that is w array ops, applied in chunks of at most 2^20 keys.
+resolves iff some K_j != K_{j+w} in it.  The relation word
+``D = K ^ (K >> w)``, cut to n - w bits, marks those pairs; folding it onto
+itself with shifts of w, 2w, 4w, ... until the span reaches n - w leaves bit
+r set iff class r resolves.  A key is complete iff its low w bits are all
+set: about log2(n / w) word ops per key width, over chunks of at most 2^14
+keys.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ _M64 = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_CHUNK = 1 << 20
+_CHUNK = 1 << 14  # keys per chunk: 128 KiB arrays the allocator reuses, where 512 KiB ones fault in fresh pages
 _SWEEP_MAX_BITS = 28
 
 
@@ -75,14 +78,51 @@ def _index_chunks(total: int):
         yield np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
 
 
-def _count_single_resolved(keys: np.ndarray, n: int, w: int) -> int:
-    """How many keys have every residue class mod w holding both bit values."""
-    ok = np.ones(keys.shape, dtype=bool)
-    for r in range(w):
-        m = np.uint64(sum(1 << p for p in range(r, n, w)))
-        cls = keys & m
-        ok &= (cls != 0) & (cls != m)
-    return int(np.count_nonzero(ok))
+def _trial_words(seed: int, start: int, stop: int, n: int) -> np.ndarray:
+    """Keys of trials [start, stop) as (words x trials) uint64, least significant word first.
+
+    Keys up to 64 bits are trial_key(seed, t, n).  A wider key takes
+    base = trial_key(seed, t, 64) and fills its k-th 64-bit word with
+    trial_key(base, k, 64); the top word is cut to n bits.
+    """
+    t = np.arange(start, stop, dtype=np.uint64)
+    if n <= KERNEL_MAX_BITS:
+        return trial_keys(seed, t, n)[None]
+    base = trial_keys(seed, t, 64)
+    words = np.stack([trial_keys(base, k, 64) for k in range((n + 63) // 64)])
+    words[-1] &= np.uint64(_M64 >> (-n % 64))
+    return words
+
+
+def _shift_words(words: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
+    """Multiword ``words >> s`` over (words x keys), least significant word first, written into out."""
+    q, r = divmod(s, 64)
+    kept = max(len(words) - q, 0)
+    out[kept:] = 0
+    np.right_shift(words[q:], np.uint64(r), out=out[:kept])
+    if r and kept > 1:
+        out[: kept - 1] |= words[q + 1 :] << np.uint64(64 - r)
+    return out
+
+
+def _low_words(bits: int, count: int) -> np.ndarray:
+    """The mask of the low `bits` bits as a (count x 1) column of words."""
+    return np.array([[(((1 << bits) - 1) >> (64 * k)) & _M64] for k in range(count)], dtype=np.uint64)
+
+
+def _count_complete(words: np.ndarray, n: int, w: int) -> int:
+    """How many n-bit keys (words x keys) have every residue class mod w holding both bit values."""
+    fold = _shift_words(words, w, np.empty_like(words))
+    fold ^= words
+    fold &= _low_words(n - w, len(words))
+    shifted = np.empty_like(fold)
+    span = w
+    while span < n - w:  # bit r holds the relations r, r + w, ... below r + span
+        fold |= _shift_words(fold, span, shifted)
+        span *= 2
+    low = _low_words(w, len(words))
+    fold &= low
+    return int(np.count_nonzero((fold == low).all(axis=0)))
 
 
 def sweep_single(n: int, w: int) -> int:
@@ -90,7 +130,7 @@ def sweep_single(n: int, w: int) -> int:
     _check_bits(n)
     _check_window(n, w, multi=False)
     _check_sweep(n)
-    return sum(_count_single_resolved(keys, n, w) for keys in _index_chunks(1 << n))
+    return sum(_count_complete(keys[None], n, w) for keys in _index_chunks(1 << n))
 
 
 def sweep_multi(n: int, w: int) -> int:
@@ -111,4 +151,5 @@ def mc_single(n: int, w: int, trials: int, seed: int) -> int:
     _check_window(n, w, multi=False)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    return sum(_count_single_resolved(trial_keys(seed, t, n), n, w) for t in _index_chunks(trials))
+    return sum(_count_complete(_trial_words(seed, t, min(t + _CHUNK, trials), n), n, w)
+               for t in range(0, trials, _CHUNK))

@@ -60,8 +60,9 @@ class PatternSpec:
         if self.kind == "custom":
             if not self.bits:
                 raise ValueError("custom pattern needs at least one bit")
-            if not _is_bits(self.bits):
+            if (bits := _as_bits(self.bits)) is None:
                 raise ValueError("custom bits must be 0 or 1")
+            object.__setattr__(self, "bits", bits)
 
     @classmethod
     def alternating(cls) -> "PatternSpec":
@@ -89,12 +90,18 @@ def _is_int(value) -> bool:
     return type(value) is int or (isinstance(value, (int, np.integer)) and not isinstance(value, bool))
 
 
-def _is_bits(values) -> bool:
-    """Every item is 0 or 1; an unhashable item is no bit either."""
+def _as_bits(values: tuple) -> tuple | None:
+    """The items as bits, or None when one is not 0 or 1: integers (bools and numpy
+    integers too) stay as given, an item that only equals a bit (1.0) becomes that int."""
     try:
-        return set(values) <= {0, 1}
-    except TypeError:
-        return False
+        if not bytes(values).translate(None, b"\0\1"):
+            return values
+    except (TypeError, ValueError):  # a non-integer item, or an integer outside a byte
+        pass
+    try:
+        return tuple(map(int, values)) if set(values) <= {0, 1} else None
+    except TypeError:  # unhashable, or no int() (1 + 0j)
+        return None
 
 
 def _check_lfsr(state: int, taps: tuple[int, ...]) -> None:

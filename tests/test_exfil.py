@@ -91,6 +91,14 @@ class TestKeyBits:
         assert key.to_int() == 0b01101
         assert hash(key) == hash(KeyBits.from_binary("10110"))
 
+    def test_float_bits_are_stored_as_ints(self):
+        for bits in [(1.0, 0, 1, 1, 0), (np.float64(1.0), 0.0, 1, True, np.int64(0))]:
+            key = KeyBits(bits)
+            assert key == KeyBits.from_binary("10110") and key.to_int() == 0b01101
+            assert all(type(b) is int for b in key.bits)
+            assert single_window_recover(key, 2) == single_window_recover(KeyBits.from_binary("10110"), 2)
+            assert multi_window_recover(key, 1).known == dict(enumerate((1, 0, 1, 1, 0)))
+
     def test_from_int_keeps_the_low_bits(self):
         assert KeyBits.from_int(0b1011, 3).bits == (1, 1, 0)
         assert KeyBits.from_int(-1, 4).bits == (1, 1, 1, 1)
@@ -864,6 +872,20 @@ class TestNoisyMonteCarlo:
         counts = self.outcomes(64, 10, 200, 1, chan)
         assert counts["wrong"] > 0  # these settings used to count wrong keys as hits
         assert monte_carlo_recovery_rate(64, 10, 200, 1, noise=chan) == counts["correct"] / 200
+
+
+    def test_wide_keys_score_each_trial(self):
+        chan = ExfilChannel(DeviceProfile(), MeasurementConfig(log2_ticks=20), Geometry(v_t=2, v_r=2, d=1), 3)
+        n, w, trials, seed = 80, 8, 40, 1
+        seen = {"correct": 0, "wrong": 0, "inconsistent": 0, "unresolved": 0}
+        for t in range(trials):
+            # the wide stream: word k of trial t's key is trial_key(trial_key(seed, t, 64), k, 64)
+            base = kernels.trial_key(seed, t, 64)
+            value = sum(kernels.trial_key(base, k, 64) << (64 * k) for k in range(2)) & ((1 << n) - 1)
+            trial_chan = ExfilChannel(chan.profile, chan.cfg, chan.geom, chan.seed + t, chan.repeats)
+            seen[noisy_outcome(KeyBits.from_int(value, n), w, trial_chan)[0]] += 1
+        assert 0 < seen["correct"] < trials and seen["wrong"] > 0  # the score, not the completeness, decides
+        assert monte_carlo_recovery_rate(n, w, trials, seed, noise=chan) == seen["correct"] / trials
 
 
 class TestPropertyBased:

@@ -7,11 +7,13 @@ equality structure of the true key, and the trial keys against a scalar
 splitmix64 written out below.
 """
 
+import random
 import warnings
 
+import numpy as np
 import pytest
 
-from longwire import kernels
+from longwire import exfil, kernels
 from longwire.exfil import KeyBits, monte_carlo_recovery_rate, multi_window_recover, single_window_recover
 
 M64 = (1 << 64) - 1
@@ -174,3 +176,80 @@ class TestTrialKeys:
     def test_mc_deterministic(self):
         assert kernels.mc_single(64, 10, 1000, 5) == kernels.mc_single(64, 10, 1000, 5)
         assert kernels.mc_single(64, 10, 1000, 5) != kernels.mc_single(64, 10, 1000, 6)
+
+
+def class_masks(n, w):
+    return [sum(1 << p for p in range(r, n, w)) for r in range(w)]
+
+
+def complete(key, masks):
+    """Every residue class holds both bit values: its bits are neither all 0 nor all 1."""
+    return all(0 != key & m != m for m in masks)
+
+
+def as_words(keys, n):
+    """(words x keys) uint64 of Python-int keys, least significant word first."""
+    return np.array([[(key >> (64 * k)) & M64 for key in keys] for k in range((n + 63) // 64)], dtype=np.uint64)
+
+
+# whole-word shifts (127/129, 64), shifts past one word (130, 65), two bits a class (264, 132),
+# and a class of one bit that never resolves (65, 33)
+SHIFT_EDGES = [(127, 64), (129, 64), (130, 65), (264, 132), (65, 33)]
+
+
+class TestWordKernel:
+    @pytest.mark.parametrize("count", [1, 2, 3, 5])
+    def test_shift_words_matches_int_shift(self, count):
+        rng = random.Random(count)
+        keys = [rng.getrandbits(64 * count) for _ in range(20)]
+        words = as_words(keys, 64 * count)
+        for s in sorted({0, 1, 31, 63, 64, 65, 127, 128, 129, 64 * count - 1, 64 * count, 64 * count + 7}):
+            shifted = kernels._shift_words(words, s, np.empty_like(words))
+            assert np.array_equal(shifted, as_words([key >> s for key in keys], 64 * count)), s
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 130, 264])
+    def test_trial_words_match_the_key_streams(self, n):
+        seed, start, stop = 7, 5, 40
+        keys = [splitmix64(seed, t) & ((1 << n) - 1) if n <= 64 else wide_key(seed, t, n) for t in range(start, stop)]
+        assert np.array_equal(kernels._trial_words(seed, start, stop, n), as_words(keys, n))
+
+    @pytest.mark.parametrize("n,w", SHIFT_EDGES)
+    def test_shift_edges_match_a_per_key_class_check(self, n, w):
+        rng = random.Random(n * w)
+        masks = class_masks(n, w)
+        keys = []
+        for _ in range(300):  # every class mixed, then about half the keys get one constant class
+            key = rng.getrandbits(n)
+            for m in masks:
+                if key & m in (0, m):
+                    key ^= m & -m
+            if rng.random() < 0.5:
+                m = rng.choice(masks)
+                key = key | m if rng.random() < 0.5 else key & ~m
+            keys.append(key)
+        expected = [complete(key, masks) for key in keys]
+        assert 0 < sum(expected) < len(keys) if n >= 2 * w else not any(expected)  # n = 2w - 1: class w - 1 is one bit
+        words = as_words(keys, n)
+        assert kernels._count_complete(words, n, w) == sum(expected)
+        assert [kernels._count_complete(words[:, i : i + 1], n, w) for i in range(len(keys))] == expected
+
+    @pytest.mark.parametrize("n,w", SHIFT_EDGES)
+    def test_shift_edges_monte_carlo_matches_oracle(self, n, w):
+        trials, seed = 300, 5
+        keys = [wide_key(seed, t, n) for t in range(trials)]
+        assert monte_carlo_recovery_rate(n, w, trials, seed) == full_single_hits(keys, n, w) / trials
+
+    def test_wide_monte_carlo_across_chunks(self):
+        n, w, seed = 65, 10, 4
+        trials = exfil._MC_CHUNK_BITS // n + 1000
+        masks = class_masks(n, w)
+        base = kernels.trial_keys(seed, np.arange(trials, dtype=np.uint64), 64)
+        low, high = (kernels.trial_keys(base, k, 64).tolist() for k in range(2))
+        hits = sum(complete(lo | (hi & 1) << 64, masks) for lo, hi in zip(low, high))
+        assert monte_carlo_recovery_rate(n, w, trials, seed) == hits / trials
+
+    def test_mc_single_across_chunks(self):
+        n, w, seed = 64, 10, 9
+        trials = kernels._CHUNK + 500
+        masks = class_masks(n, w)
+        assert kernels.mc_single(n, w, trials, seed) == sum(complete(splitmix64(seed, t), masks) for t in range(trials))

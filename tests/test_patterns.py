@@ -34,6 +34,14 @@ def test_bit_rule_rejects(item):
         assert str(err.value) == message
 
 
+@pytest.mark.parametrize("item", [1.0, np.float64(1.0)])
+def test_bit_rule_stores_a_float_bit_as_an_int(item):
+    assert KeyBits((item, 0)).bits == (1, 0) and type(KeyBits((item, 0)).bits[0]) is int
+    assert type(Frame(payload=(item, 0)).payload[0]) is int
+    assert type(Frame(payload=(0,), sof=(item,)).sof[0]) is int
+    assert type(PatternSpec(kind="custom", bits=(item, 0)).bits[0]) is int
+
+
 def lfsr_period(seed, taps):
     state = seed
     for i in range(1, 1 << (max(taps) + 1)):
