@@ -18,6 +18,13 @@ linear pass over blocks of windows up to the first window that leaves
 windows is a ``CountTrace``: one array per column (window, count, duty,
 toggle rate) plus the list of transmitted bits.
 
+The engine behind it also takes a batch: duty as (rows x windows), the
+coupling terms as one column per row, and one generator per draw row.  Each
+draw row draws its three blocks as above, so a row's counts are those its
+generator gives it alone; one draw row serves every duty row.  The drift
+pass, the mean, the noise, the phase and the rounding each run once over the
+whole array.
+
 Two coupling paths are modelled.  On the ``long`` path the count depends
 on the transmitter duty cycle only.  On the ``local`` path (no long-wire
 overlap) switching activity depresses the count and the duty cycle has
@@ -306,9 +313,11 @@ def _coupling_terms(profile: DeviceProfile, geom: Geometry) -> tuple[float, floa
 def _mean_count(profile, cfg, terms, duty, toggle_rate, drift):
     """Noise-free window count, (m * base_rate) * (1 + drift) * (1 + duty * delta - penalty * toggle_rate).
 
-    ``terms`` is the geometry's (delta, penalty) from ``_coupling_terms``.
-    Floats or arrays alike.  An array ``drift`` is overwritten with the
-    result; the terms are combined in place, in the order written above.
+    ``terms`` is the geometry's (delta, penalty) from ``_coupling_terms``, or
+    one column of each per row.  Floats or arrays alike.  An array ``drift``
+    is overwritten; the result is written into the stimulus level (a fresh
+    array whenever the duty is one), which must hold the result's shape.  The
+    terms are combined in the order written above.
     """
     delta, penalty = terms
     level = duty * delta
@@ -319,8 +328,8 @@ def _mean_count(profile, cfg, terms, duty, toggle_rate, drift):
     mean = drift
     mean += 1.0
     mean *= cfg.ticks_per_window * profile.base_rate
-    mean *= level
-    return mean
+    level *= mean  # the level has the result's shape; y * x is x * y to the bit
+    return level
 
 
 def expected_count(
@@ -351,25 +360,28 @@ def _decay_matrix(keep: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _linear_ar1(innovations: np.ndarray, keep: float) -> np.ndarray:
-    """x_t = keep * x_(t-1) + e_t from x_(-1) = 0, without clipping.
+    """x_t = keep * x_(t-1) + e_t from x_(-1) = 0 along the last axis, without clipping.
 
     Each block of windows is one product with the decay matrix, which gives
     the states the block would reach from 0.  The block ends then follow the
     same recursion with keep^block, one state per block, and each block adds
     the previous block's end times keep^(i + 1).  Every weight is at most 1
-    when keep is in [0, 1], so the pass is as stable as the loop.
+    when keep is in [0, 1], so the pass is as stable as the loop.  A 2-D
+    array is a stack of products, one per row, so a row's path is the one it
+    gets alone, to the bit (one product over all rows would sum differently).
     """
-    n = len(innovations)
+    rows, n = innovations.shape[:-1], innovations.shape[-1]  # rows: () for one trace, (r,) for r of them
     decay, carry = _decay_matrix(keep)
     if n <= _BLOCK:
-        return decay[:n, :n] @ innovations
+        return (decay[:n, :n] @ innovations[:, :, None])[:, :, 0] if rows else decay[:n, :n] @ innovations
     blocks = -(-n // _BLOCK)
-    padded = np.zeros(blocks * _BLOCK)
-    padded[:n] = innovations
-    path = padded.reshape(blocks, _BLOCK) @ decay.T
-    ends = _linear_ar1(path[:, -1], keep**_BLOCK)
-    path[1:] += ends[:-1, None] * carry
-    return path.ravel()[:n]
+    path = np.zeros(rows + (blocks, _BLOCK))
+    padded = path.reshape(rows + (-1,))
+    padded[..., :n] = innovations
+    path = path @ decay.T
+    ends = _linear_ar1(path[..., -1], keep**_BLOCK)
+    path[..., 1:, :] += ends[..., :-1, None] * carry
+    return path.reshape(padded.shape)[..., :n]
 
 
 def _clipped_ar1(state: float, innovations, keep: float, bound: float) -> list[float]:
@@ -387,19 +399,23 @@ def _clipped_ar1(state: float, innovations, keep: float, bound: float) -> list[f
 
 
 def _drift_path(profile: DeviceProfile, innovations: np.ndarray) -> np.ndarray:
-    """Clipped AR(1) baseline wander from 0, one state per innovation.
+    """Clipped AR(1) baseline wander from 0, one state per innovation, along the last axis.
 
     Until the first window that leaves +/-drift_bound, the clip does nothing
     and the path is ``_linear_ar1``.  From that window on each clip feeds
-    back into the next state, so the rest runs as the scalar recursion.
+    back into the next state, so the rest of that row runs as the scalar
+    recursion.
     """
     keep, bound = 1.0 - profile.drift_reversion, profile.drift_bound
     path = _linear_ar1(innovations, keep)
     outside = np.abs(path) > bound
     if np.count_nonzero(outside):
-        first = int(outside.argmax())
-        state = float(path[first - 1]) if first else 0.0
-        path[first:] = _clipped_ar1(state, innovations[first:].tolist(), keep, bound)
+        n = path.shape[-1]
+        rows, steps, outside = path.reshape(-1, n), innovations.reshape(-1, n), outside.reshape(-1, n)  # views
+        for row in np.flatnonzero(outside.any(axis=1)).tolist():
+            first = int(outside[row].argmax())
+            state = float(rows[row, first - 1]) if first else 0.0
+            rows[row, first:] = _clipped_ar1(state, steps[row, first:].tolist(), keep, bound)
     return path
 
 
@@ -421,16 +437,31 @@ def simulate_counts(
     if duty.ndim != 1 or toggle.ndim > 1:
         raise ValueError("duty and toggle_rate must be one value per window")
     _check_stimulus(duty, toggle)
-    return _count_engine(profile, cfg, _coupling_terms(profile, geom), duty, toggle, rng)
+    return _count_engine(profile, cfg, _coupling_terms(profile, geom), duty, toggle, (rng,))
 
 
-def _count_engine(profile, cfg, terms, duty: np.ndarray, toggle, rng) -> np.ndarray:
-    """simulate_counts past its checks, the geometry given as its _coupling_terms: duty a 1-D float array
-    in [0, 1], toggle a float or a 0-d or 1-D array, finite and >= 0."""
-    n = len(duty)
-    innovations = rng.normal(0.0, profile.drift_rate, n)
-    noise = rng.normal(0.0, profile.noise_sigma_for(cfg.ticks_per_window), n)
-    phase = rng.uniform(-1.0, 1.0, n)
+def _draw(rng: np.random.Generator, drift_rate: float, sigma: float, n: int) -> tuple[np.ndarray, ...]:
+    """One draw row's three blocks of n values, in STREAM_VERSION 2 order."""
+    return rng.normal(0.0, drift_rate, n), rng.normal(0.0, sigma, n), rng.uniform(-1.0, 1.0, n)
+
+
+def _count_engine(profile, cfg, terms, duty: np.ndarray, toggle, rngs) -> np.ndarray:
+    """simulate_counts past its checks, for one trace or a batch of them.
+
+    ``duty`` is (rows x windows), or one trace's windows as a 1-D array, in
+    [0, 1]; ``toggle`` a float or an array that broadcasts against it, finite
+    and >= 0; ``terms`` the _coupling_terms of one geometry, or of one per
+    row as (rows x 1) columns.  ``rngs`` holds one generator per draw row:
+    one serves every duty row, else row r draws from ``rngs[r]``.  Every
+    draw row takes its three blocks in STREAM_VERSION 2 order, so each row's
+    counts are the ones simulate_counts gives it alone.
+    """
+    n = duty.shape[-1]
+    sigma = profile.noise_sigma_for(cfg.ticks_per_window)
+    if len(rngs) == 1:  # one draw row: 1-D blocks, which broadcast over every duty row
+        innovations, noise, phase = _draw(rngs[0], profile.drift_rate, sigma, n)
+    else:
+        innovations, noise, phase = map(np.array, zip(*(_draw(g, profile.drift_rate, sigma, n) for g in rngs)))
     raw = _mean_count(profile, cfg, terms, duty, toggle, _drift_path(profile, innovations))
     raw += noise
     raw += phase

@@ -22,6 +22,8 @@ from .channel import (
     DeviceProfile,
     Geometry,
     MeasurementConfig,
+    _count_engine,
+    _coupling_terms,
     as_longs,
     expected_delta_rc,
     simulate_trace,
@@ -29,7 +31,7 @@ from .channel import (
 )
 from .config import load_setup
 from .errors import LongwireError
-from .patterns import DYNAMIC4_CODES, PatternSpec, parse_pattern
+from .patterns import DYNAMIC4_CODES, PatternSpec, parse_pattern, stimulus_columns
 
 DEFAULT_LOG2_TICKS = 21
 
@@ -115,11 +117,14 @@ def _csv_lines(header: list[str], rows: list[list]) -> str:
     return "".join(",".join(str(x) for x in row) + "\n" for row in [header, *rows])
 
 
-def _alternating_stats(profile, cfg, geom, windows, seed):
-    trace = simulate_trace(profile, cfg, geom, PatternSpec.alternating(), windows, seed)
-    dc = trace.counts[1::2] - trace.counts[0::2]
-    drc = stats.paired_delta_rc(trace).values
-    return trace, dc, drc
+def _alternating_stats(profile, cfg, geoms, windows, seeds):
+    """One alternating trace per geometry, trace r seeded seeds[r], from one count-engine call: the counts of
+    the 0 and the 1 windows and the paired relative differences, each one row per geometry."""
+    duty, _, _ = stimulus_columns(PatternSpec.alternating(), windows)
+    delta, penalty = (np.array(column)[:, None] for column in zip(*(_coupling_terms(profile, g) for g in geoms)))
+    counts = _count_engine(profile, cfg, (delta, penalty), duty, 0.0, [np.random.default_rng(s) for s in seeds])
+    drc = stats._relative_deltas(counts, range(windows))
+    return counts[:, 0::2], counts[:, 1::2], drc
 
 
 def cmd_simulate(args) -> str:
@@ -136,9 +141,9 @@ def cmd_scaling_time(args) -> str:
     rows = []
     for n in args.n_list:
         cfg_n = replace(cfg, log2_ticks=n)
-        _, dc, drc = _alternating_stats(profile, cfg_n, geom, args.windows, args.seed + n)
-        dc_m, dc_lo, dc_hi = stats.mean_ci(dc)
-        drc_m, drc_lo, drc_hi = stats.mean_ci(drc)
+        c0, c1, drc = _alternating_stats(profile, cfg_n, [geom], args.windows, [args.seed + n])
+        dc_m, dc_lo, dc_hi = stats.mean_ci(c1[0] - c0[0])
+        drc_m, drc_lo, drc_hi = stats.mean_ci(drc[0])
         rows.append(
             [n, f"{cfg_n.window_seconds:.8g}"]
             + [f"{v:.6g}" for v in (dc_m, dc_lo, dc_hi)]
@@ -152,40 +157,41 @@ def cmd_scaling_time(args) -> str:
 def cmd_scaling_length(args) -> str:
     profile, cfg = _load_setup(args)
     vts = [as_longs(x) for x in args.vt_list]
-    rows = []
-    for i, vt in enumerate(vts):
-        for j, vr in enumerate(args.vr_list):
-            geom = Geometry(v_t=vt, v_r=vr, d=args.d)
-            model = expected_delta_rc(profile, geom)
-            _, _, drc = _alternating_stats(profile, cfg, geom, args.windows, args.seed + 1000 * i + j)
-            rows.append([str(vt), vr, f"{model:.10g}", f"{float(np.mean(drc)):.6g}"])
+    geoms = [Geometry(v_t=vt, v_r=vr, d=args.d) for vt in vts for vr in args.vr_list]
+    seeds = [args.seed + 1000 * i + j for i in range(len(vts)) for j in range(len(args.vr_list))]
+    _, _, drc = _alternating_stats(profile, cfg, geoms, args.windows, seeds)
+    rows = [
+        [str(geom.v_t), geom.v_r, f"{expected_delta_rc(profile, geom):.10g}", f"{measured:.6g}"]
+        for geom, measured in zip(geoms, drc.mean(axis=1).tolist())
+    ]
     return _csv_lines(["vt", "vr", "delta_rc_model", "delta_rc_measured"], rows)
 
 
 def cmd_distance(args) -> str:
     profile, cfg = _load_setup(args)
+    geoms = [Geometry(v_t=args.vt, v_r=args.vr, d=d) for d in args.d_list]
+    c0, c1, drc = _alternating_stats(profile, cfg, geoms, args.windows, [args.seed + d for d in args.d_list])
     rows = []
-    for d in args.d_list:
-        geom = Geometry(v_t=args.vt, v_r=args.vr, d=d)
-        model = expected_delta_rc(profile, geom)
-        trace, _, drc = _alternating_stats(profile, cfg, geom, args.windows, args.seed + d)
-        _, p = stats.ks_two_sample(trace.counts[0::2], trace.counts[1::2])
-        rows.append([d, f"{model:.10g}", f"{float(np.mean(drc)):.6g}", f"{p:.6g}"])
+    for geom, zeros, ones, measured in zip(geoms, c0, c1, drc.mean(axis=1).tolist()):
+        _, p = stats.ks_two_sample(zeros, ones)
+        rows.append([geom.d, f"{expected_delta_rc(profile, geom):.10g}", f"{measured:.6g}", f"{p:.6g}"])
     return _csv_lines(["d", "delta_rc_model", "delta_rc_measured", "ks_p_0_vs_1"], rows)
 
 
 def cmd_dynamic(args) -> str:
     profile, cfg = _load_setup(args)
     geom = Geometry(v_t=args.vt, v_r=args.vr, d=args.d, coupling=args.path)
+    columns = [stimulus_columns(PatternSpec.dynamic4(code), args.windows) for code in DYNAMIC4_CODES]
+    duty, toggle = np.array([c[0] for c in columns]), np.array([c[1] for c in columns])  # one row per code
+    # one seed, so one draw row, for all six codes: differences between
+    # patterns are then not masked by noise realization
+    counts = _count_engine(profile, cfg, _coupling_terms(profile, geom), duty, toggle,
+                           (np.random.default_rng(args.seed),))
     rows = []
-    # one seed for all six codes: differences between patterns are then
-    # not masked by noise realization
     for idx, code in enumerate(DYNAMIC4_CODES):
-        pattern = PatternSpec.dynamic4(code)
-        trace = simulate_trace(profile, cfg, geom, pattern, args.windows, args.seed)
-        mean, lo, hi = stats.mean_ci(trace.counts)
+        mean, lo, hi = stats.mean_ci(counts[idx])
         rows.append(
-            [f"d{idx}", code, f"{trace.duty[0]:.4g}", f"{trace.toggle_rate[0]:.4g}"]
+            [f"d{idx}", code, f"{duty[idx, 0]:.4g}", f"{toggle[idx, 0]:.4g}"]
             + [f"{v:.10g}" for v in (mean, lo, hi)]
         )
     header = ["pattern", "code", "duty", "toggle_rate", "mean_count", "ci_lo", "ci_hi"]
@@ -200,7 +206,7 @@ def cmd_ber(args) -> str:
         cfg_n = replace(cfg, log2_ticks=n)
         rng = np.random.default_rng((args.seed, n))
         bits = rng.integers(0, 2, args.bits)
-        decoded = codec.simulate_covert_transfer(bits, profile, cfg_n, geom, args.seed + n)
+        decoded = codec._covert_transfer(bits, profile, cfg_n, geom, args.seed + n)
         ber = stats.bit_error_rate(bits, decoded)
         errors = round(ber * len(bits))
         rows.append([n, f"{cfg_n.window_seconds:.8g}", len(bits), errors, f"{1.0 - ber:.6g}"])

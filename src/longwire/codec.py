@@ -20,7 +20,7 @@ import numpy as np
 from . import code8b10b
 from .channel import DeviceProfile, Geometry, MeasurementConfig, simulate_counts
 from .errors import InvalidCodeGroup
-from .patterns import _as_bits
+from .patterns import _as_bits, _bit_array
 
 __all__ = [
     "LineCode",
@@ -68,10 +68,12 @@ class Frame:
 
 def _manchester_symbols(bits: Iterable[int]) -> np.ndarray:
     """Wire symbols of the payload in send order, two per bit."""
-    sent = np.asarray(bits if isinstance(bits, (np.ndarray, list, tuple)) else list(bits))
-    if ((sent != 0) & (sent != 1)).any():
-        raise ValueError("bits must be 0 or 1")
-    sent = sent.astype(np.int64, copy=False)
+    sent = _bit_array(bits)
+    if sent is None:
+        sent = np.asarray(bits if isinstance(bits, (np.ndarray, list, tuple)) else list(bits))
+        if ((sent != 0) & (sent != 1)).any():
+            raise ValueError("bits must be 0 or 1")
+        sent = sent.astype(np.int64, copy=False)
     return np.column_stack((sent, 1 - sent)).ravel()
 
 
@@ -106,7 +108,7 @@ def frame_sync(bitstream: Sequence[int], sof: Sequence[int]) -> list[int]:
 def frame_to_bits(frame: Frame) -> list[int]:
     """Serialize a frame: SOF, line-coded payload, EOF."""
     if frame.line_code is LineCode.EIGHTB_TENB:
-        body, _ = code8b10b.encode_bytes(np.packbits(np.array(frame.payload, dtype=np.uint8)))
+        body, _ = code8b10b.encode_bytes(np.packbits(_bit_array(frame.payload)))
     else:
         body = frame.payload
     return [*frame.sof, *body, *frame.eof]
@@ -129,7 +131,9 @@ def find_frames(
     # start mod 10: keep the EOF positions in one sorted list per residue.
     period = 10 if line_code is LineCode.EIGHTB_TENB else 1
     ends: list[list[int]] = [[] for _ in range(period)]
-    stream = np.asarray(bitstream)  # converted once for both pattern searches
+    stream = _bit_array(bitstream)  # converted once for both pattern searches
+    if stream is None:
+        stream = np.asarray(bitstream)
     for end in frame_sync(stream, eof):
         ends[end % period].append(end)
     frames = []
@@ -171,8 +175,11 @@ def simulate_covert_transfer(
     Decoding is manchester_decode's rule on the count pairs: 0 when the
     first count is lower, else 1.
     """
+    return _covert_transfer(bits, profile, cfg, geom, seed).tolist()
+
+
+def _covert_transfer(bits, profile, cfg, geom, seed) -> np.ndarray:
+    """simulate_covert_transfer's decoded bits as an int64 array."""
     symbols = _manchester_symbols(bits)
-    if not symbols.size:
-        return []
     counts = simulate_counts(profile, cfg, geom, symbols, 0.0, np.random.default_rng(seed))
-    return np.where(counts[0::2] < counts[1::2], 0, 1).tolist()
+    return (counts[0::2] >= counts[1::2]).astype(np.int64)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
 from typing import NamedTuple, Sequence
@@ -113,7 +113,7 @@ def parse_key(text: str) -> KeyBits:
 
 
 def _as_key(key) -> KeyBits:
-    return key if isinstance(key, KeyBits) else KeyBits(tuple(int(b) for b in key))
+    return key if isinstance(key, KeyBits) else KeyBits(tuple(key))  # KeyBits judges the items
 
 
 class RelationSet(NamedTuple):
@@ -222,16 +222,20 @@ def noise_feasibility(chan: ExfilChannel, w: int) -> dict[str, float]:
     return {"count_step": step, "noise_sigma": sigma, "step_over_sigma": step / sigma if sigma else math.inf}
 
 
-def _noisy_counts(weights: np.ndarray, w: int, chan: ExfilChannel, terms: tuple[float, float]) -> np.ndarray:
-    """Mean count per window from its weight and the channel's _coupling_terms."""
+def _noisy_counts(weights: np.ndarray, w: int, chan: ExfilChannel, terms: tuple[float, float], rngs) -> np.ndarray:
+    """Mean count per window from its weight and the channel's _coupling_terms.
+
+    ``weights`` is one key's windows, measured from the one generator in
+    ``rngs``, or (keys x windows) with key r measured from ``rngs[r]``.
+    """
     duty = weights / w
     repeats = chan.repeats
     if repeats > 1:
-        duty = duty.repeat(repeats)
+        duty = duty.repeat(repeats, -1)
     # weight / w is in [0, 1] and the toggle rate is 0.0, so the engine's stimulus checks would pass
-    counts = _count_engine(chan.profile, chan.cfg, terms, duty, 0.0, np.random.default_rng(chan.seed))
+    counts = _count_engine(chan.profile, chan.cfg, terms, duty, 0.0, rngs)
     if repeats > 1:
-        counts = counts.reshape(-1, repeats).sum(axis=1)
+        counts = counts.reshape(weights.shape + (repeats,)).sum(-1)
     return counts / repeats  # integer counts: exactly their mean
 
 
@@ -242,7 +246,8 @@ def measure_windows_noisy(key, w: int, chan: ExfilChannel) -> list[float]:
     in order, as one trace whose drift carries across; a position reports
     the mean of its counts.
     """
-    return _noisy_counts(_window_weights(key, w), w, chan, _coupling_terms(chan.profile, chan.geom)).tolist()
+    terms = _coupling_terms(chan.profile, chan.geom)
+    return _noisy_counts(_window_weights(key, w), w, chan, terms, (np.random.default_rng(chan.seed),)).tolist()
 
 
 def infer_relations(counts: Sequence[float], w: int, tolerance: float) -> RelationSet:
@@ -350,7 +355,7 @@ def single_window_recover(key, w: int, noise: ExfilChannel | None = None) -> Rec
     if noise is None:
         return propagate(_key_masks(key.to_int(), n, w), n)
     terms = _coupling_terms(noise.profile, noise.geom)
-    counts = _noisy_counts(_window_weights(key, w), w, noise, terms)
+    counts = _noisy_counts(_window_weights(key, w), w, noise, terms, (np.random.default_rng(noise.seed),))
     return propagate(_classify(counts, w, _tolerance(noise, terms[0], w)), n)
 
 
@@ -366,11 +371,14 @@ def noisy_outcome(key, w: int, chan: ExfilChannel) -> tuple[str, RecoveryResult 
         result = single_window_recover(key, w, chan)
     except InconsistentMeasurements:
         return "inconsistent", None
+    return _score(result, key.bits), result
+
+
+def _score(result: RecoveryResult, bits: Sequence[int]) -> str:
+    """A consistent result against the true key's bits: "unresolved", "correct" or "wrong"."""
     if not result.complete:
-        return "unresolved", result
-    if all(result.known[p] == b for p, b in enumerate(key.bits)):
-        return "correct", result
-    return "wrong", result
+        return "unresolved"
+    return "correct" if all(result.known[p] == b for p, b in enumerate(bits)) else "wrong"
 
 
 def multi_window_recover(key, w: int) -> RecoveryResult:
@@ -415,6 +423,7 @@ def eq2_lower_bound(n_key: int, w: int) -> float:
 
 
 _MC_CHUNK_BITS = 1 << 23  # trial-key bits per chunk: at most 2^23 / n keys, at any trial count
+_NOISY_CHUNK = 256  # noisy trials per count-engine call
 
 
 def monte_carlo_recovery_rate(
@@ -428,23 +437,41 @@ def monte_carlo_recovery_rate(
 
     With ``noise``, trial t measures through the channel seeded
     ``noise.seed + t`` and counts only when every bit comes out equal to
-    the true key; an inconsistent measurement set counts as a miss.
+    the true key; an inconsistent measurement set counts as a miss.  The
+    noisy trials are measured ``_NOISY_CHUNK`` keys per count-engine call.
     """
     _split_key_length(n_key, w)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     hits = 0
-    rows = max(1, _MC_CHUNK_BITS // n_key)
+    rows = max(1, _MC_CHUNK_BITS // n_key) if noise is None else _NOISY_CHUNK
     for start in range(0, trials, rows):
-        words = kernels._trial_words(seed, start, min(start + rows, trials), n_key)
+        stop = min(start + rows, trials)
+        words = kernels._trial_words(seed, start, stop, n_key)
         if noise is None:
             hits += kernels._count_complete(words, n_key, w)
-        else:  # trial keys as rows of bits, bit K_i in column i
-            octets = np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8)
-            for t, row in enumerate(np.unpackbits(octets, axis=1, count=n_key, bitorder="little").tolist(), start):
-                outcome, _ = noisy_outcome(KeyBits(tuple(row)), w, replace(noise, seed=noise.seed + t))
-                hits += outcome == "correct"
+        else:
+            hits += _noisy_hits(words, n_key, w, noise, range(noise.seed + start, noise.seed + stop))
     return hits / trials
+
+
+def _noisy_hits(words: np.ndarray, n: int, w: int, chan: ExfilChannel, seeds: range) -> int:
+    """Keys recovered correctly through the channel, key r (column r of the trial words) measured with seeds[r]:
+    one count-engine call for them all, then the classifier, the solver and the score per key."""
+    octets = np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8)
+    keys = np.unpackbits(octets, axis=1, count=n, bitorder="little")  # key r in row r, bit K_i in column i
+    ones = np.zeros((len(keys), n + 1), dtype=np.int64)  # ones[r, i]: ones before bit i of key r
+    np.cumsum(keys, axis=1, out=ones[:, 1:])
+    terms = _coupling_terms(chan.profile, chan.geom)
+    counts = _noisy_counts(ones[:, w:] - ones[:, :-w], w, chan, terms, [np.random.default_rng(s) for s in seeds])
+    tolerance = _tolerance(chan, terms[0], w)
+    hits = 0
+    for bits, row in zip(keys.tolist(), counts):
+        try:
+            hits += _score(propagate(_classify(row, w, tolerance), n), bits) == "correct"
+        except InconsistentMeasurements:
+            pass
+    return hits
 
 
 def exhaustive_success_fraction(n_key: int, w: int, multi: bool = False) -> Fraction:

@@ -104,6 +104,19 @@ def _as_bits(values: tuple) -> tuple | None:
         return None
 
 
+def _bit_array(values) -> np.ndarray | None:
+    """A list or tuple of int 0/1 items (bools and numpy integers too) as a read-only uint8 array, through
+    ``bytes``; None for any other argument or item, which the caller then takes its own way."""
+    if isinstance(values, (list, tuple)):
+        try:
+            data = bytes(values)
+        except (TypeError, ValueError):  # a non-integer item, or an integer outside a byte
+            return None
+        if not data.translate(None, b"\0\1"):
+            return np.frombuffer(data, np.uint8)
+    return None
+
+
 def _check_lfsr(state: int, taps: tuple[int, ...]) -> None:
     if not taps or any(not _is_int(t) or t < 1 for t in taps):
         raise ValueError(f"taps must be positive int bit positions, got {taps!r}")

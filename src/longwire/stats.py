@@ -51,18 +51,27 @@ def paired_delta_rc(trace: CountTrace) -> PairedDeltas:
     Window 2i must carry a 0 and window 2i+1 a 1; the trace's recorded
     ground truth is checked, not trusted.
     """
-    n = len(trace)
-    if n == 0 or n % 2 != 0:
-        raise ValueError("alternating trace must have a positive even number of windows")
-    expected = [0, 1] * (n // 2)
-    if trace.tx_bits != expected:
+    expected = [0, 1] * (len(trace) // 2)
+    if len(trace) % 2 == 0 and trace.tx_bits != expected:  # an odd length is _relative_deltas' error
         i = next(i for i, (bit, want) in enumerate(zip(trace.tx_bits, expected)) if bit != want)
         raise ValueError(f"window {trace.window[i]}: expected alternating bit {i % 2}, got {trace.tx_bits[i]}")
-    c0, c1 = trace.counts[0::2], trace.counts[1::2]
+    return PairedDeltas(_relative_deltas(trace.counts, trace.window))
+
+
+def _relative_deltas(counts: np.ndarray, window) -> np.ndarray:
+    """(c1 - c0) / c1 per (0, 1) window pair along the last axis of ``counts``: one alternating trace, or one per row.
+
+    ``window`` labels the windows of a row; the error names the first window
+    of a 1 with a zero count, rows in order.
+    """
+    n = counts.shape[-1]
+    if n == 0 or n % 2 != 0:
+        raise ValueError("alternating trace must have a positive even number of windows")
+    c0, c1 = counts[..., 0::2], counts[..., 1::2]
     zero = np.flatnonzero(c1 == 0)
     if len(zero):
-        raise ValueError(f"window {trace.window[2 * zero[0] + 1]}: zero count, relative difference undefined")
-    return PairedDeltas((c1 - c0) / c1)
+        raise ValueError(f"window {window[2 * (zero[0] % (n // 2)) + 1]}: zero count, relative difference undefined")
+    return (c1 - c0) / c1
 
 
 def mean_ci(values: Sequence[float], level: float = 0.99) -> tuple[float, float, float]:

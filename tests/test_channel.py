@@ -19,10 +19,10 @@ from longwire import (
     simulate_trace,
 )
 from longwire.channel import TRACE_CSV_HEADER, CountTrace, as_longs, trace_from_csv, trace_to_csv
-from longwire import exfil
+from longwire import channel, exfil
 from longwire.errors import InconsistentMeasurements
 from longwire.exfil import ExfilChannel, KeyBits, measure_windows_noisy, single_window_recover, window_hw_oracle
-from longwire.patterns import PatternSpec
+from longwire.patterns import DYNAMIC4_CODES, PatternSpec, stimulus_columns
 from longwire.stats import ks_two_sample
 from conftest import stimulus_oracle
 
@@ -625,3 +625,85 @@ def test_noise_sigma_scales_with_sqrt_window():
     assert profile.noise_sigma_for(1 << 13) == pytest.approx(0.8)
     assert profile.noise_sigma_for(1 << 15) == pytest.approx(1.6)
     assert profile.noise_sigma_for(1 << 21) == pytest.approx(12.8)
+
+
+class TestBatchEngine:
+    """One count-engine call over rows of traces gives each row the counts simulate_counts gives it alone."""
+
+    WANDER = {"drift_rate": 1e-4, "drift_bound": 1.0}
+    PROFILES = {
+        "default": {},
+        "clipping": {"drift_rate": 1e-4, "drift_bound": 2e-4},
+        "late-clip": {"drift_rate": 1e-4, "drift_bound": 2.5e-3},
+        "keep-1": {**WANDER, "drift_reversion": 0.0},
+        "keep-0": {**WANDER, "drift_reversion": 1.0},
+    }
+    GEOMETRIES = [Geometry(v_t=2, v_r=2), Geometry(v_t=Fraction(1, 3), v_r=5, coupling="local"),
+                  Geometry(v_t=5, v_r=3, d=2), Geometry(v_t=1, v_r=1, coupling="local")]
+
+    @staticmethod
+    def terms(profile, geoms):
+        """The geometries' coupling terms as one (delta, penalty) column each."""
+        return tuple(np.array(column)[:, None] for column in zip(*(channel._coupling_terms(profile, g) for g in geoms)))
+
+    @pytest.mark.parametrize("windows", [1, 55, 64, 65, 220, 1024, 4099])
+    @pytest.mark.parametrize("profile_name", list(PROFILES))
+    def test_rows_equal_simulate_counts(self, windows, profile_name, cfg13):
+        profile = DeviceProfile(**self.PROFILES[profile_name])
+        rng = np.random.default_rng(windows)
+        duty = rng.random((len(self.GEOMETRIES), windows))
+        toggle = rng.random((len(self.GEOMETRIES), windows)) * 0.25
+        seeds = [3, 17, 3, 91]  # a seed used twice draws the same row twice
+        batch = channel._count_engine(profile, cfg13, self.terms(profile, self.GEOMETRIES), duty, toggle,
+                                      [np.random.default_rng(s) for s in seeds])
+        assert batch.shape == duty.shape and batch.dtype == np.int64
+        for geom, d, t, seed, row in zip(self.GEOMETRIES, duty, toggle, seeds, batch):
+            assert row.tolist() == simulate_counts(profile, cfg13, geom, d, t, np.random.default_rng(seed)).tolist()
+
+    @pytest.mark.parametrize("windows", [1, 55, 65, 1024])
+    @pytest.mark.parametrize("coupling", ["long", "local"])
+    def test_one_draw_row_serves_every_duty_row(self, windows, coupling, cfg13):
+        profile, geom = DeviceProfile(**self.PROFILES["late-clip"]), Geometry(coupling=coupling)
+        columns = [stimulus_columns(PatternSpec.dynamic4(code), windows) for code in DYNAMIC4_CODES]
+        duty, toggle = np.array([c[0] for c in columns]), np.array([c[1] for c in columns])
+        batch = channel._count_engine(profile, cfg13, channel._coupling_terms(profile, geom), duty, toggle,
+                                      (np.random.default_rng(6),))
+        for d, t, row in zip(duty, toggle, batch):
+            assert row.tolist() == simulate_counts(profile, cfg13, geom, d, t, np.random.default_rng(6)).tolist()
+
+    def test_one_duty_row_serves_every_draw_row(self, cfg13):
+        """The alternating studies: one duty column, one geometry and one generator per row."""
+        profile = DeviceProfile()
+        duty = np.arange(300) % 2.0
+        seeds = [4, 5, 1004, 1005]
+        batch = channel._count_engine(profile, cfg13, self.terms(profile, self.GEOMETRIES), duty, 0.0,
+                                      [np.random.default_rng(s) for s in seeds])
+        for geom, seed, row in zip(self.GEOMETRIES, seeds, batch):
+            alone = simulate_counts(profile, cfg13, geom, duty, 0.0, np.random.default_rng(seed))
+            assert row.tolist() == alone.tolist()
+
+    @pytest.mark.parametrize("windows", [1, 55, 64, 65, 220, 1024, 4099])
+    @pytest.mark.parametrize("profile_name", list(PROFILES))
+    def test_drift_rows_equal_the_one_row_path_to_the_bit(self, windows, profile_name):
+        profile = DeviceProfile(**self.PROFILES[profile_name])
+        innovations = np.random.default_rng(windows).normal(0.0, profile.drift_rate, (5, windows))
+        batch = channel._drift_path(profile, innovations.copy())
+        for steps, row in zip(innovations, batch):
+            assert np.array_equal(row, channel._drift_path(profile, steps.copy()))
+
+    def test_a_row_clips_from_its_own_first_clipped_window(self):
+        profile = DeviceProfile(**self.PROFILES["late-clip"])
+        keep, bound = 1.0 - profile.drift_reversion, profile.drift_bound
+        innovations = np.random.default_rng(2).normal(0.0, profile.drift_rate, (8, 1024))
+        firsts = []
+        for steps in innovations:  # the scalar recursion, row by row
+            path, state = [], 0.0
+            for e in steps.tolist():
+                state = min(max(state * keep + e, -bound), bound)
+                path.append(state)
+            clipped = np.flatnonzero(np.abs(np.array(path)) >= bound)
+            firsts.append(int(clipped[0]) if len(clipped) else None)
+        assert None in firsts and len({f for f in firsts if f is not None}) > 1  # rows that clip, at different windows
+        batch = channel._drift_path(profile, innovations.copy())
+        for steps, row in zip(innovations, batch):
+            assert np.array_equal(row, channel._drift_path(profile, steps.copy()))

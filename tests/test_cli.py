@@ -3,10 +3,14 @@ import builtins
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from longwire import DeviceProfile, Geometry, MeasurementConfig, simulate_trace, stats
+from longwire.channel import as_longs, expected_delta_rc
 from longwire.cli import REPRODUCE_RUNS, main
 from longwire.exfil import parse_key, recovery_to_rows, single_window_recover
+from longwire.patterns import DYNAMIC4_CODES, PatternSpec
 from conftest import DOCS_DIR
 
 GRID = str(DOCS_DIR / "sample_grid.txt")
@@ -399,3 +403,101 @@ def test_reproduce_failure_names_the_csv(capsys, monkeypatch, tmp_path):
     assert code == 1
     assert out == ""
     assert any(line.startswith("error:") and "audit_exposures.csv" in line for line in err.splitlines())
+
+
+def per_trace_study(argv: list[str], profile=None) -> str:
+    """The alternating and dynamic studies as one simulate_trace per row, read through the public trace API."""
+    args = dict(zip(argv[1::2], argv[2::2]))
+    profile = profile or DeviceProfile()
+    cfg = MeasurementConfig(log2_ticks=int(args.get("--n", 21)))
+    windows, seed = int(args["--windows"]), int(args["--seed"])
+    alternating = PatternSpec.alternating()
+
+    def csv(header, rows):
+        return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+
+    if argv[0] == "scaling-length":
+        rows = []
+        for i, vt in enumerate(args["--vt-list"].split(",")):
+            for j, vr in enumerate(map(int, args["--vr-list"].split(","))):
+                geom = Geometry(v_t=as_longs(vt), v_r=vr, d=int(args.get("--d", 1)))
+                trace = simulate_trace(profile, cfg, geom, alternating, windows, seed + 1000 * i + j)
+                drc = stats.paired_delta_rc(trace).values
+                model = expected_delta_rc(profile, geom)
+                rows.append([str(geom.v_t), vr, f"{model:.10g}", f"{float(np.mean(drc)):.6g}"])
+        return csv(["vt", "vr", "delta_rc_model", "delta_rc_measured"], rows)
+    if argv[0] == "distance":
+        rows = []
+        for d in map(int, args["--d-list"].split(",")):
+            geom = Geometry(v_t=args.get("--vt", "2"), v_r=int(args.get("--vr", 2)), d=d)
+            trace = simulate_trace(profile, cfg, geom, alternating, windows, seed + d)
+            drc = stats.paired_delta_rc(trace).values
+            _, p = stats.ks_two_sample(trace.counts[0::2], trace.counts[1::2])
+            rows.append([d, f"{expected_delta_rc(profile, geom):.10g}", f"{float(np.mean(drc)):.6g}", f"{p:.6g}"])
+        return csv(["d", "delta_rc_model", "delta_rc_measured", "ks_p_0_vs_1"], rows)
+    if argv[0] == "scaling-time":
+        rows = []
+        geom = Geometry(v_t=args.get("--vt", "2"), v_r=int(args.get("--vr", 2)))
+        for n in map(int, args["--n-list"].split(",")):
+            cfg_n = MeasurementConfig(log2_ticks=n)
+            trace = simulate_trace(profile, cfg_n, geom, alternating, windows, seed + n)
+            dc = stats.mean_ci(trace.counts[1::2] - trace.counts[0::2])
+            drc = stats.mean_ci(stats.paired_delta_rc(trace).values)
+            rows.append([n, f"{cfg_n.window_seconds:.8g}", *(f"{v:.6g}" for v in (*dc, *drc))])
+        return csv(["n", "window_seconds", "delta_c", "delta_c_lo", "delta_c_hi",
+                    "delta_rc", "delta_rc_lo", "delta_rc_hi"], rows)
+    geom = Geometry(v_t=args.get("--vt", "2"), coupling=args["--path"])
+    rows = []
+    for idx, code in enumerate(DYNAMIC4_CODES):
+        trace = simulate_trace(profile, cfg, geom, PatternSpec.dynamic4(code), windows, seed)
+        ci = stats.mean_ci(trace.counts)
+        stimulus = (f"{trace.duty[0]:.4g}", f"{trace.toggle_rate[0]:.4g}")
+        rows.append([f"d{idx}", code, *stimulus, *(f"{v:.10g}" for v in ci)])
+    return csv(["pattern", "code", "duty", "toggle_rate", "mean_count", "ci_lo", "ci_hi"], rows)
+
+
+class TestStudiesAgainstPerTrace:
+    """Each study simulates all its traces in one count-engine call; its CSV is the per-trace one, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "scaling-length --vt-list 1/3,2/3,1,2,3,4,5 --vr-list 1,2,3,4,5 --windows 2 --seed 4",
+            "scaling-length --vt-list 1/3,5 --vr-list 3,1 --windows 130 --n 15 --d 2 --seed 0",
+            "distance --d-list 3,4 --windows 2048 --seed 5",
+            "distance --d-list 1,2 --windows 66 --n 13 --vt 1/3 --vr 4 --seed 9",
+            "scaling-time --n-list 11,12 --windows 10 --seed 1",
+            "dynamic --path local --windows 2048 --seed 6",
+            "dynamic --path long --windows 65 --n 15 --vt 1/3 --seed 7",
+        ],
+        ids=lambda argv: argv.split()[0],
+    )
+    def test_csv_equals_one_trace_per_row(self, capsys, argv):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0 and out == per_trace_study(argv.split())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "scaling-length --vt-list 1,2 --vr-list 1,2 --windows 64 --n 1 --seed 3",
+            "distance --d-list 1,2 --windows 64 --n 1 --seed 3",
+            "scaling-time --n-list 1 --windows 64 --seed 3",
+        ],
+        ids=lambda argv: argv.split()[0],
+    )
+    def test_zero_count_error_is_the_per_trace_one(self, capsys, tmp_path, argv):
+        """A zero count among the 1 windows: the study stops with paired_delta_rc's message for the first trace."""
+        profile_file = tmp_path / "dim.profile"
+        profile_file.write_text("base_rate = 1e-6\nnoise_sigma = 0\n")
+        code, out, err = run(capsys, *argv.split(), "--profile", str(profile_file))
+        with pytest.raises(ValueError) as expected:
+            per_trace_study(argv.split(), DeviceProfile(base_rate=1e-6, noise_sigma=0.0))
+        assert code == 1 and out == ""
+        assert err == f"error: {expected.value}\n" and "zero count, relative difference undefined" in err
+
+    @pytest.mark.parametrize("study", ["scaling-time --n-list 13", "scaling-length", "distance"])
+    @pytest.mark.parametrize("windows", ["3", "5", "2049"])
+    def test_odd_window_count_is_an_error(self, capsys, study, windows):
+        code, out, err = run(capsys, *study.split(), "--windows", windows, "--seed", "1")
+        assert code == 1 and out == ""
+        assert err == "error: alternating trace must have a positive even number of windows\n"

@@ -20,6 +20,7 @@ from longwire.codec import (
     manchester_decode,
     manchester_encode,
     simulate_covert_transfer,
+    _covert_transfer,
 )
 from longwire.errors import InvalidCodeGroup
 from longwire.patterns import PatternSpec
@@ -66,6 +67,40 @@ class TestManchester:
         expected = manchester_encode(payload)
         assert manchester_encode(np.array(payload)) == expected
         assert manchester_encode(iter(payload)) == expected
+
+
+class TestBitsThroughBytes:
+    """A list or tuple of int bits enters numpy through bytes; anything else takes the array path, as before."""
+
+    @pytest.mark.parametrize("bits", [[2], [0, -1], [1, 256], [0, 0.5], [1, "1"], [1, None]])
+    def test_non_bits_keep_their_message(self, bits):
+        for form in (list, tuple):
+            with pytest.raises(ValueError) as err:
+                manchester_encode(form(bits))
+            assert str(err.value) == "bits must be 0 or 1"
+
+    @pytest.mark.parametrize("bits", [[1, 0, 0, 1], (True, False, np.int64(1)), [1.0, 0.0], np.array([1, 0])])
+    def test_every_form_of_bits_encodes_alike(self, bits):
+        assert manchester_encode(bits) == [(int(b), 1 - int(b)) for b in bits]
+
+    def test_covert_transfer_returns_the_list_of_its_array(self):
+        profile, cfg, geom = DeviceProfile(), MeasurementConfig(log2_ticks=11), Geometry()
+        bits = np.random.default_rng(4).integers(0, 2, 500)
+        decoded = simulate_covert_transfer(bits.tolist(), profile, cfg, geom, seed=3)
+        array = _covert_transfer(bits, profile, cfg, geom, 3)
+        assert array.dtype == np.int64 and type(decoded) is list and decoded == array.tolist()
+        assert decoded == simulate_covert_transfer(tuple(bits.tolist()), profile, cfg, geom, seed=3)
+
+    @pytest.mark.parametrize("line_code", [LineCode.NONE, LineCode.EIGHTB_TENB])
+    def test_find_frames_reads_lists_arrays_and_non_bits_alike(self, line_code):
+        stream = [1, 1, 0]
+        for payload in ((1, 0, 1, 1, 0, 0, 1, 0), (0,) * 8):
+            stream += frame_to_bits(Frame(payload, line_code=line_code)) + [0, 1]
+        expected = find_frames(np.array(stream), line_code=line_code)
+        assert len(expected) == 2
+        assert find_frames(stream, line_code=line_code) == find_frames(tuple(stream), line_code=line_code) == expected
+        noisy = stream[:-1] + [2]  # not a bit: the array path, where a 2 matches no pattern bit
+        assert find_frames(noisy, line_code=line_code) == expected
 
 
 class TestFrameSync:

@@ -888,6 +888,69 @@ class TestNoisyMonteCarlo:
         assert monte_carlo_recovery_rate(n, w, trials, seed, noise=chan) == seen["correct"] / trials
 
 
+class TestBatchedNoisyMonteCarlo:
+    """Noisy trials counted a chunk per engine call score as the per-trial attack does, at every chunk size."""
+
+    @staticmethod
+    def per_trial_rate(n, w, trials, seed, chan):
+        hits = 0
+        for t in range(trials):
+            key = KeyBits.from_int(kernels.trial_key(seed, t, n), n)
+            trial_chan = ExfilChannel(chan.profile, chan.cfg, chan.geom, chan.seed + t, chan.repeats)
+            hits += noisy_outcome(key, w, trial_chan)[0] == "correct"
+        return hits / trials
+
+    @pytest.mark.parametrize("chunk", [1, 7, 16, 256])
+    @pytest.mark.parametrize("log2_ticks, repeats, profile", [
+        (21, 1, DeviceProfile()), (21, 4, DeviceProfile()), (23, 4, DeviceProfile(drift_rate=1e-6, drift_bound=2e-6)),
+    ], ids=["r1", "r4", "r4-clipping"])
+    def test_rate_is_the_per_trial_rate(self, monkeypatch, chunk, log2_ticks, repeats, profile):
+        chan = ExfilChannel(profile, MeasurementConfig(log2_ticks=log2_ticks), Geometry(), 3, repeats)
+        expected = self.per_trial_rate(64, 10, 40, 1, chan)
+        monkeypatch.setattr(exfil, "_NOISY_CHUNK", chunk)
+        assert monte_carlo_recovery_rate(64, 10, 40, 1, noise=chan) == expected
+        assert 0 < expected < 1
+
+    def test_chunk_counts_equal_the_one_key_counts(self):
+        """Key r of a chunk is measured as measure_windows_noisy measures it alone with seed noise.seed + r."""
+        chan = ExfilChannel(DeviceProfile(), MeasurementConfig(log2_ticks=15), Geometry(), 11, 4)
+        words = kernels._trial_words(5, 0, 9, 64)
+        recorded, engine = [], exfil._count_engine
+
+        def record(*args):
+            recorded.append(engine(*args))
+            return recorded[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exfil, "_count_engine", record)
+            exfil._noisy_hits(words, 64, 10, chan, range(11, 20))
+        (counts,) = recorded
+        for r in range(9):
+            key = KeyBits.from_int(kernels.trial_key(5, r, 64), 64)
+            one = measure_windows_noisy(key, 10, ExfilChannel(chan.profile, chan.cfg, chan.geom, 11 + r, 4))
+            assert (counts[r].reshape(-1, 4).sum(axis=1) / 4).tolist() == one
+
+
+class TestKeyItems:
+    """A key given as a plain sequence is judged by the KeyBits bit rule, not converted item by item."""
+
+    @pytest.mark.parametrize("key", [[1.5, 0, 1, 0.7], "10110", ["1", "0", "1", "1"], [0, 2, 1, 1], [1, None, 0, 1]])
+    @pytest.mark.parametrize("attack", [
+        lambda key: single_window_recover(key, 1),
+        lambda key: multi_window_recover(key, 1),
+        lambda key: measure_windows(key, 1),
+        lambda key: window_hw_oracle(key, 0, 1),
+    ])
+    def test_non_bits_are_rejected(self, key, attack):
+        with pytest.raises(ValueError) as err:
+            attack(key)
+        assert str(err.value) == "key bits must be 0 or 1"
+
+    @pytest.mark.parametrize("key", [[1.0, 0, 1, 0], (1, 0.0, True, 0), np.array([1, 0, 1, 0]), iter([1, 0, 1, 0])])
+    def test_bit_items_are_the_key(self, key):
+        assert single_window_recover(key, 1).known == {0: 1, 1: 0, 2: 1, 3: 0}
+
+
 class TestPropertyBased:
     @given(st.integers(10, 40).flatmap(
         lambda n: st.tuples(

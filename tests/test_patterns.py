@@ -7,6 +7,7 @@ from longwire.patterns import (
     lfsr_next,
     parse_pattern,
     stimulus_columns,
+    _bit_array,
 )
 from longwire.codec import Frame
 from longwire.exfil import KeyBits
@@ -40,6 +41,18 @@ def test_bit_rule_stores_a_float_bit_as_an_int(item):
     assert type(Frame(payload=(item, 0)).payload[0]) is int
     assert type(Frame(payload=(0,), sof=(item,)).sof[0]) is int
     assert type(PatternSpec(kind="custom", bits=(item, 0)).bits[0]) is int
+
+
+@pytest.mark.parametrize("bits", [[0, 1, 1], (1, 0), [True, False], (np.int64(1), np.uint8(0)), []])
+def test_bit_array_reads_int_bits_through_bytes(bits):
+    array = _bit_array(bits)
+    assert array.dtype == np.uint8 and array.tolist() == [int(b) for b in bits]
+
+
+@pytest.mark.parametrize("bits", [[0, 2], [1, -1], [1, 256], [1.0, 0], [0, "1"], [0, None], [[1]],
+                                  np.array([0, 1]), iter([0, 1]), "01", b"\x00\x01", range(2)])
+def test_bit_array_leaves_everything_else_to_the_caller(bits):
+    assert _bit_array(bits) is None
 
 
 def lfsr_period(seed, taps):

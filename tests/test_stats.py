@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import longwire
+from longwire import stats
 from longwire import DeviceProfile, Geometry, MeasurementConfig, expected_delta_rc, simulate_trace
 from longwire.channel import CountTrace
 from longwire.patterns import PatternSpec
@@ -73,6 +74,31 @@ class TestPairedDeltaRC:
     def test_rejects_odd_length(self):
         with pytest.raises(ValueError):
             paired_delta_rc(alternating_trace([1, 2, 3]))
+
+    @pytest.mark.parametrize("counts", [[], [1, 2, 3]])
+    def test_odd_or_empty_message(self, counts):
+        with pytest.raises(ValueError) as err:
+            paired_delta_rc(alternating_trace(counts))
+        assert str(err.value) == "alternating trace must have a positive even number of windows"
+
+    def test_zero_count_names_the_trace_window(self):
+        trace = CountTrace([10, 11, 20, 21], [5, 6, 5, 0], [0.0, 1.0, 0.0, 1.0], [0.0] * 4, [0, 1, 0, 1])
+        with pytest.raises(ValueError) as err:
+            paired_delta_rc(trace)
+        assert str(err.value) == "window 21: zero count, relative difference undefined"
+
+    def test_rows_of_traces_share_the_rule(self):
+        """The studies' batch: one trace per row, the first zero count in row order named by its window."""
+        counts = np.array([[10, 12, 10, 12], [10, 12, 9, 11], [10, 0, 10, 12], [10, 12, 10, 0]])
+        with pytest.raises(ValueError) as err:
+            stats._relative_deltas(counts, range(4))
+        assert str(err.value) == "window 1: zero count, relative difference undefined"
+        batch = stats._relative_deltas(counts[:2], range(4))
+        assert [row.tolist() for row in batch] == [paired_delta_rc(alternating_trace(c)).values.tolist()
+                                                   for c in counts[:2].tolist()]
+        with pytest.raises(ValueError) as err:
+            stats._relative_deltas(counts[:, :3], range(3))
+        assert str(err.value) == "alternating trace must have a positive even number of windows"
 
     def test_noise_free_trace_mean_matches_model(self):
         profile = DeviceProfile(noise_sigma=0.0, drift_rate=0.0, drift_bound=0.0)
