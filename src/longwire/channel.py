@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .patterns import PatternSpec, _is_int, stimulus_columns
+from .patterns import PatternSpec, _as_bits, _bit_array, _is_int, stimulus_columns
 
 __all__ = [
     "STREAM_VERSION",
@@ -251,7 +251,7 @@ class CountTrace:
 
     One entry per window in each column: ``window`` and ``counts`` are
     int64 arrays, ``duty`` and ``toggle_rate`` float64 arrays, and
-    ``tx_bits`` a list holding the sent bit or None (dynamic patterns).
+    ``tx_bits`` a list holding the sent bit, an int 0 or 1, or None (dynamic patterns).
     """
 
     window: np.ndarray
@@ -265,14 +265,23 @@ class CountTrace:
             column = np.array(getattr(self, name), dtype=dtype)  # a read-only copy: the trace stays as validated
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        object.__setattr__(self, "tx_bits", list(self.tx_bits))
-        if {c.shape for c in (self.window, self.counts, self.duty, self.toggle_rate)} != {(len(self.tx_bits),)}:
+        bits = list(self.tx_bits)
+        if {c.shape for c in (self.window, self.counts, self.duty, self.toggle_rate)} != {(len(bits),)}:
             raise ValueError("trace columns must be one-dimensional and of equal length")
         if (np.diff(self.window) <= 0).any():
             raise ValueError("window indices must be strictly increasing")
         _check_stimulus(self.duty, self.toggle_rate)
         if (self.counts < 0).any():
             raise ValueError("counts must be >= 0")
+        # each bit is stored as an int, so that a bool or numpy bit writes CSV that reads back
+        if (array := _bit_array(bits)) is not None:  # every window sent, as int bits: no per-item Python work
+            bits = array.tolist()
+        elif (sent := _as_bits(tuple([b for b in bits if b is not None]))) is not None:
+            ints = iter(bytes(sent))
+            bits = [b if b is None else next(ints) for b in bits]
+        else:
+            raise ValueError("tx bits must be 0, 1 or None")
+        object.__setattr__(self, "tx_bits", bits)
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -500,13 +509,13 @@ def _format_column(column: np.ndarray, fmt) -> list[str]:
 def trace_to_csv(trace: CountTrace) -> str:
     """One header line, then one line per window; a bit of None is an empty field."""
     rows = zip(
-        map(str, trace.window.tolist()),
-        map(str, trace.counts.tolist()),
+        trace.window.tolist(),
+        trace.counts.tolist(),
         _format_column(trace.duty, "{:.6g}".format),
         _format_column(trace.toggle_rate, "{:.6g}".format),
-        ["" if b is None else str(b) for b in trace.tx_bits],
+        ["" if b is None else b for b in trace.tx_bits],
     )
-    return "\n".join([",".join(TRACE_CSV_HEADER), *map(",".join, rows), ""])
+    return ",".join(TRACE_CSV_HEADER) + "\n" + ("%d,%d,%s,%s,%s\n" * len(trace)) % tuple([v for r in rows for v in r])
 
 
 def _parse_column(texts: tuple[str, ...], parse) -> list:

@@ -152,8 +152,8 @@ class RecoveryResult:
 def window_hw_oracle(key, pos: int, w: int) -> int:
     """Exact Hamming weight of key[pos : pos + w]."""
     key = _as_key(key)
-    if w < 1:
-        raise ValueError("window width must be >= 1")
+    if not 1 <= w <= len(key):
+        raise ValueError("window width must be in [1, key length]")
     if not 0 <= pos <= len(key) - w:
         raise ValueError(f"window start must be in [0, {len(key) - w}]")
     return sum(key.bits[pos : pos + w])
@@ -422,7 +422,6 @@ def eq2_lower_bound(n_key: int, w: int) -> float:
     return 1.0 - w * 2.0 ** (1 - nq)
 
 
-_MC_CHUNK_BITS = 1 << 23  # trial-key bits per chunk: at most 2^23 / n keys, at any trial count
 _NOISY_CHUNK = 256  # noisy trials per count-engine call
 
 
@@ -435,43 +434,32 @@ def monte_carlo_recovery_rate(
 ) -> float:
     """Fraction of uniform random keys fully recovered, deterministic per seed.
 
-    With ``noise``, trial t measures through the channel seeded
-    ``noise.seed + t`` and counts only when every bit comes out equal to
-    the true key; an inconsistent measurement set counts as a miss.  The
-    noisy trials are measured ``_NOISY_CHUNK`` keys per count-engine call.
+    Without ``noise`` this is ``kernels.mc_single(n_key, w, trials, seed) / trials``.  With
+    it, trial t's key, measured through the channel seeded ``noise.seed + t``,
+    counts only when every bit comes out equal to it; an inconsistent
+    measurement set is a miss.  Each count-engine call measures ``_NOISY_CHUNK`` keys.
     """
+    if noise is None:
+        return kernels.mc_single(n_key, w, trials, seed) / trials
     _split_key_length(n_key, w)
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    terms = _coupling_terms(noise.profile, noise.geom)
+    tolerance = _tolerance(noise, terms[0], w)
     hits = 0
-    rows = max(1, _MC_CHUNK_BITS // n_key) if noise is None else _NOISY_CHUNK
-    for start in range(0, trials, rows):
-        stop = min(start + rows, trials)
-        words = kernels._trial_words(seed, start, stop, n_key)
-        if noise is None:
-            hits += kernels._count_complete(words, n_key, w)
-        else:
-            hits += _noisy_hits(words, n_key, w, noise, range(noise.seed + start, noise.seed + stop))
+    for start in range(0, trials, _NOISY_CHUNK):
+        stop = min(start + _NOISY_CHUNK, trials)
+        octets = np.ascontiguousarray(kernels._trial_words(seed, start, stop, n_key).T, dtype="<u8").view(np.uint8)
+        keys = np.unpackbits(octets, axis=1, count=n_key, bitorder="little")  # key r in row r, bit K_i in column i
+        ones = np.zeros((len(keys), n_key + 1), dtype=np.int64)  # ones[r, i]: ones before bit i of key r
+        np.cumsum(keys, axis=1, out=ones[:, 1:])
+        rngs = [np.random.default_rng(noise.seed + t) for t in range(start, stop)]
+        for bits, row in zip(keys.tolist(), _noisy_counts(ones[:, w:] - ones[:, :-w], w, noise, terms, rngs)):
+            try:
+                hits += _score(propagate(_classify(row, w, tolerance), n_key), bits) == "correct"
+            except InconsistentMeasurements:
+                pass
     return hits / trials
-
-
-def _noisy_hits(words: np.ndarray, n: int, w: int, chan: ExfilChannel, seeds: range) -> int:
-    """Keys recovered correctly through the channel, key r (column r of the trial words) measured with seeds[r]:
-    one count-engine call for them all, then the classifier, the solver and the score per key."""
-    octets = np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8)
-    keys = np.unpackbits(octets, axis=1, count=n, bitorder="little")  # key r in row r, bit K_i in column i
-    ones = np.zeros((len(keys), n + 1), dtype=np.int64)  # ones[r, i]: ones before bit i of key r
-    np.cumsum(keys, axis=1, out=ones[:, 1:])
-    terms = _coupling_terms(chan.profile, chan.geom)
-    counts = _noisy_counts(ones[:, w:] - ones[:, :-w], w, chan, terms, [np.random.default_rng(s) for s in seeds])
-    tolerance = _tolerance(chan, terms[0], w)
-    hits = 0
-    for bits, row in zip(keys.tolist(), counts):
-        try:
-            hits += _score(propagate(_classify(row, w, tolerance), n), bits) == "correct"
-        except InconsistentMeasurements:
-            pass
-    return hits
 
 
 def exhaustive_success_fraction(n_key: int, w: int, multi: bool = False) -> Fraction:

@@ -6,8 +6,8 @@ resolves iff some K_j != K_{j+w} in it.  The relation word
 ``D = K ^ (K >> w)``, cut to n - w bits, marks those pairs; folding it onto
 itself with shifts of w, 2w, 4w, ... until the span reaches n - w leaves bit
 r set iff class r resolves.  A key is complete iff its low w bits are all
-set: about log2(n / w) word ops per key width, over chunks of at most 2^14
-keys.
+set: about log2(n / w) word ops per key width.  The sweeps run chunks of 2^14
+keys, the Monte Carlo chunks of 2^23 key bits.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ _M64 = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_CHUNK = 1 << 14  # keys per chunk: 128 KiB arrays the allocator reuses, where 512 KiB ones fault in fresh pages
+_CHUNK = 1 << 14  # keys per sweep chunk: 128 KiB arrays the allocator reuses, where 512 KiB ones fault in fresh pages
+_MC_CHUNK_BITS = 1 << 23  # trial-key bits per Monte Carlo chunk: at most 2^23 / n keys, at any trial count
 _SWEEP_MAX_BITS = 28
 
 
@@ -32,7 +33,7 @@ def _check_bits(n: int) -> None:
 
 def _check_window(n: int, w: int, multi: bool) -> None:
     """The width rule, for every caller: a key the single-window (n >= 2w - 1) or two-width
-    (n >= 2w + 1) pass can take, at any length; the kernels check their 64-bit cap first."""
+    (n >= 2w + 1) pass can take, at any length; the sweeps check their 64-bit cap first."""
     if w < 1:
         raise ValueError("window width must be >= 1")
     if n < 2 * w + (1 if multi else -1):
@@ -146,10 +147,11 @@ def sweep_multi(n: int, w: int) -> int:
 
 
 def mc_single(n: int, w: int, trials: int, seed: int) -> int:
-    """Full single-window recoveries over `trials` uniform random keys."""
-    _check_bits(n)
+    """Full single-window recoveries over `trials` uniform random keys of any length n (the
+    _trial_words keys), counted in chunks of max(1, 2^23 // n) keys."""
     _check_window(n, w, multi=False)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    return sum(_count_complete(_trial_words(seed, t, min(t + _CHUNK, trials), n), n, w)
-               for t in range(0, trials, _CHUNK))
+    rows = max(1, _MC_CHUNK_BITS // n)
+    return sum(_count_complete(_trial_words(seed, t, min(t + rows, trials), n), n, w)
+               for t in range(0, trials, rows))

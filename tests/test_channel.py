@@ -515,12 +515,28 @@ class TestTraceCSV:
             (([[0, 1]], [[5, 5]], [[0.0, 1.0]], [[0.0, 0.0]], [[0, 1]]), "one-dimensional"),
             (([0, 1], [5, 5], [0.0, math.nan], [0.0, 0.0], [0, 1]), "duty"),
             (([0, 3, 2], [5, 5, 5], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0, 1, 0]), "strictly increasing"),
+            (([0, 1], [100, 99], [1.0, 0.5], [0.0, 0.0], [7, -3]), "tx bits must be 0, 1 or None"),
+            (([0, 1], [5, 5], [0.0, 1.0], [0.0, 0.0], [None, 2]), "tx bits must be 0, 1 or None"),
+            (([0, 1], [5, 5], [0.0, 1.0], [0.0, 0.0], [0.5, 1]), "tx bits must be 0, 1 or None"),
+            (([0, 1], [5, 5], [0.0, 1.0], [0.0, 0.0], ["1", 0]), "tx bits must be 0, 1 or None"),
         ],
-        ids=["short-bits", "short-counts", "two-dimensional", "nan-duty", "decreasing-window"],
+        ids=["short-bits", "short-counts", "two-dimensional", "nan-duty", "decreasing-window", "bits-7-3",
+             "bit-2", "bit-half", "bit-string"],
     )
     def test_rejects_bad_columns(self, columns, match):
         with pytest.raises(ValueError, match=match):
             CountTrace(*columns)
+
+    def test_csv_rejects_bad_bits(self):
+        with pytest.raises(ValueError, match="^tx bits must be 0, 1 or None$"):
+            trace_from_csv("window,count,duty,toggle_rate,tx_bit\n0,100,1,0,7\n1,99,0.5,0,-3\n")
+
+    @pytest.mark.parametrize("bits", [[True, np.int64(0), None, 1.0], [True, np.int64(0), np.uint8(1), False]],
+                             ids=["some-none", "all-sent"])
+    def test_bits_are_stored_as_ints(self, bits):
+        trace = CountTrace([0, 1, 2, 3], [5, 5, 5, 5], [1.0, 0.0, 0.5, 1.0], [0.0] * 4, bits)
+        assert trace.tx_bits == bits and {type(b) for b in trace.tx_bits} <= {int, type(None)}
+        assert trace_from_csv(trace_to_csv(trace)).tx_bits == trace.tx_bits
 
     def test_columns_are_typed_arrays(self):
         trace = CountTrace(range(3), (7, 8, 9), [0, 1, 0], [0, 0, 0], (0, 1, 0))

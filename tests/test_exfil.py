@@ -123,6 +123,8 @@ class TestWindowOracle:
             window_hw_oracle(key, 2, 3)
         with pytest.raises(ValueError):
             window_hw_oracle(key, -1, 2)
+        with pytest.raises(ValueError, match=r"^window width must be in \[1, key length\]$"):
+            window_hw_oracle(key, 0, 5)
 
     def test_measure_windows_covers_all_positions(self):
         key = KeyBits.from_binary("110100")
@@ -914,7 +916,6 @@ class TestBatchedNoisyMonteCarlo:
     def test_chunk_counts_equal_the_one_key_counts(self):
         """Key r of a chunk is measured as measure_windows_noisy measures it alone with seed noise.seed + r."""
         chan = ExfilChannel(DeviceProfile(), MeasurementConfig(log2_ticks=15), Geometry(), 11, 4)
-        words = kernels._trial_words(5, 0, 9, 64)
         recorded, engine = [], exfil._count_engine
 
         def record(*args):
@@ -923,7 +924,7 @@ class TestBatchedNoisyMonteCarlo:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(exfil, "_count_engine", record)
-            exfil._noisy_hits(words, 64, 10, chan, range(11, 20))
+            monte_carlo_recovery_rate(64, 10, 9, 5, noise=chan)
         (counts,) = recorded
         for r in range(9):
             key = KeyBits.from_int(kernels.trial_key(5, r, 64), 64)

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from longwire import exfil, kernels
+from longwire import kernels
 from longwire.exfil import KeyBits, monte_carlo_recovery_rate, multi_window_recover, single_window_recover
 
 M64 = (1 << 64) - 1
@@ -127,8 +127,6 @@ class TestAgainstOracle:
         with pytest.raises(ValueError):
             kernels.sweep_multi(4, 2)  # n < 2w + 1
         with pytest.raises(ValueError):
-            kernels.mc_single(65, 1, 10, 0)
-        with pytest.raises(ValueError):
             kernels.trial_key(0, 0, 65)
         with pytest.raises(ValueError):
             kernels.trial_key(0, 0, 0)
@@ -241,7 +239,7 @@ class TestWordKernel:
 
     def test_wide_monte_carlo_across_chunks(self):
         n, w, seed = 65, 10, 4
-        trials = exfil._MC_CHUNK_BITS // n + 1000
+        trials = kernels._MC_CHUNK_BITS // n + 1000
         masks = class_masks(n, w)
         base = kernels.trial_keys(seed, np.arange(trials, dtype=np.uint64), 64)
         low, high = (kernels.trial_keys(base, k, 64).tolist() for k in range(2))
@@ -250,6 +248,14 @@ class TestWordKernel:
 
     def test_mc_single_across_chunks(self):
         n, w, seed = 64, 10, 9
-        trials = kernels._CHUNK + 500
+        trials = kernels._MC_CHUNK_BITS // n + 500
         masks = class_masks(n, w)
         assert kernels.mc_single(n, w, trials, seed) == sum(complete(splitmix64(seed, t), masks) for t in range(trials))
+
+    @pytest.mark.parametrize("n,w", [(65, 10), (128, 20), (264, 40)])
+    def test_wide_mc_single_across_chunks(self, n, w):
+        """Keys wider than one word, counted over one chunk boundary of the Monte Carlo rule."""
+        trials, seed = kernels._MC_CHUNK_BITS // n + 500, 3
+        masks = class_masks(n, w)
+        hits = sum(complete(wide_key(seed, t, n), masks) for t in range(trials))
+        assert kernels.mc_single(n, w, trials, seed) == hits
