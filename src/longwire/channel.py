@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .patterns import PatternSpec, _as_bits, _bit_array, _is_int, stimulus_columns
+from .patterns import PatternSpec, _as_bits, _is_int, stimulus_columns
 
 __all__ = [
     "STREAM_VERSION",
@@ -274,13 +274,10 @@ class CountTrace:
         if (self.counts < 0).any():
             raise ValueError("counts must be >= 0")
         # each bit is stored as an int, so that a bool or numpy bit writes CSV that reads back
-        if (array := _bit_array(bits)) is not None:  # every window sent, as int bits: no per-item Python work
-            bits = array.tolist()
-        elif (sent := _as_bits(tuple([b for b in bits if b is not None]))) is not None:
-            ints = iter(bytes(sent))
-            bits = [b if b is None else next(ints) for b in bits]
-        else:
+        if (sent := _as_bits(tuple([b for b in bits if b is not None]))) is None:
             raise ValueError("tx bits must be 0, 1 or None")
+        ints = iter(bytes(sent))
+        bits = [b if b is None else next(ints) for b in bits]
         object.__setattr__(self, "tx_bits", bits)
 
     def __len__(self) -> int:

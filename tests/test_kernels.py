@@ -238,24 +238,16 @@ class TestWordKernel:
         assert monte_carlo_recovery_rate(n, w, trials, seed) == full_single_hits(keys, n, w) / trials
 
     def test_wide_monte_carlo_across_chunks(self):
-        n, w, seed = 65, 10, 4
-        trials = kernels._MC_CHUNK_BITS // n + 1000
-        masks = class_masks(n, w)
-        base = kernels.trial_keys(seed, np.arange(trials, dtype=np.uint64), 64)
-        low, high = (kernels.trial_keys(base, k, 64).tolist() for k in range(2))
-        hits = sum(complete(lo | (hi & 1) << 64, masks) for lo, hi in zip(low, high))
-        assert monte_carlo_recovery_rate(n, w, trials, seed) == hits / trials
+        """Keys wider than one word, counted over one chunk boundary of the Monte Carlo rule."""
+        seed = 4
+        for n, w in ((65, 10), (128, 20), (264, 40)):
+            trials = kernels._MC_CHUNK_BITS // n + 500
+            masks = class_masks(n, w)
+            hits = sum(complete(wide_key(seed, t, n), masks) for t in range(trials))
+            assert kernels.mc_single(n, w, trials, seed) == hits, n
 
     def test_mc_single_across_chunks(self):
         n, w, seed = 64, 10, 9
         trials = kernels._MC_CHUNK_BITS // n + 500
         masks = class_masks(n, w)
         assert kernels.mc_single(n, w, trials, seed) == sum(complete(splitmix64(seed, t), masks) for t in range(trials))
-
-    @pytest.mark.parametrize("n,w", [(65, 10), (128, 20), (264, 40)])
-    def test_wide_mc_single_across_chunks(self, n, w):
-        """Keys wider than one word, counted over one chunk boundary of the Monte Carlo rule."""
-        trials, seed = kernels._MC_CHUNK_BITS // n + 500, 3
-        masks = class_masks(n, w)
-        hits = sum(complete(wide_key(seed, t, n), masks) for t in range(trials))
-        assert kernels.mc_single(n, w, trials, seed) == hits
