@@ -95,12 +95,23 @@ def frame_sync(bitstream: Sequence[int], sof: Sequence[int]) -> list[int]:
     On independent random bits the per-position false-positive rate is
     2^-len(sof).
     """
-    sof = tuple(sof)
-    if not sof:
-        raise ValueError("sof must be non-empty")
-    stream = np.asarray(bitstream)
-    hits = np.ones(max(len(stream) - len(sof) + 1, 0), dtype=bool)
-    for offset, bit in enumerate(sof):  # a start survives while each pattern bit matches at its offset
+    return _sync(np.asarray(bitstream), _pattern("sof", sof))
+
+
+def _pattern(name: str, pattern: Sequence[int]) -> tuple[int, ...]:
+    """A frame delimiter as a non-empty tuple of bits; a ValueError names the pattern at fault."""
+    pattern = tuple(pattern)
+    if not pattern:
+        raise ValueError(f"{name} must be non-empty")
+    if (bits := _as_bits(pattern)) is None:
+        raise ValueError(f"{name} bits must be 0 or 1")
+    return bits
+
+
+def _sync(stream: np.ndarray, pattern: tuple[int, ...]) -> list[int]:
+    """frame_sync past its checks: every start of the checked pattern in the stream array."""
+    hits = np.ones(max(len(stream) - len(pattern) + 1, 0), dtype=bool)
+    for offset, bit in enumerate(pattern):  # a start survives while each pattern bit matches at its offset
         hits &= stream[offset : offset + len(hits)] == bit
     return np.flatnonzero(hits).tolist()
 
@@ -126,7 +137,7 @@ def find_frames(
     at the first one that leaves a whole number of 10-bit groups, and a frame
     whose groups do not decode (from RD -1) is skipped.
     """
-    sof, eof = tuple(sof), tuple(eof)
+    sof, eof = _pattern("sof", sof), _pattern("eof", eof)
     # An 8b/10b payload is whole 10-bit groups, so its EOF sits at the payload
     # start mod 10: keep the EOF positions in one sorted list per residue.
     period = 10 if line_code is LineCode.EIGHTB_TENB else 1
@@ -134,10 +145,10 @@ def find_frames(
     stream = _bit_array(bitstream)  # converted once for both pattern searches
     if stream is None:
         stream = np.asarray(bitstream)
-    for end in frame_sync(stream, eof):
+    for end in _sync(stream, eof):
         ends[end % period].append(end)
     frames = []
-    for pos in frame_sync(stream, sof):
+    for pos in _sync(stream, sof):
         start = pos + len(sof)
         candidates = ends[start % period]
         k = bisect_left(candidates, start)

@@ -9,10 +9,12 @@ every residue class mod w that contains two different bits; repeating
 the pass with width w+1 links the classes together and recovers every
 key except the two constant ones.
 
-A width's relations are one ``RelationSet`` of int bit masks, bit j of its
-equal, drop and rise masks for relation j: noise-free a closed form of the key
-int (bit i is K_i), noisy the count classifier's output, closed over the equal
-links by doubling shifts.
+Without noise both attacks' results are a closed form of the key: one width
+leaves class r unresolved iff its bits are all equal, two widths leave only a
+constant key unresolved.  Measured or caller-built relations go to
+``propagate``, the one solver: a width's relations are one ``RelationSet`` of
+int bit masks, bit j of its equal, drop and rise masks for relation j, closed
+over the equal links by doubling shifts.
 """
 
 from __future__ import annotations
@@ -335,25 +337,55 @@ def propagate(relations: RelationSet | Sequence[RelationSet], n_key: int) -> Rec
         cls = _close(free & -free, links)
         classes.append(tuple(compress(range(n_key), _mask_bits(cls, n_key))))
         free &= ~cls
-    result = object.__new__(RecoveryResult)  # a partition by construction: no __post_init__ re-check
-    vars(result).update(n_key=n_key, known=dict(known), unresolved_classes=tuple(classes), runs_used=runs,
+    return _result(n_key, dict(known), tuple(classes), runs, measurements)
+
+
+def _result(n_key: int, known: dict[int, int], classes: tuple[tuple[int, ...], ...], runs: int,
+            measurements: int) -> RecoveryResult:
+    """A RecoveryResult whose fields partition the key by construction: no __post_init__ re-check."""
+    result = object.__new__(RecoveryResult)
+    vars(result).update(n_key=n_key, known=known, unresolved_classes=classes, runs_used=runs,
                         measurements_used=measurements)
     return result
 
 
-def _key_masks(key: int, n: int, w: int) -> RelationSet:
-    """Noise-free relations of the n-bit key int: relation j is K_j against K_{j+w}, for w in [1, n]."""
-    later, cut = key >> w, (1 << (n - w)) - 1
-    return RelationSet(~(key ^ later) & cut, key & ~later & cut, ~key & later & cut, w)
+def _noise_free(bits: tuple[int, ...], classes: tuple[tuple[int, ...], ...], runs: int,
+                measurements: int) -> RecoveryResult:
+    """The noise-free result: every position outside the all-equal classes is known as its key bit."""
+    if not classes:
+        return _result(len(bits), dict(enumerate(bits)), (), runs, measurements)
+    free = set().union(*classes)
+    return _result(len(bits), {p: b for p, b in enumerate(bits) if p not in free}, classes, runs, measurements)
+
+
+def _equal_classes(value: int, n: int, w: int) -> tuple[tuple[int, ...], ...]:
+    """The residue classes mod w of the n-bit key int whose bits are all equal, by first bit.
+
+    kernels._count_complete's fold on one key: K ^ (K >> w), cut to n - w
+    bits, folded by w, 2w, 4w, ... leaves bit r clear iff class r holds one value.
+    """
+    fold, span = (value ^ value >> w) & ((1 << (n - w)) - 1), w
+    while span < n - w:
+        fold |= fold >> span
+        span <<= 1
+    equal = ~fold & ((1 << w) - 1)
+    return tuple(tuple(range(r, n, w)) for r in range(w) if equal >> r & 1) if equal else ()
 
 
 def single_window_recover(key, w: int, noise: ExfilChannel | None = None) -> RecoveryResult:
-    """Measure every window of width w, infer relations, propagate."""
+    """Recover the key from every window of width w.
+
+    Noise-free, the result is a closed form of the key: residue class r mod w
+    stays unresolved iff its bits are all equal, and every other bit is
+    known.  With ``noise``, the windows are measured through the count
+    simulator and their relations, classified as by ``infer_relations``, go
+    to ``propagate``.
+    """
     key = _as_key(key)
     n = len(key)
     kernels._check_window(n, w, multi=False)
     if noise is None:
-        return propagate(_key_masks(key.to_int(), n, w), n)
+        return _noise_free(key.bits, _equal_classes(key.to_int(), n, w), w, n - w + 1)
     terms = _coupling_terms(noise.profile, noise.geom)
     counts = _noisy_counts(_window_weights(key, w), w, noise, terms, (np.random.default_rng(noise.seed),))
     return propagate(_classify(counts, w, _tolerance(noise, terms[0], w)), n)
@@ -386,12 +418,14 @@ def multi_window_recover(key, w: int) -> RecoveryResult:
 
     The w+1 links join the residue classes mod w, so one inequality
     anywhere resolves every class, including those the single-width
-    pass left all-equal.
+    pass left all-equal.  The result is that closed form of the key: a
+    constant key is one unresolved class, any other is known bit for bit.
     """
     key = _as_key(key)
-    n, value = len(key), key.to_int()
+    n, bits = len(key), key.bits
     kernels._check_window(n, w, multi=True)
-    return propagate([_key_masks(value, n, width) for width in (w, w + 1)], n)
+    constant = 0 not in bits or 1 not in bits
+    return _noise_free(bits, (tuple(range(n)),) if constant else (), 2 * w + 1, 2 * (n - w) + 1)
 
 
 def _split_key_length(n_key: int, w: int) -> tuple[int, int]:

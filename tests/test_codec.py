@@ -116,6 +116,14 @@ class TestFrameSync:
     def test_empty_sof_rejected(self):
         with pytest.raises(ValueError):
             frame_sync([0, 1], [])
+        # each pattern is checked before any search, and the error names the one at fault
+        for name, pattern, message in [("sof", (), "non-empty"), ("eof", (), "non-empty"),
+                                       ("sof", (2,), "0 or 1"), ("eof", (0, 1, 3), "0 or 1")]:
+            with pytest.raises(ValueError, match=f"^{name} .*{message}"):
+                find_frames([0, 1, 2, 0, 1], **{name: pattern})
+        with pytest.raises(ValueError, match="^sof bits must be 0 or 1"):
+            frame_sync([2, 0, 1], (2,))
+        assert frame_sync([0, 1, 1], (1.0, True)) == [1]  # items that equal a bit are that bit
 
     def test_matches_a_slicing_oracle(self):
         def oracle(stream, sof):

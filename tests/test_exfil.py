@@ -509,15 +509,30 @@ class TestAgainstPublicPath:
 
     def test_noise_free(self):
         rng = random.Random(10)
+        cases = []
         for _ in range(1500):
             n = rng.randint(2, 130)
             key = KeyBits.from_int(rng.getrandbits(n), n)
-            w = rng.randint(1, (n + 1) // 2)
+            cases.append((key, rng.randint(1, (n + 1) // 2)))
+        # the edges: n = 2w - 1, whose top class holds one bit; n = 2w + 1, the shortest two-width key;
+        # w = 1; n = 1; word boundaries; each with random and constant keys (the one open two-width case)
+        edges = [(2 * w - 1, w) for w in (1, 2, 5, 33, 64)] + [(2 * w + 1, w) for w in (1, 2, 5, 31, 32, 63)]
+        edges += [(n, w) for n in (2, 7, 64, 65, 128) for w in (1, 2, 10, 32) if n >= 2 * w - 1] + [(1, 1)]
+        for n, w in edges:
+            keys = [KeyBits.from_int(value, n) for value in (0, (1 << n) - 1)]
+            keys += [KeyBits.from_int(rng.getrandbits(n), n) for _ in range(4)]
+            cases += [(key, w) for key in keys]
+        for key, w in cases:
+            n = len(key)
             public = propagate(infer_relations(measure_windows(key, w), w, 0.5), n)
-            assert single_window_recover(key, w) == public  # dataclass equality: every field
+            results = [single_window_recover(key, w)]
+            assert results[0] == public  # dataclass equality: every field
             if n >= 2 * w + 1:
                 sets = [infer_relations(measure_windows(key, width), width, 0.5) for width in (w, w + 1)]
-                assert multi_window_recover(key, w) == propagate(sets, n)
+                results.append(multi_window_recover(key, w))
+                assert results[1] == propagate(sets, n)
+            for result in results:
+                assert RecoveryResult(**vars(result)) == result  # every field set, and a partition
         for w in (0, -1):
             with pytest.raises(ValueError):
                 single_window_recover(KeyBits.from_binary("10110"), w)
