@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import audit as audit_mod
-from . import codec, exfil, stats
+from . import codec, exfil, kernels, stats
 from .channel import (
     DeviceProfile,
     Geometry,
@@ -261,13 +261,14 @@ def cmd_exfil(args) -> str:
 
 
 def cmd_prob(args) -> str:
+    widths = args.w_list or [args.w]
+    # one draw of the trial keys for every width; each rate is monte_carlo_recovery_rate's count / trials
+    hits = kernels.mc_widths(args.n_key, widths, args.trials, args.seed) if args.trials else [None] * len(widths)
     rows = []
-    for w in args.w_list or [args.w]:
+    for w, count in zip(widths, hits):
         p = exfil.recovery_probability(args.n_key, w)
         bound = f"{exfil.eq2_lower_bound(args.n_key, w):.4f}" if args.n_key % w == 0 else ""
-        mc = ""
-        if args.trials:
-            mc = f"{exfil.monte_carlo_recovery_rate(args.n_key, w, args.trials, args.seed):.4f}"
+        mc = "" if count is None else f"{count / args.trials:.4f}"
         rows.append([args.n_key, w, f"{p:.4f}", bound, mc])
     return _csv_lines(["n_key", "w", "probability", "eq2_lower_bound", "monte_carlo"], rows)
 

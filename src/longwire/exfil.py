@@ -81,7 +81,13 @@ class KeyBits:
 
     @classmethod
     def from_int(cls, value: int, n: int) -> "KeyBits":
-        return cls(tuple(_mask_bits(value, n)) if n > 0 else ())
+        """Bits 0..n-1 of value, two's complement for a negative one; bits cut from an int
+        need no __post_init__ copy or bit check."""
+        if n < 1:
+            raise ValueError("key must have at least one bit")
+        key = object.__new__(cls)
+        object.__setattr__(key, "bits", tuple(_mask_bits(value, n)))
+        return key
 
     @classmethod
     def from_binary(cls, text: str) -> "KeyBits":
@@ -141,6 +147,9 @@ class RecoveryResult:
     def __post_init__(self):
         if sorted(chain(self.known, *self.unresolved_classes)) != list(range(self.n_key)):
             raise ValueError("known bits and unresolved classes must partition the key")
+        if (bits := _as_bits(tuple(self.known.values()))) is None:
+            raise ValueError("known values must be 0 or 1")
+        self.known = dict(zip(self.known, map(int, bits)))  # 1.0 and True as 1: recovery_to_rows writes bits
 
     @property
     def complete(self) -> bool:

@@ -7,10 +7,13 @@ resolves iff some K_j != K_{j+w} in it.  The relation word
 itself with shifts of w, 2w, 4w, ... until the span reaches n - w leaves bit
 r set iff class r resolves.  A key is complete iff its low w bits are all
 set: about log2(n / w) word ops per key width.  The sweeps run chunks of 2^14
-keys, the Monte Carlo chunks of 2^23 key bits.
+keys, the Monte Carlo chunks of 2^23 key bits; ``mc_widths`` draws each chunk of
+trial keys once and counts it at every width of a study.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -146,12 +149,24 @@ def sweep_multi(n: int, w: int) -> int:
     return (1 << n) - 2
 
 
-def mc_single(n: int, w: int, trials: int, seed: int) -> int:
-    """Full single-window recoveries over `trials` uniform random keys of any length n (the
-    _trial_words keys), counted in chunks of max(1, 2^23 // n) keys."""
-    _check_window(n, w, multi=False)
+def mc_widths(n: int, widths: Sequence[int], trials: int, seed: int) -> list[int]:
+    """Full single-window recoveries at each width over the same `trials` uniform random keys
+    of any length n (the _trial_words keys): each chunk of max(1, 2^23 // n) keys is drawn
+    once and counted at every width.  Every width and `trials` are checked before the first draw."""
+    for w in widths:
+        _check_window(n, w, multi=False)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rows = max(1, _MC_CHUNK_BITS // n)
-    return sum(_count_complete(_trial_words(seed, t, min(t + rows, trials), n), n, w)
-               for t in range(0, trials, rows))
+    counts = [0] * len(widths)
+    for t in range(0, trials, rows):
+        words = _trial_words(seed, t, min(t + rows, trials), n)
+        for i, w in enumerate(widths):
+            counts[i] += _count_complete(words, n, w)
+    return counts
+
+
+def mc_single(n: int, w: int, trials: int, seed: int) -> int:
+    """Full single-window recoveries over `trials` uniform random keys of any length n: the
+    one-width case of mc_widths."""
+    return mc_widths(n, (w,), trials, seed)[0]

@@ -42,18 +42,21 @@ class TestExitCodes:
         assert "error:" in err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["simulate", "--vt", "1/0", "--windows", "4", "--seed", "1"],
-            ["scaling-length", "--vt-list", "1,1/0", "--vr-list", "2", "--windows", "4", "--seed", "1"],
+            (["simulate", "--vt", "1/0", "--windows", "4", "--seed", "1"], "1/0"),
+            (["scaling-length", "--vt-list", "1,1/0", "--vr-list", "2", "--windows", "4", "--seed", "1"], "1/0"),
+            # a width too wide for the key stops prob before any row, with or without the Monte Carlo
+            (["prob", "--n", "64", "--w-list", "4,40"], "error: key length must be >= 2w - 1\n"),
+            (["prob", "--n", "64", "--w-list", "4,40", "--trials", "100"], "error: key length must be >= 2w - 1\n"),
         ],
-        ids=["vt", "vt-list"],
+        ids=["vt", "vt-list", "prob-w-list", "prob-w-list-trials"],
     )
-    def test_zero_denominator_returns_one(self, capsys, argv):
+    def test_value_error_in_argv_returns_one(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert err.startswith("error:") and "1/0" in err
+        assert err.startswith("error:") and message in err
 
     @pytest.mark.parametrize(
         "line, field",

@@ -104,11 +104,17 @@ class TestKeyBits:
         assert KeyBits.from_int(-1, 4).bits == (1, 1, 1, 1)
         assert KeyBits.from_int(-6, 4).bits == (0, 1, 0, 1)  # two's complement of 6 is ...1010
         rng = random.Random(0)
-        for n in (1, 7, 64, 65, 130, 264):
+        for n in (1, 7, 64, 65, 130, 264, 300):
             value = rng.getrandbits(n)
             key = KeyBits.from_int(value, n)
             assert key.bits == tuple((value >> i) & 1 for i in range(n))
             assert key.to_int() == value
+            # negative and wider than n: the low n bits of the two's complement, as the checked constructor keeps them
+            for value in (-rng.getrandbits(n) - 1, rng.getrandbits(2 * n + 70), -rng.getrandbits(2 * n + 70)):
+                key = KeyBits.from_int(value, n)
+                assert key == KeyBits(tuple((value >> i) & 1 for i in range(n)))
+                assert type(key.bits) is tuple and all(type(b) is int for b in key.bits)
+                assert key.to_int() == value % (1 << n)
 
 
 class TestWindowOracle:
@@ -266,6 +272,18 @@ class TestRecoveryResultPartition:
         assert not sorted_partition_oracle(n_key, known, classes)
         with pytest.raises(ValueError, match="must partition the key"):
             RecoveryResult(n_key, known, classes, 1, 1)
+
+    @pytest.mark.parametrize("known", [{0: 5, 1: "x"}, {0: 1, 1: 2}, {0: -1, 1: 0}, {0: 0.5, 1: 1}, {0: None, 1: 1},
+                                       {0: [1], 1: 0}])
+    def test_rejects_known_values_that_are_not_bits(self, known):
+        with pytest.raises(ValueError, match="^known values must be 0 or 1$"):
+            RecoveryResult(2, known, (), 1, 1)
+
+    def test_known_values_are_stored_as_ints(self):
+        result = RecoveryResult(3, {2: 1.0, 0: False}, ((1,),), 1, 1)
+        assert result.known == {2: 1, 0: 0} and list(result.known) == [2, 0]
+        assert all(type(v) is int for v in result.known.values())
+        assert recovery_to_rows(result) == [(0, "0"), (1, "S0"), (2, "1")]
 
     def test_accepts_partitions_in_any_order(self):
         for n_key, known, classes in [(0, {}, ()), (1, {}, ((0,),)), (4, {3: 1, 0: 0}, ((2, 1),)),

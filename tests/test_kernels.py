@@ -8,12 +8,14 @@ splitmix64 written out below.
 """
 
 import random
+import shlex
 import warnings
 
 import numpy as np
 import pytest
 
 from longwire import kernels
+from longwire.cli import REPRODUCE_RUNS, build_parser
 from longwire.exfil import KeyBits, monte_carlo_recovery_rate, multi_window_recover, single_window_recover
 
 M64 = (1 << 64) - 1
@@ -245,9 +247,31 @@ class TestWordKernel:
             masks = class_masks(n, w)
             hits = sum(complete(wide_key(seed, t, n), masks) for t in range(trials))
             assert kernels.mc_single(n, w, trials, seed) == hits, n
+            # one draw for every width, a repeated width counted again
+            half = kernels.mc_single(n, w // 2, trials, seed)
+            assert kernels.mc_widths(n, [w, w // 2, w], trials, seed) == [hits, half, hits]
 
     def test_mc_single_across_chunks(self):
         n, w, seed = 64, 10, 9
         trials = kernels._MC_CHUNK_BITS // n + 500
         masks = class_masks(n, w)
         assert kernels.mc_single(n, w, trials, seed) == sum(complete(splitmix64(seed, t), masks) for t in range(trials))
+
+    @pytest.mark.parametrize("argv", [argv for _, argv in REPRODUCE_RUNS if argv.startswith("prob ")])
+    def test_mc_widths_match_mc_single_at_the_prob_settings(self, argv):
+        args = build_parser().parse_args(shlex.split(argv))
+        expected = [kernels.mc_single(args.n_key, w, args.trials, args.seed) for w in args.w_list]
+        assert kernels.mc_widths(args.n_key, args.w_list, args.trials, args.seed) == expected
+
+    @pytest.mark.parametrize("n, widths, trials, match", [
+        (64, [4, 40], 100, r"^key length must be >= 2w - 1$"),
+        (64, [10, 0], 100, r"^window width must be >= 1$"),
+        (264, [10, 133], 100, r"^key length must be >= 2w - 1$"),
+        (64, [4, 10], 0, r"^trials must be >= 1$"),
+    ])
+    def test_mc_widths_checks_before_drawing(self, monkeypatch, n, widths, trials, match):
+        drawn = []
+        monkeypatch.setattr(kernels, "_trial_words", lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match=match):
+            kernels.mc_widths(n, widths, trials, 1)
+        assert drawn == []
