@@ -106,10 +106,14 @@ class RoutingGrid:
     n_longs: int = DEFAULT_N_LONGS
 
     def __post_init__(self):
-        if self.tracks_per_column < 1 or self.n_longs < 1:
-            raise ValueError("capacities must be >= 1")
+        if not all(_is_int(c) and c >= 1 for c in (self.tracks_per_column, self.n_longs)):
+            raise ValueError("capacities must be ints >= 1")
         # A tuple of the caller's spans: a list they keep could change under the indexes.
-        _check_and_index(tuple(self.spans), self.tracks_per_column, self.n_longs, grid=self)
+        spans = tuple(self.spans)
+        for s in spans:  # parsed and derived grids hold ints by construction and skip this
+            if not all(map(_is_int, (s.column, s.track, s.y_start, s.y_end))):
+                raise ValueError(f"span {s.wire_id!r}: column, track and extent must be ints")
+        _check_and_index(spans, self.tracks_per_column, self.n_longs, grid=self)
 
     def span(self, wire_id: str) -> LongWireSpan:
         i = _position(self, wire_id)

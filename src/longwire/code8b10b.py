@@ -13,6 +13,8 @@ disparity, the group of each byte and the byte of each 10-bit group.  A
 group flips the disparity exactly when it does not hold five ones, at
 either disparity, so the disparity before each group of a stream is one
 cumulative sum and ``encode_bytes`` and ``decode_bits`` are gathers.
+``encode_8b10b`` and ``decode_8b10b`` are their one-group cases, and bits
+are read by ``patterns._bit_array``, the package's one bit rule.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidCodeGroup
+from .patterns import _bit_array
 
 __all__ = [
     "encode_8b10b",
@@ -118,10 +121,6 @@ def _row(running_disparity: int) -> int:
     return (running_disparity + 1) // 2
 
 
-def _after(group: int, running_disparity: int) -> int:
-    return -running_disparity if _FLIPS[group] else running_disparity
-
-
 def _disparity_rows(flips: np.ndarray, running_disparity: int) -> tuple[np.ndarray, int]:
     """Table row of the disparity before each group, and the disparity after the last.
 
@@ -136,12 +135,9 @@ def _disparity_rows(flips: np.ndarray, running_disparity: int) -> tuple[np.ndarr
 
 
 def encode_8b10b(byte: int, running_disparity: int) -> tuple[tuple[int, ...], int]:
-    """Encode one data byte; returns the 10-bit group and the new disparity."""
-    row = _row(running_disparity)
-    if not 0 <= byte <= 0xFF:
-        raise ValueError("byte must be in [0, 255]")
-    group = int(_ENCODE[row, byte])
-    return _word_bits(group, 10), _after(group, running_disparity)
+    """Encode one data byte: ``encode_bytes`` of a one-byte stream, the 10-bit group as a tuple."""
+    bits, rd = encode_bytes([byte], running_disparity)
+    return tuple(bits), rd
 
 
 def valid_groups() -> frozenset[tuple[int, ...]]:
@@ -150,18 +146,12 @@ def valid_groups() -> frozenset[tuple[int, ...]]:
 
 
 def decode_8b10b(ten_bits: Sequence[int], running_disparity: int) -> tuple[int, int]:
-    """Decode a 10-bit group; raises InvalidCodeGroup on anything off-table."""
-    row = _row(running_disparity)
-    bits = tuple(int(b) for b in ten_bits)
-    if len(bits) != 10 or any(b not in (0, 1) for b in bits):
+    """Decode one 10-bit group: ``decode_bits`` of a one-group stream."""
+    group = tuple(ten_bits)
+    if len(group) != 10:
         raise ValueError("expected a sequence of 10 bits")
-    group = int("".join(map(str, bits)), 2)
-    byte = int(_DECODE[row, group])
-    if byte < 0:
-        if (_DECODE[:, group] < 0).all():
-            raise InvalidCodeGroup(bits, "not a data character")
-        raise InvalidCodeGroup(bits, f"disparity violation at RD={running_disparity:+d}")
-    return byte, _after(group, running_disparity)
+    data, rd = decode_bits(group, running_disparity)
+    return data[0], rd
 
 
 def encode_bytes(data: Iterable[int], running_disparity: int = -1) -> tuple[list[int], int]:
@@ -182,12 +172,10 @@ def encode_bytes(data: Iterable[int], running_disparity: int = -1) -> tuple[list
 
 
 def decode_bits(bits: Sequence[int], running_disparity: int = -1) -> tuple[bytes, int]:
-    """Decode a flat bit stream (length multiple of 10) back to bytes."""
-    stream = np.asarray(bits)
-    if stream.ndim != 1 or len(stream) % 10 != 0:
-        raise ValueError("bit stream must be flat, its length a multiple of 10")
-    if np.count_nonzero((stream != 0) & (stream != 1)):
-        raise ValueError("bits must be 0 or 1")
+    """Decode a flat bit stream (length multiple of 10) back to bytes; InvalidCodeGroup names the first bad group."""
+    stream = _bit_array(bits)
+    if stream is None or len(stream) % 10 != 0:
+        raise ValueError("bit stream must be flat 0/1 bits, its length a multiple of 10")
     groups = (stream.reshape(-1, 10) @ _WEIGHTS).astype(np.intp, copy=False)
     rows, rd = _disparity_rows(_FLIPS[groups], running_disparity)
     data = _DECODE[rows, groups]
@@ -196,5 +184,8 @@ def decode_bits(bits: Sequence[int], running_disparity: int = -1) -> tuple[bytes
         # Every group before the first invalid one is a data character, so
         # its row is the disparity the group-by-group decoder would be at.
         first = int(invalid.argmax())
-        decode_8b10b(stream[10 * first : 10 * first + 10].tolist(), 2 * int(rows[first]) - 1)  # raises
+        group, row = int(groups[first]), int(rows[first])
+        off_table = (_DECODE[:, group] < 0).all()
+        reason = "not a data character" if off_table else f"disparity violation at RD={2 * row - 1:+d}"
+        raise InvalidCodeGroup(_word_bits(group, 10), reason)
     return data.astype(np.uint8).tobytes(), rd

@@ -68,12 +68,8 @@ class Frame:
 
 def _manchester_symbols(bits: Iterable[int]) -> np.ndarray:
     """Wire symbols of the payload in send order, two per bit."""
-    sent = _bit_array(bits)
-    if sent is None:
-        sent = np.asarray(bits if isinstance(bits, (np.ndarray, list, tuple)) else list(bits))
-        if ((sent != 0) & (sent != 1)).any():
-            raise ValueError("bits must be 0 or 1")
-        sent = sent.astype(np.int64, copy=False)
+    if (sent := _bit_array(bits)) is None:
+        raise ValueError("bits must be 0 or 1")
     return np.column_stack((sent, 1 - sent)).ravel()
 
 

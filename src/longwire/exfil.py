@@ -266,6 +266,8 @@ def infer_relations(counts: Sequence[float], w: int, tolerance: float) -> Relati
     counts = np.asarray(counts, dtype=np.float64)
     if counts.ndim != 1 or not len(counts):
         raise ValueError("need a one-dimensional sequence of at least 1 window measurement")
+    if not _is_int(w) or w < 1:
+        raise ValueError("window width must be >= 1")
     if not tolerance >= 0:
         raise ValueError("tolerance must be >= 0")
     if not np.isfinite(counts).all():

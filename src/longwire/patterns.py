@@ -82,7 +82,7 @@ class PatternSpec:
 
     @classmethod
     def custom(cls, bits) -> "PatternSpec":
-        return cls(kind="custom", bits=tuple(int(b) for b in bits))
+        return cls(kind="custom", bits=bits)
 
 
 def _is_int(value) -> bool:
@@ -105,16 +105,20 @@ def _as_bits(values: tuple) -> tuple | None:
 
 
 def _bit_array(values) -> np.ndarray | None:
-    """A list or tuple of int 0/1 items (bools and numpy integers too) as a read-only uint8 array, through
-    ``bytes``; None for any other argument or item, which the caller then takes its own way."""
-    if isinstance(values, (list, tuple)):
-        try:
-            data = bytes(values)
-        except (TypeError, ValueError):  # a non-integer item, or an integer outside a byte
-            return None
-        if not data.translate(None, b"\0\1"):
-            return np.frombuffer(data, np.uint8)
-    return None
+    """``_as_bits``' rule for a 1-D array or any other iterable: its bits as a uint8 array, or None
+    when an item is not a bit, for the caller to take its own way.  Int items enter numpy through
+    ``bytes`` and a numeric array through one comparison."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
+        is_bits = values.ndim == 1 and not np.count_nonzero((values != 0) & (values != 1))
+        return values.astype(np.uint8, copy=False) if is_bits else None
+    values = values if isinstance(values, (list, tuple)) else tuple(values)
+    try:
+        data = bytes(values)
+    except (TypeError, ValueError):  # a non-integer item, or an integer outside a byte
+        data = None
+    if data is None or data.translate(None, b"\0\1"):
+        data = None if (bits := _as_bits(values)) is None else bytes(bits)
+    return None if data is None else np.frombuffer(data, np.uint8)
 
 
 def _check_lfsr(state: int, taps: tuple[int, ...]) -> None:
@@ -219,5 +223,5 @@ def parse_pattern(text: str) -> PatternSpec:
     if name == "custom":
         if not arg or any(c not in "01" for c in arg):
             raise ValueError("custom pattern needs a 0/1 string, e.g. custom:0110")
-        return PatternSpec.custom(arg)
+        return PatternSpec.custom(map(int, arg))
     raise ValueError(f"unknown pattern {text!r}")

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -187,3 +188,50 @@ class TestArguments:
     def test_group_shape(self):
         with pytest.raises(ValueError):
             decode_8b10b((0, 1), -1)
+
+
+class TestGroupCallsAreStreamCalls:
+    """encode_8b10b and decode_8b10b are the one-group cases of encode_bytes and decode_bits."""
+
+    GROUP = bits("011101 0101")  # D1.2 at RD -1, which leaves +1
+
+    @pytest.mark.parametrize(
+        "form",
+        [tuple, list, np.array, lambda g: np.array(g, dtype=np.uint8), lambda g: np.array(g, dtype=bool),
+         iter, lambda g: (b for b in g), lambda g: [np.int64(b) for b in g], lambda g: [float(b) for b in g]],
+    )
+    def test_any_iterable_of_ten_bits_decodes(self, form):
+        assert decode_8b10b(form(self.GROUP), -1) == (65, 1)
+
+    @pytest.mark.parametrize(
+        "group", ["0111010101", (0, 1, 1, 1, 0, 1, 0, 1, 0, 1.7), (0, 1, 1, 1, 0, 1, 0, 1, 0, 2), (None,) * 10],
+        ids=["string", "float-1.7", "two", "none"],
+    )
+    def test_what_is_no_bit_is_rejected_as_by_the_stream(self, group):
+        # the string and 1.7 used to decode as (65, 1)
+        for decode in (decode_8b10b, decode_bits):
+            with pytest.raises(ValueError):
+                decode(group, -1)
+
+    @pytest.mark.parametrize("byte", [65.5, True, np.uint8(7), np.int64(200), -1, 256, "A"])
+    def test_encode_gives_the_stream_answer(self, byte):
+        # 65.5 and True used to raise numpy's IndexError and TypeError
+        def answer(encode, data):
+            try:
+                bits, rd = encode(data, -1)
+            except (TypeError, ValueError) as exc:
+                return type(exc), str(exc)
+            return tuple(bits), rd
+
+        assert answer(encode_8b10b, byte) == answer(encode_bytes, [byte])
+
+    def test_stream_error_names_the_group_and_reason(self):
+        stream, _ = encode_bytes([0x3C, 0xA5, 0x00])
+        stream[10:20] = [1] * 10
+        with pytest.raises(InvalidCodeGroup) as err:
+            decode_bits(np.array(stream), -1)
+        assert err.value.group == (1,) * 10 and all(type(b) is int for b in err.value.group)
+        assert err.value.reason == "not a data character"
+        with pytest.raises(InvalidCodeGroup) as err:
+            decode_bits(encode_8b10b(0x00, -1)[0], +1)  # D0.0 of RD -1 read at RD +1
+        assert err.value.group == bits("100111 0100") and err.value.reason == "disparity violation at RD=+1"

@@ -369,6 +369,28 @@ class TestRoutingGrid:
         with pytest.raises(DuplicateOccupancy, match="spans a and c overlap on column 0 track 3"):
             RoutingGrid(given)
 
+    @pytest.mark.parametrize(
+        "spans, capacities, match",
+        [
+            ((), dict(tracks_per_column=0), "capacities must be ints >= 1"),
+            ((), dict(n_longs=-1), "capacities must be ints >= 1"),
+            ((), dict(tracks_per_column=2.5), "capacities must be ints >= 1"),
+            ((), dict(n_longs=True), "capacities must be ints >= 1"),
+            ((LongWireSpan("a", "c", "trusted", True, 1.5, 0, 0, 1),), {}, "span 'a': column, track and extent"),
+            ((span("a", "c", 1.0, 0, 1),), {}, "span 'a': column, track and extent"),
+            ((span("a", "c", 1, 0, 1), span("b", "c", 2, 0, 9.5)), {}, "span 'b': column, track and extent"),
+        ],
+    )
+    def test_fields_must_be_ints(self, spans, capacities, match):
+        # serialize_grid used to write such a grid, which parse_grid then rejected
+        with pytest.raises(ValueError, match=f"^{match}"):
+            RoutingGrid(spans, **capacities)
+
+    def test_numpy_int_fields_round_trip(self):
+        numpy_ints = (span("a", "c", np.int64(1), np.int32(0), np.uint8(9), column=np.int64(2)),)
+        grid = RoutingGrid(numpy_ints, tracks_per_column=np.int64(8), n_longs=np.int16(4))
+        assert parse_grid(serialize_grid(grid)) == RoutingGrid((span("a", "c", 1, 0, 9, column=2),), 8, 4)
+
 
 def spans_of(text):
     """The spans of a grid text's LONG lines, built without parse_grid."""

@@ -92,6 +92,9 @@ class TestGeometry:
         for bad in ("1/0", math.inf, math.nan):
             with pytest.raises(ValueError):
                 Geometry(v_t=bad, v_r=1)
+        for bad in (None, 1 + 0j, [1]):
+            with pytest.raises(TypeError, match="^cannot interpret .* as a wire length$"):
+                as_longs(bad)
 
     def test_coupling_values(self):
         Geometry(v_t=2, v_r=2, coupling="local")
@@ -138,12 +141,32 @@ class TestProfileInvariants:
         with pytest.raises(ValueError):
             DeviceProfile(local_static_epsilon=1e-3)  # not << coupling_alpha
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(coupling_alpha=-1e-6), "coupling_alpha must be >= 0"),
+            (dict(drift_reversion=1.5), "drift_reversion must be in [0, 1]"),
+            (dict(drift_rate=-1e-9), "drift parameters must be >= 0"),
+            (dict(drift_bound=-1e-9), "drift parameters must be >= 0"),
+            (dict(local_switch_penalty=-1e-9), "local_switch_penalty must be >= 0"),
+            (dict(local_static_epsilon=-1e-12), "local_static_epsilon must be >= 0"),
+            (dict(distance_atten={0: 1.0}), "distance_atten key 0 must be >= 1"),
+            (dict(distance_atten={1: 1.0, 2: -0.05}), "distance_atten multipliers must be >= 0"),
+        ],
+    )
+    def test_each_rule_states_its_message(self, fields, message):
+        with pytest.raises(ValueError) as err:
+            DeviceProfile(**fields)
+        assert str(err.value) == message
+
     def test_attenuation_must_be_non_increasing_and_cut_off(self):
         with pytest.raises(ValueError):
             DeviceProfile(distance_atten={1: 0.5, 2: 0.9})
         with pytest.raises(ValueError):
             DeviceProfile(distance_atten={1: 1.0, 2: 0.05, 3: 0.01})
         DeviceProfile(distance_atten={1: 1.0, 2: 0.05, 3: 0.0})
+        with pytest.raises(ValueError, match="^distance must be >= 1$"):
+            DeviceProfile().attenuation(0)
 
     @pytest.mark.parametrize(
         "write",
@@ -204,6 +227,9 @@ class TestMeasurementConfig:
         for bad in (0, 33, 13.5, True, "13"):
             with pytest.raises(ValueError, match="log2_ticks must be in"):
                 MeasurementConfig(log2_ticks=bad)
+        for bad in (0.0, -1e6):
+            with pytest.raises(ValueError, match="^f_clk_hz must be > 0$"):
+                MeasurementConfig(f_clk_hz=bad)
 
 
 class TestSimulateWindow:
@@ -420,6 +446,9 @@ class TestStreamOracle:
             simulate_counts(profile, cfg13, geom22, [np.nan], 0.0, rng)
         with pytest.raises(ValueError, match="toggle_rate"):
             simulate_counts(profile, cfg13, geom22, [0.5, 0.5], [0.0, -0.25], rng)
+        for duty, toggle in [([[0.5, 0.5]], 0.0), (0.5, 0.0), ([0.5, 0.5], [[0.0, 0.0]])]:
+            with pytest.raises(ValueError, match="^duty and toggle_rate must be one value per window$"):
+                simulate_counts(profile, cfg13, geom22, duty, toggle, rng)
 
 
 STIMULUS_ENTRIES = {

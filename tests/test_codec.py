@@ -70,7 +70,7 @@ class TestManchester:
 
 
 class TestBitsThroughBytes:
-    """A list or tuple of int bits enters numpy through bytes; anything else takes the array path, as before."""
+    """Bits enter numpy through patterns._bit_array: int items through bytes, a numeric array through one comparison."""
 
     @pytest.mark.parametrize("bits", [[2], [0, -1], [1, 256], [0, 0.5], [1, "1"], [1, None]])
     def test_non_bits_keep_their_message(self, bits):

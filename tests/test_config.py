@@ -24,6 +24,9 @@ class TestParseKV:
             parse_kv("just words\n")
         with pytest.raises(ValueError, match="line 2"):
             parse_kv("a = 1\na = 2\n")
+        for text in ("= 1\n", "a = 1\nb =\n", "a = # no value\n"):
+            with pytest.raises(ValueError, match=f"^line {text.count(chr(10))}: expected 'key = value'$"):
+                parse_kv(text)
 
 
 class TestDistanceAtten:

@@ -131,6 +131,9 @@ class TestWindowOracle:
             window_hw_oracle(key, -1, 2)
         with pytest.raises(ValueError, match=r"^window width must be in \[1, key length\]$"):
             window_hw_oracle(key, 0, 5)
+        for w in (0, 5):
+            with pytest.raises(ValueError, match=r"^window width must be in \[1, key length\]$"):
+                measure_windows(key, w)
 
     def test_measure_windows_covers_all_positions(self):
         key = KeyBits.from_binary("110100")
@@ -185,6 +188,12 @@ class TestInferRelations:
     def test_tolerance_must_be_a_non_negative_number(self, tolerance):
         with pytest.raises(ValueError, match="tolerance"):
             infer_relations([5.0, 5.0], 1, tolerance)
+
+    @pytest.mark.parametrize("w", [0, -3, 1.5, 2.0, True, "2", None])
+    def test_width_must_be_an_int_at_least_one(self, w):
+        # such a width used to reach the RelationSet and fail only in propagate
+        with pytest.raises(ValueError, match="^window width must be >= 1$"):
+            infer_relations([1.0, 2.0], w, 0.0)
 
 
 class TestPropagate:
@@ -751,6 +760,10 @@ class TestMonteCarlo:
             monte_carlo_recovery_rate(16, 16, 10, 0)
         with pytest.raises(ValueError):
             monte_carlo_recovery_rate(16, 4, 0, 0)
+        chan = ExfilChannel(DeviceProfile(), MeasurementConfig(), Geometry(), 0)
+        for trials in (0, -1):
+            with pytest.raises(ValueError, match="^trials must be >= 1$"):
+                monte_carlo_recovery_rate(16, 4, trials, 0, noise=chan)
 
     def test_wide_keys_use_python_path(self):
         rate = monte_carlo_recovery_rate(80, 8, 200, 3)

@@ -7,6 +7,7 @@ from longwire.patterns import (
     lfsr_next,
     parse_pattern,
     stimulus_columns,
+    _as_bits,
     _bit_array,
 )
 from longwire.codec import Frame
@@ -14,22 +15,23 @@ from longwire.exfil import KeyBits
 from conftest import stimulus_oracle
 
 # One bit rule, each caller with its own message.
-BIT_CHECKS = {
-    "key bits must be 0 or 1": lambda b: KeyBits((b, 0)),
-    "frame fields must contain bits": lambda b: Frame(payload=(b, 0)),
-    "custom bits must be 0 or 1": lambda b: PatternSpec(kind="custom", bits=(b, 0)),
-}
+BIT_CHECKS = [
+    ("key bits must be 0 or 1", lambda b: KeyBits((b, 0))),
+    ("frame fields must contain bits", lambda b: Frame(payload=(b, 0))),
+    ("custom bits must be 0 or 1", lambda b: PatternSpec(kind="custom", bits=(b, 0))),
+    ("custom bits must be 0 or 1", lambda b: PatternSpec.custom((b, 0))),
+]
 
 
 @pytest.mark.parametrize("item", [0, 1, True, 1.0, np.int64(1)])
 def test_bit_rule_accepts(item):
-    for make in BIT_CHECKS.values():
+    for _, make in BIT_CHECKS:
         make(item)
 
 
 @pytest.mark.parametrize("item", [2, -1, 0.5, "1", None, [1], np.array([1])])
 def test_bit_rule_rejects(item):
-    for message, make in BIT_CHECKS.items():
+    for message, make in BIT_CHECKS:
         with pytest.raises(ValueError) as err:
             make(item)
         assert str(err.value) == message
@@ -50,9 +52,19 @@ def test_bit_array_reads_int_bits_through_bytes(bits):
 
 
 @pytest.mark.parametrize("bits", [[0, 2], [1, -1], [1, 256], [1.0, 0], [0, "1"], [0, None], [[1]],
-                                  np.array([0, 1]), iter([0, 1]), "01", b"\x00\x01", range(2)])
+                                  np.array([0, 1]), iter([0, 1]), "01", b"\x00\x01", range(2),
+                                  np.array([0, 2]), np.array([1.0, 0.5]), np.array([0, np.nan]), np.array([[0, 1]]),
+                                  np.array(["0", "1"]), np.array([0, 1], dtype=object), iter([1, 2]), (1, 0.0)])
 def test_bit_array_leaves_everything_else_to_the_caller(bits):
-    assert _bit_array(bits) is None
+    # _as_bits' rule for every iterable: the items' bits, or None for the caller's own path
+    # exactly when an item is not a bit (a 1-D array, an iterator, bytes and a range give bits too)
+    items = list(bits)
+    expected = _as_bits(tuple(items))
+    array = _bit_array(iter(items) if iter(bits) is bits else bits)
+    if expected is None:
+        assert array is None
+    else:
+        assert array.dtype == np.uint8 and array.tolist() == list(expected)
 
 
 def lfsr_period(seed, taps):
@@ -98,6 +110,7 @@ class TestLfsr:
             ("1", (2, 1), "LFSR state must be an int"),
             (1, (16.0, 14, 13, 11), "taps must be positive int bit positions"),
             (1, (2, True), "taps must be positive int bit positions"),
+            (1, (2, 2, 1), "taps must be distinct"),
         ],
     )
     def test_non_int_state_or_taps_rejected(self, seed, taps, match):
@@ -220,6 +233,10 @@ class TestStaticPatterns:
             PatternSpec.custom(())
         with pytest.raises(ValueError):
             PatternSpec.custom((0, 2))
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="^unknown pattern kind 'sine'$"):
+            PatternSpec(kind="sine")
 
     def test_keeps_tuples_of_the_callers_lists(self):
         bits, taps = [1, 0], [2, 1]

@@ -350,6 +350,8 @@ class TestBitErrorRate:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             bit_error_rate([1], [1, 0])
+        with pytest.raises(ValueError, match="^bit streams must be non-empty$"):
+            bit_error_rate([], [])
 
 
 def run_python(code, cwd=None):
