@@ -12,18 +12,21 @@ All counts come from one array engine, ``simulate_counts``.  For n windows
 it draws from the generator, in this order (``STREAM_VERSION`` 2): n drift
 innovations ``normal(0, drift_rate)``, then n noise values
 ``normal(0, sigma)``, then n counter phases ``uniform(-1, 1)``.  Version 1
-drew the same three values window by window, interleaved.  The drift is a
-linear pass over blocks of windows up to the first window that leaves
-+/-drift_bound, and the scalar clipped recursion from there on.  A run of
-windows is a ``CountTrace``: one array per column (window, count, duty,
-toggle rate) plus the list of transmitted bits.
+drew the same three values window by window, interleaved.  Each block is
+drawn when it is used: the innovations become the drift, and are dropped,
+before the noise is drawn, so no more than one block is held at a time.
+The drift is a linear pass over blocks of windows up to the first window
+that leaves +/-drift_bound, and the scalar clipped recursion from there
+on.  A run of windows is a ``CountTrace``: one array per column (window,
+count, duty, toggle rate) plus the list of transmitted bits.
 
 The engine behind it also takes a batch: duty as (rows x windows), the
 coupling terms as one column per row, and one generator per draw row.  Each
-draw row draws its three blocks as above, so a row's counts are those its
-generator gives it alone; one draw row serves every duty row.  The drift
-pass, the mean, the noise, the phase and the rounding each run once over the
-whole array.
+block is filled row by row, each draw row from its own generator, so every
+generator still draws its three blocks in the order above and a row's counts
+are those its generator gives it alone; one draw row serves every duty row.
+The drift pass, the mean, the noise, the phase and the rounding each run
+once over the whole array.
 
 Two coupling paths are modelled.  On the ``long`` path the count depends
 on the transmitter duty cycle only.  On the ``local`` path (no long-wire
@@ -369,7 +372,9 @@ def _linear_ar1(innovations: np.ndarray, keep: float) -> np.ndarray:
     """x_t = keep * x_(t-1) + e_t from x_(-1) = 0 along the last axis, without clipping.
 
     Each block of windows is one product with the decay matrix, which gives
-    the states the block would reach from 0.  The block ends then follow the
+    the states the block would reach from 0; whole blocks are multiplied
+    through a reshaped view of the innovations, and only a ragged trace is
+    copied into a zero-padded buffer first.  The block ends then follow the
     same recursion with keep^block, one state per block, and each block adds
     the previous block's end times keep^(i + 1).  Every weight is at most 1
     when keep is in [0, 1], so the pass is as stable as the loop.  A 2-D
@@ -381,13 +386,15 @@ def _linear_ar1(innovations: np.ndarray, keep: float) -> np.ndarray:
     if n <= _BLOCK:
         return (decay[:n, :n] @ innovations[:, :, None])[:, :, 0] if rows else decay[:n, :n] @ innovations
     blocks = -(-n // _BLOCK)
-    path = np.zeros(rows + (blocks, _BLOCK))
-    padded = path.reshape(rows + (-1,))
-    padded[..., :n] = innovations
+    if n % _BLOCK:  # a ragged trace: its last block is zero-padded
+        path = np.zeros(rows + (blocks, _BLOCK))
+        path.reshape(rows + (-1,))[..., :n] = innovations
+    else:
+        path = innovations.reshape(rows + (blocks, _BLOCK))
     path = path @ decay.T
     ends = _linear_ar1(path[..., -1], keep**_BLOCK)
     path[..., 1:, :] += ends[..., :-1, None] * carry
-    return path.reshape(padded.shape)[..., :n]
+    return path.reshape(rows + (-1,))[..., :n]
 
 
 def _clipped_ar1(state: float, innovations, keep: float, bound: float) -> list[float]:
@@ -425,6 +432,14 @@ def _drift_path(profile: DeviceProfile, innovations: np.ndarray) -> np.ndarray:
     return path
 
 
+def _numbers(values, name: str) -> np.ndarray:
+    """``values`` as a float64 array; text, as str or bytes, alone or in a sequence, is refused, not parsed."""
+    array = np.asarray(values)
+    if array.dtype.kind in "SU" or (array.dtype == object and any(isinstance(v, (str, bytes)) for v in array.flat)):
+        raise ValueError(f"{name} must be numbers, not text")
+    return array.astype(float, copy=False)
+
+
 def simulate_counts(
     profile: DeviceProfile,
     cfg: MeasurementConfig,
@@ -436,19 +451,29 @@ def simulate_counts(
     """Counts of consecutive windows, one per duty value, drift starting at 0.
 
     ``toggle_rate`` is one value per window or one for all.  Draws the
-    stream in three blocks (see the module docstring), then adds mean,
-    noise and counter phase, rounded half to even and clipped at 0.
+    stream in three blocks, each when it is used (see the module docstring):
+    the drift innovations for the mean, then the noise, then the counter
+    phase, added and rounded half to even and clipped at 0.
     """
-    duty, toggle = np.asarray(duty, dtype=float), np.asarray(toggle_rate, dtype=float)
+    duty, toggle = _numbers(duty, "duty"), _numbers(toggle_rate, "toggle_rate")
     if duty.ndim != 1 or toggle.ndim > 1:
         raise ValueError("duty and toggle_rate must be one value per window")
     _check_stimulus(duty, toggle)
     return _count_engine(profile, cfg, _coupling_terms(profile, geom), duty, toggle, (rng,))
 
 
-def _draw(rng: np.random.Generator, drift_rate: float, sigma: float, n: int) -> tuple[np.ndarray, ...]:
-    """One draw row's three blocks of n values, in STREAM_VERSION 2 order."""
-    return rng.normal(0.0, drift_rate, n), rng.normal(0.0, sigma, n), rng.uniform(-1.0, 1.0, n)
+def _block(rngs, n: int, draw: str, *params) -> np.ndarray:
+    """Each draw row's next n values of ``rng.<draw>(*params, n)``.
+
+    One generator gives a 1-D block, which broadcasts over every duty row;
+    more fill one (rows x n) array row by row, row r from ``rngs[r]``.
+    """
+    if len(rngs) == 1:
+        return getattr(rngs[0], draw)(*params, n)
+    block = np.empty((len(rngs), n))
+    for row, rng in zip(block, rngs):
+        row[:] = getattr(rng, draw)(*params, n)
+    return block
 
 
 def _count_engine(profile, cfg, terms, duty: np.ndarray, toggle, rngs) -> np.ndarray:
@@ -457,20 +482,18 @@ def _count_engine(profile, cfg, terms, duty: np.ndarray, toggle, rngs) -> np.nda
     ``duty`` is (rows x windows), or one trace's windows as a 1-D array, in
     [0, 1]; ``toggle`` a float or an array that broadcasts against it, finite
     and >= 0; ``terms`` the _coupling_terms of one geometry, or of one per
-    row as (rows x 1) columns.  ``rngs`` holds one generator per draw row:
-    one serves every duty row, else row r draws from ``rngs[r]``.  Every
-    draw row takes its three blocks in STREAM_VERSION 2 order, so each row's
-    counts are the ones simulate_counts gives it alone.
+    row as (rows x 1) columns.  ``rngs`` holds one distinct generator per
+    draw row: one serves every duty row, else row r draws from ``rngs[r]``.
+    Each block is drawn when it is used (the innovations, which become the
+    drift of the mean, then the noise, then the phase), so each generator
+    still draws in STREAM_VERSION 2 order and each row's counts are the ones
+    simulate_counts gives it alone.
     """
     n = duty.shape[-1]
-    sigma = profile.noise_sigma_for(cfg.ticks_per_window)
-    if len(rngs) == 1:  # one draw row: 1-D blocks, which broadcast over every duty row
-        innovations, noise, phase = _draw(rngs[0], profile.drift_rate, sigma, n)
-    else:
-        innovations, noise, phase = map(np.array, zip(*(_draw(g, profile.drift_rate, sigma, n) for g in rngs)))
-    raw = _mean_count(profile, cfg, terms, duty, toggle, _drift_path(profile, innovations))
-    raw += noise
-    raw += phase
+    raw = _mean_count(profile, cfg, terms, duty, toggle,
+                      _drift_path(profile, _block(rngs, n, "normal", 0.0, profile.drift_rate)))
+    raw += _block(rngs, n, "normal", 0.0, profile.noise_sigma_for(cfg.ticks_per_window))
+    raw += _block(rngs, n, "uniform", -1.0, 1.0)
     return np.maximum(np.rint(raw, out=raw), 0.0, out=raw).astype(np.int64)
 
 
@@ -483,8 +506,8 @@ def simulate_trace(
     seed: int,
 ) -> CountTrace:
     """Simulate consecutive windows; deterministic for a fixed seed."""
-    if num_windows < 1:
-        raise ValueError("num_windows must be >= 1")
+    if not _is_int(num_windows) or num_windows < 1:
+        raise ValueError(f"num_windows must be an int >= 1, got {num_windows!r}")
     duty, toggle, bits = stimulus_columns(pattern, num_windows)
     counts = simulate_counts(profile, cfg, geom, duty, toggle, np.random.default_rng(seed))
     return CountTrace(np.arange(num_windows), counts, duty, toggle, bits)

@@ -183,8 +183,8 @@ def stimulus_columns(spec: PatternSpec, num_windows: int) -> tuple[np.ndarray, n
     Static patterns send their bit as the duty; a dynamic4 loop sends no
     bit (None) and the same duty and toggle rate in every window.
     """
-    if num_windows < 0:
-        raise ValueError("num_windows must be >= 0")
+    if not _is_int(num_windows) or num_windows < 0:
+        raise ValueError(f"num_windows must be an int >= 0, got {num_windows!r}")
     if spec.kind == "dynamic4":
         duty = spec.code.count("1") / 4.0
         # transitions per clock tick: those around the loop over 16, so f = 1/8 and the codes give 0, f, f, 2f, f, 0

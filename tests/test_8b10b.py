@@ -126,11 +126,53 @@ def chain_encode(data, rd):
     return out, rd
 
 
+# The published data-character tables (Widmer and Franaszek, IBM J. Res. Dev. 1983), written out here
+# so that the stream tests decode with tables of their own: the 5b/6b code of D.x (abcdei) and the
+# 3b/4b code of D.x.y (fghj), each at running disparity -1 and +1.  D.x.P7 is the primary 3b/4b row 7.
+FIVE_SIX = (
+    ("100111", "011000"), ("011101", "100010"), ("101101", "010010"), ("110001", "110001"),
+    ("110101", "001010"), ("101001", "101001"), ("011001", "011001"), ("111000", "000111"),
+    ("111001", "000110"), ("100101", "100101"), ("010101", "010101"), ("110100", "110100"),
+    ("001101", "001101"), ("101100", "101100"), ("011100", "011100"), ("010111", "101000"),
+    ("011011", "100100"), ("100011", "100011"), ("010011", "010011"), ("110010", "110010"),
+    ("001011", "001011"), ("101010", "101010"), ("011010", "011010"), ("111010", "000101"),
+    ("110011", "001100"), ("100110", "100110"), ("010110", "010110"), ("110110", "001001"),
+    ("001110", "001110"), ("101110", "010001"), ("011110", "100001"), ("101011", "010100"),
+)
+THREE_FOUR = (
+    ("1011", "0100"), ("1001", "1001"), ("0101", "0101"), ("1100", "0011"),
+    ("1101", "0010"), ("1010", "1010"), ("0110", "0110"), ("1110", "0001"),
+)
+# D.x.A7 replaces D.x.P7 for these x, keyed by the disparity after the 6b sub-block.
+ALTERNATE_SEVEN = ("0111", "1000")
+ALTERNATE_X = {-1: {17, 18, 20}, +1: {11, 13, 14}}
+
+
+def table_decode(group, rd):
+    """One 10-bit group at running disparity rd through the published tables: (byte, disparity after
+    it), or None when no data character is sent as this group at rd.  An unbalanced sub-block flips
+    the disparity; the balanced D.7 and D.x.3 codes, whose two columns differ, do not."""
+    six, four = "".join(map(str, group[:6])), "".join(map(str, group[6:]))
+    x = next((x for x, codes in enumerate(FIVE_SIX) if codes[rd > 0] == six), None)
+    if x is None:
+        return None
+    rd = rd if six.count("1") == 3 else -rd
+    for y, codes in enumerate(THREE_FOUR):
+        code = ALTERNATE_SEVEN[rd > 0] if y == 7 and x in ALTERNATE_X[rd] else codes[rd > 0]
+        if code == four:
+            return x | y << 5, rd if four.count("1") == 2 else -rd
+    return None
+
+
 def chain_decode(bits, rd):
-    """decode_bits as a chain of single-group calls."""
+    """decode_bits group by group through the published tables, with its error for the first bad group."""
     out = bytearray()
     for i in range(0, len(bits), 10):
-        byte, rd = decode_8b10b(bits[i : i + 10], rd)
+        group = tuple(bits[i : i + 10])
+        if (decoded := table_decode(group, rd)) is None:
+            off_table = table_decode(group, -rd) is None
+            raise InvalidCodeGroup(group, "not a data character" if off_table else f"disparity violation at RD={rd:+d}")
+        byte, rd = decoded
         out.append(byte)
     return bytes(out), rd
 
@@ -143,7 +185,17 @@ def outcome(decode, bits, rd):
 
 
 class TestStreamsAgainstChain:
+    """The stream codec against a chain of group calls, decoded through the test's own published tables."""
+
     STREAMS = 300
+
+    def test_the_published_tables_decode_every_group_as_the_codec_does(self):
+        accepted = 0
+        for raw, rd in itertools.product(range(1 << 10), (-1, +1)):
+            group = tuple((raw >> (9 - i)) & 1 for i in range(10))
+            assert outcome(chain_decode, group, rd) == outcome(decode_bits, group, rd)
+            accepted += table_decode(group, rd) is not None
+        assert accepted == 2 * 256
 
     def test_encode_and_decode_equal_the_chain(self):
         rng = random.Random(11)

@@ -4,6 +4,8 @@ import dataclasses
 import io
 import math
 import pickle
+import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -283,6 +285,16 @@ class TestSimulateTrace:
         with pytest.raises(ValueError):
             simulate_trace(profile, cfg13, geom22, PatternSpec.alternating(), 0, seed=0)
 
+    @pytest.mark.parametrize("num_windows", [2.5, True, 4.0, "4", None], ids=repr)
+    def test_num_windows_must_be_an_int(self, profile, cfg13, geom22, num_windows):
+        with pytest.raises(ValueError, match=rf"^num_windows must be an int >= 1, got {re.escape(repr(num_windows))}$"):
+            simulate_trace(profile, cfg13, geom22, PatternSpec.alternating(), num_windows, seed=0)
+
+    def test_numpy_int_num_windows_accepted(self, profile, cfg13, geom22):
+        for num_windows in (np.int64(4), np.uint8(4), np.int32(4)):
+            trace = simulate_trace(profile, cfg13, geom22, PatternSpec.alternating(), num_windows, seed=0)
+            assert trace.samples == simulate_trace(profile, cfg13, geom22, PatternSpec.alternating(), 4, seed=0).samples
+
     def test_deterministic_per_seed(self, profile, cfg13, geom22):
         a = simulate_trace(profile, cfg13, geom22, PatternSpec.lfsr(), 64, seed=99)
         b = simulate_trace(profile, cfg13, geom22, PatternSpec.lfsr(), 64, seed=99)
@@ -385,8 +397,11 @@ class TestStreamOracle:
             ({**WANDER, "drift_reversion": 0.0}, 4099, None),
             ({"drift_rate": 1e-4, "drift_bound": 2.5e-3}, 4099, 500),
             ({"drift_rate": 1e-4, "drift_bound": 2e-4}, 4099, 0),
+            (WANDER, 4096, None),
+            (WANDER, 45056, None),
         ],
-        ids=["long", "single", "one-block", "block-and-one", "keep-0", "keep-1", "late-clip", "clipping"],
+        ids=["long", "single", "one-block", "block-and-one", "keep-0", "keep-1", "late-clip", "clipping",
+             "whole-blocks", "block-ends-on-a-strided-view"],
     )
     def test_counts_equal_replica(self, overrides, windows, first_clip, cfg13, geom22):
         profile = DeviceProfile(**overrides)
@@ -449,6 +464,39 @@ class TestStreamOracle:
         for duty, toggle in [([[0.5, 0.5]], 0.0), (0.5, 0.0), ([0.5, 0.5], [[0.0, 0.0]])]:
             with pytest.raises(ValueError, match="^duty and toggle_rate must be one value per window$"):
                 simulate_counts(profile, cfg13, geom22, duty, toggle, rng)
+
+    @pytest.mark.parametrize(
+        "duty, toggle, name",
+        [
+            (["0.5", "1"], 0.0, "duty"),
+            ([b"1", b"0"], 0.0, "duty"),
+            ("1", 0.0, "duty"),
+            (b"\x00\x01", 0.0, "duty"),
+            ([0.5, "1"], 0.0, "duty"),
+            ([Fraction(1, 2), b"1"], 0.0, "duty"),
+            (np.array(["0", "1"]), 0.0, "duty"),
+            ([0.5, 1.0], "0.1", "toggle_rate"),
+            ([0.5, 1.0], b"0.1", "toggle_rate"),
+            ([0.5, 1.0], ["0.1", "0.2"], "toggle_rate"),
+            ([0.5, 1.0], [0.1, np.str_("0.2")], "toggle_rate"),
+            ([0.5, 1.0], np.array([b"0", b"0"]), "toggle_rate"),
+        ],
+        ids=["str-list", "bytes-list", "str", "bytes", "mixed", "fraction-and-bytes", "str-array",
+             "str-toggle", "bytes-toggle", "str-toggles", "np-str-toggle", "bytes-array-toggles"],
+    )
+    def test_counts_refuse_text(self, profile, cfg13, geom22, duty, toggle, name):
+        with pytest.raises(ValueError, match=f"^{name} must be numbers, not text$"):
+            simulate_counts(profile, cfg13, geom22, duty, toggle, np.random.default_rng(0))
+
+    def test_counts_take_every_numeric_type(self, profile, cfg13, geom22):
+        expected = simulate_counts(profile, cfg13, geom22, [0.5, 1.0], 0.25, np.random.default_rng(0)).tolist()
+        for duty, toggle in [
+            ([Fraction(1, 2), 1], Fraction(1, 4)),
+            ([np.float32(0.5), np.int8(1)], np.float16(0.25)),
+            (np.array([0.5, 1.0], dtype=np.float32), [0.25, 0.25]),
+            ((0.5, True), np.array([0.25, 0.25], dtype=object)),
+        ]:
+            assert simulate_counts(profile, cfg13, geom22, duty, toggle, np.random.default_rng(0)).tolist() == expected
 
 
 STIMULUS_ENTRIES = {
@@ -672,6 +720,44 @@ def test_noise_sigma_scales_with_sqrt_window():
     assert profile.noise_sigma_for(1 << 21) == pytest.approx(12.8)
 
 
+def float_arrays_at_peak(call, size):
+    """Peak memory that call() allocates, in float64 arrays of ``size`` values, after a first call that
+    takes numpy's and the decay matrix's one-off allocations out of the count."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / (8 * size)
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """The count engine draws each block when it uses it, so it holds about three arrays of the trace
+    beyond its duty input: the innovations and their drift path, then the mean and one block, then the
+    counts.  An engine that holds all three blocks at once, beside a padded or stacked copy of them,
+    reads more than six."""
+
+    LIMIT = 4.5
+
+    @pytest.mark.parametrize("windows", [1 << 16, 20000], ids=["whole-blocks", "ragged"])
+    def test_simulate_counts(self, windows, profile, cfg13, geom22):
+        duty = np.arange(windows) % 2.0
+        arrays = float_arrays_at_peak(
+            lambda: simulate_counts(profile, cfg13, geom22, duty, 0.0, np.random.default_rng(1)), windows)
+        assert arrays <= self.LIMIT
+
+    def test_batch(self, profile, cfg13, geom22):
+        duty = np.random.default_rng(0).random((35, 1024))
+        terms = channel._coupling_terms(profile, geom22)
+
+        def batch():
+            rngs = [np.random.default_rng(s) for s in range(35)]
+            return channel._count_engine(profile, cfg13, terms, duty, 0.0, rngs)
+
+        assert float_arrays_at_peak(batch, duty.size) <= self.LIMIT
+
+
 class TestBatchEngine:
     """One count-engine call over rows of traces gives each row the counts simulate_counts gives it alone."""
 
@@ -727,7 +813,7 @@ class TestBatchEngine:
             alone = simulate_counts(profile, cfg13, geom, duty, 0.0, np.random.default_rng(seed))
             assert row.tolist() == alone.tolist()
 
-    @pytest.mark.parametrize("windows", [1, 55, 64, 65, 220, 1024, 4099])
+    @pytest.mark.parametrize("windows", [1, 55, 64, 65, 220, 1024, 4096, 4099, 45056])
     @pytest.mark.parametrize("profile_name", list(PROFILES))
     def test_drift_rows_equal_the_one_row_path_to_the_bit(self, windows, profile_name):
         profile = DeviceProfile(**self.PROFILES[profile_name])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,17 @@ class TestLfsrColumns:
         duty, toggle, bits = stimulus_columns(PatternSpec.lfsr(), 0)
         assert duty.shape == toggle.shape == (0,) and duty.dtype == toggle.dtype == np.float64
         assert bits == []
+
+    @pytest.mark.parametrize("num_windows", [2.5, True, 3.0, "3", None, -1], ids=repr)
+    @pytest.mark.parametrize("spec", [PatternSpec.lfsr(), PatternSpec.alternating(), PatternSpec.dynamic4("1100")],
+                             ids=["lfsr", "alternating", "dynamic4"])
+    def test_num_windows_must_be_an_int_at_least_zero(self, spec, num_windows):
+        with pytest.raises(ValueError, match=rf"^num_windows must be an int >= 0, got {re.escape(repr(num_windows))}$"):
+            stimulus_columns(spec, num_windows)
+
+    def test_numpy_int_num_windows_accepted(self):
+        for num_windows in (np.int64(3), np.uint16(3)):
+            assert columns(PatternSpec.lfsr(), num_windows) == columns(PatternSpec.lfsr(), 3)
 
     @pytest.mark.parametrize("taps, seed", [((16, 14, 13, 11), 0xACE1), ((3, 1), 6), ((9, 5), 0x1A5)], ids=str)
     def test_long_run_matches_the_one_step_register(self, taps, seed):
