@@ -15,6 +15,11 @@ innovations ``normal(0, drift_rate)``, then n noise values
 drew the same three values window by window, interleaved.  Each block is
 drawn when it is used: the innovations become the drift, and are dropped,
 before the noise is drawn, so no more than one block is held at a time.
+Beyond its duty input the engine holds at most two float64 arrays of the
+trace at any stage (the innovations and their drift path, then the mean and
+one block); only a ragged trace adds a zero-padded copy of the innovations.
+Int, uint and bool duty, such as the covert link's uint8 symbols, enters the
+arithmetic as it is, without a float64 copy.
 The drift is a linear pass over blocks of windows up to the first window
 that leaves +/-drift_bound, and the scalar clipped recursion from there
 on.  A run of windows is a ``CountTrace``: one array per column (window,
@@ -255,6 +260,8 @@ class CountTrace:
     One entry per window in each column: ``window`` and ``counts`` are
     int64 arrays, ``duty`` and ``toggle_rate`` float64 arrays, and
     ``tx_bits`` a list holding the sent bit, an int 0 or 1, or None (dynamic patterns).
+    Text in a number column is refused, not parsed, and so is a window or
+    count that is not a whole number int64 holds.
     """
 
     window: np.ndarray
@@ -264,10 +271,14 @@ class CountTrace:
     tx_bits: list[int | None]
 
     def __post_init__(self):
-        for name, dtype in (("window", np.int64), ("counts", np.int64), ("duty", float), ("toggle_rate", float)):
-            column = np.array(getattr(self, name), dtype=dtype)  # a read-only copy: the trace stays as validated
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+        with np.errstate(invalid="ignore"):  # an int column's value that int64 cannot hold is refused below
+            for name, dtype in (("window", np.int64), ("counts", np.int64), ("duty", float), ("toggle_rate", float)):
+                numbers = _numbers(getattr(self, name), name)
+                column = np.array(numbers, dtype=dtype)  # a read-only copy: the trace stays as validated
+                if dtype is np.int64 and (column != numbers).any():
+                    raise ValueError(f"{name} must be whole numbers")
+                column.flags.writeable = False
+                object.__setattr__(self, name, column)
         bits = list(self.tx_bits)
         if {c.shape for c in (self.window, self.counts, self.duty, self.toggle_rate)} != {(len(bits),)}:
             raise ValueError("trace columns must be one-dimensional and of equal length")
@@ -356,6 +367,8 @@ def expected_count(
 
 # Windows per block of the drift pass: one matmul per block, then a carry between blocks.
 _BLOCK = 64
+# Most values the carry adds at once; its product is never a trace-size temporary.
+_CARRY_SIZE = 1 << 13
 
 
 @functools.lru_cache(maxsize=8)
@@ -376,7 +389,9 @@ def _linear_ar1(innovations: np.ndarray, keep: float) -> np.ndarray:
     through a reshaped view of the innovations, and only a ragged trace is
     copied into a zero-padded buffer first.  The block ends then follow the
     same recursion with keep^block, one state per block, and each block adds
-    the previous block's end times keep^(i + 1).  Every weight is at most 1
+    the previous block's end times keep^(i + 1), in pieces of at most
+    ``_CARRY_SIZE`` values (one block at least), so that the carry's
+    product is never a trace-size temporary.  Every weight is at most 1
     when keep is in [0, 1], so the pass is as stable as the loop.  A 2-D
     array is a stack of products, one per row, so a row's path is the one it
     gets alone, to the bit (one product over all rows would sum differently).
@@ -392,8 +407,10 @@ def _linear_ar1(innovations: np.ndarray, keep: float) -> np.ndarray:
     else:
         path = innovations.reshape(rows + (blocks, _BLOCK))
     path = path @ decay.T
-    ends = _linear_ar1(path[..., -1], keep**_BLOCK)
-    path[..., 1:, :] += ends[..., :-1, None] * carry
+    tails = _linear_ar1(path[..., -1], keep**_BLOCK)[..., :-1, None]  # the end of each block but the last
+    step = max(1, _CARRY_SIZE // path[..., 0, :].size)
+    for s in range(0, blocks - 1, step):
+        path[..., s + 1 : s + 1 + step, :] += tails[..., s : s + step, :] * carry
     return path.reshape(rows + (-1,))[..., :n]
 
 
@@ -421,7 +438,8 @@ def _drift_path(profile: DeviceProfile, innovations: np.ndarray) -> np.ndarray:
     """
     keep, bound = 1.0 - profile.drift_reversion, profile.drift_bound
     path = _linear_ar1(innovations, keep)
-    outside = np.abs(path) > bound
+    outside = path > bound
+    outside |= path < -bound
     if np.count_nonzero(outside):
         n = path.shape[-1]
         rows, steps, outside = path.reshape(-1, n), innovations.reshape(-1, n), outside.reshape(-1, n)  # views
@@ -433,11 +451,16 @@ def _drift_path(profile: DeviceProfile, innovations: np.ndarray) -> np.ndarray:
 
 
 def _numbers(values, name: str) -> np.ndarray:
-    """``values`` as a float64 array; text, as str or bytes, alone or in a sequence, is refused, not parsed."""
+    """``values`` as an array of numbers; text, as str or bytes, alone or in a sequence, is refused, not parsed.
+
+    Int, uint, bool and float64 arrays come back uncopied, since each gives the
+    same float64 value in arithmetic with a float64; any other dtype (float32,
+    object) becomes float64.
+    """
     array = np.asarray(values)
     if array.dtype.kind in "SU" or (array.dtype == object and any(isinstance(v, (str, bytes)) for v in array.flat)):
         raise ValueError(f"{name} must be numbers, not text")
-    return array.astype(float, copy=False)
+    return array if array.dtype.kind in "iub" else array.astype(float, copy=False)
 
 
 def simulate_counts(
@@ -450,6 +473,8 @@ def simulate_counts(
 ) -> np.ndarray:
     """Counts of consecutive windows, one per duty value, drift starting at 0.
 
+    ``duty`` holds numbers, not text: an int, uint, bool or float64 array is
+    used uncopied and any other dtype becomes float64, with the same counts.
     ``toggle_rate`` is one value per window or one for all.  Draws the
     stream in three blocks, each when it is used (see the module docstring):
     the drift innovations for the mean, then the noise, then the counter
@@ -556,10 +581,10 @@ def trace_from_csv(text: str) -> CountTrace:
             raise ValueError(f"line {reader.line_num}: expected {len(TRACE_CSV_HEADER)} fields, got {len(row)}")
         rows.append(row)
     window, count, duty, toggle_rate, bit = zip(*rows) if rows else [()] * len(TRACE_CSV_HEADER)
-    return CountTrace(
-        list(map(int, window)),
-        list(map(int, count)),
-        _parse_column(duty, float),
-        _parse_column(toggle_rate, float),
+    return CountTrace(  # typed arrays, so that CountTrace need not find each column's type
+        np.array(list(map(int, window)), dtype=np.int64),
+        np.array(list(map(int, count)), dtype=np.int64),
+        np.array(_parse_column(duty, float), dtype=float),
+        np.array(_parse_column(toggle_rate, float), dtype=float),
         _parse_column(bit, lambda v: None if v == "" else int(v)),
     )

@@ -21,7 +21,7 @@ from longwire import (
     simulate_trace,
 )
 from longwire.channel import TRACE_CSV_HEADER, CountTrace, as_longs, trace_from_csv, trace_to_csv
-from longwire import channel, exfil
+from longwire import channel, codec, exfil
 from longwire.errors import InconsistentMeasurements
 from longwire.exfil import ExfilChannel, KeyBits, measure_windows_noisy, single_window_recover, window_hw_oracle
 from longwire.patterns import DYNAMIC4_CODES, PatternSpec, stimulus_columns
@@ -488,6 +488,19 @@ class TestStreamOracle:
         with pytest.raises(ValueError, match=f"^{name} must be numbers, not text$"):
             simulate_counts(profile, cfg13, geom22, duty, toggle, np.random.default_rng(0))
 
+    NUMBER_COLUMNS = {"window": [0, 1], "counts": [10, 12], "duty": [0.5, 1.0], "toggle_rate": [0.0, 0.25]}
+
+    @pytest.mark.parametrize("name", list(NUMBER_COLUMNS))
+    @pytest.mark.parametrize("text", [["0", "1"], [b"0", b"1"], [1, "1"], np.array(["0", "1"])],
+                             ids=["str-list", "bytes-list", "mixed", "str-array"])
+    def test_trace_refuses_text(self, name, text):
+        with pytest.raises(ValueError, match=f"^{name} must be numbers, not text$"):
+            CountTrace(**{**self.NUMBER_COLUMNS, name: text}, tx_bits=[None, None])
+
+    def test_trace_checks_its_columns_in_order(self):
+        with pytest.raises(ValueError, match="^window must be numbers, not text$"):
+            CountTrace(["0"], ["10"], ["0.5"], [b"0"], [None])
+
     def test_counts_take_every_numeric_type(self, profile, cfg13, geom22):
         expected = simulate_counts(profile, cfg13, geom22, [0.5, 1.0], 0.25, np.random.default_rng(0)).tolist()
         for duty, toggle in [
@@ -596,9 +609,16 @@ class TestTraceCSV:
             (([0, 1], [5, 5], [0.0, 1.0], [0.0, 0.0], [None, 2]), "tx bits must be 0, 1 or None"),
             (([0, 1], [5, 5], [0.0, 1.0], [0.0, 0.0], [0.5, 1]), "tx bits must be 0, 1 or None"),
             (([0, 1], [5, 5], [0.0, 1.0], [0.0, 0.0], ["1", 0]), "tx bits must be 0, 1 or None"),
+            (([None, 1], [5, 5], [0.0, 1.0], [0.0, 0.0], [0, 1]), "^window must be whole numbers$"),
+            (([0, 1], [5, math.nan], [0.0, 1.0], [0.0, 0.0], [0, 1]), "^counts must be whole numbers$"),
+            (([0, 1.5], [5, 5], [0.0, 1.0], [0.0, 0.0], [0, 1]), "^window must be whole numbers$"),
+            (([0, 1], [5, math.inf], [0.0, 1.0], [0.0, 0.0], [0, 1]), "^counts must be whole numbers$"),
+            (([0, 1], [5, 2**63], [0.0, 1.0], [0.0, 0.0], [0, 1]), "^counts must be whole numbers$"),
+            (([0, 2**70], [5, 5], [0.0, 1.0], [0.0, 0.0], [0, 1]), "^window must be whole numbers$"),
         ],
         ids=["short-bits", "short-counts", "two-dimensional", "nan-duty", "decreasing-window", "bits-7-3",
-             "bit-2", "bit-half", "bit-string"],
+             "bit-2", "bit-half", "bit-string", "none-window", "nan-count", "half-window", "inf-count",
+             "count-2-63", "window-2-70"],
     )
     def test_rejects_bad_columns(self, columns, match):
         with pytest.raises(ValueError, match=match):
@@ -733,18 +753,28 @@ def float_arrays_at_peak(call, size):
 
 
 class TestWorkingSet:
-    """The count engine draws each block when it uses it, so it holds about three arrays of the trace
-    beyond its duty input: the innovations and their drift path, then the mean and one block, then the
-    counts.  An engine that holds all three blocks at once, beside a padded or stacked copy of them,
-    reads more than six."""
+    """The count engine draws each block when it uses it and holds at most two float64 arrays of the
+    trace beyond its duty input: the innovations and their drift path, then the mean and one block.
+    The carry between blocks is added in pieces, the clip test is a boolean mask and integer duty is
+    not copied to float64; a trace-size temporary of any of them takes the engine past three arrays.
+    A ragged trace adds its zero-padded copy of the innovations."""
 
-    LIMIT = 4.5
+    LIMIT = 3.0
+    RAGGED_LIMIT = 3.5
 
-    @pytest.mark.parametrize("windows", [1 << 16, 20000], ids=["whole-blocks", "ragged"])
-    def test_simulate_counts(self, windows, profile, cfg13, geom22):
-        duty = np.arange(windows) % 2.0
+    @pytest.mark.parametrize("windows, dtype, limit", [(1 << 16, float, LIMIT), (1 << 16, np.uint8, LIMIT),
+                                                       (20000, float, RAGGED_LIMIT)],
+                             ids=["whole-blocks", "uint8-duty", "ragged"])
+    def test_simulate_counts(self, windows, dtype, limit, profile, cfg13, geom22):
+        duty = (np.arange(windows) % 2).astype(dtype)
         arrays = float_arrays_at_peak(
             lambda: simulate_counts(profile, cfg13, geom22, duty, 0.0, np.random.default_rng(1)), windows)
+        assert arrays <= limit
+
+    def test_covert_transfer(self, profile, cfg13, geom22):
+        """The framed transfer's 22,528 Manchester bits: 45,056 windows, sent as uint8 symbols."""
+        bits = np.random.default_rng(0).integers(0, 2, 22528).tolist()
+        arrays = float_arrays_at_peak(lambda: codec._covert_transfer(bits, profile, cfg13, geom22, 1), 2 * len(bits))
         assert arrays <= self.LIMIT
 
     def test_batch(self, profile, cfg13, geom22):
@@ -838,3 +868,22 @@ class TestBatchEngine:
         batch = channel._drift_path(profile, innovations.copy())
         for steps, row in zip(innovations, batch):
             assert np.array_equal(row, channel._drift_path(profile, steps.copy()))
+
+
+class TestDutyDtypes:
+    """A 0/1 duty gives the same counts whatever its dtype: int, uint and bool duty is used uncopied and
+    float32 is copied to float64, and each gives every window the float64 duty's value to the bit."""
+
+    @pytest.mark.parametrize("windows", [55, 220, 45056])
+    @pytest.mark.parametrize("profile_name", ["default", "clipping"])
+    def test_counts_equal_float64_duty(self, windows, profile_name, cfg13, geom22):
+        profile = DeviceProfile(**TestBatchEngine.PROFILES[profile_name])
+        # the generator's first block is the drift innovations: only the clipping profile leaves the bound
+        innovations = np.random.default_rng(7).normal(0.0, profile.drift_rate, windows)
+        linear = channel._linear_ar1(innovations, 1.0 - profile.drift_reversion)
+        assert bool((np.abs(linear) > profile.drift_bound).any()) == (profile_name == "clipping")
+        duty = np.random.default_rng(windows).integers(0, 2, windows).astype(float)
+        expected = simulate_counts(profile, cfg13, geom22, duty, 0.0, np.random.default_rng(7)).tolist()
+        for dtype in (np.int64, np.uint8, bool, np.float32):
+            counts = simulate_counts(profile, cfg13, geom22, duty.astype(dtype), 0.0, np.random.default_rng(7))
+            assert counts.tolist() == expected, dtype
