@@ -27,7 +27,7 @@ from itertools import islice
 from operator import attrgetter
 from typing import Iterable
 
-from .patterns import _is_int
+from .patterns import _check_int, _is_int
 from .errors import CapacityError, DuplicateOccupancy, GridSyntaxError, GuardBlocked
 
 __all__ = [
@@ -302,8 +302,7 @@ def find_exposures(grid: RoutingGrid, d_max: int = 2) -> list[Exposure]:
     and the track distance is in [1, d_max]; sorted by distance, then
     overlap descending.  Only the slots within d_max tracks are read.
     """
-    if not _is_int(d_max) or d_max < 1:
-        raise ValueError(f"d_max must be an int >= 1, got {d_max!r}")
+    _check_int(d_max, "d_max", 1)
     last = grid.tracks_per_column - 1
     found = []
     for s in grid.spans:

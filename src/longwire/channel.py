@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .patterns import PatternSpec, _as_bits, _is_int, stimulus_columns
+from .patterns import PatternSpec, _as_bits, _check_int, _is_int, stimulus_columns
 
 __all__ = [
     "STREAM_VERSION",
@@ -237,10 +237,8 @@ class Geometry:
             object.__setattr__(self, "v_t", v_t := as_longs(v_t))
         if v_t.numerator <= 0:
             raise ValueError("v_t must be > 0")
-        if not _is_int(self.v_r) or self.v_r < 1:
-            raise ValueError(f"v_r must be an int >= 1, got {self.v_r!r}")
-        if not _is_int(self.d) or self.d < 1:
-            raise ValueError(f"d must be an int >= 1, got {self.d!r}")
+        _check_int(self.v_r, "v_r", 1)
+        _check_int(self.d, "d", 1)
         if self.coupling not in ("long", "local"):
             raise ValueError("coupling must be 'long' or 'local'")
 
@@ -481,7 +479,7 @@ def simulate_counts(
     phase, added and rounded half to even and clipped at 0.
     """
     duty, toggle = _numbers(duty, "duty"), _numbers(toggle_rate, "toggle_rate")
-    if duty.ndim != 1 or toggle.ndim > 1:
+    if duty.ndim != 1 or toggle.ndim > 1 or toggle.size not in (1, duty.size):
         raise ValueError("duty and toggle_rate must be one value per window")
     _check_stimulus(duty, toggle)
     return _count_engine(profile, cfg, _coupling_terms(profile, geom), duty, toggle, (rng,))
@@ -531,8 +529,7 @@ def simulate_trace(
     seed: int,
 ) -> CountTrace:
     """Simulate consecutive windows; deterministic for a fixed seed."""
-    if not _is_int(num_windows) or num_windows < 1:
-        raise ValueError(f"num_windows must be an int >= 1, got {num_windows!r}")
+    _check_int(num_windows, "num_windows", 1)
     duty, toggle, bits = stimulus_columns(pattern, num_windows)
     counts = simulate_counts(profile, cfg, geom, duty, toggle, np.random.default_rng(seed))
     return CountTrace(np.arange(num_windows), counts, duty, toggle, bits)

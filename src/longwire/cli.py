@@ -79,21 +79,26 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in _str_list(text)]
 
 
-# The channel options; a study registers the ones it reads, not the ones it sweeps.
-_CHANNEL_OPTIONS = {
+# The options several studies share, one definition each; a study registers those it reads, not those it sweeps.
+_OPTIONS = {
     "--n": dict(type=int, help=f"log2 clock ticks per window (default {DEFAULT_LOG2_TICKS})"),
     "--vt": dict(default="2", help="transmitter longs; thirds allowed, e.g. 1/3"),
     "--vr": dict(type=_positive_int, default=2, help="receiver longs"),
     "--d": dict(type=_positive_int, default=1, help="track distance, 1 = adjacent"),
     "--path": dict(choices=["long", "local"], default="long",
                    help="long-wire overlap, or local routing only"),
+    "--windows": dict(type=_positive_int, default=2048),
+    "--seed": dict(type=_non_negative_int, required=True),
+    "--n-list": dict(type=_int_list, default=[13, 15, 17, 19, 21]),
 }
 
 
-def _add_channel_args(sub, *options, action="store"):
+def _add_options(sub, *options, action="store", **defaults):
+    """Register --profile and the named shared options on ``sub``, then set the study's ``defaults``."""
     sub.add_argument("--profile", action=action, help="device profile file (key = value format)")
     for option in options:
-        sub.add_argument(option, action=action, **_CHANNEL_OPTIONS[option])
+        sub.add_argument(option, action=action, **_OPTIONS[option])
+    sub.set_defaults(**defaults)
 
 
 class _Gated(argparse.Action):
@@ -319,52 +324,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("simulate", help="simulate a count trace")
-    _add_channel_args(p, "--n", "--vt", "--vr", "--d", "--path")
+    _add_options(p, "--n", "--vt", "--vr", "--d", "--path", "--windows", "--seed", func=cmd_simulate)
     p.add_argument("--pattern", default="alternating",
                    help="alternating | longruns[:len] | lfsr[:seed] | d0..d5 | custom:<bits>")
-    p.add_argument("--windows", type=_positive_int, default=2048)
-    p.add_argument("--seed", type=_non_negative_int, required=True)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("scaling-time", help="count differences vs measurement time")
-    _add_channel_args(p, "--vt", "--vr", "--d")
-    p.add_argument("--n-list", type=_int_list, default=[13, 15, 17, 19, 21])
-    p.add_argument("--windows", type=_positive_int, default=2048)
-    p.add_argument("--seed", type=_non_negative_int, required=True)
-    p.set_defaults(func=cmd_scaling_time)
+    _add_options(p, "--vt", "--vr", "--d", "--n-list", "--windows", "--seed", func=cmd_scaling_time)
 
     p = sub.add_parser("scaling-length", help="relative difference over transmitter x receiver lengths")
-    _add_channel_args(p, "--n", "--d")
+    _add_options(p, "--n", "--d", "--windows", "--seed", func=cmd_scaling_length, windows=1024)
     p.add_argument("--vt-list", type=_str_list, default=["1/3", "2/3", "1", "2", "3", "4", "5"])
     p.add_argument("--vr-list", type=_int_list, default=[1, 2, 3, 4, 5])
-    p.add_argument("--windows", type=_positive_int, default=1024)
-    p.add_argument("--seed", type=_non_negative_int, required=True)
-    p.set_defaults(func=cmd_scaling_length)
 
     p = sub.add_parser("distance", help="effect and KS p-value vs wire distance")
-    _add_channel_args(p, "--n", "--vt", "--vr")
+    _add_options(p, "--n", "--vt", "--vr", "--windows", "--seed", func=cmd_distance)
     p.add_argument("--d-list", type=_int_list, default=[1, 2, 3, 4])
-    p.add_argument("--windows", type=_positive_int, default=2048)
-    p.add_argument("--seed", type=_non_negative_int, required=True)
-    p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("dynamic", help="mean counts for the six 4-bit loop codes")
-    _add_channel_args(p, "--n", "--vt", "--vr", "--d", "--path")
-    p.add_argument("--windows", type=_positive_int, default=2048)
-    p.add_argument("--seed", type=_non_negative_int, required=True)
-    p.set_defaults(func=cmd_dynamic)
+    _add_options(p, "--n", "--vt", "--vr", "--d", "--path", "--windows", "--seed", func=cmd_dynamic)
 
     p = sub.add_parser("ber", help="covert-channel accuracy vs window length")
-    _add_channel_args(p, "--vt", "--vr", "--d")
-    p.add_argument("--n-list", type=_int_list, default=[13])
+    _add_options(p, "--vt", "--vr", "--d", "--n-list", "--seed", func=cmd_ber, n_list=[13])
     p.add_argument("--bits", type=_positive_int, default=10000)
-    p.add_argument("--seed", type=_non_negative_int, required=True)
-    p.set_defaults(func=cmd_ber)
 
     p = sub.add_parser("bandwidth", help="channel bandwidth per window length")
-    _add_channel_args(p)
-    p.add_argument("--n-list", type=_int_list, default=[13, 15, 17, 19, 21])
-    p.set_defaults(func=cmd_bandwidth)
+    _add_options(p, "--n-list", func=cmd_bandwidth)
 
     p = sub.add_parser("exfil", help="recover a key from sliding-window measurements")
     p.add_argument("--key", required=True, help="key as hex (0x...) or binary string")
@@ -372,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--single", action="store_true", help="single window width only")
     p.add_argument("--noisy", action="store_true", help="measure through the count simulator")
     noisy = p.add_argument_group("count simulator (with --noisy only)")
-    _add_channel_args(noisy, "--n", "--vt", "--vr", "--d", action=_Gated)
+    _add_options(noisy, "--n", "--vt", "--vr", "--d", action=_Gated)
     noisy.add_argument("--repeats", action=_Gated, type=_positive_int, default=1,
                        help="averaged counts per window")
     noisy.add_argument("--seed", action=_Gated, type=_non_negative_int, default=0)

@@ -157,7 +157,7 @@ def find_frames(
                 continue
             body = tuple(np.unpackbits(np.frombuffer(data, dtype=np.uint8)).tolist())
         else:
-            body = tuple(bitstream[start : candidates[k]])
+            body = tuple(stream[start : candidates[k]].tolist())
         frames.append((pos, body))
     return frames
 

@@ -31,7 +31,7 @@ import numpy as np
 from . import kernels
 from .channel import DeviceProfile, Geometry, MeasurementConfig, _count_engine, _coupling_terms, _mean_count
 from .errors import InconsistentMeasurements
-from .patterns import _as_bits, _is_int
+from .patterns import _as_bits, _check_int, _is_int
 
 __all__ = [
     "KeyBits",
@@ -83,6 +83,8 @@ class KeyBits:
     def from_int(cls, value: int, n: int) -> "KeyBits":
         """Bits 0..n-1 of value, two's complement for a negative one; bits cut from an int
         need no __post_init__ copy or bit check."""
+        if not _is_int(n):
+            raise ValueError(f"key length must be an int, got {n!r}")
         if n < 1:
             raise ValueError("key must have at least one bit")
         key = object.__new__(cls)
@@ -203,10 +205,8 @@ class ExfilChannel:
     repeats: int = 1
 
     def __post_init__(self):
-        if not _is_int(self.repeats) or self.repeats < 1:
-            raise ValueError(f"repeats must be an int >= 1, got {self.repeats!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
+        _check_int(self.repeats, "repeats", 1)
+        _check_int(self.seed, "seed", 0)
 
 
 def _full_swing(chan: ExfilChannel, delta: float) -> float:
@@ -487,8 +487,7 @@ def monte_carlo_recovery_rate(
     if noise is None:
         return kernels.mc_single(n_key, w, trials, seed) / trials
     _split_key_length(n_key, w)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    kernels._check_trials(trials)
     terms = _coupling_terms(noise.profile, noise.geom)
     tolerance = _tolerance(noise, terms[0], w)
     hits = 0

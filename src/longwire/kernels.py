@@ -17,6 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .patterns import _is_int
+
 BACKEND = "numpy"
 KERNEL_MAX_BITS = 64
 
@@ -37,10 +39,21 @@ def _check_bits(n: int) -> None:
 def _check_window(n: int, w: int, multi: bool) -> None:
     """The width rule, for every caller: a key the single-window (n >= 2w - 1) or two-width
     (n >= 2w + 1) pass can take, at any length; the sweeps check their 64-bit cap first."""
+    if not _is_int(n):
+        raise ValueError(f"key length must be an int, got {n!r}")
+    if not _is_int(w):
+        raise ValueError(f"window width must be an int, got {w!r}")
     if w < 1:
         raise ValueError("window width must be >= 1")
     if n < 2 * w + (1 if multi else -1):
         raise ValueError(f"key length must be >= 2w {'+' if multi else '-'} 1")
+
+
+def _check_trials(trials: int) -> None:
+    if not _is_int(trials):
+        raise ValueError(f"trials must be an int, got {trials!r}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
 
 
 def _check_sweep(n: int) -> None:
@@ -155,8 +168,7 @@ def mc_widths(n: int, widths: Sequence[int], trials: int, seed: int) -> list[int
     once and counted at every width.  Every width and `trials` are checked before the first draw."""
     for w in widths:
         _check_window(n, w, multi=False)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials)
     rows = max(1, _MC_CHUNK_BITS // n)
     counts = [0] * len(widths)
     for t in range(0, trials, rows):

@@ -51,8 +51,8 @@ class PatternSpec:
         object.__setattr__(self, "bits", tuple(self.bits))
         if self.kind not in ("alternating", "longruns", "lfsr", "dynamic4", "custom"):
             raise ValueError(f"unknown pattern kind {self.kind!r}")
-        if self.kind == "longruns" and (not _is_int(self.run_len) or self.run_len < 1):
-            raise ValueError(f"run_len must be an int >= 1, got {self.run_len!r}")
+        if self.kind == "longruns":
+            _check_int(self.run_len, "run_len", 1)
         if self.kind == "lfsr":
             _check_lfsr(self.lfsr_seed, self.taps)
         if self.kind == "dynamic4" and self.code not in DYNAMIC4_CODES:
@@ -88,6 +88,12 @@ class PatternSpec:
 def _is_int(value) -> bool:
     """An int or a numpy integer, but no bool."""
     return type(value) is int or (isinstance(value, (int, np.integer)) and not isinstance(value, bool))
+
+
+def _check_int(value, name: str, low: int) -> None:
+    """Refuse a value that is not an int (see _is_int) of at least ``low``."""
+    if not _is_int(value) or value < low:
+        raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
 
 
 def _as_bits(values: tuple) -> tuple | None:
@@ -183,8 +189,7 @@ def stimulus_columns(spec: PatternSpec, num_windows: int) -> tuple[np.ndarray, n
     Static patterns send their bit as the duty; a dynamic4 loop sends no
     bit (None) and the same duty and toggle rate in every window.
     """
-    if not _is_int(num_windows) or num_windows < 0:
-        raise ValueError(f"num_windows must be an int >= 0, got {num_windows!r}")
+    _check_int(num_windows, "num_windows", 0)
     if spec.kind == "dynamic4":
         duty = spec.code.count("1") / 4.0
         # transitions per clock tick: those around the loop over 16, so f = 1/8 and the codes give 0, f, f, 2f, f, 0

@@ -284,9 +284,12 @@ def _beta_fraction(a: float, b: float, x: float, y: float) -> float:
 
 
 def bit_error_rate(sent: Sequence[int], received: Sequence[int]) -> float:
-    """Hamming distance over length."""
+    """Hamming distance over length, of two one-dimensional streams."""
+    sent, received = np.asarray(sent), np.asarray(received)
+    if sent.ndim != 1 or received.ndim != 1:
+        raise ValueError("bit streams must be one-dimensional")
     if len(sent) != len(received):
         raise ValueError("bit streams must have equal length")
     if len(sent) == 0:
         raise ValueError("bit streams must be non-empty")
-    return np.count_nonzero(np.asarray(sent) != np.asarray(received)) / len(sent)
+    return np.count_nonzero(sent != received) / len(sent)

@@ -237,6 +237,12 @@ class TestArguments:
         with pytest.raises(TypeError):
             encode_bytes([1.5])
 
+    @pytest.mark.parametrize("rd", [-1, 1])
+    def test_bytes_and_bytearray_encode_as_the_list(self, rd):
+        data = [0x00, 0x3C, 0xA5, 0xBC, 0xFF]
+        expected = encode_bytes(data, rd)
+        assert encode_bytes(bytes(data), rd) == encode_bytes(bytearray(data), rd) == expected
+
     def test_group_shape(self):
         with pytest.raises(ValueError):
             decode_8b10b((0, 1), -1)

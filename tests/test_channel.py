@@ -461,7 +461,8 @@ class TestStreamOracle:
             simulate_counts(profile, cfg13, geom22, [np.nan], 0.0, rng)
         with pytest.raises(ValueError, match="toggle_rate"):
             simulate_counts(profile, cfg13, geom22, [0.5, 0.5], [0.0, -0.25], rng)
-        for duty, toggle in [([[0.5, 0.5]], 0.0), (0.5, 0.0), ([0.5, 0.5], [[0.0, 0.0]])]:
+        for duty, toggle in [([[0.5, 0.5]], 0.0), (0.5, 0.0), ([0.5, 0.5], [[0.0, 0.0]]),
+                             ([0.0, 1.0, 0.5], [0.0, 0.25]), ([0.0, 1.0, 0.5], [0.0] * 4), ([0.0, 1.0, 0.5], [])]:
             with pytest.raises(ValueError, match="^duty and toggle_rate must be one value per window$"):
                 simulate_counts(profile, cfg13, geom22, duty, toggle, rng)
 

@@ -8,7 +8,8 @@ import pytest
 
 from longwire import DeviceProfile, Geometry, MeasurementConfig, simulate_trace, stats
 from longwire.channel import as_longs, expected_delta_rc
-from longwire.cli import REPRODUCE_RUNS, main
+from longwire import cli
+from longwire.cli import REPRODUCE_RUNS, build_parser, main
 from longwire.exfil import parse_key, recovery_to_rows, single_window_recover
 from longwire.patterns import DYNAMIC4_CODES, PatternSpec
 from conftest import DOCS_DIR
@@ -150,7 +151,33 @@ REJECTED = [
 ]
 
 
+# Each study's parsed defaults from its smallest argv: the shared options' own, or the study's where they differ.
+DEFAULTS = {
+    "simulate": dict(windows=2048, n=None, vt="2", vr=2, d=1, path="long", func=cli.cmd_simulate),
+    "scaling-time": dict(windows=2048, n_list=[13, 15, 17, 19, 21], vt="2", vr=2, d=1, func=cli.cmd_scaling_time),
+    "scaling-length": dict(windows=1024, n=None, d=1, func=cli.cmd_scaling_length),
+    "distance": dict(windows=2048, n=None, vt="2", vr=2, func=cli.cmd_distance),
+    "dynamic": dict(windows=2048, n=None, vt="2", vr=2, d=1, path="long", func=cli.cmd_dynamic),
+    "ber": dict(n_list=[13], vt="2", vr=2, d=1, func=cli.cmd_ber),
+    "bandwidth": dict(n_list=[13, 15, 17, 19, 21], func=cli.cmd_bandwidth),
+}
+
+
 class TestChannelOptions:
+    @pytest.mark.parametrize("study", DEFAULTS)
+    def test_smallest_argv_parses_to_the_study_defaults(self, study):
+        argv = [study] if study == "bandwidth" else [study, "--seed", "1"]
+        args = vars(build_parser().parse_args(argv))
+        assert {name: args[name] for name in DEFAULTS[study]} == DEFAULTS[study]
+        assert args["profile"] is None
+
+    @pytest.mark.parametrize("study", [study for study in DEFAULTS if study != "bandwidth"])
+    def test_seed_is_required(self, capsys, study):
+        with pytest.raises(SystemExit) as err:
+            main([study])
+        assert err.value.code == 2
+        assert "the following arguments are required: --seed" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, message", REJECTED, ids=[" ".join(argv) for argv, _ in REJECTED])
     def test_rejected_argv_is_a_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as err:

@@ -101,6 +101,8 @@ class TestBitsThroughBytes:
         assert find_frames(stream, line_code=line_code) == find_frames(tuple(stream), line_code=line_code) == expected
         noisy = stream[:-1] + [2]  # not a bit: the array path, where a 2 matches no pattern bit
         assert find_frames(noisy, line_code=line_code) == expected
+        for found in (expected, find_frames(stream, line_code=line_code), find_frames(noisy, line_code=line_code)):
+            assert {type(item) for pos, body in found for item in (pos, *body)} == {int}
 
 
 class TestFrameSync:

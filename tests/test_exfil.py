@@ -827,6 +827,35 @@ class TestOneWidthRule:
         assert None in expected and len(set(expected)) == 3  # both limits and the accepted pairs are in the table
         assert [value_error(lambda: call(n, w)) for n, w in table] == expected
 
+    @pytest.mark.parametrize("name", WIDTH_ENTRIES)
+    @pytest.mark.parametrize("w, shown", [(True, "True"), (4.0, "4.0")], ids=["bool", "float"])
+    def test_width_must_be_an_int(self, name, w, shown):
+        with pytest.raises(ValueError, match=rf"^window width must be an int, got {shown}$"):
+            WIDTH_ENTRIES[name][2](16, w)
+
+    # the entry points that take a key length; the others take a key, whose length is an int
+    @pytest.mark.parametrize("name", ["probability", "monte-carlo", "mc_single", "sweep_single", "sweep_multi"])
+    @pytest.mark.parametrize("n, shown", [(True, "True"), (16.0, "16.0")], ids=["bool", "float"])
+    def test_key_length_must_be_an_int(self, name, n, shown):
+        with pytest.raises(ValueError, match=rf"^key length must be an int, got {shown}$"):
+            WIDTH_ENTRIES[name][2](n, 1)
+
+    @pytest.mark.parametrize("n, shown", [(True, "True"), (4.0, "4.0")], ids=["bool", "float"])
+    def test_from_int_length_must_be_an_int(self, n, shown):
+        with pytest.raises(ValueError, match=rf"^key length must be an int, got {shown}$"):
+            KeyBits.from_int(5, n)
+
+    @pytest.mark.parametrize("call", [
+        lambda trials: monte_carlo_recovery_rate(16, 4, trials, 0),
+        lambda trials: monte_carlo_recovery_rate(16, 4, trials, 0, noise=QUIET),
+        lambda trials: kernels.mc_single(16, 4, trials, 0),
+        lambda trials: kernels.mc_widths(16, [3, 4], trials, 0),
+    ], ids=["monte-carlo", "monte-carlo-noisy", "mc_single", "mc_widths"])
+    @pytest.mark.parametrize("trials, shown", [(True, "True"), (2.0, "2.0")], ids=["bool", "float"])
+    def test_trials_must_be_an_int(self, call, trials, shown):
+        with pytest.raises(ValueError, match=rf"^trials must be an int, got {shown}$"):
+            call(trials)
+
 
 class TestNoisyRecovery:
     # at 2^21 ticks the full-swing shift is 1024 counts, so a one-bit

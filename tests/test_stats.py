@@ -353,6 +353,15 @@ class TestBitErrorRate:
         with pytest.raises(ValueError, match="^bit streams must be non-empty$"):
             bit_error_rate([], [])
 
+    @pytest.mark.parametrize("sent, received", [
+        ([[1, 0]], [[1, 1]]),  # read by rows, this would be one error in one row: a rate of 1.0, not 0.5
+        ([1, 0], [[1, 0]]),
+        (1, 1),
+    ])
+    def test_streams_must_be_one_dimensional(self, sent, received):
+        with pytest.raises(ValueError, match="^bit streams must be one-dimensional$"):
+            bit_error_rate(sent, received)
+
 
 def run_python(code, cwd=None):
     src = str(Path(longwire.__file__).resolve().parents[1])
