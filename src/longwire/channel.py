@@ -25,11 +25,11 @@ that leaves +/-drift_bound, and the scalar clipped recursion from there
 on.  A run of windows is a ``CountTrace``: one array per column (window,
 count, duty, toggle rate) plus the list of transmitted bits.
 
-The engine behind it also takes a batch: duty as (rows x windows), the
-coupling terms as one column per row, and one generator per draw row.  Each
-block is filled row by row, each draw row from its own generator, so every
-generator still draws its three blocks in the order above and a row's counts
-are those its generator gives it alone; one draw row serves every duty row.
+The engine behind it also takes a batch: duty as (rows x windows), one
+geometry per row, and one generator per draw row.  Each block is filled row
+by row, each draw row from its own generator, so every generator still draws
+its three blocks in the order above and a row's counts are those its
+generator gives it alone; one geometry or one draw row serves every row.
 The drift pass, the mean, the noise, the phase and the rounding each run
 once over the whole array.
 
@@ -328,16 +328,19 @@ def _coupling_terms(profile: DeviceProfile, geom: Geometry) -> tuple[float, floa
     return profile.local_static_epsilon, profile.local_switch_penalty
 
 
-def _mean_count(profile, cfg, terms, duty, toggle_rate, drift):
+def _mean_count(profile, cfg, geoms, duty, toggle_rate, drift):
     """Noise-free window count, (m * base_rate) * (1 + drift) * (1 + duty * delta - penalty * toggle_rate).
 
-    ``terms`` is the geometry's (delta, penalty) from ``_coupling_terms``, or
-    one column of each per row.  Floats or arrays alike.  An array ``drift``
-    is overwritten; the result is written into the stimulus level (a fresh
-    array whenever the duty is one), which must hold the result's shape.  The
-    terms are combined in the order written above.
+    ``geoms`` holds one geometry, whose ``_coupling_terms`` serve every row,
+    or one per row, whose terms become (rows x 1) columns; the rest are floats
+    or arrays alike.  An array ``drift`` is overwritten; the result is written
+    into the stimulus level (a fresh array whenever the duty is one), which
+    must hold the result's shape.  The terms are combined in the order above.
     """
-    delta, penalty = terms
+    if len(geoms) == 1:  # floats, and no array built: the noisy attack's per-key path
+        delta, penalty = _coupling_terms(profile, geoms[0])
+    else:
+        delta, penalty = np.array([_coupling_terms(profile, g) for g in geoms]).T[..., None]
     level = duty * delta
     level += 1.0
     load = penalty * toggle_rate
@@ -360,7 +363,7 @@ def expected_count(
 ) -> float:
     """Noise-free mean of the window count."""
     _check_stimulus(duty, toggle_rate)
-    return _mean_count(profile, cfg, _coupling_terms(profile, geom), duty, toggle_rate, drift_state)
+    return _mean_count(profile, cfg, (geom,), duty, toggle_rate, drift_state)
 
 
 # Windows per block of the drift pass: one matmul per block, then a carry between blocks.
@@ -482,7 +485,7 @@ def simulate_counts(
     if duty.ndim != 1 or toggle.ndim > 1 or toggle.size not in (1, duty.size):
         raise ValueError("duty and toggle_rate must be one value per window")
     _check_stimulus(duty, toggle)
-    return _count_engine(profile, cfg, _coupling_terms(profile, geom), duty, toggle, (rng,))
+    return _count_engine(profile, cfg, (geom,), duty, toggle, (rng,))
 
 
 def _block(rngs, n: int, draw: str, *params) -> np.ndarray:
@@ -499,21 +502,21 @@ def _block(rngs, n: int, draw: str, *params) -> np.ndarray:
     return block
 
 
-def _count_engine(profile, cfg, terms, duty: np.ndarray, toggle, rngs) -> np.ndarray:
+def _count_engine(profile, cfg, geoms, duty: np.ndarray, toggle, rngs) -> np.ndarray:
     """simulate_counts past its checks, for one trace or a batch of them.
 
     ``duty`` is (rows x windows), or one trace's windows as a 1-D array, in
     [0, 1]; ``toggle`` a float or an array that broadcasts against it, finite
-    and >= 0; ``terms`` the _coupling_terms of one geometry, or of one per
-    row as (rows x 1) columns.  ``rngs`` holds one distinct generator per
-    draw row: one serves every duty row, else row r draws from ``rngs[r]``.
+    and >= 0.  ``geoms`` and ``rngs`` each hold one item that serves every
+    row, or one per row: row r is placed as ``geoms[r]`` and draws from
+    ``rngs[r]``, one distinct generator per draw row.
     Each block is drawn when it is used (the innovations, which become the
     drift of the mean, then the noise, then the phase), so each generator
     still draws in STREAM_VERSION 2 order and each row's counts are the ones
     simulate_counts gives it alone.
     """
     n = duty.shape[-1]
-    raw = _mean_count(profile, cfg, terms, duty, toggle,
+    raw = _mean_count(profile, cfg, geoms, duty, toggle,
                       _drift_path(profile, _block(rngs, n, "normal", 0.0, profile.drift_rate)))
     raw += _block(rngs, n, "normal", 0.0, profile.noise_sigma_for(cfg.ticks_per_window))
     raw += _block(rngs, n, "uniform", -1.0, 1.0)

@@ -23,7 +23,6 @@ from .channel import (
     Geometry,
     MeasurementConfig,
     _count_engine,
-    _coupling_terms,
     as_longs,
     expected_delta_rc,
     simulate_trace,
@@ -126,8 +125,7 @@ def _alternating_stats(profile, cfg, geoms, windows, seeds):
     """One alternating trace per geometry, trace r seeded seeds[r], from one count-engine call: the counts of
     the 0 and the 1 windows and the paired relative differences, each one row per geometry."""
     duty, _, _ = stimulus_columns(PatternSpec.alternating(), windows)
-    delta, penalty = (np.array(column)[:, None] for column in zip(*(_coupling_terms(profile, g) for g in geoms)))
-    counts = _count_engine(profile, cfg, (delta, penalty), duty, 0.0, [np.random.default_rng(s) for s in seeds])
+    counts = _count_engine(profile, cfg, geoms, duty[None], 0.0, [np.random.default_rng(s) for s in seeds])
     drc = stats._relative_deltas(counts, range(windows))
     return counts[:, 0::2], counts[:, 1::2], drc
 
@@ -190,8 +188,7 @@ def cmd_dynamic(args) -> str:
     duty, toggle = np.array([c[0] for c in columns]), np.array([c[1] for c in columns])  # one row per code
     # one seed, so one draw row, for all six codes: differences between
     # patterns are then not masked by noise realization
-    counts = _count_engine(profile, cfg, _coupling_terms(profile, geom), duty, toggle,
-                           (np.random.default_rng(args.seed),))
+    counts = _count_engine(profile, cfg, (geom,), duty, toggle, (np.random.default_rng(args.seed),))
     rows = []
     for idx, code in enumerate(DYNAMIC4_CODES):
         mean, lo, hi = stats.mean_ci(counts[idx])

@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import kernels
-from .channel import DeviceProfile, Geometry, MeasurementConfig, _count_engine, _coupling_terms, _mean_count
+from .channel import DeviceProfile, Geometry, MeasurementConfig, _count_engine, _mean_count
 from .errors import InconsistentMeasurements
 from .patterns import _as_bits, _check_int, _is_int
 
@@ -165,7 +165,7 @@ class RecoveryResult:
 def window_hw_oracle(key, pos: int, w: int) -> int:
     """Exact Hamming weight of key[pos : pos + w]."""
     key = _as_key(key)
-    if not 1 <= w <= len(key):
+    if not _is_int(w) or not 1 <= w <= len(key):
         raise ValueError("window width must be in [1, key length]")
     if not 0 <= pos <= len(key) - w:
         raise ValueError(f"window start must be in [0, {len(key) - w}]")
@@ -175,7 +175,7 @@ def window_hw_oracle(key, pos: int, w: int) -> int:
 def _window_weights(key, w: int) -> np.ndarray:
     """Hamming weight of every width-w window of the key, in order."""
     key = _as_key(key)
-    if not 1 <= w <= len(key):
+    if not _is_int(w) or not 1 <= w <= len(key):
         raise ValueError("window width must be in [1, key length]")
     ones = np.frombuffer(b"\0" + bytes(key.bits), np.uint8).cumsum(dtype=np.int64)  # ones[i]: ones before bit i
     return ones[w:] - ones[:-w]
@@ -209,32 +209,28 @@ class ExfilChannel:
         _check_int(self.seed, "seed", 0)
 
 
-def _full_swing(chan: ExfilChannel, delta: float) -> float:
-    """The count step of a full window: the noise-free count at duty 1 less that at duty 0, no toggle
-    and no drift, for the coupling delta from _coupling_terms; expected_count's value to the bit."""
-    terms, profile, cfg = (delta, 0.0), chan.profile, chan.cfg
-    return _mean_count(profile, cfg, terms, 1.0, 0.0, 0.0) - _mean_count(profile, cfg, terms, 0.0, 0.0, 0.0)
-
-
-def _tolerance(chan: ExfilChannel, delta: float, w: int) -> float:
-    """Midpoint decision rule: half the per-bit count step."""
-    return _full_swing(chan, delta) / (2.0 * w)
+def _full_swing(chan: ExfilChannel) -> float:
+    """The count step of a full window: the noise-free count at duty 1 less that at duty 0 (m * base_rate
+    exactly), no toggle and no drift; expected_count's value to the bit, without its stimulus checks."""
+    profile, cfg = chan.profile, chan.cfg
+    return _mean_count(profile, cfg, (chan.geom,), 1.0, 0.0, 0.0) - cfg.ticks_per_window * profile.base_rate
 
 
 def noise_tolerance(chan: ExfilChannel, w: int) -> float:
-    """Midpoint decision rule: half the per-bit count step."""
-    return _tolerance(chan, _coupling_terms(chan.profile, chan.geom)[0], w)
+    """Midpoint decision rule: half the per-bit count step, for a width w that is an int >= 1."""
+    _check_int(w, "window width", 1)
+    return _full_swing(chan) / (2.0 * w)
 
 
 def noise_feasibility(chan: ExfilChannel, w: int) -> dict[str, float]:
     """Per-bit count step against the effective noise level."""
-    step = _full_swing(chan, _coupling_terms(chan.profile, chan.geom)[0]) / w
+    step = 2.0 * noise_tolerance(chan, w)  # x / (2w) is x / w halved exactly
     sigma = chan.profile.noise_sigma_for(chan.cfg.ticks_per_window) / math.sqrt(chan.repeats)
     return {"count_step": step, "noise_sigma": sigma, "step_over_sigma": step / sigma if sigma else math.inf}
 
 
-def _noisy_counts(weights: np.ndarray, w: int, chan: ExfilChannel, terms: tuple[float, float], rngs) -> np.ndarray:
-    """Mean count per window from its weight and the channel's _coupling_terms.
+def _noisy_counts(weights: np.ndarray, w: int, chan: ExfilChannel, rngs) -> np.ndarray:
+    """Mean count per window from its weight, through the channel's geometry.
 
     ``weights`` is one key's windows, measured from the one generator in
     ``rngs``, or (keys x windows) with key r measured from ``rngs[r]``.
@@ -244,7 +240,7 @@ def _noisy_counts(weights: np.ndarray, w: int, chan: ExfilChannel, terms: tuple[
     if repeats > 1:
         duty = duty.repeat(repeats, -1)
     # weight / w is in [0, 1] and the toggle rate is 0.0, so the engine's stimulus checks would pass
-    counts = _count_engine(chan.profile, chan.cfg, terms, duty, 0.0, rngs)
+    counts = _count_engine(chan.profile, chan.cfg, (chan.geom,), duty, 0.0, rngs)
     if repeats > 1:
         counts = counts.reshape(weights.shape + (repeats,)).sum(-1)
     return counts / repeats  # integer counts: exactly their mean
@@ -257,8 +253,7 @@ def measure_windows_noisy(key, w: int, chan: ExfilChannel) -> list[float]:
     in order, as one trace whose drift carries across; a position reports
     the mean of its counts.
     """
-    terms = _coupling_terms(chan.profile, chan.geom)
-    return _noisy_counts(_window_weights(key, w), w, chan, terms, (np.random.default_rng(chan.seed),)).tolist()
+    return _noisy_counts(_window_weights(key, w), w, chan, (np.random.default_rng(chan.seed),)).tolist()
 
 
 def infer_relations(counts: Sequence[float], w: int, tolerance: float) -> RelationSet:
@@ -322,7 +317,7 @@ def propagate(relations: RelationSet | Sequence[RelationSet], n_key: int) -> Rec
     pins = runs = measurements = 0
     links = []
     for equal, drop, rise, w in sets:
-        if not 1 <= w <= n_key:
+        if not _is_int(w) or not 1 <= w <= n_key:
             raise ValueError(f"window width {w} must be in [1, n_key = {n_key}]")
         cut = (1 << (n_key - w)) - 1
         if equal | drop | rise != cut or equal + drop + rise != cut:
@@ -397,9 +392,8 @@ def single_window_recover(key, w: int, noise: ExfilChannel | None = None) -> Rec
     kernels._check_window(n, w, multi=False)
     if noise is None:
         return _noise_free(key.bits, _equal_classes(key.to_int(), n, w), w, n - w + 1)
-    terms = _coupling_terms(noise.profile, noise.geom)
-    counts = _noisy_counts(_window_weights(key, w), w, noise, terms, (np.random.default_rng(noise.seed),))
-    return propagate(_classify(counts, w, _tolerance(noise, terms[0], w)), n)
+    counts = _noisy_counts(_window_weights(key, w), w, noise, (np.random.default_rng(noise.seed),))
+    return propagate(_classify(counts, w, noise_tolerance(noise, w)), n)
 
 
 def noisy_outcome(key, w: int, chan: ExfilChannel) -> tuple[str, RecoveryResult | None]:
@@ -488,8 +482,7 @@ def monte_carlo_recovery_rate(
         return kernels.mc_single(n_key, w, trials, seed) / trials
     _split_key_length(n_key, w)
     kernels._check_trials(trials)
-    terms = _coupling_terms(noise.profile, noise.geom)
-    tolerance = _tolerance(noise, terms[0], w)
+    tolerance = noise_tolerance(noise, w)
     hits = 0
     for start in range(0, trials, _NOISY_CHUNK):
         stop = min(start + _NOISY_CHUNK, trials)
@@ -498,7 +491,7 @@ def monte_carlo_recovery_rate(
         ones = np.zeros((len(keys), n_key + 1), dtype=np.int64)  # ones[r, i]: ones before bit i of key r
         np.cumsum(keys, axis=1, out=ones[:, 1:])
         rngs = [np.random.default_rng(noise.seed + t) for t in range(start, stop)]
-        for bits, row in zip(keys.tolist(), _noisy_counts(ones[:, w:] - ones[:, :-w], w, noise, terms, rngs)):
+        for bits, row in zip(keys.tolist(), _noisy_counts(ones[:, w:] - ones[:, :-w], w, noise, rngs)):
             try:
                 hits += _score(propagate(_classify(row, w, tolerance), n_key), bits) == "correct"
             except InconsistentMeasurements:

@@ -75,12 +75,14 @@ def _relative_deltas(counts: np.ndarray, window) -> np.ndarray:
 
 
 def mean_ci(values: Sequence[float], level: float = 0.99) -> tuple[float, float, float]:
-    """Student-t confidence interval for the mean: (mean, low, high)."""
-    if len(values) < 2:
+    """Student-t confidence interval for the mean of a one-dimensional sample: (mean, low, high)."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError("values must be one-dimensional")
+    if len(arr) < 2:
         raise ValueError("need at least 2 values")
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
     if not math.isfinite(mean):
         # a NaN or an infinity among the values always reaches the mean
@@ -91,11 +93,13 @@ def mean_ci(values: Sequence[float], level: float = 0.99) -> tuple[float, float,
 
 
 def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
-    """Two-sample KS test: D = sup |ECDF_a - ECDF_b|, asymptotic p-value.
+    """Two-sample KS test of one-dimensional samples: D = sup |ECDF_a - ECDF_b|, asymptotic p-value.
 
     The p-value evaluates the Kolmogorov distribution at sqrt(n_eff) * D
     with effective size n_a * n_b / (n_a + n_b).
     """
+    if np.ndim(a) != 1 or np.ndim(b) != 1:
+        raise ValueError("samples must be one-dimensional")
     if len(a) == 0 or len(b) == 0:
         raise ValueError("both samples must be non-empty")
     xa = np.sort(np.asarray(a, dtype=float))

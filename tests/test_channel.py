@@ -780,11 +780,10 @@ class TestWorkingSet:
 
     def test_batch(self, profile, cfg13, geom22):
         duty = np.random.default_rng(0).random((35, 1024))
-        terms = channel._coupling_terms(profile, geom22)
 
         def batch():
             rngs = [np.random.default_rng(s) for s in range(35)]
-            return channel._count_engine(profile, cfg13, terms, duty, 0.0, rngs)
+            return channel._count_engine(profile, cfg13, (geom22,), duty, 0.0, rngs)
 
         assert float_arrays_at_peak(batch, duty.size) <= self.LIMIT
 
@@ -803,11 +802,6 @@ class TestBatchEngine:
     GEOMETRIES = [Geometry(v_t=2, v_r=2), Geometry(v_t=Fraction(1, 3), v_r=5, coupling="local"),
                   Geometry(v_t=5, v_r=3, d=2), Geometry(v_t=1, v_r=1, coupling="local")]
 
-    @staticmethod
-    def terms(profile, geoms):
-        """The geometries' coupling terms as one (delta, penalty) column each."""
-        return tuple(np.array(column)[:, None] for column in zip(*(channel._coupling_terms(profile, g) for g in geoms)))
-
     @pytest.mark.parametrize("windows", [1, 55, 64, 65, 220, 1024, 4099])
     @pytest.mark.parametrize("profile_name", list(PROFILES))
     def test_rows_equal_simulate_counts(self, windows, profile_name, cfg13):
@@ -816,7 +810,7 @@ class TestBatchEngine:
         duty = rng.random((len(self.GEOMETRIES), windows))
         toggle = rng.random((len(self.GEOMETRIES), windows)) * 0.25
         seeds = [3, 17, 3, 91]  # a seed used twice draws the same row twice
-        batch = channel._count_engine(profile, cfg13, self.terms(profile, self.GEOMETRIES), duty, toggle,
+        batch = channel._count_engine(profile, cfg13, self.GEOMETRIES, duty, toggle,
                                       [np.random.default_rng(s) for s in seeds])
         assert batch.shape == duty.shape and batch.dtype == np.int64
         for geom, d, t, seed, row in zip(self.GEOMETRIES, duty, toggle, seeds, batch):
@@ -828,8 +822,7 @@ class TestBatchEngine:
         profile, geom = DeviceProfile(**self.PROFILES["late-clip"]), Geometry(coupling=coupling)
         columns = [stimulus_columns(PatternSpec.dynamic4(code), windows) for code in DYNAMIC4_CODES]
         duty, toggle = np.array([c[0] for c in columns]), np.array([c[1] for c in columns])
-        batch = channel._count_engine(profile, cfg13, channel._coupling_terms(profile, geom), duty, toggle,
-                                      (np.random.default_rng(6),))
+        batch = channel._count_engine(profile, cfg13, (geom,), duty, toggle, (np.random.default_rng(6),))
         for d, t, row in zip(duty, toggle, batch):
             assert row.tolist() == simulate_counts(profile, cfg13, geom, d, t, np.random.default_rng(6)).tolist()
 
@@ -838,7 +831,7 @@ class TestBatchEngine:
         profile = DeviceProfile()
         duty = np.arange(300) % 2.0
         seeds = [4, 5, 1004, 1005]
-        batch = channel._count_engine(profile, cfg13, self.terms(profile, self.GEOMETRIES), duty, 0.0,
+        batch = channel._count_engine(profile, cfg13, self.GEOMETRIES, duty[None], 0.0,
                                       [np.random.default_rng(s) for s in seeds])
         for geom, seed, row in zip(self.GEOMETRIES, seeds, batch):
             alone = simulate_counts(profile, cfg13, geom, duty, 0.0, np.random.default_rng(seed))

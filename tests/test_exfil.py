@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -129,11 +130,12 @@ class TestWindowOracle:
             window_hw_oracle(key, 2, 3)
         with pytest.raises(ValueError):
             window_hw_oracle(key, -1, 2)
-        with pytest.raises(ValueError, match=r"^window width must be in \[1, key length\]$"):
-            window_hw_oracle(key, 0, 5)
-        for w in (0, 5):
-            with pytest.raises(ValueError, match=r"^window width must be in \[1, key length\]$"):
-                measure_windows(key, w)
+        measures = (lambda w: window_hw_oracle(key, 0, w), partial(measure_windows, key),
+                    lambda w: measure_windows_noisy(key, w, QUIET))
+        for w in (0, 5, True, 2.0, np.float64(2.0)):  # a width that is not an int, such as True, is refused
+            for measure in measures:
+                with pytest.raises(ValueError, match=r"^window width must be in \[1, key length\]$"):
+                    measure(w)
 
     def test_measure_windows_covers_all_positions(self):
         key = KeyBits.from_binary("110100")
@@ -239,11 +241,13 @@ class TestPropagate:
             ([RelationSet(0b111, 0, 0, 2), RelationSet(0b1, 0, 0, 3)], "partition"),
             (RelationSet(0b11111, 0, 0, 0), "window width"),
             (RelationSet(0, 0, 0, 6), "window width"),
+            (RelationSet(0, 0, 0, 2.0), "window width"),
+            (RelationSet(0b1111, 0, 0, True), "window width"),  # partitions the relations of w = 1
             ([], "at least one"),
         ],
         ids=[
             "overlapping", "in-no-mask", "equal-bit-above", "drop-bit-above", "negative",
-            "second-set", "w-zero", "w-above-n", "no-sets",
+            "second-set", "w-zero", "w-above-n", "w-float", "w-bool", "no-sets",
         ],
     )
     def test_rejects_sets_that_do_not_fit_the_key(self, relations, match):
@@ -889,8 +893,8 @@ class TestNoisyRecovery:
     @pytest.mark.parametrize("coupling", ["long", "local"])
     @pytest.mark.parametrize("log2_ticks, base_rate", [(13, 3.0), (21, 3.0), (19, 2.7182818)])
     def test_tolerance_is_half_the_expected_count_step(self, coupling, log2_ticks, base_rate):
-        """To the bit, on every shipped profile too: noise_tolerance, whose helper the noisy attack
-        shares, works the step out without calling expected_count."""
+        """To the bit, on every shipped profile too: noise_tolerance, which the noisy attack calls,
+        works the step out without calling expected_count."""
         shipped = [load_setup(path, MeasurementConfig())[0] for path in sorted((DOCS_DIR / "profiles").glob("*.profile"))]
         cfg = MeasurementConfig(log2_ticks=log2_ticks)
         for profile in (DeviceProfile(base_rate=base_rate), *shipped):
@@ -900,6 +904,12 @@ class TestNoisyRecovery:
                 for w in (1, 3, 7, 10, 32):
                     assert noise_tolerance(chan, w).hex() == (swing / (2.0 * w)).hex()
                 assert noise_feasibility(chan, 7)["count_step"].hex() == (swing / 7).hex()
+
+    @pytest.mark.parametrize("w", [0, -1, 2.5, 2.0, True])
+    @pytest.mark.parametrize("call", [noise_tolerance, noise_feasibility])
+    def test_width_must_be_an_int_of_at_least_one(self, call, w):
+        with pytest.raises(ValueError, match=rf"^window width must be an int >= 1, got {w!r}$"):
+            call(self.channel(), w)
 
     def test_repeats_validated(self):
         with pytest.raises(ValueError):

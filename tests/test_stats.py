@@ -152,6 +152,12 @@ class TestMeanCI:
         with pytest.raises(ValueError):
             mean_ci([1.0, 2.0], level=1.0)
 
+    @pytest.mark.parametrize("values", [np.arange(12.0).reshape(3, 4), [[1.0, 2.0], [3.0, 4.0]], 5.0])
+    def test_values_must_be_one_dimensional(self, values):
+        """A 3 x 4 array read 12 values for the mean but 3 rows for the sem and df."""
+        with pytest.raises(ValueError, match="^values must be one-dimensional$"):
+            mean_ci(values)
+
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_rejects_non_finite_values(self, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -179,6 +185,15 @@ class TestKSTwoSample:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             ks_two_sample([], [1.0])
+
+    @pytest.mark.parametrize("a, b", [
+        ([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0]),
+        ([1.0, 2.0], [[3.0, 4.0]]),
+        (1.0, [1.0, 2.0]),
+    ])
+    def test_samples_must_be_one_dimensional(self, a, b):
+        with pytest.raises(ValueError, match="^samples must be one-dimensional$"):
+            ks_two_sample(a, b)
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_rejects_non_finite_samples(self, bad):
