@@ -106,8 +106,8 @@ class RoutingGrid:
     n_longs: int = DEFAULT_N_LONGS
 
     def __post_init__(self):
-        if not all(_is_int(c) and c >= 1 for c in (self.tracks_per_column, self.n_longs)):
-            raise ValueError("capacities must be ints >= 1")
+        _check_int(self.tracks_per_column, "tracks_per_column", 1)
+        _check_int(self.n_longs, "n_longs", 1)
         # A tuple of the caller's spans: a list they keep could change under the indexes.
         spans = tuple(self.spans)
         for s in spans:  # parsed and derived grids hold ints by construction and skip this
@@ -425,8 +425,8 @@ def placement_success_probability(n_longs: int, w_adj: int, r_longs: int, t_long
     (R + T - 1) placements of the receiver hit one of the w_adj wires
     recoverable from each of the transmitter's longs, out of N total.
     """
-    if min(n_longs, w_adj, r_longs, t_longs) < 1:
-        raise ValueError("all arguments must be >= 1")
+    for name, value in (("n_longs", n_longs), ("w_adj", w_adj), ("r_longs", r_longs), ("t_longs", t_longs)):
+        _check_int(value, name, 1)
     if r_longs + t_longs > n_longs:
         raise ValueError("R + T must be <= N_longs")
     return min(1.0, (r_longs + t_longs - 1) * w_adj / n_longs)

@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .patterns import PatternSpec, _as_bits, _check_int, _is_int, stimulus_columns
+from .patterns import PatternSpec, _as_bits, _check_int, stimulus_columns
 
 __all__ = [
     "STREAM_VERSION",
@@ -102,10 +102,8 @@ class _ReadOnlyDict(dict):
 def _validate_atten(atten: dict[int, float]) -> _ReadOnlyDict:
     clean: dict[int, float] = {}
     for d, mult in atten.items():
-        d = int(d)
-        mult = float(mult)
-        if d < 1:
-            raise ValueError(f"distance_atten key {d} must be >= 1")
+        _check_int(d, "distance_atten key", 1)
+        d, mult = int(d), float(mult)
         if not math.isfinite(mult):
             raise ValueError(f"distance_atten multiplier for d={d} must be finite")
         if mult < 0.0:
@@ -164,8 +162,7 @@ class DeviceProfile:
 
     def attenuation(self, d: int) -> float:
         """Distance multiplier: 1.0 for adjacent wires, 0 for d >= 3."""
-        if d < 1:
-            raise ValueError("distance must be >= 1")
+        _check_int(d, "distance", 1)
         return self.distance_atten.get(d, 0.0)  # _validate_atten holds d >= 3 at 0
 
     def noise_sigma_for(self, ticks_per_window: int) -> float:
@@ -181,8 +178,7 @@ class MeasurementConfig:
     f_clk_hz: float = 100e6
 
     def __post_init__(self):
-        if not _is_int(self.log2_ticks) or not 1 <= self.log2_ticks <= 32:
-            raise ValueError(f"log2_ticks must be in [1, 32] and an int, got {self.log2_ticks!r}")
+        _check_int(self.log2_ticks, "log2_ticks", 1, 32)
         _require_finite(self, ["f_clk_hz"])
         if self.f_clk_hz <= 0:
             raise ValueError("f_clk_hz must be > 0")

@@ -31,7 +31,7 @@ import numpy as np
 from . import kernels
 from .channel import DeviceProfile, Geometry, MeasurementConfig, _count_engine, _mean_count
 from .errors import InconsistentMeasurements
-from .patterns import _as_bits, _check_int, _is_int
+from .patterns import _as_bits, _check_int
 
 __all__ = [
     "KeyBits",
@@ -83,10 +83,7 @@ class KeyBits:
     def from_int(cls, value: int, n: int) -> "KeyBits":
         """Bits 0..n-1 of value, two's complement for a negative one; bits cut from an int
         need no __post_init__ copy or bit check."""
-        if not _is_int(n):
-            raise ValueError(f"key length must be an int, got {n!r}")
-        if n < 1:
-            raise ValueError("key must have at least one bit")
+        _check_int(n, "key length", 1)
         key = object.__new__(cls)
         object.__setattr__(key, "bits", tuple(_mask_bits(value, n)))
         return key
@@ -165,18 +162,15 @@ class RecoveryResult:
 def window_hw_oracle(key, pos: int, w: int) -> int:
     """Exact Hamming weight of key[pos : pos + w]."""
     key = _as_key(key)
-    if not _is_int(w) or not 1 <= w <= len(key):
-        raise ValueError("window width must be in [1, key length]")
-    if not 0 <= pos <= len(key) - w:
-        raise ValueError(f"window start must be in [0, {len(key) - w}]")
+    _check_int(w, "window width", 1, len(key))
+    _check_int(pos, "window start", 0, len(key) - w)
     return sum(key.bits[pos : pos + w])
 
 
 def _window_weights(key, w: int) -> np.ndarray:
     """Hamming weight of every width-w window of the key, in order."""
     key = _as_key(key)
-    if not _is_int(w) or not 1 <= w <= len(key):
-        raise ValueError("window width must be in [1, key length]")
+    _check_int(w, "window width", 1, len(key))
     ones = np.frombuffer(b"\0" + bytes(key.bits), np.uint8).cumsum(dtype=np.int64)  # ones[i]: ones before bit i
     return ones[w:] - ones[:-w]
 
@@ -261,8 +255,7 @@ def infer_relations(counts: Sequence[float], w: int, tolerance: float) -> Relati
     counts = np.asarray(counts, dtype=np.float64)
     if counts.ndim != 1 or not len(counts):
         raise ValueError("need a one-dimensional sequence of at least 1 window measurement")
-    if not _is_int(w) or w < 1:
-        raise ValueError("window width must be >= 1")
+    _check_int(w, "window width", 1)
     if not tolerance >= 0:
         raise ValueError("tolerance must be >= 0")
     if not np.isfinite(counts).all():
@@ -311,14 +304,14 @@ def propagate(relations: RelationSet | Sequence[RelationSet], n_key: int) -> Rec
     whose w is outside [1, n_key], or whose masks do not partition relations
     0..n_key-w-1, raises ValueError.
     """
+    _check_int(n_key, "key length", 1)
     sets = (relations,) if isinstance(relations, RelationSet) else tuple(relations)
     if not sets:
         raise ValueError("need at least one relation set")
     pins = runs = measurements = 0
     links = []
     for equal, drop, rise, w in sets:
-        if not _is_int(w) or not 1 <= w <= n_key:
-            raise ValueError(f"window width {w} must be in [1, n_key = {n_key}]")
+        _check_int(w, "window width", 1, n_key)
         cut = (1 << (n_key - w)) - 1
         if equal | drop | rise != cut or equal + drop + rise != cut:
             raise ValueError(f"width {w}: equal, drop and rise must partition bits 0..{n_key - w - 1}")
@@ -435,7 +428,7 @@ def multi_window_recover(key, w: int) -> RecoveryResult:
 
 def _split_key_length(n_key: int, w: int) -> tuple[int, int]:
     kernels._check_window(n_key, w, multi=False)
-    return divmod(n_key, w)
+    return divmod(int(n_key), int(w))  # Python ints: 2**nq of a numpy integer overflows
 
 
 def recovery_probability(n_key: int, w: int) -> float:
@@ -450,7 +443,7 @@ def recovery_probability(n_key: int, w: int) -> float:
 def recovery_probability_exact(n_key: int, w: int) -> Fraction:
     """Exact rational form of recovery_probability."""
     nq, m = _split_key_length(n_key, w)
-    return (1 - Fraction(1, 2**nq)) ** m * (1 - Fraction(2, 2**nq)) ** (w - m)
+    return (1 - Fraction(1, 2**nq)) ** m * (1 - Fraction(2, 2**nq)) ** (int(w) - m)
 
 
 def eq2_lower_bound(n_key: int, w: int) -> float:
@@ -481,7 +474,7 @@ def monte_carlo_recovery_rate(
     if noise is None:
         return kernels.mc_single(n_key, w, trials, seed) / trials
     _split_key_length(n_key, w)
-    kernels._check_trials(trials)
+    _check_int(trials, "trials", 1)
     tolerance = noise_tolerance(noise, w)
     hits = 0
     for start in range(0, trials, _NOISY_CHUNK):

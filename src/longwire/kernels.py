@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .patterns import _is_int
+from .patterns import _check_int
 
 BACKEND = "numpy"
 KERNEL_MAX_BITS = 64
@@ -31,29 +31,13 @@ _MC_CHUNK_BITS = 1 << 23  # trial-key bits per Monte Carlo chunk: at most 2^23 /
 _SWEEP_MAX_BITS = 28
 
 
-def _check_bits(n: int) -> None:
-    if not 1 <= n <= KERNEL_MAX_BITS:
-        raise ValueError("key length must be in [1, 64] for the kernels")
-
-
 def _check_window(n: int, w: int, multi: bool) -> None:
     """The width rule, for every caller: a key the single-window (n >= 2w - 1) or two-width
-    (n >= 2w + 1) pass can take, at any length; the sweeps check their 64-bit cap first."""
-    if not _is_int(n):
-        raise ValueError(f"key length must be an int, got {n!r}")
-    if not _is_int(w):
-        raise ValueError(f"window width must be an int, got {w!r}")
-    if w < 1:
-        raise ValueError("window width must be >= 1")
+    (n >= 2w + 1) pass can take, at any length; the sweeps then check their 28-bit cap."""
+    _check_int(n, "key length", 1)
+    _check_int(w, "window width", 1)
     if n < 2 * w + (1 if multi else -1):
         raise ValueError(f"key length must be >= 2w {'+' if multi else '-'} 1")
-
-
-def _check_trials(trials: int) -> None:
-    if not _is_int(trials):
-        raise ValueError(f"trials must be an int, got {trials!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
 
 
 def _check_sweep(n: int) -> None:
@@ -74,14 +58,14 @@ def trial_keys(seed, trials, n: int) -> np.ndarray:
 
     Each may be a Python int or a uint64 array.
     """
-    _check_bits(n)
+    _check_int(n, "key length", 1, KERNEL_MAX_BITS)
     z = _u64(seed) + (_u64(trials) + 1) * _GOLDEN
     z ^= z >> 30
     z *= _MIX1
     z ^= z >> 27
     z *= _MIX2
     z ^= z >> 31
-    return z & np.uint64((1 << n) - 1)
+    return z & np.uint64((1 << int(n)) - 1)  # a Python int: 1 << 63 of a numpy integer overflows
 
 
 def trial_key(seed: int, trial: int, n: int) -> int:
@@ -144,7 +128,6 @@ def _count_complete(words: np.ndarray, n: int, w: int) -> int:
 
 def sweep_single(n: int, w: int) -> int:
     """Number of keys in [0, 2^n) fully recovered by the single-window pass."""
-    _check_bits(n)
     _check_window(n, w, multi=False)
     _check_sweep(n)
     return sum(_count_complete(keys[None], n, w) for keys in _index_chunks(1 << n))
@@ -156,7 +139,6 @@ def sweep_multi(n: int, w: int) -> int:
     For n >= 2w+1 the equality links j~j+w and j~j+w+1 connect all n
     positions, so every key resolves except the two constant ones.
     """
-    _check_bits(n)
     _check_window(n, w, multi=True)
     _check_sweep(n)
     return (1 << n) - 2
@@ -168,7 +150,7 @@ def mc_widths(n: int, widths: Sequence[int], trials: int, seed: int) -> list[int
     once and counted at every width.  Every width and `trials` are checked before the first draw."""
     for w in widths:
         _check_window(n, w, multi=False)
-    _check_trials(trials)
+    _check_int(trials, "trials", 1)
     rows = max(1, _MC_CHUNK_BITS // n)
     counts = [0] * len(widths)
     for t in range(0, trials, rows):

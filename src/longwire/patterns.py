@@ -90,10 +90,13 @@ def _is_int(value) -> bool:
     return type(value) is int or (isinstance(value, (int, np.integer)) and not isinstance(value, bool))
 
 
-def _check_int(value, name: str, low: int) -> None:
-    """Refuse a value that is not an int (see _is_int) of at least ``low``."""
-    if not _is_int(value) or value < low:
-        raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+def _check_int(value, name: str, low: int, high: int | None = None) -> None:
+    """The package's one integer rule: refuse a value that is not an int (see _is_int) in
+    [low, high], or of at least ``low`` when there is no ``high``."""
+    if (type(value) is int or _is_int(value)) and low <= value and (high is None or value <= high):
+        return  # a plain int skips the _is_int call: the per-key paths check several
+    limits = f">= {low}" if high is None else f"in [{low}, {high}]"
+    raise ValueError(f"{name} must be an int {limits}, got {value!r}")
 
 
 def _as_bits(values: tuple) -> tuple | None:
@@ -132,13 +135,7 @@ def _check_lfsr(state: int, taps: tuple[int, ...]) -> None:
         raise ValueError(f"taps must be positive int bit positions, got {taps!r}")
     if len(set(taps)) != len(taps):
         raise ValueError("taps must be distinct")
-    width = max(taps)
-    if not _is_int(state):
-        raise ValueError(f"LFSR state must be an int, got {state!r}")
-    if state == 0:
-        raise ValueError("LFSR state must be nonzero")
-    if not 0 < state < (1 << width):
-        raise ValueError(f"LFSR state must fit in {width} bits")
+    _check_int(state, "LFSR state", 1, (1 << max(taps)) - 1)
 
 
 def lfsr_next(state: int, taps: tuple[int, ...] = DEFAULT_LFSR_TAPS) -> tuple[int, int]:

@@ -372,18 +372,19 @@ class TestRoutingGrid:
     @pytest.mark.parametrize(
         "spans, capacities, match",
         [
-            ((), dict(tracks_per_column=0), "capacities must be ints >= 1"),
-            ((), dict(n_longs=-1), "capacities must be ints >= 1"),
-            ((), dict(tracks_per_column=2.5), "capacities must be ints >= 1"),
-            ((), dict(n_longs=True), "capacities must be ints >= 1"),
-            ((LongWireSpan("a", "c", "trusted", True, 1.5, 0, 0, 1),), {}, "span 'a': column, track and extent"),
-            ((span("a", "c", 1.0, 0, 1),), {}, "span 'a': column, track and extent"),
-            ((span("a", "c", 1, 0, 1), span("b", "c", 2, 0, 9.5)), {}, "span 'b': column, track and extent"),
+            ((), dict(tracks_per_column=0), "tracks_per_column must be an int >= 1, got 0"),
+            ((), dict(n_longs=-1), "n_longs must be an int >= 1, got -1"),
+            ((), dict(tracks_per_column=2.5), "tracks_per_column must be an int >= 1, got 2.5"),
+            ((), dict(n_longs=True), "n_longs must be an int >= 1, got True"),
+            ((LongWireSpan("a", "c", "trusted", True, 1.5, 0, 0, 1),), {},
+             "span 'a': column, track and extent must be ints"),
+            ((span("a", "c", 1.0, 0, 1),), {}, "span 'a': column, track and extent must be ints"),
+            ((span("a", "c", 1, 0, 1), span("b", "c", 2, 0, 9.5)), {}, "span 'b': column, track and extent must be ints"),
         ],
     )
     def test_fields_must_be_ints(self, spans, capacities, match):
         # serialize_grid used to write such a grid, which parse_grid then rejected
-        with pytest.raises(ValueError, match=f"^{match}"):
+        with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
             RoutingGrid(spans, **capacities)
 
     def test_numpy_int_fields_round_trip(self):
@@ -660,6 +661,18 @@ class TestPlacementProbability:
             placement_success_probability(10, 4, 6, 6)
         with pytest.raises(ValueError):
             placement_success_probability(10, 0, 1, 1)
+
+    @pytest.mark.parametrize("args, message", [
+        ((100, 1.5, 2, 2), "w_adj must be an int >= 1, got 1.5"),
+        ((100, True, 2, 2), "w_adj must be an int >= 1, got True"),
+        ((100.0, 4, 2, 2), "n_longs must be an int >= 1, got 100.0"),
+        ((100, 4, 2, False), "t_longs must be an int >= 1, got False"),
+        ((100, 4, "2", 2), "r_longs must be an int >= 1, got '2'"),
+    ])
+    def test_counts_must_be_ints(self, args, message):
+        # a fractional w_adj used to give 1.5 * 3 / 100 = 0.045
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            placement_success_probability(*args)
 
 
 class TestShippedFixture:

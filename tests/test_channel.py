@@ -152,7 +152,7 @@ class TestProfileInvariants:
             (dict(drift_bound=-1e-9), "drift parameters must be >= 0"),
             (dict(local_switch_penalty=-1e-9), "local_switch_penalty must be >= 0"),
             (dict(local_static_epsilon=-1e-12), "local_static_epsilon must be >= 0"),
-            (dict(distance_atten={0: 1.0}), "distance_atten key 0 must be >= 1"),
+            (dict(distance_atten={0: 1.0}), "distance_atten key must be an int >= 1, got 0"),
             (dict(distance_atten={1: 1.0, 2: -0.05}), "distance_atten multipliers must be >= 0"),
         ],
     )
@@ -167,8 +167,22 @@ class TestProfileInvariants:
         with pytest.raises(ValueError):
             DeviceProfile(distance_atten={1: 1.0, 2: 0.05, 3: 0.01})
         DeviceProfile(distance_atten={1: 1.0, 2: 0.05, 3: 0.0})
-        with pytest.raises(ValueError, match="^distance must be >= 1$"):
+        with pytest.raises(ValueError, match="^distance must be an int >= 1, got 0$"):
             DeviceProfile().attenuation(0)
+
+    @pytest.mark.parametrize("atten, key", [({1: 1.0, 1.2: 0.05}, 1.2), ({True: 1.0}, True), ({1.0: 1.0}, 1.0)])
+    def test_distance_keys_must_be_ints(self, atten, key):
+        # int(d) used to read 1.2 as 1, so the adjacent-wire multiplier became 0.05
+        with pytest.raises(ValueError, match=rf"^distance_atten key must be an int >= 1, got {re.escape(repr(key))}$"):
+            DeviceProfile(distance_atten=atten)
+        assert DeviceProfile(distance_atten={np.int64(1): 1.0}).distance_atten == {1: 1.0}
+
+    @pytest.mark.parametrize("d", [1.5, True, 1.0, "1"])
+    def test_attenuation_distance_must_be_an_int(self, d):
+        # 1.5 used to read 0.0 and True 1.0
+        with pytest.raises(ValueError, match=rf"^distance must be an int >= 1, got {re.escape(repr(d))}$"):
+            DeviceProfile().attenuation(d)
+        assert DeviceProfile().attenuation(np.int64(2)) == 0.05
 
     @pytest.mark.parametrize(
         "write",
@@ -227,7 +241,7 @@ class TestMeasurementConfig:
 
     def test_bounds(self):
         for bad in (0, 33, 13.5, True, "13"):
-            with pytest.raises(ValueError, match="log2_ticks must be in"):
+            with pytest.raises(ValueError, match=rf"^log2_ticks must be an int in \[1, 32\], got {re.escape(repr(bad))}$"):
                 MeasurementConfig(log2_ticks=bad)
         for bad in (0.0, -1e6):
             with pytest.raises(ValueError, match="^f_clk_hz must be > 0$"):

@@ -77,7 +77,7 @@ class TestProfileMapping:
         assert setup_from(tmp_path, "log2_ticks = 15\n", base)[1] == MeasurementConfig(15, 50e6)
         with pytest.raises(ValueError):
             setup_from(tmp_path, "log2_ticks = 15.5\n")
-        with pytest.raises(ValueError, match="log2_ticks must be in"):
+        with pytest.raises(ValueError, match=r"^log2_ticks must be an int in \[1, 32\], got 40$"):
             setup_from(tmp_path, "log2_ticks = 40\n")
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from functools import partial
 
@@ -126,16 +127,24 @@ class TestWindowOracle:
 
     def test_out_of_range(self):
         key = KeyBits.from_binary("1010")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^window start must be an int in \[0, 1\], got 2$"):
             window_hw_oracle(key, 2, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^window start must be an int in \[0, 2\], got -1$"):
             window_hw_oracle(key, -1, 2)
         measures = (lambda w: window_hw_oracle(key, 0, w), partial(measure_windows, key),
                     lambda w: measure_windows_noisy(key, w, QUIET))
         for w in (0, 5, True, 2.0, np.float64(2.0)):  # a width that is not an int, such as True, is refused
             for measure in measures:
-                with pytest.raises(ValueError, match=r"^window width must be in \[1, key length\]$"):
+                with pytest.raises(ValueError, match=rf"^window width must be an int in \[1, 4\], got {re.escape(repr(w))}$"):
                     measure(w)
+
+    @pytest.mark.parametrize("pos", [1.5, True, 1.0, "1", np.float64(1.0)])
+    def test_window_start_must_be_an_int(self, pos):
+        # 1.5 used to raise TypeError from the slice, and True to read window 1
+        key = KeyBits.from_binary("1010")
+        with pytest.raises(ValueError, match=rf"^window start must be an int in \[0, 2\], got {re.escape(repr(pos))}$"):
+            window_hw_oracle(key, pos, 2)
+        assert window_hw_oracle(key, np.int64(1), 2) == 1
 
     def test_measure_windows_covers_all_positions(self):
         key = KeyBits.from_binary("110100")
@@ -194,7 +203,7 @@ class TestInferRelations:
     @pytest.mark.parametrize("w", [0, -3, 1.5, 2.0, True, "2", None])
     def test_width_must_be_an_int_at_least_one(self, w):
         # such a width used to reach the RelationSet and fail only in propagate
-        with pytest.raises(ValueError, match="^window width must be >= 1$"):
+        with pytest.raises(ValueError, match=rf"^window width must be an int >= 1, got {re.escape(repr(w))}$"):
             infer_relations([1.0, 2.0], w, 0.0)
 
 
@@ -766,7 +775,7 @@ class TestMonteCarlo:
             monte_carlo_recovery_rate(16, 4, 0, 0)
         chan = ExfilChannel(DeviceProfile(), MeasurementConfig(), Geometry(), 0)
         for trials in (0, -1):
-            with pytest.raises(ValueError, match="^trials must be >= 1$"):
+            with pytest.raises(ValueError, match=rf"^trials must be an int >= 1, got {trials}$"):
                 monte_carlo_recovery_rate(16, 4, trials, 0, noise=chan)
 
     def test_wide_keys_use_python_path(self):
@@ -828,25 +837,27 @@ class TestOneWidthRule:
         multi, max_n, call = WIDTH_ENTRIES[name]
         table = [(n, w) for n, w in width_table() if n <= max_n]
         expected = [value_error(lambda: kernels._check_window(n, w, multi)) for n, w in table]
-        assert None in expected and len(set(expected)) == 3  # both limits and the accepted pairs are in the table
+        # both limits and the accepted pairs are in the table; the width limit's message names each width below 1
+        # there, and w = -1 comes only with n = 70
+        assert None in expected and len(set(expected)) == (4 if max_n >= 70 else 3)
         assert [value_error(lambda: call(n, w)) for n, w in table] == expected
 
     @pytest.mark.parametrize("name", WIDTH_ENTRIES)
     @pytest.mark.parametrize("w, shown", [(True, "True"), (4.0, "4.0")], ids=["bool", "float"])
     def test_width_must_be_an_int(self, name, w, shown):
-        with pytest.raises(ValueError, match=rf"^window width must be an int, got {shown}$"):
+        with pytest.raises(ValueError, match=rf"^window width must be an int >= 1, got {shown}$"):
             WIDTH_ENTRIES[name][2](16, w)
 
     # the entry points that take a key length; the others take a key, whose length is an int
     @pytest.mark.parametrize("name", ["probability", "monte-carlo", "mc_single", "sweep_single", "sweep_multi"])
     @pytest.mark.parametrize("n, shown", [(True, "True"), (16.0, "16.0")], ids=["bool", "float"])
     def test_key_length_must_be_an_int(self, name, n, shown):
-        with pytest.raises(ValueError, match=rf"^key length must be an int, got {shown}$"):
+        with pytest.raises(ValueError, match=rf"^key length must be an int >= 1, got {shown}$"):
             WIDTH_ENTRIES[name][2](n, 1)
 
     @pytest.mark.parametrize("n, shown", [(True, "True"), (4.0, "4.0")], ids=["bool", "float"])
     def test_from_int_length_must_be_an_int(self, n, shown):
-        with pytest.raises(ValueError, match=rf"^key length must be an int, got {shown}$"):
+        with pytest.raises(ValueError, match=rf"^key length must be an int >= 1, got {shown}$"):
             KeyBits.from_int(5, n)
 
     @pytest.mark.parametrize("call", [
@@ -857,7 +868,7 @@ class TestOneWidthRule:
     ], ids=["monte-carlo", "monte-carlo-noisy", "mc_single", "mc_widths"])
     @pytest.mark.parametrize("trials, shown", [(True, "True"), (2.0, "2.0")], ids=["bool", "float"])
     def test_trials_must_be_an_int(self, call, trials, shown):
-        with pytest.raises(ValueError, match=rf"^trials must be an int, got {shown}$"):
+        with pytest.raises(ValueError, match=rf"^trials must be an int >= 1, got {shown}$"):
             call(trials)
 
 

@@ -8,6 +8,7 @@ splitmix64 written out below.
 """
 
 import random
+import re
 import shlex
 import warnings
 
@@ -168,6 +169,20 @@ class TestTrialKeys:
             keys = [splitmix64(-1, t) for t in range(100)]
             assert kernels.mc_single(64, 10, 100, -1) == full_single_hits(keys, 64, 10)
 
+    @pytest.mark.parametrize("n", [16.5, True, 16.0, "16", 0, 65])
+    def test_key_length_must_be_an_int_in_range(self, n):
+        # 16.5 used to raise TypeError from <<, and True to draw 1-bit keys
+        message = rf"^key length must be an int in \[1, 64\], got {re.escape(repr(n))}$"
+        with pytest.raises(ValueError, match=message):
+            kernels.trial_keys(1, np.arange(4, dtype=np.uint64), n)
+        with pytest.raises(ValueError, match=message):
+            kernels.trial_key(1, 0, n)
+
+    @pytest.mark.parametrize("n", [1, 16, 63, 64])
+    def test_numpy_key_length_draws_the_int_length_keys(self, n):
+        # a numpy 63 used to overflow in the key mask
+        assert kernels.trial_key(5, 3, np.int64(n)) == kernels.trial_key(5, 3, n) == splitmix64(5, 3) & ((1 << n) - 1)
+
     def test_trial_keys_cover_the_range(self):
         # splitmix output should not be obviously degenerate
         keys = {kernels.trial_key(0, t, 16) for t in range(2000)}
@@ -265,9 +280,9 @@ class TestWordKernel:
 
     @pytest.mark.parametrize("n, widths, trials, match", [
         (64, [4, 40], 100, r"^key length must be >= 2w - 1$"),
-        (64, [10, 0], 100, r"^window width must be >= 1$"),
+        (64, [10, 0], 100, r"^window width must be an int >= 1, got 0$"),
         (264, [10, 133], 100, r"^key length must be >= 2w - 1$"),
-        (64, [4, 10], 0, r"^trials must be >= 1$"),
+        (64, [4, 10], 0, r"^trials must be an int >= 1, got 0$"),
     ])
     def test_mc_widths_checks_before_drawing(self, monkeypatch, n, widths, trials, match):
         drawn = []

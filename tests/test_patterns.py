@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from longwire import DeviceProfile, Geometry, MeasurementConfig, kernels
 from longwire.patterns import (
     DYNAMIC4_CODES,
     PatternSpec,
@@ -12,8 +13,19 @@ from longwire.patterns import (
     _as_bits,
     _bit_array,
 )
+from longwire.audit import RoutingGrid, placement_success_probability
 from longwire.codec import Frame
-from longwire.exfil import KeyBits
+from longwire.exfil import (
+    ExfilChannel,
+    KeyBits,
+    RelationSet,
+    infer_relations,
+    measure_windows,
+    monte_carlo_recovery_rate,
+    propagate,
+    recovery_probability_exact,
+    window_hw_oracle,
+)
 from conftest import stimulus_oracle
 
 # One bit rule, each caller with its own message.
@@ -37,6 +49,64 @@ def test_bit_rule_rejects(item):
         with pytest.raises(ValueError) as err:
             make(item)
         assert str(err.value) == message
+
+
+def all_equal(w, n_key):
+    """A width-w relation set of all-equal pairs over n_key bits, for any w the table below tries."""
+    pairs = n_key - int(w) if isinstance(w, (int, np.integer)) else 0
+    return RelationSet((1 << max(pairs, 0)) - 1, 0, 0, w)
+
+
+KEY8 = KeyBits.from_binary("10110010")
+CHANNEL = ExfilChannel(DeviceProfile(), MeasurementConfig(), Geometry(), seed=0)
+
+# One integer rule: (parameter, call with the value, name in the message, low, high or None).
+INT_CHECKS = [
+    ("trial_keys-n", lambda v: kernels.trial_keys(1, 0, v), "key length", 1, 64),
+    ("check_window-n", lambda v: recovery_probability_exact(v, 1), "key length", 1, None),
+    ("check_window-w", lambda v: recovery_probability_exact(64, v), "window width", 1, None),
+    ("mc_widths-trials", lambda v: kernels.mc_widths(16, [4], v, 0), "trials", 1, None),
+    ("noisy-monte_carlo-trials", lambda v: monte_carlo_recovery_rate(16, 4, v, 0, CHANNEL), "trials", 1, None),
+    ("from_int-n", lambda v: KeyBits.from_int(5, v), "key length", 1, None),
+    ("oracle-w", lambda v: window_hw_oracle(KEY8, 0, v), "window width", 1, 8),
+    ("oracle-pos", lambda v: window_hw_oracle(KEY8, v, 3), "window start", 0, 5),
+    ("window_weights-w", lambda v: measure_windows(KEY8, v), "window width", 1, 8),
+    ("infer_relations-w", lambda v: infer_relations([1.0, 2.0], v, 0.0), "window width", 1, None),
+    ("propagate-w", lambda v: propagate(all_equal(v, 4), 4), "window width", 1, 4),
+    ("propagate-n_key", lambda v: propagate(all_equal(1, 1), v), "key length", 1, None),
+    ("log2_ticks", lambda v: MeasurementConfig(log2_ticks=v), "log2_ticks", 1, 32),
+    ("distance_atten-key", lambda v: DeviceProfile(distance_atten={v: 1.0}), "distance_atten key", 1, None),
+    ("attenuation-d", lambda v: DeviceProfile().attenuation(v), "distance", 1, None),
+    ("tracks_per_column", lambda v: RoutingGrid((), tracks_per_column=v), "tracks_per_column", 1, None),
+    ("grid-n_longs", lambda v: RoutingGrid((), n_longs=v), "n_longs", 1, None),
+    ("placement-n_longs", lambda v: placement_success_probability(v, 1, 1, 1), "n_longs", 1, None),
+    ("placement-w_adj", lambda v: placement_success_probability(10, v, 1, 1), "w_adj", 1, None),
+    ("placement-r_longs", lambda v: placement_success_probability(10, 1, v, 1), "r_longs", 1, None),
+    ("placement-t_longs", lambda v: placement_success_probability(10, 1, 1, v), "t_longs", 1, None),
+    ("lfsr-state", lambda v: lfsr_next(v, (4, 3)), "LFSR state", 1, 15),
+]
+
+
+def int_rule_message(call, value):
+    """The ValueError message of call(value), or None when it returns."""
+    try:
+        call(value)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("call, name, low, high", [row[1:] for row in INT_CHECKS], ids=[row[0] for row in INT_CHECKS])
+def test_int_rule(call, name, low, high):
+    limits = f">= {low}" if high is None else f"in [{low}, {high}]"
+    refused = [True, False, float(low), str(low), None, low - 1] + ([] if high is None else [high + 1])
+    for value in refused:
+        assert int_rule_message(call, value) == f"{name} must be an int {limits}, got {value!r}"
+    # a limit is inclusive, and a numpy int passes; another rule may still refuse the call (n_longs = 1 is below
+    # R + T = 2), so an accepted value is one this rule lets through
+    for value in [low, np.int64(low), np.int32(low)] + ([] if high is None else [high, np.int64(high), np.int32(high)]):
+        message = int_rule_message(call, value)
+        assert message is None or not message.startswith(f"{name} must be"), (value, message)
 
 
 @pytest.mark.parametrize("item", [1.0, np.float64(1.0)])
