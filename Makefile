@@ -25,9 +25,9 @@ selftest:
 reproduce:
 	$(PYTHON) -m longwire.cli reproduce $(OUT)
 
-# Regenerate every CSV into a fresh temp dir; fail if any byte differs from out/.
+# Regenerate every CSV into a fresh temp dir, with warnings as errors; fail if any byte differs from out/.
 check-reproduce:
-	tmp=$$(mktemp -d) && $(PYTHON) -m longwire.cli reproduce $$tmp && diff -r $$tmp out; \
+	tmp=$$(mktemp -d) && $(PYTHON) -W error -m longwire.cli reproduce $$tmp && diff -r $$tmp out; \
 	status=$$?; rm -rf $$tmp; exit $$status
 
 # The gates a change must pass: the test suite, the benchmark's self-test, then the out/ comparison.

@@ -106,14 +106,16 @@ class RoutingGrid:
     n_longs: int = DEFAULT_N_LONGS
 
     def __post_init__(self):
-        _check_int(self.tracks_per_column, "tracks_per_column", 1)
-        _check_int(self.n_longs, "n_longs", 1)
-        # A tuple of the caller's spans: a list they keep could change under the indexes.
-        spans = tuple(self.spans)
-        for s in spans:  # parsed and derived grids hold ints by construction and skip this
-            if not all(map(_is_int, (s.column, s.track, s.y_start, s.y_end))):
-                raise ValueError(f"span {s.wire_id!r}: column, track and extent must be ints")
-        _check_and_index(spans, self.tracks_per_column, self.n_longs, grid=self)
+        tracks, n_longs = (_check_int(getattr(self, name), name, 1) for name in ("tracks_per_column", "n_longs"))
+        spans = []  # a copy of the caller's spans: a list they keep could change under the indexes
+        for s in self.spans:  # parsed and derived grids hold ints by construction and skip this
+            ints = (s.column, s.track, s.y_start, s.y_end)
+            if not all(type(v) is int for v in ints):
+                if not all(map(_is_int, ints)):
+                    raise ValueError(f"span {s.wire_id!r}: column, track and extent must be ints")
+                s = LongWireSpan(s.wire_id, s.core_id, s.trust, s.sensitive, *map(int, ints))
+            spans.append(s)
+        _check_and_index(tuple(spans), tracks, n_longs, grid=self)
 
     def span(self, wire_id: str) -> LongWireSpan:
         i = _position(self, wire_id)
@@ -302,7 +304,7 @@ def find_exposures(grid: RoutingGrid, d_max: int = 2) -> list[Exposure]:
     and the track distance is in [1, d_max]; sorted by distance, then
     overlap descending.  Only the slots within d_max tracks are read.
     """
-    _check_int(d_max, "d_max", 1)
+    d_max = _check_int(d_max, "d_max", 1)
     last = grid.tracks_per_column - 1
     found = []
     for s in grid.spans:
@@ -425,8 +427,8 @@ def placement_success_probability(n_longs: int, w_adj: int, r_longs: int, t_long
     (R + T - 1) placements of the receiver hit one of the w_adj wires
     recoverable from each of the transmitter's longs, out of N total.
     """
-    for name, value in (("n_longs", n_longs), ("w_adj", w_adj), ("r_longs", r_longs), ("t_longs", t_longs)):
-        _check_int(value, name, 1)
+    n_longs, w_adj, r_longs, t_longs = (_check_int(value, name, 1) for name, value in (
+        ("n_longs", n_longs), ("w_adj", w_adj), ("r_longs", r_longs), ("t_longs", t_longs)))
     if r_longs + t_longs > n_longs:
         raise ValueError("R + T must be <= N_longs")
     return min(1.0, (r_longs + t_longs - 1) * w_adj / n_longs)

@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .patterns import PatternSpec, _as_bits, _check_int, stimulus_columns
+from .patterns import PatternSpec, _as_bits, _check_int, _check_int_field, stimulus_columns
 
 __all__ = [
     "STREAM_VERSION",
@@ -102,8 +102,7 @@ class _ReadOnlyDict(dict):
 def _validate_atten(atten: dict[int, float]) -> _ReadOnlyDict:
     clean: dict[int, float] = {}
     for d, mult in atten.items():
-        _check_int(d, "distance_atten key", 1)
-        d, mult = int(d), float(mult)
+        d, mult = _check_int(d, "distance_atten key", 1), float(mult)
         if not math.isfinite(mult):
             raise ValueError(f"distance_atten multiplier for d={d} must be finite")
         if mult < 0.0:
@@ -162,8 +161,7 @@ class DeviceProfile:
 
     def attenuation(self, d: int) -> float:
         """Distance multiplier: 1.0 for adjacent wires, 0 for d >= 3."""
-        _check_int(d, "distance", 1)
-        return self.distance_atten.get(d, 0.0)  # _validate_atten holds d >= 3 at 0
+        return self.distance_atten.get(_check_int(d, "distance", 1), 0.0)  # _validate_atten holds d >= 3 at 0
 
     def noise_sigma_for(self, ticks_per_window: int) -> float:
         """Counting noise grows with the square root of the window length."""
@@ -178,7 +176,7 @@ class MeasurementConfig:
     f_clk_hz: float = 100e6
 
     def __post_init__(self):
-        _check_int(self.log2_ticks, "log2_ticks", 1, 32)
+        _check_int_field(self, "log2_ticks", 1, 32)
         _require_finite(self, ["f_clk_hz"])
         if self.f_clk_hz <= 0:
             raise ValueError("f_clk_hz must be > 0")
@@ -233,8 +231,8 @@ class Geometry:
             object.__setattr__(self, "v_t", v_t := as_longs(v_t))
         if v_t.numerator <= 0:
             raise ValueError("v_t must be > 0")
-        _check_int(self.v_r, "v_r", 1)
-        _check_int(self.d, "d", 1)
+        _check_int_field(self, "v_r", 1)
+        _check_int_field(self, "d", 1)
         if self.coupling not in ("long", "local"):
             raise ValueError("coupling must be 'long' or 'local'")
 
@@ -528,7 +526,7 @@ def simulate_trace(
     seed: int,
 ) -> CountTrace:
     """Simulate consecutive windows; deterministic for a fixed seed."""
-    _check_int(num_windows, "num_windows", 1)
+    num_windows = _check_int(num_windows, "num_windows", 1)
     duty, toggle, bits = stimulus_columns(pattern, num_windows)
     counts = simulate_counts(profile, cfg, geom, duty, toggle, np.random.default_rng(seed))
     return CountTrace(np.arange(num_windows), counts, duty, toggle, bits)

@@ -31,7 +31,7 @@ import numpy as np
 from . import kernels
 from .channel import DeviceProfile, Geometry, MeasurementConfig, _count_engine, _mean_count
 from .errors import InconsistentMeasurements
-from .patterns import _as_bits, _check_int
+from .patterns import _as_bits, _check_int, _check_int_field
 
 __all__ = [
     "KeyBits",
@@ -83,7 +83,7 @@ class KeyBits:
     def from_int(cls, value: int, n: int) -> "KeyBits":
         """Bits 0..n-1 of value, two's complement for a negative one; bits cut from an int
         need no __post_init__ copy or bit check."""
-        _check_int(n, "key length", 1)
+        n = _check_int(n, "key length", 1)
         key = object.__new__(cls)
         object.__setattr__(key, "bits", tuple(_mask_bits(value, n)))
         return key
@@ -162,15 +162,15 @@ class RecoveryResult:
 def window_hw_oracle(key, pos: int, w: int) -> int:
     """Exact Hamming weight of key[pos : pos + w]."""
     key = _as_key(key)
-    _check_int(w, "window width", 1, len(key))
-    _check_int(pos, "window start", 0, len(key) - w)
+    w = _check_int(w, "window width", 1, len(key))
+    pos = _check_int(pos, "window start", 0, len(key) - w)
     return sum(key.bits[pos : pos + w])
 
 
 def _window_weights(key, w: int) -> np.ndarray:
     """Hamming weight of every width-w window of the key, in order."""
     key = _as_key(key)
-    _check_int(w, "window width", 1, len(key))
+    w = _check_int(w, "window width", 1, len(key))
     ones = np.frombuffer(b"\0" + bytes(key.bits), np.uint8).cumsum(dtype=np.int64)  # ones[i]: ones before bit i
     return ones[w:] - ones[:-w]
 
@@ -199,8 +199,8 @@ class ExfilChannel:
     repeats: int = 1
 
     def __post_init__(self):
-        _check_int(self.repeats, "repeats", 1)
-        _check_int(self.seed, "seed", 0)
+        _check_int_field(self, "repeats", 1)
+        _check_int_field(self, "seed", 0)
 
 
 def _full_swing(chan: ExfilChannel) -> float:
@@ -212,7 +212,7 @@ def _full_swing(chan: ExfilChannel) -> float:
 
 def noise_tolerance(chan: ExfilChannel, w: int) -> float:
     """Midpoint decision rule: half the per-bit count step, for a width w that is an int >= 1."""
-    _check_int(w, "window width", 1)
+    w = _check_int(w, "window width", 1)
     return _full_swing(chan) / (2.0 * w)
 
 
@@ -255,7 +255,7 @@ def infer_relations(counts: Sequence[float], w: int, tolerance: float) -> Relati
     counts = np.asarray(counts, dtype=np.float64)
     if counts.ndim != 1 or not len(counts):
         raise ValueError("need a one-dimensional sequence of at least 1 window measurement")
-    _check_int(w, "window width", 1)
+    w = _check_int(w, "window width", 1)
     if not tolerance >= 0:
         raise ValueError("tolerance must be >= 0")
     if not np.isfinite(counts).all():
@@ -304,14 +304,14 @@ def propagate(relations: RelationSet | Sequence[RelationSet], n_key: int) -> Rec
     whose w is outside [1, n_key], or whose masks do not partition relations
     0..n_key-w-1, raises ValueError.
     """
-    _check_int(n_key, "key length", 1)
+    n_key = _check_int(n_key, "key length", 1)
     sets = (relations,) if isinstance(relations, RelationSet) else tuple(relations)
     if not sets:
         raise ValueError("need at least one relation set")
     pins = runs = measurements = 0
     links = []
     for equal, drop, rise, w in sets:
-        _check_int(w, "window width", 1, n_key)
+        w = _check_int(w, "window width", 1, n_key)
         cut = (1 << (n_key - w)) - 1
         if equal | drop | rise != cut or equal + drop + rise != cut:
             raise ValueError(f"width {w}: equal, drop and rise must partition bits 0..{n_key - w - 1}")
@@ -381,8 +381,7 @@ def single_window_recover(key, w: int, noise: ExfilChannel | None = None) -> Rec
     to ``propagate``.
     """
     key = _as_key(key)
-    n = len(key)
-    kernels._check_window(n, w, multi=False)
+    n, w = kernels._check_window(len(key), w, multi=False)
     if noise is None:
         return _noise_free(key.bits, _equal_classes(key.to_int(), n, w), w, n - w + 1)
     counts = _noisy_counts(_window_weights(key, w), w, noise, (np.random.default_rng(noise.seed),))
@@ -420,15 +419,9 @@ def multi_window_recover(key, w: int) -> RecoveryResult:
     constant key is one unresolved class, any other is known bit for bit.
     """
     key = _as_key(key)
-    n, bits = len(key), key.bits
-    kernels._check_window(n, w, multi=True)
-    constant = 0 not in bits or 1 not in bits
-    return _noise_free(bits, (tuple(range(n)),) if constant else (), 2 * w + 1, 2 * (n - w) + 1)
-
-
-def _split_key_length(n_key: int, w: int) -> tuple[int, int]:
-    kernels._check_window(n_key, w, multi=False)
-    return divmod(int(n_key), int(w))  # Python ints: 2**nq of a numpy integer overflows
+    n, w = kernels._check_window(len(key), w, multi=True)
+    constant = 0 not in key.bits or 1 not in key.bits
+    return _noise_free(key.bits, (tuple(range(n)),) if constant else (), 2 * w + 1, 2 * (n - w) + 1)
 
 
 def recovery_probability(n_key: int, w: int) -> float:
@@ -442,13 +435,15 @@ def recovery_probability(n_key: int, w: int) -> float:
 
 def recovery_probability_exact(n_key: int, w: int) -> Fraction:
     """Exact rational form of recovery_probability."""
-    nq, m = _split_key_length(n_key, w)
-    return (1 - Fraction(1, 2**nq)) ** m * (1 - Fraction(2, 2**nq)) ** (int(w) - m)
+    n_key, w = kernels._check_window(n_key, w, multi=False)
+    nq, m = divmod(n_key, w)
+    return (1 - Fraction(1, 2**nq)) ** m * (1 - Fraction(2, 2**nq)) ** (w - m)
 
 
 def eq2_lower_bound(n_key: int, w: int) -> float:
     """Bernoulli lower bound 1 - w * 2^(1-nq) for w | n_key."""
-    nq, m = _split_key_length(n_key, w)
+    n_key, w = kernels._check_window(n_key, w, multi=False)
+    nq, m = divmod(n_key, w)
     if m != 0:
         raise ValueError("the lower bound applies when w divides n_key")
     return 1.0 - w * 2.0 ** (1 - nq)
@@ -471,10 +466,10 @@ def monte_carlo_recovery_rate(
     counts only when every bit comes out equal to it; an inconsistent
     measurement set is a miss.  Each count-engine call measures ``_NOISY_CHUNK`` keys.
     """
+    n_key, w = kernels._check_window(n_key, w, multi=False)
+    trials = _check_int(trials, "trials", 1)
     if noise is None:
         return kernels.mc_single(n_key, w, trials, seed) / trials
-    _split_key_length(n_key, w)
-    _check_int(trials, "trials", 1)
     tolerance = noise_tolerance(noise, w)
     hits = 0
     for start in range(0, trials, _NOISY_CHUNK):
@@ -494,6 +489,7 @@ def monte_carlo_recovery_rate(
 
 def exhaustive_success_fraction(n_key: int, w: int, multi: bool = False) -> Fraction:
     """Exact full-recovery fraction over all 2^n keys (kernel-backed)."""
+    n_key, w = kernels._check_window(n_key, w, multi)
     return Fraction((kernels.sweep_multi if multi else kernels.sweep_single)(n_key, w), 2**n_key)
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .patterns import _check_int
+from .patterns import _check_int, _is_int
 
 BACKEND = "numpy"
 KERNEL_MAX_BITS = 64
@@ -31,13 +31,13 @@ _MC_CHUNK_BITS = 1 << 23  # trial-key bits per Monte Carlo chunk: at most 2^23 /
 _SWEEP_MAX_BITS = 28
 
 
-def _check_window(n: int, w: int, multi: bool) -> None:
-    """The width rule, for every caller: a key the single-window (n >= 2w - 1) or two-width
-    (n >= 2w + 1) pass can take, at any length; the sweeps then check their 28-bit cap."""
-    _check_int(n, "key length", 1)
-    _check_int(w, "window width", 1)
+def _check_window(n: int, w: int, multi: bool) -> tuple[int, int]:
+    """The width rule, for every caller: (n, w) as Python ints when the single-window (n >= 2w - 1)
+    or two-width (n >= 2w + 1) pass can take them, at any length; the sweeps then check their 28-bit cap."""
+    n, w = _check_int(n, "key length", 1), _check_int(w, "window width", 1)
     if n < 2 * w + (1 if multi else -1):
         raise ValueError(f"key length must be >= 2w {'+' if multi else '-'} 1")
+    return n, w
 
 
 def _check_sweep(n: int) -> None:
@@ -45,27 +45,29 @@ def _check_sweep(n: int) -> None:
         raise ValueError(f"exhaustive sweeps are limited to {_SWEEP_MAX_BITS}-bit keys")
 
 
-def _u64(x) -> np.ndarray:
-    # Python ints are reduced mod 2^64 first; a one-element array keeps the
+def _u64(x, name: str) -> np.ndarray:
+    # Ints are reduced mod 2^64 first; a one-element array keeps the
     # arithmetic below in array ops, which wrap without a RuntimeWarning.
     if isinstance(x, np.ndarray):
         return x.astype(np.uint64, copy=False)
+    if not _is_int(x):
+        raise ValueError(f"{name} must be an int or a uint64 array, got {x!r}")
     return np.array([int(x) & _M64], dtype=np.uint64)
 
 
 def trial_keys(seed, trials, n: int) -> np.ndarray:
     """n-bit splitmix64 keys for every trial; seed and trials broadcast.
 
-    Each may be a Python int or a uint64 array.
+    Each may be an int of any size, taken mod 2^64, or a uint64 array.
     """
-    _check_int(n, "key length", 1, KERNEL_MAX_BITS)
-    z = _u64(seed) + (_u64(trials) + 1) * _GOLDEN
+    n = _check_int(n, "key length", 1, KERNEL_MAX_BITS)
+    z = _u64(seed, "trial seed") + (_u64(trials, "trial index") + 1) * _GOLDEN
     z ^= z >> 30
     z *= _MIX1
     z ^= z >> 27
     z *= _MIX2
     z ^= z >> 31
-    return z & np.uint64((1 << int(n)) - 1)  # a Python int: 1 << 63 of a numpy integer overflows
+    return z & np.uint64((1 << n) - 1)
 
 
 def trial_key(seed: int, trial: int, n: int) -> int:
@@ -128,7 +130,7 @@ def _count_complete(words: np.ndarray, n: int, w: int) -> int:
 
 def sweep_single(n: int, w: int) -> int:
     """Number of keys in [0, 2^n) fully recovered by the single-window pass."""
-    _check_window(n, w, multi=False)
+    n, w = _check_window(n, w, multi=False)
     _check_sweep(n)
     return sum(_count_complete(keys[None], n, w) for keys in _index_chunks(1 << n))
 
@@ -139,7 +141,7 @@ def sweep_multi(n: int, w: int) -> int:
     For n >= 2w+1 the equality links j~j+w and j~j+w+1 connect all n
     positions, so every key resolves except the two constant ones.
     """
-    _check_window(n, w, multi=True)
+    n, w = _check_window(n, w, multi=True)
     _check_sweep(n)
     return (1 << n) - 2
 
@@ -148,9 +150,9 @@ def mc_widths(n: int, widths: Sequence[int], trials: int, seed: int) -> list[int
     """Full single-window recoveries at each width over the same `trials` uniform random keys
     of any length n (the _trial_words keys): each chunk of max(1, 2^23 // n) keys is drawn
     once and counted at every width.  Every width and `trials` are checked before the first draw."""
-    for w in widths:
-        _check_window(n, w, multi=False)
-    _check_int(trials, "trials", 1)
+    n = _check_int(n, "key length", 1)
+    widths = [_check_window(n, w, multi=False)[1] for w in widths]
+    trials = _check_int(trials, "trials", 1)
     rows = max(1, _MC_CHUNK_BITS // n)
     counts = [0] * len(widths)
     for t in range(0, trials, rows):

@@ -10,6 +10,7 @@ an LFSR's bits come from its output recurrence in whole numpy slices, and
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +53,9 @@ class PatternSpec:
         if self.kind not in ("alternating", "longruns", "lfsr", "dynamic4", "custom"):
             raise ValueError(f"unknown pattern kind {self.kind!r}")
         if self.kind == "longruns":
-            _check_int(self.run_len, "run_len", 1)
+            _check_int_field(self, "run_len", 1)
         if self.kind == "lfsr":
-            _check_lfsr(self.lfsr_seed, self.taps)
+            vars(self).update(zip(("lfsr_seed", "taps"), _check_lfsr(self.lfsr_seed, self.taps)))
         if self.kind == "dynamic4" and self.code not in DYNAMIC4_CODES:
             raise ValueError(f"dynamic4 code must be one of {DYNAMIC4_CODES}")
         if self.kind == "custom":
@@ -90,13 +91,18 @@ def _is_int(value) -> bool:
     return type(value) is int or (isinstance(value, (int, np.integer)) and not isinstance(value, bool))
 
 
-def _check_int(value, name: str, low: int, high: int | None = None) -> None:
-    """The package's one integer rule: refuse a value that is not an int (see _is_int) in
-    [low, high], or of at least ``low`` when there is no ``high``."""
-    if (type(value) is int or _is_int(value)) and low <= value and (high is None or value <= high):
-        return  # a plain int skips the _is_int call: the per-key paths check several
+def _check_int(value, name: str, low: int, high: int | None = None) -> int:
+    """The package's one integer rule: an int (see _is_int) in [low, high] (None: no limit), as a Python int."""
+    number = value if type(value) is int else operator.index(value) if _is_int(value) else None
+    if number is not None and low <= number and (high is None or number <= high):
+        return number  # a plain int as it is, with no _is_int call: the per-key paths check several
     limits = f">= {low}" if high is None else f"in [{low}, {high}]"
     raise ValueError(f"{name} must be an int {limits}, got {value!r}")
+
+
+def _check_int_field(obj, name: str, low: int, high: int | None = None) -> None:
+    if (number := _check_int(value := getattr(obj, name), name, low, high)) is not value:
+        object.__setattr__(obj, name, number)  # only a numpy integer is written back, as its int
 
 
 def _as_bits(values: tuple) -> tuple | None:
@@ -130,12 +136,13 @@ def _bit_array(values) -> np.ndarray | None:
     return None if data is None else np.frombuffer(data, np.uint8)
 
 
-def _check_lfsr(state: int, taps: tuple[int, ...]) -> None:
+def _check_lfsr(state: int, taps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     if not taps or any(not _is_int(t) or t < 1 for t in taps):
         raise ValueError(f"taps must be positive int bit positions, got {taps!r}")
+    taps = tuple(map(operator.index, taps))
     if len(set(taps)) != len(taps):
         raise ValueError("taps must be distinct")
-    _check_int(state, "LFSR state", 1, (1 << max(taps)) - 1)
+    return _check_int(state, "LFSR state", 1, (1 << max(taps)) - 1), taps
 
 
 def lfsr_next(state: int, taps: tuple[int, ...] = DEFAULT_LFSR_TAPS) -> tuple[int, int]:
@@ -144,7 +151,7 @@ def lfsr_next(state: int, taps: tuple[int, ...] = DEFAULT_LFSR_TAPS) -> tuple[in
     Tap positions are 1-based with max(taps) the register width; the
     default (16, 14, 13, 11) register is maximal with period 2^16 - 1.
     """
-    _check_lfsr(state, taps)
+    state, taps = _check_lfsr(state, taps)
     width = max(taps)
     out = state & 1
     fb = 0
@@ -186,7 +193,7 @@ def stimulus_columns(spec: PatternSpec, num_windows: int) -> tuple[np.ndarray, n
     Static patterns send their bit as the duty; a dynamic4 loop sends no
     bit (None) and the same duty and toggle rate in every window.
     """
-    _check_int(num_windows, "num_windows", 0)
+    num_windows = _check_int(num_windows, "num_windows", 0)
     if spec.kind == "dynamic4":
         duty = spec.code.count("1") / 4.0
         # transitions per clock tick: those around the loop over 16, so f = 1/8 and the codes give 0, f, f, 2f, f, 0

@@ -392,6 +392,21 @@ class TestRoutingGrid:
         grid = RoutingGrid(numpy_ints, tracks_per_column=np.int64(8), n_longs=np.int16(4))
         assert parse_grid(serialize_grid(grid)) == RoutingGrid((span("a", "c", 1, 0, 9, column=2),), 8, 4)
 
+    @pytest.mark.parametrize("number", [np.uint8, np.int64])
+    def test_numpy_int_spans_are_audited_as_their_ints(self, number):
+        # np.uint8 tracks wrapped in track - d_max, so no exposure was found, and plan_guards raised OverflowError;
+        # np.int64 ones gave an np.int64 Exposure.distance
+        def grid(num):
+            return RoutingGrid((span("s", "cpu", num(1), num(0), num(9), sensitive=True, trust="trusted"),
+                                span("f", "ip0", num(0), num(0), num(9)),
+                                span("t", "cpu", num(1), num(20), num(29), column=num(3), sensitive=True)),
+                               tracks_per_column=num(16), n_longs=num(100))
+        expected = grid(int)
+        assert repr(grid(number)) == repr(expected) and grid(number) == expected
+        assert repr(find_exposures(grid(number))) == repr(find_exposures(expected))
+        assert [e.distance for e in find_exposures(grid(number))] == [1]
+        assert repr(plan_guards(grid(number), "t")) == repr(plan_guards(expected, "t"))
+
 
 def spans_of(text):
     """The spans of a grid text's LONG lines, built without parse_grid."""

@@ -165,7 +165,7 @@ class TestTrialKeys:
     def test_uint64_wraparound_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert kernels.trial_key(2**64 - 1, 3, 64) == splitmix64(2**64 - 1, 3)
+            assert kernels.trial_key(2**64 - 1, 3, 64) == kernels.trial_key(np.int64(-1), 3, 64) == splitmix64(-1, 3)
             keys = [splitmix64(-1, t) for t in range(100)]
             assert kernels.mc_single(64, 10, 100, -1) == full_single_hits(keys, 64, 10)
 
@@ -178,10 +178,22 @@ class TestTrialKeys:
         with pytest.raises(ValueError, match=message):
             kernels.trial_key(1, 0, n)
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", None])
+    def test_seed_and_index_must_be_ints(self, seed):
+        # int() used to read 1.5 and True as seed 1
+        message = f"must be an int or a uint64 array, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match="^trial seed " + message):
+            kernels.trial_key(seed, 0, 16)
+        with pytest.raises(ValueError, match="^trial seed " + message):
+            monte_carlo_recovery_rate(64, 10, 100, seed)
+        with pytest.raises(ValueError, match="^trial index " + message):
+            kernels.trial_keys(1, seed, 16)
+
     @pytest.mark.parametrize("n", [1, 16, 63, 64])
     def test_numpy_key_length_draws_the_int_length_keys(self, n):
         # a numpy 63 used to overflow in the key mask
         assert kernels.trial_key(5, 3, np.int64(n)) == kernels.trial_key(5, 3, n) == splitmix64(5, 3) & ((1 << n) - 1)
+        assert kernels.trial_key(np.uint8(5), np.int64(3), np.uint8(n)) == kernels.trial_key(5, 3, n)
 
     def test_trial_keys_cover_the_range(self):
         # splitmix output should not be obviously degenerate

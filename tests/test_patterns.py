@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from longwire import DeviceProfile, Geometry, MeasurementConfig, kernels
+from longwire import DeviceProfile, Geometry, MeasurementConfig, expected_delta_rc, kernels
 from longwire.patterns import (
     DYNAMIC4_CODES,
     PatternSpec,
@@ -19,6 +19,7 @@ from longwire.exfil import (
     ExfilChannel,
     KeyBits,
     RelationSet,
+    exhaustive_success_fraction,
     infer_relations,
     measure_windows,
     monte_carlo_recovery_rate,
@@ -96,6 +97,14 @@ def int_rule_message(call, value):
     return None
 
 
+def int_rule_outcome(call, value):
+    """The repr of what call(value) returns, or its ValueError message: a numpy integer left in a result shows."""
+    try:
+        return "returns " + repr(call(value))
+    except ValueError as exc:
+        return "raises " + str(exc)
+
+
 @pytest.mark.parametrize("call, name, low, high", [row[1:] for row in INT_CHECKS], ids=[row[0] for row in INT_CHECKS])
 def test_int_rule(call, name, low, high):
     limits = f">= {low}" if high is None else f"in [{low}, {high}]"
@@ -107,6 +116,25 @@ def test_int_rule(call, name, low, high):
     for value in [low, np.int64(low), np.int32(low)] + ([] if high is None else [high, np.int64(high), np.int32(high)]):
         message = int_rule_message(call, value)
         assert message is None or not message.startswith(f"{name} must be"), (value, message)
+    # a numpy integer is used as the Python int it holds, at each limit (64 where there is no upper one) where it
+    # fits: the call returns what the int's call returns, of the same types, or raises its message
+    for limit in [low, 64 if high is None else high]:
+        expected = int_rule_outcome(call, limit)
+        for value in [np.int64(limit)] + ([np.uint8(limit)] if 0 <= limit <= 255 else []):
+            assert int_rule_outcome(call, value) == expected, value
+
+
+def test_numpy_integers_do_not_overflow_downstream():
+    # 1 << np.uint8(21) was 0 ticks a window; np.uint8(250) + t overflowed in the noisy Monte Carlo's seeds;
+    # v_r = np.int64(2) gave an np.float64 coupling; 2**np.uint8(12) was 0 in the exhaustive fraction
+    assert MeasurementConfig(log2_ticks=np.uint8(21)).ticks_per_window == 1 << 21
+    cfg = MeasurementConfig(log2_ticks=17)
+    rates = [monte_carlo_recovery_rate(16, 4, 40, 0, ExfilChannel(DeviceProfile(), cfg, Geometry(), seed=seed))
+             for seed in (np.uint8(250), 250)]
+    assert rates[0] == rates[1] > 0 and type(rates[0]) is float
+    delta = expected_delta_rc(DeviceProfile(), Geometry(v_r=np.int64(2)))
+    assert type(delta) is float and delta == expected_delta_rc(DeviceProfile(), Geometry(v_r=2))
+    assert exhaustive_success_fraction(np.uint8(12), 3) == exhaustive_success_fraction(12, 3) > 0
 
 
 @pytest.mark.parametrize("item", [1.0, np.float64(1.0)])
@@ -149,6 +177,13 @@ def lfsr_period(seed, taps):
 
 
 class TestLfsr:
+    def test_numpy_taps_and_state_are_stored_as_ints(self):
+        # 1 << np.uint8(16) wrapped, so the default state was refused as outside [1, 255]
+        taps = (np.uint8(16), 14, np.int64(13), 11)
+        spec = PatternSpec.lfsr(taps=taps, seed=np.uint16(0xACE1))
+        assert repr(spec) == repr(PatternSpec.lfsr()) and spec == PatternSpec.lfsr()
+        assert repr(lfsr_next(np.uint16(0xACE1), taps)) == repr(lfsr_next(0xACE1))
+
     def test_default_taps_are_maximal(self):
         assert lfsr_period(0xACE1, (16, 14, 13, 11)) == 65535
         assert lfsr_period(1, (16, 14, 13, 11)) == 65535
