@@ -17,9 +17,10 @@ acceptance:
 bench:
 	$(PYTHON) bench/run.py --workload all --seed 1 --seconds 15
 
-# Every benchmark workload at tiny sizes, untraced and traced, with its scoring checked.
+# Every benchmark workload at tiny sizes, untraced and traced, with its scoring checked; warnings
+# are errors, in the workers too (they inherit the environment), so a numpy overflow fails the run.
 selftest:
-	$(PYTHON) bench/selftest.py
+	PYTHONWARNINGS=error $(PYTHON) bench/selftest.py
 
 # Write every experiment's CSV into $(OUT)/ (the table is longwire.cli.REPRODUCE_RUNS).
 reproduce:

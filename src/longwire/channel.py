@@ -52,7 +52,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .patterns import PatternSpec, _as_bits, _check_int, _check_int_field, stimulus_columns
+from .patterns import PatternSpec, _as_bits, _check_int, _check_int_field, _check_real, _check_real_field
+from .patterns import stimulus_columns
 
 __all__ = [
     "STREAM_VERSION",
@@ -78,12 +79,6 @@ STREAM_VERSION = 2
 NOISE_REFERENCE_TICKS = 1 << 13
 
 
-def _require_finite(obj, names) -> None:
-    for name in names:
-        if not math.isfinite(getattr(obj, name)):
-            raise ValueError(f"{name} must be finite")
-
-
 class _ReadOnlyDict(dict):
     """A dict that refuses writes; it hashes, pickles and copies as its items."""
 
@@ -102,11 +97,8 @@ class _ReadOnlyDict(dict):
 def _validate_atten(atten: dict[int, float]) -> _ReadOnlyDict:
     clean: dict[int, float] = {}
     for d, mult in atten.items():
-        d, mult = _check_int(d, "distance_atten key", 1), float(mult)
-        if not math.isfinite(mult):
-            raise ValueError(f"distance_atten multiplier for d={d} must be finite")
-        if mult < 0.0:
-            raise ValueError("distance_atten multipliers must be >= 0")
+        d = _check_int(d, "distance_atten key", 1)
+        mult = _check_real(mult, f"distance_atten multiplier for d={d}", 0)
         if d >= 3 and mult != 0.0:
             raise ValueError("distance_atten must be exactly 0 for d >= 3")
         clean[d] = mult
@@ -137,24 +129,11 @@ class DeviceProfile:
     local_static_epsilon: float = 6.4e-8   # weak duty coupling of non-long paths
 
     def __post_init__(self):
-        _require_finite(self, [f.name for f in fields(self) if f.name != "distance_atten"])
-        if self.base_rate <= 0:
-            raise ValueError("base_rate must be > 0")
-        if self.coupling_alpha < 0:
-            raise ValueError("coupling_alpha must be >= 0")
-        if self.stage_beta <= 0:
-            raise ValueError("stage_beta must be > 0")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        if not 0.0 <= self.drift_reversion <= 1.0:
-            raise ValueError("drift_reversion must be in [0, 1]")
-        if self.drift_rate < 0 or self.drift_bound < 0:
-            raise ValueError("drift parameters must be >= 0")
-        if self.local_switch_penalty < 0:
-            raise ValueError("local_switch_penalty must be >= 0")
+        for f in fields(self):  # each float field in order: base_rate and stage_beta > 0, drift_reversion <= 1
+            if f.name != "distance_atten":
+                high = 1 if f.name == "drift_reversion" else math.inf
+                _check_real_field(self, f.name, 0, high, above=f.name in ("base_rate", "stage_beta"))
         eps = self.local_static_epsilon
-        if eps < 0:
-            raise ValueError("local_static_epsilon must be >= 0")
         if eps != 0.0 and not eps < self.coupling_alpha / 10.0:
             raise ValueError("local_static_epsilon must be < coupling_alpha / 10")
         object.__setattr__(self, "distance_atten", _validate_atten(self.distance_atten))
@@ -177,9 +156,7 @@ class MeasurementConfig:
 
     def __post_init__(self):
         _check_int_field(self, "log2_ticks", 1, 32)
-        _require_finite(self, ["f_clk_hz"])
-        if self.f_clk_hz <= 0:
-            raise ValueError("f_clk_hz must be > 0")
+        _check_real_field(self, "f_clk_hz", 0, above=True)
 
     @property
     def ticks_per_window(self) -> int:
@@ -355,8 +332,9 @@ def expected_count(
     toggle_rate: float = 0.0,
     drift_state: float = 0.0,
 ) -> float:
-    """Noise-free mean of the window count."""
+    """Noise-free mean of the window count; a drift state above -1 keeps it positive."""
     _check_stimulus(duty, toggle_rate)
+    drift_state = _check_real(drift_state, "drift_state", -1, above=True)
     return _mean_count(profile, cfg, (geom,), duty, toggle_rate, drift_state)
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from . import kernels
 from .channel import DeviceProfile, Geometry, MeasurementConfig, _count_engine, _mean_count
 from .errors import InconsistentMeasurements
-from .patterns import _as_bits, _check_int, _check_int_field
+from .patterns import _as_bits, _check_int, _check_int_field, _check_real
 
 __all__ = [
     "KeyBits",
@@ -256,8 +256,7 @@ def infer_relations(counts: Sequence[float], w: int, tolerance: float) -> Relati
     if counts.ndim != 1 or not len(counts):
         raise ValueError("need a one-dimensional sequence of at least 1 window measurement")
     w = _check_int(w, "window width", 1)
-    if not tolerance >= 0:
-        raise ValueError("tolerance must be >= 0")
+    tolerance = _check_real(tolerance, "tolerance", 0)
     if not np.isfinite(counts).all():
         raise ValueError(f"count {np.flatnonzero(~np.isfinite(counts))[0]} is not finite")
     return _classify(counts, w, tolerance)

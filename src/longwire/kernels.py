@@ -48,9 +48,9 @@ def _check_sweep(n: int) -> None:
 def _u64(x, name: str) -> np.ndarray:
     # Ints are reduced mod 2^64 first; a one-element array keeps the
     # arithmetic below in array ops, which wrap without a RuntimeWarning.
-    if isinstance(x, np.ndarray):
+    if isinstance(x, np.ndarray) and x.dtype.kind in "iu":
         return x.astype(np.uint64, copy=False)
-    if not _is_int(x):
+    if not _is_int(x):  # any other array included: astype would read 1.5 and True as 1
         raise ValueError(f"{name} must be an int or a uint64 array, got {x!r}")
     return np.array([int(x) & _M64], dtype=np.uint64)
 
@@ -58,7 +58,7 @@ def _u64(x, name: str) -> np.ndarray:
 def trial_keys(seed, trials, n: int) -> np.ndarray:
     """n-bit splitmix64 keys for every trial; seed and trials broadcast.
 
-    Each may be an int of any size, taken mod 2^64, or a uint64 array.
+    Each may be an int of any size, taken mod 2^64, or a uint64 array (an int64 one wraps into it).
     """
     n = _check_int(n, "key length", 1, KERNEL_MAX_BITS)
     z = _u64(seed, "trial seed") + (_u64(trials, "trial index") + 1) * _GOLDEN

@@ -10,6 +10,7 @@ an LFSR's bits come from its output recurrence in whole numpy slices, and
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -105,6 +106,25 @@ def _check_int_field(obj, name: str, low: int, high: int | None = None) -> None:
         object.__setattr__(obj, name, number)  # only a numpy integer is written back, as its int
 
 
+def _check_real(value, name: str, low: float, high: float = math.inf, *, above: bool = False) -> float:
+    """The package's one real-number rule: a finite int or float (numpy's too, but no bool) in [low, high],
+    or in (low, high] with ``above``, as a Python float."""
+    number = math.nan
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    if math.isfinite(number) and (low < number if above else low <= number) and number <= high:
+        return number
+    limits = f"{'>' if above else '>='} {low}" if high == math.inf else f"in {'(' if above else '['}{low}, {high}]"
+    raise ValueError(f"{name} must be a finite number {limits}, got {value!r}")
+
+
+def _check_real_field(obj, name: str, low: float, high: float = math.inf, *, above: bool = False) -> None:
+    object.__setattr__(obj, name, _check_real(getattr(obj, name), name, low, high, above=above))
+
+
 def _as_bits(values: tuple) -> tuple | None:
     """The items as bits, or None when one is not 0 or 1: integers (bools and numpy
     integers too) stay as given, an item that only equals a bit (1.0) becomes that int."""
@@ -137,9 +157,9 @@ def _bit_array(values) -> np.ndarray | None:
 
 
 def _check_lfsr(state: int, taps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    if not taps or any(not _is_int(t) or t < 1 for t in taps):
-        raise ValueError(f"taps must be positive int bit positions, got {taps!r}")
-    taps = tuple(map(operator.index, taps))
+    if not taps:
+        raise ValueError("LFSR needs at least one tap")
+    taps = tuple(_check_int(t, "LFSR tap", 1) for t in taps)
     if len(set(taps)) != len(taps):
         raise ValueError("taps must be distinct")
     return _check_int(state, "LFSR state", 1, (1 << max(taps)) - 1), taps

@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import CountTrace
+from .patterns import _check_real
 
 __all__ = [
     "PairedDeltas",
@@ -124,7 +125,7 @@ _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 /
 _STANDARD_NORMAL = NormalDist()
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)  # typed: a cached 1 must not answer for True
 def student_t_isf(tail: float, df: float) -> float:
     """The t > 0 with P(T > t) = tail, for Student's t with df >= 1 degrees of freedom.
 
@@ -136,10 +137,7 @@ def student_t_isf(tail: float, df: float) -> float:
     start is returned unrefined.  Cached: a study computes every interval
     of one table at the same level and size.
     """
-    if not 0.0 < tail <= 0.5:
-        raise ValueError("tail must be in (0, 1/2]")
-    if not 1.0 <= df < math.inf:
-        raise ValueError("df must be finite and at least 1")
+    tail, df = _check_real(tail, "tail", 0, 0.5, above=True), _check_real(df, "df", 1)
     if tail == 0.5:
         return 0.0
     if df == 1.0:

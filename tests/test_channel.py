@@ -146,14 +146,15 @@ class TestProfileInvariants:
     @pytest.mark.parametrize(
         "fields, message",
         [
-            (dict(coupling_alpha=-1e-6), "coupling_alpha must be >= 0"),
-            (dict(drift_reversion=1.5), "drift_reversion must be in [0, 1]"),
-            (dict(drift_rate=-1e-9), "drift parameters must be >= 0"),
-            (dict(drift_bound=-1e-9), "drift parameters must be >= 0"),
-            (dict(local_switch_penalty=-1e-9), "local_switch_penalty must be >= 0"),
-            (dict(local_static_epsilon=-1e-12), "local_static_epsilon must be >= 0"),
+            (dict(coupling_alpha=-1e-6), "coupling_alpha must be a finite number >= 0, got -1e-06"),
+            (dict(drift_reversion=1.5), "drift_reversion must be a finite number in [0, 1], got 1.5"),
+            (dict(drift_rate=-1e-9), "drift_rate must be a finite number >= 0, got -1e-09"),
+            (dict(drift_bound=-1e-9), "drift_bound must be a finite number >= 0, got -1e-09"),
+            (dict(local_switch_penalty=-1e-9), "local_switch_penalty must be a finite number >= 0, got -1e-09"),
+            (dict(local_static_epsilon=-1e-12), "local_static_epsilon must be a finite number >= 0, got -1e-12"),
             (dict(distance_atten={0: 1.0}), "distance_atten key must be an int >= 1, got 0"),
-            (dict(distance_atten={1: 1.0, 2: -0.05}), "distance_atten multipliers must be >= 0"),
+            (dict(distance_atten={1: 1.0, 2: -0.05}),
+             "distance_atten multiplier for d=2 must be a finite number >= 0, got -0.05"),
         ],
     )
     def test_each_rule_states_its_message(self, fields, message):
@@ -244,7 +245,8 @@ class TestMeasurementConfig:
             with pytest.raises(ValueError, match=rf"^log2_ticks must be an int in \[1, 32\], got {re.escape(repr(bad))}$"):
                 MeasurementConfig(log2_ticks=bad)
         for bad in (0.0, -1e6):
-            with pytest.raises(ValueError, match="^f_clk_hz must be > 0$"):
+            message = rf"^f_clk_hz must be a finite number > 0, got {re.escape(repr(bad))}$"
+            with pytest.raises(ValueError, match=message):
                 MeasurementConfig(f_clk_hz=bad)
 
 

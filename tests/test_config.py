@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import pytest
@@ -100,10 +101,14 @@ class TestNonFiniteValues:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", PROFILE_FLOATS + ["f_clk_hz"])
     def test_float_field_rejected(self, tmp_path, key, value):
-        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+        limits = {"base_rate": "> 0", "stage_beta": "> 0", "f_clk_hz": "> 0", "drift_reversion": "in [0, 1]"}
+        message = f"{key} must be a finite number {limits.get(key, '>= 0')}, got {value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             setup_from(tmp_path, f"{key} = {value}\n")
 
     @pytest.mark.parametrize("atten", ["1:nan", "1:inf", "1:1.0, 2:nan", "1:1.0, 2:-inf"])
     def test_distance_multiplier_rejected(self, tmp_path, atten):
-        with pytest.raises(ValueError, match="distance_atten multiplier for d=[12] must be finite"):
+        d, _, value = atten.split(", ")[-1].partition(":")
+        message = f"distance_atten multiplier for d={d} must be a finite number >= 0, got {value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             setup_from(tmp_path, f"distance_atten = {atten}\n")

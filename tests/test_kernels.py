@@ -178,9 +178,9 @@ class TestTrialKeys:
         with pytest.raises(ValueError, match=message):
             kernels.trial_key(1, 0, n)
 
-    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", None])
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", None, np.array([1.5]), np.array([True])])
     def test_seed_and_index_must_be_ints(self, seed):
-        # int() used to read 1.5 and True as seed 1
+        # int() used to read 1.5 and True as seed 1, and astype(np.uint64) the arrays of them
         message = f"must be an int or a uint64 array, got {re.escape(repr(seed))}$"
         with pytest.raises(ValueError, match="^trial seed " + message):
             kernels.trial_key(seed, 0, 16)

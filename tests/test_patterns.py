@@ -1,9 +1,11 @@
+import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from longwire import DeviceProfile, Geometry, MeasurementConfig, expected_delta_rc, kernels
+from longwire import DeviceProfile, Geometry, MeasurementConfig, expected_count, expected_delta_rc, kernels
 from longwire.patterns import (
     DYNAMIC4_CODES,
     PatternSpec,
@@ -14,6 +16,7 @@ from longwire.patterns import (
     _bit_array,
 )
 from longwire.audit import RoutingGrid, placement_success_probability
+from longwire.stats import student_t_isf
 from longwire.codec import Frame
 from longwire.exfil import (
     ExfilChannel,
@@ -85,6 +88,30 @@ INT_CHECKS = [
     ("placement-r_longs", lambda v: placement_success_probability(10, 1, v, 1), "r_longs", 1, None),
     ("placement-t_longs", lambda v: placement_success_probability(10, 1, 1, v), "t_longs", 1, None),
     ("lfsr-state", lambda v: lfsr_next(v, (4, 3)), "LFSR state", 1, 15),
+    ("lfsr-tap", lambda v: lfsr_next(1, (v,)), "LFSR tap", 1, None),
+]
+
+PROFILE_FLOATS = [f.name for f in fields(DeviceProfile) if f.name != "distance_atten"]
+DRIFT = (DeviceProfile(), MeasurementConfig(), Geometry(), 0.5, 0.0)
+
+
+def profile_row(name):
+    """A profile field's REAL_CHECKS row; with no local_static_epsilon, a coupling_alpha of 0 is a valid profile."""
+    high, above = (1 if name == "drift_reversion" else math.inf), name in ("base_rate", "stage_beta")
+    return name, lambda v: DeviceProfile(**{"local_static_epsilon": 0.0, name: v}), name, 0, high, above
+
+
+# One real-number rule: (parameter, call with the value, name in the message, low, high, above: low excluded).
+# Each call returns what it stores (a profile or config) or yields, so a number kept as an int or numpy type shows.
+REAL_CHECKS = [
+    *map(profile_row, PROFILE_FLOATS),
+    ("distance_atten-multiplier", lambda v: DeviceProfile(distance_atten={1: v}), "distance_atten multiplier for d=1",
+     0, math.inf, False),
+    ("f_clk_hz", lambda v: MeasurementConfig(f_clk_hz=v), "f_clk_hz", 0, math.inf, True),
+    ("infer_relations-tolerance", lambda v: infer_relations([1.0, 2.0], 1, v), "tolerance", 0, math.inf, False),
+    ("expected_count-drift_state", lambda v: expected_count(*DRIFT, v), "drift_state", -1, math.inf, True),
+    ("student_t_isf-tail", lambda v: student_t_isf(v, 5), "tail", 0, 0.5, True),
+    ("student_t_isf-df", lambda v: student_t_isf(0.005, v), "df", 1, math.inf, False),
 ]
 
 
@@ -122,6 +149,24 @@ def test_int_rule(call, name, low, high):
         expected = int_rule_outcome(call, limit)
         for value in [np.int64(limit)] + ([np.uint8(limit)] if 0 <= limit <= 255 else []):
             assert int_rule_outcome(call, value) == expected, value
+
+
+@pytest.mark.parametrize("call, name, low, high, above", [row[1:] for row in REAL_CHECKS], ids=[row[0] for row in REAL_CHECKS])
+def test_real_rule(call, name, low, high, above):
+    limits = (f"> {low}" if above else f">= {low}") if high == math.inf else f"in {'(' if above else '['}{low}, {high}]"
+    # at each limit inside the range (low + 1 where neither is), an int, a numpy float and a numpy int are taken as
+    # the Python float: the call gives what the float's call gives, of the same types
+    inside = ([] if above else [low]) + ([high] if high < math.inf else []) or [low + 1]
+    for limit in inside:
+        expected = int_rule_outcome(call, float(limit))
+        assert expected.startswith("returns "), (limit, expected)
+        for value in [np.float32(limit)] + ([int(limit), np.int64(limit)] if limit == int(limit) else []):
+            assert int_rule_outcome(call, value) == expected, value
+    # refused after the accepted values, so a result cached for 1 must not answer for True
+    past = [low if above else math.nextafter(low, -math.inf)]
+    past += [math.nextafter(high, math.inf)] if high < math.inf else []
+    for value in [True, np.bool_(True), "1", None, math.nan, math.inf, -math.inf, *past]:
+        assert int_rule_message(call, value) == f"{name} must be a finite number {limits}, got {value!r}"
 
 
 def test_numpy_integers_do_not_overflow_downstream():
@@ -215,8 +260,8 @@ class TestLfsr:
             (1.5, (16, 14, 13, 11), "LFSR state must be an int"),
             (True, (2, 1), "LFSR state must be an int"),
             ("1", (2, 1), "LFSR state must be an int"),
-            (1, (16.0, 14, 13, 11), "taps must be positive int bit positions"),
-            (1, (2, True), "taps must be positive int bit positions"),
+            (1, (16.0, 14, 13, 11), r"^LFSR tap must be an int >= 1, got 16\.0$"),
+            (1, (2, True), "^LFSR tap must be an int >= 1, got True$"),
             (1, (2, 2, 1), "taps must be distinct"),
         ],
     )
