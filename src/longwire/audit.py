@@ -27,7 +27,7 @@ from itertools import islice
 from operator import attrgetter
 from typing import Iterable
 
-from .patterns import _check_int, _is_int
+from .patterns import _check_int, _is_int, _parsed
 from .errors import CapacityError, DuplicateOccupancy, GridSyntaxError, GuardBlocked
 
 __all__ = [
@@ -236,11 +236,10 @@ def parse_grid(text: str) -> RoutingGrid:
             if spans:
                 raise GridSyntaxError("CAPACITY must precede all LONG lines", line=lineno)
             try:
-                tracks, n_longs = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise GridSyntaxError("CAPACITY values must be integers", line=lineno) from None
-            if tracks < 1 or n_longs < 1:
-                raise GridSyntaxError("capacities must be >= 1", line=lineno)
+                tracks, n_longs = (_check_int(_parsed(text), name, 1)
+                                   for text, name in zip(fields[1:], ("tracks_per_column", "n_longs")))
+            except ValueError as exc:
+                raise GridSyntaxError(str(exc), line=lineno) from None
             capacity_line = lineno
             continue
         if fields[0] != "LONG":

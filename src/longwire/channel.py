@@ -52,8 +52,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .patterns import PatternSpec, _as_bits, _check_int, _check_int_field, _check_real, _check_real_field
-from .patterns import stimulus_columns
+from .patterns import PatternSpec, _as_bits, _check_int, _check_int_field, _check_real, _check_real_field, _is_int
+from .patterns import _parsed, stimulus_columns
 
 __all__ = [
     "STREAM_VERSION",
@@ -168,23 +168,20 @@ class MeasurementConfig:
 
 
 def as_longs(value) -> Fraction:
-    """Normalize a wire length to an exact multiple of 1/3 of a long."""
-    if isinstance(value, (Fraction, int, str)):
-        try:
-            frac = Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"wire length {value!r} has a zero denominator") from None
-    elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"wire length {value} must be finite")
-        frac = Fraction(value).limit_denominator(3)
-        if abs(float(frac) - value) > 1e-9:
-            raise ValueError(f"wire length {value} is not a multiple of 1/3")
-    else:
-        raise TypeError(f"cannot interpret {value!r} as a wire length")
-    if frac.denominator not in (1, 3):
-        raise ValueError(f"wire length {value} is not a multiple of 1/3")
-    return frac
+    """A wire length as an exact multiple of 1/3 of a long, > 0: a Fraction, a text such as "4/3", an int
+    (numpy's too, but no bool) or a float within 1e-9 of a third (numpy's too)."""
+    length = None
+    if isinstance(value, (float, np.floating)):
+        number = _check_real(value, "wire length", 0, above=True)
+        length = Fraction(number).limit_denominator(3)
+        length = length if abs(float(length) - number) <= 1e-9 else None
+    elif _is_int(value):
+        length = Fraction(int(value))  # a numpy integer's Fraction would keep numpy ints
+    elif isinstance(value, (Fraction, str)):
+        length = _parsed(value, Fraction)
+    if type(length) is not Fraction or length <= 0 or length.denominator not in (1, 3):
+        raise ValueError(f"wire length must be a multiple of 1/3 > 0, got {value!r}")
+    return length
 
 
 @dataclass(frozen=True)
@@ -204,10 +201,8 @@ class Geometry:
 
     def __post_init__(self):
         v_t = self.v_t
-        if type(v_t) is not Fraction or v_t.denominator not in (1, 3):  # else as_longs returns it as it is
-            object.__setattr__(self, "v_t", v_t := as_longs(v_t))
-        if v_t.numerator <= 0:
-            raise ValueError("v_t must be > 0")
+        if type(v_t) is not Fraction or v_t.numerator <= 0 or v_t.denominator not in (1, 3):  # a valid Fraction stays
+            object.__setattr__(self, "v_t", as_longs(v_t))
         _check_int_field(self, "v_r", 1)
         _check_int_field(self, "d", 1)
         if self.coupling not in ("long", "local"):

@@ -30,7 +30,7 @@ from .channel import (
 )
 from .config import load_setup
 from .errors import LongwireError
-from .patterns import DYNAMIC4_CODES, PatternSpec, parse_pattern, stimulus_columns
+from .patterns import DYNAMIC4_CODES, PatternSpec, _check_int, _parsed, parse_pattern, stimulus_columns
 
 DEFAULT_LOG2_TICKS = 21
 
@@ -53,18 +53,15 @@ REPRODUCE_RUNS = (
 )
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} must be a positive integer")
-    return value
+def _int_option(low: int, text: str) -> int:
+    """The type of an integer option (``low`` bound by functools.partial): int(text) by the integer rule."""
+    try:
+        return _check_int(_parsed(text), "value", low)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} must be a non-negative integer")
-    return value
+_positive_int, _non_negative_int = functools.partial(_int_option, 1), functools.partial(_int_option, 0)
 
 
 def _str_list(text: str) -> list[str]:

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidCodeGroup
-from .patterns import _bit_array
+from .patterns import _bit_array, _is_int
 
 __all__ = [
     "encode_8b10b",
@@ -115,23 +115,19 @@ def _word_bits(word: int, width: int) -> tuple[int, ...]:
     return tuple((word >> (width - 1 - i)) & 1 for i in range(width))
 
 
-def _row(running_disparity: int) -> int:
-    if running_disparity not in (-1, +1):
-        raise ValueError("running disparity must be -1 or +1")
-    return (running_disparity + 1) // 2
-
-
 def _disparity_rows(flips: np.ndarray, running_disparity: int) -> tuple[np.ndarray, int]:
-    """Table row of the disparity before each group, and the disparity after the last.
+    """Table row of the disparity before each group, and the disparity after the last, a Python int.
 
+    The starting disparity is an int (see ``patterns._is_int``), -1 or +1.
     A data group flips the disparity exactly when it does not hold five
     ones, whatever the disparity before it, so the disparity before group i
     is the starting one flipped once per flip before i.
     """
-    row = _row(running_disparity)
+    if not (_is_int(running_disparity) and running_disparity in (-1, 1)):
+        raise ValueError(f"running disparity must be -1 or +1, got {running_disparity!r}")
+    rd = int(running_disparity)
     odd = np.logical_xor.accumulate(flips)  # an odd number of flips up to and including group i
-    final = -running_disparity if len(odd) and odd[-1] else running_disparity
-    return (odd ^ flips ^ bool(row)).view(np.uint8), final
+    return (odd ^ flips ^ (rd > 0)).view(np.uint8), -rd if len(odd) and odd[-1] else rd
 
 
 def encode_8b10b(byte: int, running_disparity: int) -> tuple[tuple[int, ...], int]:

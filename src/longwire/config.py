@@ -3,7 +3,8 @@
 Format: one ``key = value`` per line, ``#`` comments, keys matching the
 field names of DeviceProfile / MeasurementConfig.  The distance map is
 written as ``d:multiplier`` pairs, e.g. ``distance_atten = 1:1.0, 2:0.05``.
-Unknown keys are rejected so typos do not silently fall back to defaults.
+Unknown keys are rejected so typos do not silently fall back to defaults,
+and a value that is no number reaches its field's rule as text, by name.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import os
 from dataclasses import fields, replace
 
 from .channel import DeviceProfile, MeasurementConfig
+from .patterns import _parsed
 
 __all__ = ["parse_kv", "parse_distance_atten", "load_setup"]
 
@@ -44,7 +46,7 @@ def parse_distance_atten(text: str) -> dict[int, float]:
         d, _, mult = item.partition(":")
         if not mult:
             raise ValueError(f"distance_atten entry {item!r} must look like d:multiplier")
-        multiplier, distance = float(mult), int(d)
+        multiplier, distance = _parsed(mult, float), _parsed(d)
         if distance in atten:
             raise ValueError(f"distance_atten repeats distance {distance}")
         atten[distance] = multiplier
@@ -66,10 +68,10 @@ def load_setup(
     if unknown:
         raise ValueError(f"unknown profile keys: {', '.join(sorted(unknown))}")
     profile = DeviceProfile(**{
-        key: parse_distance_atten(value) if key == "distance_atten" else float(value)
+        key: parse_distance_atten(value) if key == "distance_atten" else _parsed(value, float)
         for key, value in mapping.items() if key in _PROFILE_KEYS
     })
     cfg = replace(base, **{
-        key: read(mapping[key]) for key, read in _MEASUREMENT_TYPES.items() if key in mapping
+        key: _parsed(mapping[key], read) for key, read in _MEASUREMENT_TYPES.items() if key in mapping
     })
     return profile, cfg

@@ -106,19 +106,29 @@ def _check_int_field(obj, name: str, low: int, high: int | None = None) -> None:
         object.__setattr__(obj, name, number)  # only a numpy integer is written back, as its int
 
 
-def _check_real(value, name: str, low: float, high: float = math.inf, *, above: bool = False) -> float:
+def _check_real(value, name: str, low: float, high: float = math.inf, *, above=False, below=False) -> float:
     """The package's one real-number rule: a finite int or float (numpy's too, but no bool) in [low, high],
-    or in (low, high] with ``above``, as a Python float."""
+    low excluded with ``above`` and high with ``below``, as a Python float."""
     number = math.nan
     if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
         try:
             number = float(value)
         except OverflowError:  # an int beyond the float range
             pass
-    if math.isfinite(number) and (low < number if above else low <= number) and number <= high:
+    inside = (low < number if above else low <= number) and (number < high if below else number <= high)
+    if inside and math.isfinite(number):
         return number
-    limits = f"{'>' if above else '>='} {low}" if high == math.inf else f"in {'(' if above else '['}{low}, {high}]"
+    limits = (f"{'>' if above else '>='} {low}" if high == math.inf
+              else f"in {'(' if above else '['}{low}, {high}{')' if below else ']'}")
     raise ValueError(f"{name} must be a finite number {limits}, got {value!r}")
+
+
+def _parsed(value, parse=int):
+    """``parse(value)``, or the value itself (a text) when it does not parse, for its rule to refuse by name."""
+    try:
+        return parse(value)
+    except (ValueError, ZeroDivisionError):  # Fraction("1/0") divides by zero
+        return value
 
 
 def _check_real_field(obj, name: str, low: float, high: float = math.inf, *, above: bool = False) -> None:

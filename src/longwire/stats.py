@@ -82,8 +82,7 @@ def mean_ci(values: Sequence[float], level: float = 0.99) -> tuple[float, float,
         raise ValueError("values must be one-dimensional")
     if len(arr) < 2:
         raise ValueError("need at least 2 values")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
+    level = _check_real(level, "level", 0, 1, above=True, below=True)
     mean = float(arr.mean())
     if not math.isfinite(mean):
         # a NaN or an infinity among the values always reaches the mean

@@ -101,11 +101,15 @@ class TestParseGrid:
                 "LONG a c trusted normal 0 1 0 5\nLONG a c trusted normal 0 2 0 5\n"
             )
 
-    @pytest.mark.parametrize("values", ["0 5", "4 0", "-1 5"])
-    def test_capacity_below_one_is_a_syntax_error(self, values):
-        with pytest.raises(GridSyntaxError, match="line 2") as err:
+    @pytest.mark.parametrize("values, message", [
+        ("0 5", "tracks_per_column must be an int >= 1, got 0"),
+        ("4 0", "n_longs must be an int >= 1, got 0"),
+        ("-1 5", "tracks_per_column must be an int >= 1, got -1"),
+    ], ids=["0 5", "4 0", "-1 5"])
+    def test_capacity_below_one_is_a_syntax_error(self, values, message):
+        with pytest.raises(GridSyntaxError) as err:
             parse_grid(f"# sized\nCAPACITY {values}\nLONG a c trusted normal 0 0 0 5\n")
-        assert err.value.line == 2
+        assert (str(err.value), err.value.line) == (f"line 2: {message}", 2)
 
     def test_second_capacity_line_rejected(self):
         with pytest.raises(GridSyntaxError, match="line 3") as err:
@@ -144,7 +148,8 @@ PARSE_ERRORS = [
     ("negative-column", "LONG a c trusted normal -3 1 0 5\n", GridSyntaxError, "column must be >= 0", 1),
     ("negative-track", "LONG a c trusted normal 0 -1 0 5\n", GridSyntaxError, "track must be >= 0", 1),
     ("capacity-arity", "CAPACITY 8\n", GridSyntaxError, "CAPACITY takes <tracks_per_column> <n_longs>", 1),
-    ("capacity-not-int", "CAPACITY 8 lots\n", GridSyntaxError, "CAPACITY values must be integers", 1),
+    ("capacity-not-int", "CAPACITY 8 lots\n", GridSyntaxError, "n_longs must be an int >= 1, got 'lots'", 1),
+    ("capacity-float", "CAPACITY 4.0 100\n", GridSyntaxError, "tracks_per_column must be an int >= 1, got '4.0'", 1),
     ("capacity-repeated", "CAPACITY 8 100\n# again\nCAPACITY 8 100\n", GridSyntaxError,
      "CAPACITY already given on line 1", 3),
     ("capacity-after-long", GOOD + "CAPACITY 8 100\n", GridSyntaxError,

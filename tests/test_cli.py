@@ -145,9 +145,9 @@ REJECTED = [
     (["bandwidth", "--n-list", ","], "--n-list: ',' lists no values"),
     (["prob", "--n", "64", "--w-list", ","], "--w-list: ',' lists no values"),
     *[([*argv[: argv.index("--seed") + 1], "-3", *argv[argv.index("--seed") + 2 :]],
-       "argument --seed: '-3' must be a non-negative integer")
+       "argument --seed: value must be an int >= 0, got -3")
       for study, (argv, _) in STUDIES.items() if "--seed" in argv],
-    (["prob", "--n", "64", "--w", "10", "--trials", "-5"], "argument --trials: '-5' must be a non-negative integer"),
+    (["prob", "--n", "64", "--w", "10", "--trials", "-5"], "argument --trials: value must be an int >= 0, got -5"),
 ]
 
 

@@ -82,6 +82,26 @@ class TestProfileMapping:
             setup_from(tmp_path, "log2_ticks = 40\n")
 
 
+# A profile line whose value does not parse, and the message of the field's rule that refuses its text.
+UNPARSED = {
+    "base_rate = abc": "base_rate must be a finite number > 0, got 'abc'",
+    "noise_sigma = 0.8.1": "noise_sigma must be a finite number >= 0, got '0.8.1'",
+    "f_clk_hz = fast": "f_clk_hz must be a finite number > 0, got 'fast'",
+    "log2_ticks = 2.5": "log2_ticks must be an int in [1, 32], got '2.5'",
+    "log2_ticks = 0x10": "log2_ticks must be an int in [1, 32], got '0x10'",
+    "distance_atten = 1:x": "distance_atten multiplier for d=1 must be a finite number >= 0, got 'x'",
+    "distance_atten = a:1": "distance_atten key must be an int >= 1, got 'a'",
+    "distance_atten = 1:1.0, 2.0:0.05": "distance_atten key must be an int >= 1, got '2.0'",
+}
+
+
+class TestValuesThatDoNotParse:
+    @pytest.mark.parametrize("line", UNPARSED)
+    def test_the_message_names_the_key(self, tmp_path, line):
+        with pytest.raises(ValueError, match=f"^{re.escape(UNPARSED[line])}$"):
+            setup_from(tmp_path, line + "\n")
+
+
 class TestShippedProfiles:
     def test_default_profile_file_matches_builtin(self, docs_dir):
         path = docs_dir / "profiles" / "default.profile"

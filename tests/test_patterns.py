@@ -5,7 +5,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from fractions import Fraction
+
 from longwire import DeviceProfile, Geometry, MeasurementConfig, expected_count, expected_delta_rc, kernels
+from longwire.channel import as_longs
+from longwire.cli import main
+from longwire.code8b10b import decode_8b10b, decode_bits, encode_8b10b, encode_bytes
 from longwire.patterns import (
     DYNAMIC4_CODES,
     PatternSpec,
@@ -14,6 +19,7 @@ from longwire.patterns import (
     stimulus_columns,
     _as_bits,
     _bit_array,
+    _check_real,
 )
 from longwire.audit import RoutingGrid, placement_success_probability
 from longwire.stats import student_t_isf
@@ -182,6 +188,77 @@ def test_numpy_integers_do_not_overflow_downstream():
     assert exhaustive_success_fraction(np.uint8(12), 3) == exhaustive_success_fraction(12, 3) > 0
 
 
+def test_real_rule_refuses_an_int_beyond_the_float_range():
+    with pytest.raises(ValueError, match=r"^x must be a finite number >= 0, got 1000"):
+        _check_real(10**400, "x", 0)
+
+
+# The wire-length rule: a Fraction, a text, an int (numpy's too, no bool) or a float within 1e-9 of a third, > 0.
+WIRE_LENGTHS_KEPT = [(Fraction(4, 3), Fraction(4, 3)), ("4/3", Fraction(4, 3)), (2, Fraction(2)),
+                     (np.int64(2), Fraction(2)), (np.uint8(5), Fraction(5)), (1 / 3, Fraction(1, 3)),
+                     (np.float64(2 / 3), Fraction(2, 3)), (np.float32(2.0), Fraction(2))]
+WIRE_LENGTHS_REFUSED = [True, False, np.bool_(True), 0, -1, np.int64(-2), Fraction(0), Fraction(-1, 3), "0", "-4/3",
+                        "1/0", "two", 0.4, np.float32(1 / 3), None, 1 + 0j, [1]]
+
+
+@pytest.mark.parametrize("value, length", WIRE_LENGTHS_KEPT, ids=repr)
+def test_wire_length_rule_accepts(value, length):
+    for got in (as_longs(value), Geometry(v_t=value).v_t):
+        assert got == length and type(got) is Fraction
+        assert type(got.numerator) is int and type(got.denominator) is int
+
+
+@pytest.mark.parametrize("value", WIRE_LENGTHS_REFUSED, ids=repr)
+def test_wire_length_rule_refuses(value):
+    message = f"wire length must be a multiple of 1/3 > 0, got {value!r}"
+    for call in (as_longs, lambda v: Geometry(v_t=v)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1 / 3, np.float64(-2.0)], ids=repr)
+def test_wire_length_float_goes_through_the_real_rule(value):
+    with pytest.raises(ValueError, match=f"^wire length must be a finite number > 0, got {re.escape(repr(value))}$"):
+        as_longs(value)
+
+
+# Every 8b/10b entry point, called with a running disparity.
+DISPARITY_CALLS = [
+    lambda rd: encode_8b10b(0x55, rd),
+    lambda rd: decode_8b10b(encode_8b10b(0x55, -1)[0], rd),
+    lambda rd: encode_bytes(b"U", rd),
+    lambda rd: decode_bits(encode_bytes(b"U", -1)[0], rd),
+]
+
+
+@pytest.mark.parametrize("rd", [True, False, 1.0, -1.0, np.float64(1.0), 0, 2, np.int8(0), "1", None], ids=repr)
+def test_running_disparity_rule_refuses(rd):
+    for call in DISPARITY_CALLS:
+        with pytest.raises(ValueError, match=f"^running disparity must be -1 or \\+1, got {re.escape(repr(rd))}$"):
+            call(rd)
+
+
+@pytest.mark.parametrize("rd", [np.int8(-1), np.int64(1), np.uint8(1)], ids=repr)
+def test_running_disparity_rule_takes_a_numpy_int_as_the_python_int(rd):
+    for call in DISPARITY_CALLS:
+        got, expected = call(rd), call(int(rd))
+        assert got == expected and type(got[1]) is int
+
+
+@pytest.mark.parametrize("argv, option, message", [
+    (["simulate", "--vr", "0", "--seed", "1"], "--vr", "value must be an int >= 1, got 0"),
+    (["simulate", "--vr", "2.0", "--seed", "1"], "--vr", "value must be an int >= 1, got '2.0'"),
+    (["simulate", "--seed", "-3"], "--seed", "value must be an int >= 0, got -3"),
+    (["simulate", "--windows", "x", "--seed", "1"], "--windows", "value must be an int >= 1, got 'x'"),
+    (["prob", "--n", "64", "--w", "10", "--trials", "1e3"], "--trials", "value must be an int >= 0, got '1e3'"),
+], ids=["vr-0", "vr-2.0", "seed--3", "windows-x", "trials-1e3"])
+def test_cli_integer_options_follow_the_int_rule(capsys, argv, option, message):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {option}: {message}\n")
+
+
 @pytest.mark.parametrize("item", [1.0, np.float64(1.0)])
 def test_bit_rule_stores_a_float_bit_as_an_int(item):
     assert KeyBits((item, 0)).bits == (1, 0) and type(KeyBits((item, 0)).bits[0]) is int
@@ -249,6 +326,12 @@ class TestLfsr:
             lfsr_next(0)
         with pytest.raises(ValueError):
             PatternSpec.lfsr(seed=0)
+
+    def test_taps_must_not_be_empty(self):
+        with pytest.raises(ValueError, match="^LFSR needs at least one tap$"):
+            lfsr_next(1, ())
+        with pytest.raises(ValueError, match="^LFSR needs at least one tap$"):
+            PatternSpec.lfsr(taps=())
 
     def test_state_must_fit_register(self):
         with pytest.raises(ValueError):

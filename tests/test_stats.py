@@ -1,6 +1,7 @@
 import argparse
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -151,6 +152,12 @@ class TestMeanCI:
     def test_level_validated(self):
         with pytest.raises(ValueError):
             mean_ci([1.0, 2.0], level=1.0)
+
+    @pytest.mark.parametrize("level", [0, 0.0, 1, 1.0, -0.5, 1.5, math.nan, math.inf, True, "0.99", None], ids=repr)
+    def test_level_follows_the_real_rule(self, level):
+        message = f"level must be a finite number in (0, 1), got {level!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            mean_ci([1.0, 2.0], level=level)
 
     @pytest.mark.parametrize("values", [np.arange(12.0).reshape(3, 4), [[1.0, 2.0], [3.0, 4.0]], 5.0])
     def test_values_must_be_one_dimensional(self, values):
