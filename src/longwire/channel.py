@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .patterns import PatternSpec, _as_bits, _check_int, _check_int_field, _check_real, _check_real_field, _is_int
+from .patterns import PatternSpec, _check_bits, _check_int, _check_int_field, _check_real, _check_real_field, _is_int
 from .patterns import _parsed, stimulus_columns
 
 __all__ = [
@@ -252,10 +252,9 @@ class CountTrace:
         if (self.counts < 0).any():
             raise ValueError("counts must be >= 0")
         # each bit is stored as an int, so that a bool or numpy bit writes CSV that reads back
-        if (sent := _as_bits(tuple([b for b in bits if b is not None]))) is None:
-            raise ValueError("tx bits must be 0, 1 or None")
-        ints = iter(bytes(sent))
-        bits = [b if b is None else next(ints) for b in bits]
+        sent = _check_bits([b for b in bits if b is not None], "tx bit")
+        ints = iter(sent)
+        bits = list(sent) if len(sent) == len(bits) else [b if b is None else next(ints) for b in bits]
         object.__setattr__(self, "tx_bits", bits)
 
     def __len__(self) -> int:

@@ -72,12 +72,12 @@ def _str_list(text: str) -> list[str]:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in _str_list(text)]
+    return [_positive_int(x) for x in _str_list(text)]
 
 
 # The options several studies share, one definition each; a study registers those it reads, not those it sweeps.
 _OPTIONS = {
-    "--n": dict(type=int, help=f"log2 clock ticks per window (default {DEFAULT_LOG2_TICKS})"),
+    "--n": dict(type=_positive_int, help=f"log2 clock ticks per window (default {DEFAULT_LOG2_TICKS})"),
     "--vt": dict(default="2", help="transmitter longs; thirds allowed, e.g. 1/3"),
     "--vr": dict(type=_positive_int, default=2, help="receiver longs"),
     "--d": dict(type=_positive_int, default=1, help="track distance, 1 = adjacent"),

@@ -14,7 +14,7 @@ group flips the disparity exactly when it does not hold five ones, at
 either disparity, so the disparity before each group of a stream is one
 cumulative sum and ``encode_bytes`` and ``decode_bits`` are gathers.
 ``encode_8b10b`` and ``decode_8b10b`` are their one-group cases, and bits
-are read by ``patterns._bit_array``, the package's one bit rule.
+are read by ``patterns._check_bits``, the package's one bit rule.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidCodeGroup
-from .patterns import _bit_array, _is_int
+from .patterns import _check_bits, _is_int
 
 __all__ = [
     "encode_8b10b",
@@ -169,9 +169,9 @@ def encode_bytes(data: Iterable[int], running_disparity: int = -1) -> tuple[list
 
 def decode_bits(bits: Sequence[int], running_disparity: int = -1) -> tuple[bytes, int]:
     """Decode a flat bit stream (length multiple of 10) back to bytes; InvalidCodeGroup names the first bad group."""
-    stream = _bit_array(bits)
-    if stream is None or len(stream) % 10 != 0:
-        raise ValueError("bit stream must be flat 0/1 bits, its length a multiple of 10")
+    stream = np.frombuffer(_check_bits(bits, "bit"), np.uint8)
+    if len(stream) % 10 != 0:
+        raise ValueError(f"bit stream length must be a multiple of 10, got {len(stream)}")
     groups = (stream.reshape(-1, 10) @ _WEIGHTS).astype(np.intp, copy=False)
     rows, rd = _disparity_rows(_FLIPS[groups], running_disparity)
     data = _DECODE[rows, groups]

@@ -20,7 +20,7 @@ import numpy as np
 from . import code8b10b
 from .channel import DeviceProfile, Geometry, MeasurementConfig, simulate_counts
 from .errors import InvalidCodeGroup
-from .patterns import _as_bits, _bit_array
+from .patterns import _check_bits
 
 __all__ = [
     "LineCode",
@@ -55,21 +55,16 @@ class Frame:
 
     def __post_init__(self):
         for name in ("payload", "sof", "eof"):  # tuples, so a frozen frame stays hashable
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            object.__setattr__(self, name, tuple(_check_bits(getattr(self, name), f"{name} bit")))
         if not self.sof or not self.eof:
             raise ValueError("sof and eof patterns must be non-empty")
-        for name in ("payload", "sof", "eof"):
-            if (bits := _as_bits(getattr(self, name))) is None:
-                raise ValueError("frame fields must contain bits")
-            object.__setattr__(self, name, bits)
         if self.line_code is LineCode.EIGHTB_TENB and len(self.payload) % 8 != 0:
             raise ValueError("8b/10b payload length must be a multiple of 8")
 
 
 def _manchester_symbols(bits: Iterable[int]) -> np.ndarray:
     """Wire symbols of the payload in send order, two per bit."""
-    if (sent := _bit_array(bits)) is None:
-        raise ValueError("bits must be 0 or 1")
+    sent = np.frombuffer(_check_bits(bits, "bit"), np.uint8)
     return np.column_stack((sent, 1 - sent)).ravel()
 
 
@@ -96,11 +91,8 @@ def frame_sync(bitstream: Sequence[int], sof: Sequence[int]) -> list[int]:
 
 def _pattern(name: str, pattern: Sequence[int]) -> tuple[int, ...]:
     """A frame delimiter as a non-empty tuple of bits; a ValueError names the pattern at fault."""
-    pattern = tuple(pattern)
-    if not pattern:
+    if not (bits := tuple(_check_bits(pattern, f"{name} bit"))):
         raise ValueError(f"{name} must be non-empty")
-    if (bits := _as_bits(pattern)) is None:
-        raise ValueError(f"{name} bits must be 0 or 1")
     return bits
 
 
@@ -115,7 +107,7 @@ def _sync(stream: np.ndarray, pattern: tuple[int, ...]) -> list[int]:
 def frame_to_bits(frame: Frame) -> list[int]:
     """Serialize a frame: SOF, line-coded payload, EOF."""
     if frame.line_code is LineCode.EIGHTB_TENB:
-        body, _ = code8b10b.encode_bytes(np.packbits(_bit_array(frame.payload)))
+        body, _ = code8b10b.encode_bytes(np.packbits(np.frombuffer(bytes(frame.payload), np.uint8)))
     else:
         body = frame.payload
     return [*frame.sof, *body, *frame.eof]
@@ -138,8 +130,9 @@ def find_frames(
     # start mod 10: keep the EOF positions in one sorted list per residue.
     period = 10 if line_code is LineCode.EIGHTB_TENB else 1
     ends: list[list[int]] = [[] for _ in range(period)]
-    stream = _bit_array(bitstream)  # converted once for both pattern searches
-    if stream is None:
+    try:  # converted once for both pattern searches
+        stream = np.frombuffer(_check_bits(bitstream, "bit"), np.uint8)
+    except ValueError:  # not all bits: searched as it is, where a non-bit matches no pattern bit
         stream = np.asarray(bitstream)
     for end in _sync(stream, eof):
         ends[end % period].append(end)

@@ -31,7 +31,7 @@ import numpy as np
 from . import kernels
 from .channel import DeviceProfile, Geometry, MeasurementConfig, _count_engine, _mean_count
 from .errors import InconsistentMeasurements
-from .patterns import _as_bits, _check_int, _check_int_field, _check_real
+from .patterns import _check_bits, _check_int, _check_int_field, _check_real
 
 __all__ = [
     "KeyBits",
@@ -65,11 +65,9 @@ class KeyBits:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        bits = tuple(self.bits)  # a list the caller keeps could change the key
+        bits = tuple(_check_bits(self.bits, "key bit"))  # a list the caller keeps could change the key
         if len(bits) < 1:
             raise ValueError("key must have at least one bit")
-        if (bits := _as_bits(bits)) is None:
-            raise ValueError("key bits must be 0 or 1")
         object.__setattr__(self, "bits", bits)
 
     def __len__(self) -> int:
@@ -120,7 +118,7 @@ def parse_key(text: str) -> KeyBits:
 
 
 def _as_key(key) -> KeyBits:
-    return key if isinstance(key, KeyBits) else KeyBits(tuple(key))  # KeyBits judges the items
+    return key if isinstance(key, KeyBits) else KeyBits(key)  # KeyBits judges the items
 
 
 class RelationSet(NamedTuple):
@@ -146,9 +144,8 @@ class RecoveryResult:
     def __post_init__(self):
         if sorted(chain(self.known, *self.unresolved_classes)) != list(range(self.n_key)):
             raise ValueError("known bits and unresolved classes must partition the key")
-        if (bits := _as_bits(tuple(self.known.values()))) is None:
-            raise ValueError("known values must be 0 or 1")
-        self.known = dict(zip(self.known, map(int, bits)))  # 1.0 and True as 1: recovery_to_rows writes bits
+        # 1.0 and True as 1: recovery_to_rows writes bits
+        self.known = dict(zip(self.known, _check_bits(self.known.values(), "known value")))
 
     @property
     def complete(self) -> bool:

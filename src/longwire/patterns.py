@@ -62,9 +62,7 @@ class PatternSpec:
         if self.kind == "custom":
             if not self.bits:
                 raise ValueError("custom pattern needs at least one bit")
-            if (bits := _as_bits(self.bits)) is None:
-                raise ValueError("custom bits must be 0 or 1")
-            object.__setattr__(self, "bits", bits)
+            object.__setattr__(self, "bits", tuple(_check_bits(self.bits, "custom bit")))
 
     @classmethod
     def alternating(cls) -> "PatternSpec":
@@ -135,35 +133,30 @@ def _check_real_field(obj, name: str, low: float, high: float = math.inf, *, abo
     object.__setattr__(obj, name, _check_real(getattr(obj, name), name, low, high, above=above))
 
 
-def _as_bits(values: tuple) -> tuple | None:
-    """The items as bits, or None when one is not 0 or 1: integers (bools and numpy
-    integers too) stay as given, an item that only equals a bit (1.0) becomes that int."""
-    try:
-        if not bytes(values).translate(None, b"\0\1"):
-            return values
-    except (TypeError, ValueError):  # a non-integer item, or an integer outside a byte
-        pass
-    try:
-        return tuple(map(int, values)) if set(values) <= {0, 1} else None
-    except TypeError:  # unhashable, or no int() (1 + 0j)
-        return None
-
-
-def _bit_array(values) -> np.ndarray | None:
-    """``_as_bits``' rule for a 1-D array or any other iterable: its bits as a uint8 array, or None
-    when an item is not a bit, for the caller to take its own way.  Int items enter numpy through
-    ``bytes`` and a numeric array through one comparison."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
-        is_bits = values.ndim == 1 and not np.count_nonzero((values != 0) & (values != 1))
-        return values.astype(np.uint8, copy=False) if is_bits else None
-    values = values if isinstance(values, (list, tuple)) else tuple(values)
-    try:
-        data = bytes(values)
-    except (TypeError, ValueError):  # a non-integer item, or an integer outside a byte
-        data = None
-    if data is None or data.translate(None, b"\0\1"):
-        data = None if (bits := _as_bits(values)) is None else bytes(bits)
-    return None if data is None else np.frombuffer(data, np.uint8)
+def _check_bits(values, name: str) -> bytes:
+    """The package's one bit rule: each item hashable, equal to 0 or 1 and with an int (True,
+    np.uint8(1), 1.0), as bytes of 0 and 1.  A numeric 1-D array is judged by one comparison and int
+    items enter through ``bytes``; a ValueError names the first item that is not a bit."""
+    if isinstance(values, np.ndarray):
+        if values.ndim == 1 and values.dtype.kind in "biuf" and not np.count_nonzero((values != 0) & (values != 1)):
+            return values.astype(np.uint8).tobytes()
+    else:
+        values = values if isinstance(values, (list, tuple)) else tuple(values)
+        try:
+            if not (data := bytes(values)).translate(None, b"\0\1"):
+                return data
+        except (TypeError, ValueError):  # an item with no __index__, or an integer outside a byte
+            pass
+    bits = bytearray()
+    for item in values:
+        try:
+            if item in {0, 1}:
+                bits.append(int(item))
+                continue
+        except TypeError:  # unhashable, or no int() (1 + 0j)
+            pass
+        raise ValueError(f"{name} must be 0 or 1, got {item!r}")
+    return bytes(bits)
 
 
 def _check_lfsr(state: int, taps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -252,15 +245,13 @@ def parse_pattern(text: str) -> PatternSpec:
     if name == "alternating":
         return PatternSpec.alternating()
     if name == "longruns":
-        return PatternSpec.long_runs(int(arg) if arg else DEFAULT_RUN_LEN)
+        return PatternSpec.long_runs(_parsed(arg) if arg else DEFAULT_RUN_LEN)
     if name == "lfsr":
-        return PatternSpec.lfsr(seed=int(arg, 0) if arg else DEFAULT_LFSR_SEED)
+        return PatternSpec.lfsr(seed=_parsed(arg, lambda text: int(text, 0)) if arg else DEFAULT_LFSR_SEED)
     if len(name) == 2 and name[0] == "d" and name[1].isdigit():
         idx = int(name[1])
         if idx < len(DYNAMIC4_CODES):
             return PatternSpec.dynamic4(DYNAMIC4_CODES[idx])
     if name == "custom":
-        if not arg or any(c not in "01" for c in arg):
-            raise ValueError("custom pattern needs a 0/1 string, e.g. custom:0110")
-        return PatternSpec.custom(map(int, arg))
+        return PatternSpec.custom(map(_parsed, arg))
     raise ValueError(f"unknown pattern {text!r}")

@@ -623,10 +623,10 @@ class TestTraceCSV:
             (([[0, 1]], [[5, 5]], [[0.0, 1.0]], [[0.0, 0.0]], [[0, 1]]), "one-dimensional"),
             (([0, 1], [5, 5], [0.0, math.nan], [0.0, 0.0], [0, 1]), "duty"),
             (([0, 3, 2], [5, 5, 5], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0, 1, 0]), "strictly increasing"),
-            (([0, 1], [100, 99], [1.0, 0.5], [0.0, 0.0], [7, -3]), "tx bits must be 0, 1 or None"),
-            (([0, 1], [5, 5], [0.0, 1.0], [0.0, 0.0], [None, 2]), "tx bits must be 0, 1 or None"),
-            (([0, 1], [5, 5], [0.0, 1.0], [0.0, 0.0], [0.5, 1]), "tx bits must be 0, 1 or None"),
-            (([0, 1], [5, 5], [0.0, 1.0], [0.0, 0.0], ["1", 0]), "tx bits must be 0, 1 or None"),
+            (([0, 1], [100, 99], [1.0, 0.5], [0.0, 0.0], [7, -3]), "^tx bit must be 0 or 1, got 7$"),
+            (([0, 1], [5, 5], [0.0, 1.0], [0.0, 0.0], [None, 2]), "^tx bit must be 0 or 1, got 2$"),
+            (([0, 1], [5, 5], [0.0, 1.0], [0.0, 0.0], [0.5, 1]), "^tx bit must be 0 or 1, got 0.5$"),
+            (([0, 1], [5, 5], [0.0, 1.0], [0.0, 0.0], ["1", 0]), "^tx bit must be 0 or 1, got '1'$"),
             (([None, 1], [5, 5], [0.0, 1.0], [0.0, 0.0], [0, 1]), "^window must be whole numbers$"),
             (([0, 1], [5, math.nan], [0.0, 1.0], [0.0, 0.0], [0, 1]), "^counts must be whole numbers$"),
             (([0, 1.5], [5, 5], [0.0, 1.0], [0.0, 0.0], [0, 1]), "^window must be whole numbers$"),
@@ -643,7 +643,7 @@ class TestTraceCSV:
             CountTrace(*columns)
 
     def test_csv_rejects_bad_bits(self):
-        with pytest.raises(ValueError, match="^tx bits must be 0, 1 or None$"):
+        with pytest.raises(ValueError, match="^tx bit must be 0 or 1, got 7$"):
             trace_from_csv("window,count,duty,toggle_rate,tx_bit\n0,100,1,0,7\n1,99,0.5,0,-3\n")
 
     @pytest.mark.parametrize("bits", [[True, np.int64(0), None, 1.0], [True, np.int64(0), np.uint8(1), False]],

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from fractions import Fraction
 
 from longwire import DeviceProfile, Geometry, MeasurementConfig, expected_count, expected_delta_rc, kernels
-from longwire.channel import as_longs
+from longwire.channel import CountTrace, as_longs
 from longwire.cli import main
 from longwire.code8b10b import decode_8b10b, decode_bits, encode_8b10b, encode_bytes
 from longwire.patterns import (
@@ -17,48 +18,101 @@ from longwire.patterns import (
     lfsr_next,
     parse_pattern,
     stimulus_columns,
-    _as_bits,
-    _bit_array,
+    _check_bits,
     _check_real,
 )
 from longwire.audit import RoutingGrid, placement_success_probability
 from longwire.stats import student_t_isf
-from longwire.codec import Frame
+from longwire.codec import Frame, find_frames, frame_sync, frame_to_bits, manchester_encode
 from longwire.exfil import (
     ExfilChannel,
     KeyBits,
+    RecoveryResult,
     RelationSet,
     exhaustive_success_fraction,
     infer_relations,
     measure_windows,
     monte_carlo_recovery_rate,
+    multi_window_recover,
     propagate,
     recovery_probability_exact,
+    recovery_to_rows,
+    single_window_recover,
     window_hw_oracle,
 )
 from conftest import stimulus_oracle
 
-# One bit rule, each caller with its own message.
+# One bit rule: (name in the message, call with the item tried as its first bit).
+# Each call returns what it stores or yields, so a bit kept as a bool or numpy type shows in its repr.
 BIT_CHECKS = [
-    ("key bits must be 0 or 1", lambda b: KeyBits((b, 0))),
-    ("frame fields must contain bits", lambda b: Frame(payload=(b, 0))),
-    ("custom bits must be 0 or 1", lambda b: PatternSpec(kind="custom", bits=(b, 0))),
-    ("custom bits must be 0 or 1", lambda b: PatternSpec.custom((b, 0))),
+    ("key bit", lambda b: KeyBits((b, 0))),
+    ("known value", lambda b: RecoveryResult(2, {0: b, 1: 0}, (), 1, 1)),
+    ("custom bit", lambda b: PatternSpec(kind="custom", bits=(b, 0))),
+    ("custom bit", lambda b: PatternSpec.custom((b, 0))),
+    ("payload bit", lambda b: Frame(payload=(b, 0))),
+    ("sof bit", lambda b: Frame(payload=(0,), sof=(b, 0))),
+    ("eof bit", lambda b: Frame(payload=(0,), eof=(b, 0))),
+    ("sof bit", lambda b: frame_sync([1, 0], (b, 0))),
+    ("eof bit", lambda b: find_frames([0, 1], eof=(b, 0))),
+    ("bit", lambda b: manchester_encode((b, 0))),
+    ("bit", lambda b: decode_bits((1, 0, 0, 1, 1, 1, 0, 1, b, 0))),  # byte 0's group, a data character at b = 1 too
+    ("tx bit", lambda b: CountTrace([0, 1], [5, 5], [1.0, 0.0], [0.0, 0.0], [b, 0])),
 ]
 
 
-@pytest.mark.parametrize("item", [0, 1, True, 1.0, np.int64(1)])
+@pytest.mark.parametrize("item", [0, 1, True, 1.0, np.int64(1), np.uint8(1), np.float64(1.0)],
+                         ids=["0", "1", "True", "1.0", "item4", "uint8", "float64"])
 def test_bit_rule_accepts(item):
+    # an accepted item is stored and returned as the Python int it equals
     for _, make in BIT_CHECKS:
-        make(item)
+        assert repr(make(item)) == repr(make(int(item)))
 
 
-@pytest.mark.parametrize("item", [2, -1, 0.5, "1", None, [1], np.array([1])])
+@pytest.mark.parametrize("item", [2, -1, 0.5, "1", None, [1], np.array([1]), 1 + 0j])
 def test_bit_rule_rejects(item):
-    for message, make in BIT_CHECKS:
+    for name, make in BIT_CHECKS:
+        if item is None and name == "tx bit":
+            continue  # a trace's None is a window that sends no bit, outside the rule
         with pytest.raises(ValueError) as err:
             make(item)
-        assert str(err.value) == message
+        assert str(err.value) == f"{name} must be 0 or 1, got {item!r}"
+
+
+def test_bool_key_recovery_writes_bits_to_csv_rows():
+    key = [1, 0, 1, 1, 0, 0, 1, 0]
+    rows = recovery_to_rows(multi_window_recover([bool(b) for b in key], 2))
+    assert rows == recovery_to_rows(multi_window_recover(key, 2)) == [(j, str(b)) for j, b in enumerate(key)]
+
+
+def test_numpy_key_bits_are_summed_as_python_ints():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a uint8 sum overflows with a RuntimeWarning
+        assert window_hw_oracle(KeyBits([np.uint8(1)] * 300), 0, 300) == 300
+
+
+def test_recovery_of_a_uint8_key_holds_python_ints():
+    known = single_window_recover(np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8), 3).known
+    assert known == single_window_recover([1, 0, 1, 1, 0, 0, 1, 0], 3).known
+    assert {type(v) for v in known.values()} == {int}
+
+
+def test_frame_of_an_array_serializes_to_python_ints():
+    bits = frame_to_bits(Frame(np.array([1, 0] * 4)))
+    assert bits == frame_to_bits(Frame((1, 0) * 4)) and {type(b) for b in bits} == {int}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("custom:012", "custom bit must be 0 or 1, got 2"),
+    ("custom:01x", "custom bit must be 0 or 1, got 'x'"),
+    ("longruns:x", "run_len must be an int >= 1, got 'x'"),
+    ("lfsr:zz", "LFSR state must be an int in [1, 65535], got 'zz'"),
+])
+def test_pattern_arguments_follow_their_rules(capsys, text, message):
+    with pytest.raises(ValueError) as err:
+        parse_pattern(text)
+    assert str(err.value) == message
+    assert main(["simulate", "--pattern", text, "--seed", "1"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def all_equal(w, n_key):
@@ -251,7 +305,14 @@ def test_running_disparity_rule_takes_a_numpy_int_as_the_python_int(rd):
     (["simulate", "--seed", "-3"], "--seed", "value must be an int >= 0, got -3"),
     (["simulate", "--windows", "x", "--seed", "1"], "--windows", "value must be an int >= 1, got 'x'"),
     (["prob", "--n", "64", "--w", "10", "--trials", "1e3"], "--trials", "value must be an int >= 0, got '1e3'"),
-], ids=["vr-0", "vr-2.0", "seed--3", "windows-x", "trials-1e3"])
+    (["simulate", "--n", "2.5", "--seed", "1"], "--n", "value must be an int >= 1, got '2.5'"),
+    (["simulate", "--n", "0", "--seed", "1"], "--n", "value must be an int >= 1, got 0"),
+    (["scaling-length", "--vr-list", "2.0", "--seed", "1"], "--vr-list", "value must be an int >= 1, got '2.0'"),
+    (["scaling-time", "--n-list", "13,-1", "--seed", "1"], "--n-list", "value must be an int >= 1, got -1"),
+    (["distance", "--d-list", "1,x", "--seed", "1"], "--d-list", "value must be an int >= 1, got 'x'"),
+    (["prob", "--n", "64", "--w-list", "4,0"], "--w-list", "value must be an int >= 1, got 0"),
+], ids=["vr-0", "vr-2.0", "seed--3", "windows-x", "trials-1e3", "n-2.5", "n-0", "vr-list-2.0", "n-list--1",
+        "d-list-x", "w-list-0"])
 def test_cli_integer_options_follow_the_int_rule(capsys, argv, option, message):
     with pytest.raises(SystemExit) as err:
         main(argv)
@@ -267,26 +328,46 @@ def test_bit_rule_stores_a_float_bit_as_an_int(item):
     assert type(PatternSpec(kind="custom", bits=(item, 0)).bits[0]) is int
 
 
+def bits_or_fault(items):
+    """A test-local oracle of the bit rule: (the items as ints, None), or (None, the first item that is not
+    hashable, equal to 0 or 1 and with an int)."""
+    ints = []
+    for item in items:
+        try:
+            hash(item)
+            ints.append(int(item) if item == 0 or item == 1 else None)
+        except TypeError:
+            ints.append(None)
+        if ints[-1] is None:
+            return None, item
+    return ints, None
+
+
 @pytest.mark.parametrize("bits", [[0, 1, 1], (1, 0), [True, False], (np.int64(1), np.uint8(0)), []])
 def test_bit_array_reads_int_bits_through_bytes(bits):
-    array = _bit_array(bits)
-    assert array.dtype == np.uint8 and array.tolist() == [int(b) for b in bits]
+    # the codecs' uint8 bit array is the rule's bytes
+    array = np.frombuffer(_check_bits(bits, "bit"), np.uint8)
+    assert array.tolist() == [int(b) for b in bits]
 
 
 @pytest.mark.parametrize("bits", [[0, 2], [1, -1], [1, 256], [1.0, 0], [0, "1"], [0, None], [[1]],
                                   np.array([0, 1]), iter([0, 1]), "01", b"\x00\x01", range(2),
                                   np.array([0, 2]), np.array([1.0, 0.5]), np.array([0, np.nan]), np.array([[0, 1]]),
-                                  np.array(["0", "1"]), np.array([0, 1], dtype=object), iter([1, 2]), (1, 0.0)])
+                                  np.array(["0", "1"]), np.array([0, 1], dtype=object), iter([1, 2]), (1, 0.0),
+                                  np.array([1, 256]), np.array([True, False]), (1, 1 + 0j), [np.float32(1), 0],
+                                  np.array([1.0, 0.0], dtype=np.float32), [0, {}]])
 def test_bit_array_leaves_everything_else_to_the_caller(bits):
-    # _as_bits' rule for every iterable: the items' bits, or None for the caller's own path
-    # exactly when an item is not a bit (a 1-D array, an iterator, bytes and a range give bits too)
+    # the rule for every iterable, against its oracle: the items' bits, or a ValueError naming the first item
+    # that is not a bit, for the caller to raise or catch (a 1-D array, an iterator, bytes and a range give bits too)
     items = list(bits)
-    expected = _as_bits(tuple(items))
-    array = _bit_array(iter(items) if iter(bits) is bits else bits)
-    if expected is None:
-        assert array is None
+    ints, fault = bits_or_fault(items)
+    given = iter(items) if iter(bits) is bits else bits
+    if ints is None:
+        with pytest.raises(ValueError) as err:
+            _check_bits(given, "bit")
+        assert str(err.value) == f"bit must be 0 or 1, got {fault!r}"
     else:
-        assert array.dtype == np.uint8 and array.tolist() == list(expected)
+        assert list(_check_bits(given, "bit")) == ints
 
 
 def lfsr_period(seed, taps):
