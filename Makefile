@@ -3,7 +3,7 @@ OUT ?= out
 # Run from the checkout without installing the package.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test acceptance bench selftest reproduce check-reproduce check size clean
+.PHONY: install test acceptance bench bench-pair selftest reproduce check-reproduce check size clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -16,6 +16,15 @@ acceptance:
 
 bench:
 	$(PYTHON) bench/run.py --workload all --seed 1 --seconds 15
+
+# Alternating untraced runs of BASE and HEAD, each copied with git archive: every end-to-end metric's
+# median and quartiles per side, and the pairs each side won. JSON=file also writes the runs.
+PAIRS ?= 10
+SECONDS ?= 15
+SEED ?= 1
+bench-pair:
+	$(PYTHON) tools/bench_pair.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS) --seconds $(SECONDS) \
+		--seed $(SEED) $(if $(JSON),--json $(JSON))
 
 # Every benchmark workload at tiny sizes, untraced and traced, with its scoring checked; warnings
 # are errors, in the workers too (they inherit the environment), so a numpy overflow fails the run.

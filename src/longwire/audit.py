@@ -23,7 +23,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, fields
-from itertools import islice
+from itertools import compress, islice
 from operator import attrgetter
 from typing import Iterable
 
@@ -56,6 +56,7 @@ GUARD_DISTANCES = (-2, -1, 1, 2)
 
 _Y_START = attrgetter("y_start")
 _Y_END = attrgetter("y_end")
+_SENSITIVE = attrgetter("sensitive")
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -149,6 +150,8 @@ def _check_and_index(
     _ids, built with the lineage's root and shared by every grid derived
     from it, and _added, a copy of the parent's extended by the added ids.
     Derivation only appends, so a position holds along the whole lineage.
+    _sensitive holds the sensitive spans in grid order: the parent's tuple
+    itself when no added span is sensitive, as no guard is.
     lines, for a grid without a parent, gives each span's source line.
     The indexes are stored on grid, or on a new grid when it is None.
     """
@@ -201,10 +204,13 @@ def _check_and_index(
         if lines is not None:
             msg += f" (lines {lines[first]} and {lines[second]})"
         raise DuplicateOccupancy(msg, line=where(second))
+    sensitive = tuple(compress(added, map(_SENSITIVE, added)))
+    if parent is not None:
+        sensitive = parent._sensitive + sensitive  # the parent's tuple itself when sensitive is empty
     if grid is None:
         grid = object.__new__(RoutingGrid)
     vars(grid).update(spans=spans, tracks_per_column=tracks_per_column, n_longs=n_longs,
-                      _ids=ids, _added=added_ids, _slots=slots)
+                      _ids=ids, _added=added_ids, _slots=slots, _sensitive=sensitive)
     return grid
 
 
@@ -306,9 +312,7 @@ def find_exposures(grid: RoutingGrid, d_max: int = 2) -> list[Exposure]:
     d_max = _check_int(d_max, "d_max", 1)
     last = grid.tracks_per_column - 1
     found = []
-    for s in grid.spans:
-        if not s.sensitive:
-            continue
+    for s in grid._sensitive:
         tracks = grid._slots[s.column]
         for track in range(max(s.track - d_max, 0), min(s.track + d_max, last) + 1):
             slot = tracks.get(track)

@@ -282,9 +282,9 @@ def expected_delta_rc(profile: DeviceProfile, geom: Geometry) -> float:
     diluted by the oscillator's fixed stage delay; fractions of a long
     count as the whole driven segment.
     """
-    overlap = min(math.ceil(geom.v_t), geom.v_r)
+    overlap = min(-(-geom.v_t.numerator // geom.v_t.denominator), geom.v_r)  # the ceiling of the Fraction v_t
     base = profile.coupling_alpha * overlap / (profile.stage_beta + geom.v_r)
-    return profile.attenuation(geom.d) * base
+    return profile.distance_atten.get(geom.d, 0.0) * base  # attenuation(d), whose check Geometry made
 
 
 def _coupling_terms(profile: DeviceProfile, geom: Geometry) -> tuple[float, float]:
@@ -293,19 +293,30 @@ def _coupling_terms(profile: DeviceProfile, geom: Geometry) -> tuple[float, floa
     return profile.local_static_epsilon, profile.local_switch_penalty
 
 
-def _mean_count(profile, cfg, geoms, duty, toggle_rate, drift):
+def _terms(profile: DeviceProfile, cfg: MeasurementConfig, geoms) -> tuple:
+    """The channel terms ``(scale, delta, penalty)`` that ``_mean_count`` and the count engine take.
+
+    ``scale`` is the count of a window at no duty, toggling or drift,
+    m * base_rate.  ``geoms`` holds one geometry, whose ``_coupling_terms``
+    come as floats and serve every row, or one per row, whose terms become
+    (rows x 1) columns.
+    """
+    scale = cfg.ticks_per_window * profile.base_rate
+    if len(geoms) == 1:  # floats, and no array built: the noisy attack's per-key path
+        return (scale, *_coupling_terms(profile, geoms[0]))
+    delta, penalty = np.array([_coupling_terms(profile, g) for g in geoms]).T[..., None]
+    return scale, delta, penalty
+
+
+def _mean_count(terms, duty, toggle_rate, drift):
     """Noise-free window count, (m * base_rate) * (1 + drift) * (1 + duty * delta - penalty * toggle_rate).
 
-    ``geoms`` holds one geometry, whose ``_coupling_terms`` serve every row,
-    or one per row, whose terms become (rows x 1) columns; the rest are floats
+    ``terms`` is ``_terms``' ``(scale, delta, penalty)``; the rest are floats
     or arrays alike.  An array ``drift`` is overwritten; the result is written
     into the stimulus level (a fresh array whenever the duty is one), which
     must hold the result's shape.  The terms are combined in the order above.
     """
-    if len(geoms) == 1:  # floats, and no array built: the noisy attack's per-key path
-        delta, penalty = _coupling_terms(profile, geoms[0])
-    else:
-        delta, penalty = np.array([_coupling_terms(profile, g) for g in geoms]).T[..., None]
+    scale, delta, penalty = terms
     level = duty * delta
     level += 1.0
     load = penalty * toggle_rate
@@ -313,7 +324,7 @@ def _mean_count(profile, cfg, geoms, duty, toggle_rate, drift):
         level -= load
     mean = drift
     mean += 1.0
-    mean *= cfg.ticks_per_window * profile.base_rate
+    mean *= scale
     level *= mean  # the level has the result's shape; y * x is x * y to the bit
     return level
 
@@ -329,8 +340,11 @@ def expected_count(
     """Noise-free mean of the window count; a drift state above -1 keeps it positive."""
     _check_stimulus(duty, toggle_rate)
     drift_state = _check_real(drift_state, "drift_state", -1, above=True)
-    return _mean_count(profile, cfg, (geom,), duty, toggle_rate, drift_state)
+    return _mean_count(_terms(profile, cfg, (geom,)), duty, toggle_rate, drift_state)
 
+
+# The drift's bound test: two reductions, without ndarray.max's Python layer.
+_MAX, _MIN = np.maximum.reduce, np.minimum.reduce
 
 # Windows per block of the drift pass: one matmul per block, then a carry between blocks.
 _BLOCK = 64
@@ -369,15 +383,15 @@ def _linear_ar1(innovations: np.ndarray, keep: float) -> np.ndarray:
         return (decay[:n, :n] @ innovations[:, :, None])[:, :, 0] if rows else decay[:n, :n] @ innovations
     blocks = -(-n // _BLOCK)
     if n % _BLOCK:  # a ragged trace: its last block is zero-padded
-        path = np.zeros(rows + (blocks, _BLOCK))
-        path.reshape(rows + (-1,))[..., :n] = innovations
+        path = np.zeros(rows + (blocks * _BLOCK,))
+        path[..., :n] = innovations
     else:
-        path = innovations.reshape(rows + (blocks, _BLOCK))
-    path = path @ decay.T
-    tails = _linear_ar1(path[..., -1], keep**_BLOCK)[..., :-1, None]  # the end of each block but the last
-    step = max(1, _CARRY_SIZE // path[..., 0, :].size)
-    for s in range(0, blocks - 1, step):
-        path[..., s + 1 : s + 1 + step, :] += tails[..., s : s + step, :] * carry
+        path = innovations
+    path = path.reshape(rows + (blocks, _BLOCK)) @ decay.T
+    ends = _linear_ar1(path[..., :-1, -1], keep**_BLOCK)  # the end of each block but the last
+    step = _CARRY_SIZE * blocks // path.size or 1  # blocks per piece
+    for s in range(1, blocks, step):
+        path[..., s : s + step, :] += ends[..., s - 1 : s - 1 + step, None] * carry
     return path.reshape(rows + (-1,))[..., :n]
 
 
@@ -401,15 +415,16 @@ def _drift_path(profile: DeviceProfile, innovations: np.ndarray) -> np.ndarray:
     Until the first window that leaves +/-drift_bound, the clip does nothing
     and the path is ``_linear_ar1``.  From that window on each clip feeds
     back into the next state, so the rest of that row runs as the scalar
-    recursion.
+    recursion.  Two reductions tell whether any window left the bound; only
+    then is a window mask built.
     """
     keep, bound = 1.0 - profile.drift_reversion, profile.drift_bound
     path = _linear_ar1(innovations, keep)
-    outside = path > bound
-    outside |= path < -bound
-    if np.count_nonzero(outside):
+    if _MAX(path, None, initial=0.0) > bound or _MIN(path, None, initial=0.0) < -bound:  # bound >= 0; n may be 0
         n = path.shape[-1]
-        rows, steps, outside = path.reshape(-1, n), innovations.reshape(-1, n), outside.reshape(-1, n)  # views
+        rows, steps = path.reshape(-1, n), innovations.reshape(-1, n)  # views
+        outside = rows > bound
+        outside |= rows < -bound
         for row in np.flatnonzero(outside.any(axis=1)).tolist():
             first = int(outside[row].argmax())
             state = float(rows[row, first - 1]) if first else 0.0
@@ -451,7 +466,7 @@ def simulate_counts(
     if duty.ndim != 1 or toggle.ndim > 1 or toggle.size not in (1, duty.size):
         raise ValueError("duty and toggle_rate must be one value per window")
     _check_stimulus(duty, toggle)
-    return _count_engine(profile, cfg, (geom,), duty, toggle, (rng,))
+    return _count_engine(profile, cfg, _terms(profile, cfg, (geom,)), duty, toggle, (rng,)).astype(np.int64)
 
 
 def _block(rngs, n: int, draw: str, *params) -> np.ndarray:
@@ -468,12 +483,13 @@ def _block(rngs, n: int, draw: str, *params) -> np.ndarray:
     return block
 
 
-def _count_engine(profile, cfg, geoms, duty: np.ndarray, toggle, rngs) -> np.ndarray:
-    """simulate_counts past its checks, for one trace or a batch of them.
+def _count_engine(profile, cfg, terms, duty: np.ndarray, toggle, rngs) -> np.ndarray:
+    """simulate_counts past its checks, for one trace or a batch of them, the counts as float64 whole numbers.
 
     ``duty`` is (rows x windows), or one trace's windows as a 1-D array, in
     [0, 1]; ``toggle`` a float or an array that broadcasts against it, finite
-    and >= 0.  ``geoms`` and ``rngs`` each hold one item that serves every
+    and >= 0.  ``terms`` is ``_terms(profile, cfg, geoms)``, derived once by
+    the caller.  ``geoms`` and ``rngs`` each hold one item that serves every
     row, or one per row: row r is placed as ``geoms[r]`` and draws from
     ``rngs[r]``, one distinct generator per draw row.
     Each block is drawn when it is used (the innovations, which become the
@@ -482,11 +498,10 @@ def _count_engine(profile, cfg, geoms, duty: np.ndarray, toggle, rngs) -> np.nda
     simulate_counts gives it alone.
     """
     n = duty.shape[-1]
-    raw = _mean_count(profile, cfg, geoms, duty, toggle,
-                      _drift_path(profile, _block(rngs, n, "normal", 0.0, profile.drift_rate)))
+    raw = _mean_count(terms, duty, toggle, _drift_path(profile, _block(rngs, n, "normal", 0.0, profile.drift_rate)))
     raw += _block(rngs, n, "normal", 0.0, profile.noise_sigma_for(cfg.ticks_per_window))
     raw += _block(rngs, n, "uniform", -1.0, 1.0)
-    return np.maximum(np.rint(raw, out=raw), 0.0, out=raw).astype(np.int64)
+    return np.maximum(np.rint(raw, out=raw), 0.0, out=raw)
 
 
 def simulate_trace(

@@ -23,6 +23,7 @@ from .channel import (
     Geometry,
     MeasurementConfig,
     _count_engine,
+    _terms,
     as_longs,
     expected_delta_rc,
     simulate_trace,
@@ -122,7 +123,8 @@ def _alternating_stats(profile, cfg, geoms, windows, seeds):
     """One alternating trace per geometry, trace r seeded seeds[r], from one count-engine call: the counts of
     the 0 and the 1 windows and the paired relative differences, each one row per geometry."""
     duty, _, _ = stimulus_columns(PatternSpec.alternating(), windows)
-    counts = _count_engine(profile, cfg, geoms, duty[None], 0.0, [np.random.default_rng(s) for s in seeds])
+    rngs = [np.random.default_rng(s) for s in seeds]
+    counts = _count_engine(profile, cfg, _terms(profile, cfg, geoms), duty[None], 0.0, rngs)
     drc = stats._relative_deltas(counts, range(windows))
     return counts[:, 0::2], counts[:, 1::2], drc
 
@@ -185,7 +187,8 @@ def cmd_dynamic(args) -> str:
     duty, toggle = np.array([c[0] for c in columns]), np.array([c[1] for c in columns])  # one row per code
     # one seed, so one draw row, for all six codes: differences between
     # patterns are then not masked by noise realization
-    counts = _count_engine(profile, cfg, (geom,), duty, toggle, (np.random.default_rng(args.seed),))
+    terms = _terms(profile, cfg, (geom,))
+    counts = _count_engine(profile, cfg, terms, duty, toggle, (np.random.default_rng(args.seed),))
     rows = []
     for idx, code in enumerate(DYNAMIC4_CODES):
         mean, lo, hi = stats.mean_ci(counts[idx])

@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import kernels
-from .channel import DeviceProfile, Geometry, MeasurementConfig, _count_engine, _mean_count
+from .channel import DeviceProfile, Geometry, MeasurementConfig, _count_engine, _mean_count, _terms
 from .errors import InconsistentMeasurements
 from .patterns import _check_bits, _check_int, _check_int_field, _check_real
 
@@ -164,17 +164,28 @@ def window_hw_oracle(key, pos: int, w: int) -> int:
     return sum(key.bits[pos : pos + w])
 
 
-def _window_weights(key, w: int) -> np.ndarray:
-    """Hamming weight of every width-w window of the key, in order."""
+def _key_array(key: KeyBits) -> np.ndarray:
+    """A 0, then the key's bits: the uint8 array that ``_window_weights`` takes."""
+    return np.frombuffer(b"\0" + bytes(key.bits), np.uint8)
+
+
+def _window_weights(bits: np.ndarray, w: int) -> np.ndarray:
+    """Hamming weight of every width-w window of a key, in order, past the checks: ``bits`` is a
+    ``_key_array``, or (keys x n + 1) of them, and w an int in [1, n]."""
+    ones = bits.cumsum(axis=-1, dtype=np.int64)  # ones[..., i]: ones before bit i
+    return ones[..., w:] - ones[..., :-w]
+
+
+def _key_window(key, w: int) -> tuple[np.ndarray, int]:
+    """The key's ``_key_array``, and w as an int in [1, len(key)]."""
     key = _as_key(key)
-    w = _check_int(w, "window width", 1, len(key))
-    ones = np.frombuffer(b"\0" + bytes(key.bits), np.uint8).cumsum(dtype=np.int64)  # ones[i]: ones before bit i
-    return ones[w:] - ones[:-w]
+    return _key_array(key), _check_int(w, "window width", 1, len(key))
 
 
 def measure_windows(key, w: int) -> list[int]:
     """Exact Hamming weights of every window position, in order."""
-    return _window_weights(key, w).tolist()
+    bits, w = _key_window(key, w)
+    return _window_weights(bits, w).tolist()
 
 
 @dataclass(frozen=True)
@@ -200,17 +211,17 @@ class ExfilChannel:
         _check_int_field(self, "seed", 0)
 
 
-def _full_swing(chan: ExfilChannel) -> float:
-    """The count step of a full window: the noise-free count at duty 1 less that at duty 0 (m * base_rate
-    exactly), no toggle and no drift; expected_count's value to the bit, without its stimulus checks."""
-    profile, cfg = chan.profile, chan.cfg
-    return _mean_count(profile, cfg, (chan.geom,), 1.0, 0.0, 0.0) - cfg.ticks_per_window * profile.base_rate
+def _tolerance(terms: tuple, w: int) -> float:
+    """Midpoint decision rule from ``channel._terms``: half the per-bit count step, which is the
+    noise-free count at duty 1 less that at duty 0 (m * base_rate exactly), no toggle and no drift,
+    over w; expected_count's step to the bit."""
+    return (_mean_count(terms, 1.0, 0.0, 0.0) - terms[0]) / (2.0 * w)
 
 
 def noise_tolerance(chan: ExfilChannel, w: int) -> float:
     """Midpoint decision rule: half the per-bit count step, for a width w that is an int >= 1."""
     w = _check_int(w, "window width", 1)
-    return _full_swing(chan) / (2.0 * w)
+    return _tolerance(_terms(chan.profile, chan.cfg, (chan.geom,)), w)
 
 
 def noise_feasibility(chan: ExfilChannel, w: int) -> dict[str, float]:
@@ -220,21 +231,33 @@ def noise_feasibility(chan: ExfilChannel, w: int) -> dict[str, float]:
     return {"count_step": step, "noise_sigma": sigma, "step_over_sigma": step / sigma if sigma else math.inf}
 
 
-def _noisy_counts(weights: np.ndarray, w: int, chan: ExfilChannel, rngs) -> np.ndarray:
-    """Mean count per window from its weight, through the channel's geometry.
+def _noisy_counts(bits: np.ndarray, w: int, chan: ExfilChannel, terms: tuple, rngs) -> np.ndarray:
+    """Mean count per window from its weight, through the channel's ``terms``.
 
-    ``weights`` is one key's windows, measured from the one generator in
-    ``rngs``, or (keys x windows) with key r measured from ``rngs[r]``.
+    ``bits`` is one key's ``_key_array``, measured from the one generator in
+    ``rngs``, or (keys x n + 1) of them with key r measured from ``rngs[r]``.
     """
+    weights = _window_weights(bits, w)
     duty = weights / w
     repeats = chan.repeats
     if repeats > 1:
         duty = duty.repeat(repeats, -1)
     # weight / w is in [0, 1] and the toggle rate is 0.0, so the engine's stimulus checks would pass
-    counts = _count_engine(chan.profile, chan.cfg, (chan.geom,), duty, 0.0, rngs)
+    counts = _count_engine(chan.profile, chan.cfg, terms, duty, 0.0, rngs)
     if repeats > 1:
-        counts = counts.reshape(weights.shape + (repeats,)).sum(-1)
-    return counts / repeats  # integer counts: exactly their mean
+        counts = counts.reshape(weights.shape + (repeats,)).sum(-1) / repeats  # whole counts: exactly their mean
+    return counts
+
+
+def _noisy_relations(bits: np.ndarray, w: int, chan: ExfilChannel, rngs) -> list[RelationSet]:
+    """The noisy attack's measurement past the public checks, one relation set per key: ``bits`` is
+    one key's ``_key_array``, measured from the one generator in ``rngs``, or (keys x n + 1) of them,
+    key r measured from ``rngs[r]``, with n >= 2w - 1.  Each key's counts are classified as by
+    ``infer_relations``; the channel terms and the decision tolerance are derived once per call."""
+    terms = _terms(chan.profile, chan.cfg, (chan.geom,))
+    tolerance = _tolerance(terms, w)
+    counts = _noisy_counts(bits, w, chan, terms, rngs)
+    return [_classify(row, w, tolerance) for row in counts.reshape(-1, counts.shape[-1])]
 
 
 def measure_windows_noisy(key, w: int, chan: ExfilChannel) -> list[float]:
@@ -244,7 +267,9 @@ def measure_windows_noisy(key, w: int, chan: ExfilChannel) -> list[float]:
     in order, as one trace whose drift carries across; a position reports
     the mean of its counts.
     """
-    return _noisy_counts(_window_weights(key, w), w, chan, (np.random.default_rng(chan.seed),)).tolist()
+    bits, w = _key_window(key, w)
+    terms = _terms(chan.profile, chan.cfg, (chan.geom,))
+    return _noisy_counts(bits, w, chan, terms, (np.random.default_rng(chan.seed),)).tolist()
 
 
 def infer_relations(counts: Sequence[float], w: int, tolerance: float) -> RelationSet:
@@ -301,16 +326,24 @@ def propagate(relations: RelationSet | Sequence[RelationSet], n_key: int) -> Rec
     0..n_key-w-1, raises ValueError.
     """
     n_key = _check_int(n_key, "key length", 1)
-    sets = (relations,) if isinstance(relations, RelationSet) else tuple(relations)
+    sets = [relations] if isinstance(relations, RelationSet) else list(relations)
     if not sets:
         raise ValueError("need at least one relation set")
-    pins = runs = measurements = 0
-    links = []
-    for equal, drop, rise, w in sets:
+    for i, (equal, drop, rise, w) in enumerate(sets):
         w = _check_int(w, "window width", 1, n_key)
         cut = (1 << (n_key - w)) - 1
         if equal | drop | rise != cut or equal + drop + rise != cut:
             raise ValueError(f"width {w}: equal, drop and rise must partition bits 0..{n_key - w - 1}")
+        sets[i] = RelationSet(equal, drop, rise, w)
+    return _propagate(sets, n_key)
+
+
+def _propagate(sets: Sequence[RelationSet], n_key: int) -> RecoveryResult:
+    """propagate past its checks: n_key an int >= 1, and each set's w an int in [1, n_key] whose
+    masks partition relations 0..n_key-w-1, as ``_classify`` gives them."""
+    pins = runs = measurements = 0
+    links = []
+    for equal, drop, rise, w in sets:
         pins |= drop | rise << w | (rise | drop << w) << n_key
         runs += w
         measurements += n_key - w + 1
@@ -380,8 +413,8 @@ def single_window_recover(key, w: int, noise: ExfilChannel | None = None) -> Rec
     n, w = kernels._check_window(len(key), w, multi=False)
     if noise is None:
         return _noise_free(key.bits, _equal_classes(key.to_int(), n, w), w, n - w + 1)
-    counts = _noisy_counts(_window_weights(key, w), w, noise, (np.random.default_rng(noise.seed),))
-    return propagate(_classify(counts, w, noise_tolerance(noise, w)), n)
+    bits = _key_array(key)
+    return _propagate(_noisy_relations(bits, w, noise, (np.random.default_rng(noise.seed),)), n)
 
 
 def noisy_outcome(key, w: int, chan: ExfilChannel) -> tuple[str, RecoveryResult | None]:
@@ -466,18 +499,16 @@ def monte_carlo_recovery_rate(
     trials = _check_int(trials, "trials", 1)
     if noise is None:
         return kernels.mc_single(n_key, w, trials, seed) / trials
-    tolerance = noise_tolerance(noise, w)
     hits = 0
     for start in range(0, trials, _NOISY_CHUNK):
         stop = min(start + _NOISY_CHUNK, trials)
         octets = np.ascontiguousarray(kernels._trial_words(seed, start, stop, n_key).T, dtype="<u8").view(np.uint8)
-        keys = np.unpackbits(octets, axis=1, count=n_key, bitorder="little")  # key r in row r, bit K_i in column i
-        ones = np.zeros((len(keys), n_key + 1), dtype=np.int64)  # ones[r, i]: ones before bit i of key r
-        np.cumsum(keys, axis=1, out=ones[:, 1:])
+        keys = np.zeros((stop - start, n_key + 1), dtype=np.uint8)  # key r in row r, bit K_i in column i + 1
+        keys[:, 1:] = np.unpackbits(octets, axis=1, count=n_key, bitorder="little")
         rngs = [np.random.default_rng(noise.seed + t) for t in range(start, stop)]
-        for bits, row in zip(keys.tolist(), _noisy_counts(ones[:, w:] - ones[:, :-w], w, noise, rngs)):
+        for bits, relations in zip(keys[:, 1:].tolist(), _noisy_relations(keys, w, noise, rngs)):
             try:
-                hits += _score(propagate(_classify(row, w, tolerance), n_key), bits) == "correct"
+                hits += _score(_propagate((relations,), n_key), bits) == "correct"
             except InconsistentMeasurements:
                 pass
     return hits / trials

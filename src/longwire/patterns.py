@@ -135,8 +135,9 @@ def _check_real_field(obj, name: str, low: float, high: float = math.inf, *, abo
 
 def _check_bits(values, name: str) -> bytes:
     """The package's one bit rule: each item hashable, equal to 0 or 1 and with an int (True,
-    np.uint8(1), 1.0), as bytes of 0 and 1.  A numeric 1-D array is judged by one comparison and int
-    items enter through ``bytes``; a ValueError names the first item that is not a bit."""
+    np.uint8(1), 1.0), as bytes of 0 and 1; a 0-d numeric array item (np.array(1)) is judged by its
+    value.  A numeric 1-D array is judged by one comparison and int items enter through ``bytes``; a
+    ValueError names the first item that is not a bit."""
     if isinstance(values, np.ndarray):
         if values.ndim == 1 and values.dtype.kind in "biuf" and not np.count_nonzero((values != 0) & (values != 1)):
             return values.astype(np.uint8).tobytes()
@@ -149,9 +150,10 @@ def _check_bits(values, name: str) -> bytes:
             pass
     bits = bytearray()
     for item in values:
+        value = item[()] if isinstance(item, np.ndarray) and item.ndim == 0 and item.dtype.kind in "biuf" else item
         try:
-            if item in {0, 1}:
-                bits.append(int(item))
+            if value in {0, 1}:
+                bits.append(int(value))
                 continue
         except TypeError:  # unhashable, or no int() (1 + 0j)
             pass

@@ -919,6 +919,8 @@ def check_derived(derived, spans, grid):
     for s in sorted(spans, key=lambda s: s.y_start):
         brute[s.column][s.track].append(s)
     assert derived._slots == brute
+    # the sensitive spans in grid order; guards are never sensitive, so the parent's tuple is shared
+    assert derived._sensitive == tuple(s for s in spans if s.sensitive) and derived._sensitive is grid._sensitive
     for s in spans:
         assert derived.span(s.wire_id) == s
     for d_max in (1, 2, 3, grid.tracks_per_column + 3):

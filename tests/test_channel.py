@@ -416,9 +416,11 @@ class TestStreamOracle:
             ({"drift_rate": 1e-4, "drift_bound": 2e-4}, 4099, 0),
             (WANDER, 4096, None),
             (WANDER, 45056, None),
+            (WANDER, 55, None),
+            (WANDER, 220, None),
         ],
         ids=["long", "single", "one-block", "block-and-one", "keep-0", "keep-1", "late-clip", "clipping",
-             "whole-blocks", "block-ends-on-a-strided-view"],
+             "whole-blocks", "block-ends-on-a-strided-view", "attack-repeats-1", "attack-repeats-4"],
     )
     def test_counts_equal_replica(self, overrides, windows, first_clip, cfg13, geom22):
         profile = DeviceProfile(**overrides)
@@ -432,10 +434,12 @@ class TestStreamOracle:
         assert counts.tolist() == expected
 
     @pytest.mark.parametrize("repeats", [1, 4])
-    @pytest.mark.parametrize("profile_name", ["default", "clipping", "noiseless"])
+    @pytest.mark.parametrize("profile_name", ["default", "clipping", "noiseless", "wander"])
     def test_noisy_windows_equal_replica(self, repeats, profile_name, monkeypatch):
-        """The window means, of measure_windows_noisy and of the attack's classifier input, on 20 random keys."""
-        profile = {"default": DeviceProfile(), "clipping": self.CLIPPING, "noiseless": self.NOISELESS}[profile_name]
+        """The window means, of measure_windows_noisy and of the attack's classifier input, on 20 random keys;
+        the wander profile's linear drift pass moves the counts at the attack's 55 and 220 windows."""
+        profile = {"default": DeviceProfile(), "clipping": self.CLIPPING, "noiseless": self.NOISELESS,
+                   "wander": DeviceProfile(**self.WANDER)}[profile_name]
         attack_counts, classify = [], exfil._classify
 
         def record(counts, *args):
@@ -800,7 +804,7 @@ class TestWorkingSet:
 
         def batch():
             rngs = [np.random.default_rng(s) for s in range(35)]
-            return channel._count_engine(profile, cfg13, (geom22,), duty, 0.0, rngs)
+            return channel._count_engine(profile, cfg13, channel._terms(profile, cfg13, (geom22,)), duty, 0.0, rngs)
 
         assert float_arrays_at_peak(batch, duty.size) <= self.LIMIT
 
@@ -827,9 +831,9 @@ class TestBatchEngine:
         duty = rng.random((len(self.GEOMETRIES), windows))
         toggle = rng.random((len(self.GEOMETRIES), windows)) * 0.25
         seeds = [3, 17, 3, 91]  # a seed used twice draws the same row twice
-        batch = channel._count_engine(profile, cfg13, self.GEOMETRIES, duty, toggle,
+        batch = channel._count_engine(profile, cfg13, channel._terms(profile, cfg13, self.GEOMETRIES), duty, toggle,
                                       [np.random.default_rng(s) for s in seeds])
-        assert batch.shape == duty.shape and batch.dtype == np.int64
+        assert batch.shape == duty.shape and batch.dtype == np.float64  # whole numbers; simulate_counts gives int64
         for geom, d, t, seed, row in zip(self.GEOMETRIES, duty, toggle, seeds, batch):
             assert row.tolist() == simulate_counts(profile, cfg13, geom, d, t, np.random.default_rng(seed)).tolist()
 
@@ -839,7 +843,8 @@ class TestBatchEngine:
         profile, geom = DeviceProfile(**self.PROFILES["late-clip"]), Geometry(coupling=coupling)
         columns = [stimulus_columns(PatternSpec.dynamic4(code), windows) for code in DYNAMIC4_CODES]
         duty, toggle = np.array([c[0] for c in columns]), np.array([c[1] for c in columns])
-        batch = channel._count_engine(profile, cfg13, (geom,), duty, toggle, (np.random.default_rng(6),))
+        terms = channel._terms(profile, cfg13, (geom,))
+        batch = channel._count_engine(profile, cfg13, terms, duty, toggle, (np.random.default_rng(6),))
         for d, t, row in zip(duty, toggle, batch):
             assert row.tolist() == simulate_counts(profile, cfg13, geom, d, t, np.random.default_rng(6)).tolist()
 
@@ -848,7 +853,7 @@ class TestBatchEngine:
         profile = DeviceProfile()
         duty = np.arange(300) % 2.0
         seeds = [4, 5, 1004, 1005]
-        batch = channel._count_engine(profile, cfg13, self.GEOMETRIES, duty[None], 0.0,
+        batch = channel._count_engine(profile, cfg13, channel._terms(profile, cfg13, self.GEOMETRIES), duty[None], 0.0,
                                       [np.random.default_rng(s) for s in seeds])
         for geom, seed, row in zip(self.GEOMETRIES, seeds, batch):
             alone = simulate_counts(profile, cfg13, geom, duty, 0.0, np.random.default_rng(seed))

@@ -330,12 +330,13 @@ def test_bit_rule_stores_a_float_bit_as_an_int(item):
 
 def bits_or_fault(items):
     """A test-local oracle of the bit rule: (the items as ints, None), or (None, the first item that is not
-    hashable, equal to 0 or 1 and with an int)."""
+    hashable, equal to 0 or 1 and with an int); a 0-d numeric array is judged by its value."""
     ints = []
     for item in items:
+        value = item.item() if isinstance(item, np.ndarray) and item.shape == () and item.dtype.kind in "biuf" else item
         try:
-            hash(item)
-            ints.append(int(item) if item == 0 or item == 1 else None)
+            hash(value)
+            ints.append(int(value) if value == 0 or value == 1 else None)
         except TypeError:
             ints.append(None)
         if ints[-1] is None:
@@ -355,7 +356,7 @@ def test_bit_array_reads_int_bits_through_bytes(bits):
                                   np.array([0, 2]), np.array([1.0, 0.5]), np.array([0, np.nan]), np.array([[0, 1]]),
                                   np.array(["0", "1"]), np.array([0, 1], dtype=object), iter([1, 2]), (1, 0.0),
                                   np.array([1, 256]), np.array([True, False]), (1, 1 + 0j), [np.float32(1), 0],
-                                  np.array([1.0, 0.0], dtype=np.float32), [0, {}]])
+                                  np.array([1.0, 0.0], dtype=np.float32), [0, {}], [np.array(1), 2], [np.array(1)]])
 def test_bit_array_leaves_everything_else_to_the_caller(bits):
     # the rule for every iterable, against its oracle: the items' bits, or a ValueError naming the first item
     # that is not a bit, for the caller to raise or catch (a 1-D array, an iterator, bytes and a range give bits too)
