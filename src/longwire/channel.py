@@ -184,7 +184,7 @@ def as_longs(value) -> Fraction:
     return length
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Geometry:
     """Placement of transmitter and receiver long wires.
 
@@ -199,14 +199,14 @@ class Geometry:
     d: int = 1                     # track distance, 1 = adjacent
     coupling: str = "long"
 
-    def __post_init__(self):
-        v_t = self.v_t
+    def __init__(self, v_t: Fraction = Fraction(2), v_r: int = 2, d: int = 1, coupling: str = "long"):
+        # its own __init__: the noisy attack builds one per key, and the generated one costs more
         if type(v_t) is not Fraction or v_t.numerator <= 0 or v_t.denominator not in (1, 3):  # a valid Fraction stays
-            object.__setattr__(self, "v_t", as_longs(v_t))
-        _check_int_field(self, "v_r", 1)
-        _check_int_field(self, "d", 1)
-        if self.coupling not in ("long", "local"):
+            v_t = as_longs(v_t)
+        v_r, d = _check_int(v_r, "v_r", 1), _check_int(d, "d", 1)
+        if coupling not in ("long", "local"):
             raise ValueError("coupling must be 'long' or 'local'")
+        vars(self).update(v_t=v_t, v_r=v_r, d=d, coupling=coupling)
 
 
 class TraceSample(NamedTuple):
@@ -369,7 +369,9 @@ def _linear_ar1(innovations: np.ndarray, keep: float) -> np.ndarray:
     the states the block would reach from 0; whole blocks are multiplied
     through a reshaped view of the innovations, and only a ragged trace is
     copied into a zero-padded buffer first.  The block ends then follow the
-    same recursion with keep^block, one state per block, and each block adds
+    same recursion with keep^block, one state per block: up to 65 blocks the
+    ends fit in one block and are solved with its one product in place, and
+    beyond that by this pass on the ends.  Each block then adds
     the previous block's end times keep^(i + 1), in pieces of at most
     ``_CARRY_SIZE`` values (one block at least), so that the carry's
     product is never a trace-size temporary.  Every weight is at most 1
@@ -388,7 +390,12 @@ def _linear_ar1(innovations: np.ndarray, keep: float) -> np.ndarray:
     else:
         path = innovations
     path = path.reshape(rows + (blocks, _BLOCK)) @ decay.T
-    ends = _linear_ar1(path[..., :-1, -1], keep**_BLOCK)  # the end of each block but the last
+    ends = path[..., :-1, -1]  # the end of each block but the last
+    if blocks <= _BLOCK + 1:  # the ends fit in one block: the product the call below would run on them
+        solve = _decay_matrix(keep**_BLOCK)[0][: blocks - 1, : blocks - 1]
+        ends = (solve @ ends[:, :, None])[:, :, 0] if rows else solve @ ends
+    else:
+        ends = _linear_ar1(ends, keep**_BLOCK)
     step = _CARRY_SIZE * blocks // path.size or 1  # blocks per piece
     for s in range(1, blocks, step):
         path[..., s : s + step, :] += ends[..., s - 1 : s - 1 + step, None] * carry
@@ -469,17 +476,16 @@ def simulate_counts(
     return _count_engine(profile, cfg, _terms(profile, cfg, (geom,)), duty, toggle, (rng,)).astype(np.int64)
 
 
-def _block(rngs, n: int, draw: str, *params) -> np.ndarray:
-    """Each draw row's next n values of ``rng.<draw>(*params, n)``.
+def _block(rngs, draw: str, *params) -> np.ndarray:
+    """A batch's block of ``rng.<draw>(*params)``, whose last parameter is n: one (rows x n) array
+    filled row by row, row r from ``rngs[r]``.
 
-    One generator gives a 1-D block, which broadcasts over every duty row;
-    more fill one (rows x n) array row by row, row r from ``rngs[r]``.
+    The draw is looked up on each generator, so that importing the package
+    does not load ``numpy.random``.
     """
-    if len(rngs) == 1:
-        return getattr(rngs[0], draw)(*params, n)
-    block = np.empty((len(rngs), n))
+    block = np.empty((len(rngs), params[-1]))
     for row, rng in zip(block, rngs):
-        row[:] = getattr(rng, draw)(*params, n)
+        row[:] = getattr(rng, draw)(*params)
     return block
 
 
@@ -497,10 +503,14 @@ def _count_engine(profile, cfg, terms, duty: np.ndarray, toggle, rngs) -> np.nda
     still draws in STREAM_VERSION 2 order and each row's counts are the ones
     simulate_counts gives it alone.
     """
+    if len(rngs) == 1:  # one generator draws each block itself, a 1-D block that broadcasts over every duty row
+        normal, uniform = rngs[0].normal, rngs[0].uniform
+    else:
+        normal, uniform = functools.partial(_block, rngs, "normal"), functools.partial(_block, rngs, "uniform")
     n = duty.shape[-1]
-    raw = _mean_count(terms, duty, toggle, _drift_path(profile, _block(rngs, n, "normal", 0.0, profile.drift_rate)))
-    raw += _block(rngs, n, "normal", 0.0, profile.noise_sigma_for(cfg.ticks_per_window))
-    raw += _block(rngs, n, "uniform", -1.0, 1.0)
+    raw = _mean_count(terms, duty, toggle, _drift_path(profile, normal(0.0, profile.drift_rate, n)))
+    raw += normal(0.0, profile.noise_sigma_for(cfg.ticks_per_window), n)
+    raw += uniform(-1.0, 1.0, n)
     return np.maximum(np.rint(raw, out=raw), 0.0, out=raw)
 
 

@@ -13,6 +13,7 @@ import os
 import shlex
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -65,6 +66,14 @@ def _int_option(low: int, text: str) -> int:
 _positive_int, _non_negative_int = functools.partial(_int_option, 1), functools.partial(_int_option, 0)
 
 
+def _longs_option(text: str) -> Fraction:
+    """The type of a wire-length option: ``channel.as_longs(text)``."""
+    try:
+        return as_longs(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _str_list(text: str) -> list[str]:
     items = [x for x in text.split(",") if x.strip()]
     if not items:
@@ -76,10 +85,14 @@ def _int_list(text: str) -> list[int]:
     return [_positive_int(x) for x in _str_list(text)]
 
 
+def _longs_list(text: str) -> list[Fraction]:
+    return [_longs_option(x) for x in _str_list(text)]
+
+
 # The options several studies share, one definition each; a study registers those it reads, not those it sweeps.
 _OPTIONS = {
     "--n": dict(type=_positive_int, help=f"log2 clock ticks per window (default {DEFAULT_LOG2_TICKS})"),
-    "--vt": dict(default="2", help="transmitter longs; thirds allowed, e.g. 1/3"),
+    "--vt": dict(type=_longs_option, default="2", help="transmitter longs; thirds allowed, e.g. 1/3"),
     "--vr": dict(type=_positive_int, default=2, help="receiver longs"),
     "--d": dict(type=_positive_int, default=1, help="track distance, 1 = adjacent"),
     "--path": dict(choices=["long", "local"], default="long",
@@ -158,9 +171,8 @@ def cmd_scaling_time(args) -> str:
 
 def cmd_scaling_length(args) -> str:
     profile, cfg = _load_setup(args)
-    vts = [as_longs(x) for x in args.vt_list]
-    geoms = [Geometry(v_t=vt, v_r=vr, d=args.d) for vt in vts for vr in args.vr_list]
-    seeds = [args.seed + 1000 * i + j for i in range(len(vts)) for j in range(len(args.vr_list))]
+    geoms = [Geometry(v_t=vt, v_r=vr, d=args.d) for vt in args.vt_list for vr in args.vr_list]
+    seeds = [args.seed + 1000 * i + j for i in range(len(args.vt_list)) for j in range(len(args.vr_list))]
     _, _, drc = _alternating_stats(profile, cfg, geoms, args.windows, seeds)
     rows = [
         [str(geom.v_t), geom.v_r, f"{expected_delta_rc(profile, geom):.10g}", f"{measured:.6g}"]
@@ -330,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scaling-length", help="relative difference over transmitter x receiver lengths")
     _add_options(p, "--n", "--d", "--windows", "--seed", func=cmd_scaling_length, windows=1024)
-    p.add_argument("--vt-list", type=_str_list, default=["1/3", "2/3", "1", "2", "3", "4", "5"])
+    p.add_argument("--vt-list", type=_longs_list, default="1/3,2/3,1,2,3,4,5")
     p.add_argument("--vr-list", type=_int_list, default=[1, 2, 3, 4, 5])
 
     p = sub.add_parser("distance", help="effect and KS p-value vs wire distance")

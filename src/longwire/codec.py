@@ -58,6 +58,7 @@ class Frame:
             object.__setattr__(self, name, tuple(_check_bits(getattr(self, name), f"{name} bit")))
         if not self.sof or not self.eof:
             raise ValueError("sof and eof patterns must be non-empty")
+        object.__setattr__(self, "line_code", LineCode(self.line_code))  # a member, or its value such as "8b10b"
         if self.line_code is LineCode.EIGHTB_TENB and len(self.payload) % 8 != 0:
             raise ValueError("8b/10b payload length must be a multiple of 8")
 
@@ -123,9 +124,10 @@ def find_frames(
 
     A frame ends at the first EOF at or after its payload start; with 8b/10b,
     at the first one that leaves a whole number of 10-bit groups, and a frame
-    whose groups do not decode (from RD -1) is skipped.
+    whose groups do not decode (from RD -1) is skipped.  ``line_code`` is a
+    ``LineCode`` or its value.
     """
-    sof, eof = _pattern("sof", sof), _pattern("eof", eof)
+    sof, eof, line_code = _pattern("sof", sof), _pattern("eof", eof), LineCode(line_code)
     # An 8b/10b payload is whole 10-bit groups, so its EOF sits at the payload
     # start mod 10: keep the EOF positions in one sorted list per residue.
     period = 10 if line_code is LineCode.EIGHTB_TENB else 1
@@ -156,9 +158,10 @@ def find_frames(
 
 
 def channel_bandwidth(cfg: MeasurementConfig, line_code: LineCode = LineCode.NONE) -> float:
-    """Payload bits per second: one bit per two windows, minus line-code overhead."""
+    """Payload bits per second: one bit per two windows, minus the overhead of ``line_code``, a
+    ``LineCode`` or its value."""
     bps = 1.0 / (2.0 * cfg.window_seconds)
-    if line_code is LineCode.EIGHTB_TENB:
+    if LineCode(line_code) is LineCode.EIGHTB_TENB:
         bps *= 8.0 / 10.0
     return bps
 

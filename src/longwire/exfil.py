@@ -31,7 +31,7 @@ import numpy as np
 from . import kernels
 from .channel import DeviceProfile, Geometry, MeasurementConfig, _count_engine, _mean_count, _terms
 from .errors import InconsistentMeasurements
-from .patterns import _check_bits, _check_int, _check_int_field, _check_real
+from .patterns import _check_bits, _check_int, _check_real
 
 __all__ = [
     "KeyBits",
@@ -188,7 +188,7 @@ def measure_windows(key, w: int) -> list[int]:
     return _window_weights(bits, w).tolist()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExfilChannel:
     """Noise configuration: measurements go through the count simulator.
 
@@ -206,9 +206,11 @@ class ExfilChannel:
     seed: int
     repeats: int = 1
 
-    def __post_init__(self):
-        _check_int_field(self, "repeats", 1)
-        _check_int_field(self, "seed", 0)
+    def __init__(self, profile: DeviceProfile, cfg: MeasurementConfig, geom: Geometry, seed: int, repeats: int = 1):
+        # its own __init__: the noisy attack builds one per key, and the generated one costs more
+        repeats = _check_int(repeats, "repeats", 1)
+        seed = _check_int(seed, "seed", 0)
+        vars(self).update(profile=profile, cfg=cfg, geom=geom, seed=seed, repeats=repeats)
 
 
 def _tolerance(terms: tuple, w: int) -> float:
@@ -257,7 +259,9 @@ def _noisy_relations(bits: np.ndarray, w: int, chan: ExfilChannel, rngs) -> list
     terms = _terms(chan.profile, chan.cfg, (chan.geom,))
     tolerance = _tolerance(terms, w)
     counts = _noisy_counts(bits, w, chan, terms, rngs)
-    return [_classify(row, w, tolerance) for row in counts.reshape(-1, counts.shape[-1])]
+    if counts.ndim == 1:  # one key
+        return [_classify(counts, w, tolerance)]
+    return [_classify(row, w, tolerance) for row in counts]
 
 
 def measure_windows_noisy(key, w: int, chan: ExfilChannel) -> list[float]:
@@ -358,7 +362,7 @@ def _propagate(sets: Sequence[RelationSet], n_key: int) -> RecoveryResult:
         raise InconsistentMeasurements(f"component of bit {(clash & -clash).bit_length() - 1} pinned to both 0 and 1")
     classes = []
     free = full & ~(ones | zeros)
-    known = enumerate(_mask_bits(ones, n_key))
+    known = zip(range(n_key), _mask_bits(ones, n_key))
     if free:  # else every bit is known
         known = compress(known, _mask_bits(ones | zeros, n_key))
     while free:  # the lowest free bit starts the next class, so classes come ordered by first bit
@@ -381,9 +385,10 @@ def _noise_free(bits: tuple[int, ...], classes: tuple[tuple[int, ...], ...], run
                 measurements: int) -> RecoveryResult:
     """The noise-free result: every position outside the all-equal classes is known as its key bit."""
     if not classes:
-        return _result(len(bits), dict(enumerate(bits)), (), runs, measurements)
+        return _result(len(bits), dict(zip(range(len(bits)), bits)), (), runs, measurements)
     free = set().union(*classes)
-    return _result(len(bits), {p: b for p, b in enumerate(bits) if p not in free}, classes, runs, measurements)
+    return _result(len(bits), {p: b for p, b in zip(range(len(bits)), bits) if p not in free}, classes, runs,
+                   measurements)
 
 
 def _equal_classes(value: int, n: int, w: int) -> tuple[tuple[int, ...], ...]:

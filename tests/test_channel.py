@@ -2,6 +2,7 @@ import copy
 import csv
 import dataclasses
 import io
+import itertools
 import math
 import pickle
 import re
@@ -131,6 +132,93 @@ class TestGeometry:
         message = f"wire length must be a multiple of 1/3 > 0, got {v_t!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Geometry(v_t=v_t, v_r=2)
+
+
+class TestChannelObjects:
+    """The contract of the two objects the noisy attack builds per key, Geometry and ExfilChannel: what
+    dataclasses.replace, equality, hashing, pickling and construction give, and which check fails first."""
+
+    GEOMETRIES = [Geometry(), Geometry(v_t="4/3", v_r=np.int64(3), d=2, coupling="local"),
+                  Geometry(Fraction(1, 3), 5, 1, "long")]
+
+    @staticmethod
+    def channels():
+        return [ExfilChannel(DeviceProfile(), MeasurementConfig(), Geometry(), 0),
+                ExfilChannel(DeviceProfile(noise_sigma=0.5), MeasurementConfig(log2_ticks=19), Geometry(v_t=1), 7, 4)]
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_geometry_replace_equals_a_fresh_geometry(self, index):
+        geom = self.GEOMETRIES[index]
+        assert dataclasses.replace(geom) == geom
+        assert dataclasses.replace(geom, d=2) == Geometry(geom.v_t, geom.v_r, 2, geom.coupling)
+        assert dataclasses.replace(geom, v_t="2/3", coupling="local") == Geometry(Fraction(2, 3), geom.v_r, geom.d,
+                                                                                  "local")
+        with pytest.raises(ValueError, match="^v_r must be an int >= 1, got 0$"):
+            dataclasses.replace(geom, v_r=0)
+
+    @pytest.mark.parametrize("index", range(2))
+    def test_channel_replace_equals_a_fresh_channel(self, index):
+        chan = self.channels()[index]
+        assert dataclasses.replace(chan) == chan
+        assert dataclasses.replace(chan, seed=np.uint8(9)) == ExfilChannel(chan.profile, chan.cfg, chan.geom, 9,
+                                                                           chan.repeats)
+        assert dataclasses.replace(chan, repeats=2).repeats == 2
+        with pytest.raises(ValueError, match="^seed must be an int >= 0, got -1$"):
+            dataclasses.replace(chan, seed=-1)
+
+    @pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy, copy.copy],
+                             ids=["pickle", "deepcopy", "copy"])
+    def test_equal_objects_hash_equal_and_survive_a_copy(self, clone):
+        for one, other in [(Geometry(), Geometry(v_t=2.0, v_r=np.int64(2), d=True + 0)),
+                           (Geometry(v_t="1/3", d=2), Geometry(Fraction(1, 3), 2, 2)),
+                           *zip(self.channels(), self.channels())]:
+            assert one == other and hash(one) == hash(other)
+            copied = clone(one)
+            assert copied == one and hash(copied) == hash(one) and repr(copied) == repr(one)
+            assert [type(getattr(copied, f.name)) for f in dataclasses.fields(copied)] == [
+                type(getattr(one, f.name)) for f in dataclasses.fields(one)]
+        assert len({*self.GEOMETRIES, *self.GEOMETRIES}) == 3
+        assert Geometry() != Geometry(d=2) and hash(self.channels()[0]) != hash(self.channels()[1])
+
+    def test_positional_and_keyword_construction_agree(self):
+        assert Geometry() == Geometry(Fraction(2), 2, 1, "long") == Geometry(v_t=2, v_r=2, d=1, coupling="long")
+        assert Geometry(Fraction(1, 3), 4, 2, "local") == Geometry(coupling="local", d=2, v_r=4, v_t="1/3")
+        profile, cfg, geom = DeviceProfile(), MeasurementConfig(), Geometry()
+        assert ExfilChannel(profile, cfg, geom, 3, 2) == ExfilChannel(repeats=2, seed=3, geom=geom, cfg=cfg,
+                                                                      profile=profile)
+        assert ExfilChannel(profile, cfg, geom, 3) == ExfilChannel(profile, cfg, geom, seed=3, repeats=1)
+        assert [f.name for f in dataclasses.fields(Geometry)] == ["v_t", "v_r", "d", "coupling"]
+        assert [f.name for f in dataclasses.fields(ExfilChannel)] == ["profile", "cfg", "geom", "seed", "repeats"]
+        assert repr(Geometry()) == "Geometry(v_t=Fraction(2, 1), v_r=2, d=1, coupling='long')"
+        for build in (lambda: Geometry(2, 2, 1, "long", 0), lambda: ExfilChannel(profile, cfg, geom),
+                      lambda: Geometry(w=1)):
+            with pytest.raises(TypeError):
+                build()
+
+    def test_fields_are_frozen(self):
+        for obj, name in ((Geometry(), "d"), (self.channels()[0], "seed")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, 2)
+
+    BAD_GEOMETRY = {"v_t": (0, "wire length must be a multiple of 1/3 > 0, got 0"),
+                    "v_r": (0, "v_r must be an int >= 1, got 0"),
+                    "d": (1.5, "d must be an int >= 1, got 1.5"),
+                    "coupling": ("wireless", "coupling must be 'long' or 'local'")}
+
+    @pytest.mark.parametrize("first, second", list(itertools.combinations(BAD_GEOMETRY, 2)))
+    def test_geometry_names_the_first_bad_field(self, first, second):
+        fields = {first: self.BAD_GEOMETRY[first][0], second: self.BAD_GEOMETRY[second][0]}
+        with pytest.raises(ValueError, match=f"^{re.escape(self.BAD_GEOMETRY[first][1])}$"):
+            Geometry(**fields)
+
+    def test_channel_checks_repeats_before_seed(self):
+        profile, cfg, geom = DeviceProfile(), MeasurementConfig(), Geometry()
+        with pytest.raises(ValueError, match=r"^repeats must be an int >= 1, got 0$"):
+            ExfilChannel(profile, cfg, geom, -1, 0)
+        with pytest.raises(ValueError, match=r"^seed must be an int >= 0, got -1$"):
+            ExfilChannel(profile, cfg, geom, -1, 1)
+        with pytest.raises(ValueError, match=r"^repeats must be an int >= 1, got 2.0$"):
+            ExfilChannel(profile, cfg, geom, True, 2.0)
 
 
 class TestProfileInvariants:

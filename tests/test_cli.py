@@ -1,6 +1,7 @@
 import ast
 import builtins
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -45,13 +46,11 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["simulate", "--vt", "1/0", "--windows", "4", "--seed", "1"], "1/0"),
-            (["scaling-length", "--vt-list", "1,1/0", "--vr-list", "2", "--windows", "4", "--seed", "1"], "1/0"),
             # a width too wide for the key stops prob before any row, with or without the Monte Carlo
             (["prob", "--n", "64", "--w-list", "4,40"], "error: key length must be >= 2w - 1\n"),
             (["prob", "--n", "64", "--w-list", "4,40", "--trials", "100"], "error: key length must be >= 2w - 1\n"),
         ],
-        ids=["vt", "vt-list", "prob-w-list", "prob-w-list-trials"],
+        ids=["prob-w-list", "prob-w-list-trials"],
     )
     def test_value_error_in_argv_returns_one(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -148,17 +147,26 @@ REJECTED = [
        "argument --seed: value must be an int >= 0, got -3")
       for study, (argv, _) in STUDIES.items() if "--seed" in argv],
     (["prob", "--n", "64", "--w", "10", "--trials", "-5"], "argument --trials: value must be an int >= 0, got -5"),
+    # a wire length that as_longs refuses, as --vr's int rule refuses a bad --vr
+    (["simulate", "--vt", "1/0", "--windows", "4", "--seed", "1"],
+     "argument --vt: wire length must be a multiple of 1/3 > 0, got '1/0'"),
+    (["scaling-length", "--vt-list", "1,1/0", "--vr-list", "2", "--windows", "4", "--seed", "1"],
+     "argument --vt-list: wire length must be a multiple of 1/3 > 0, got '1/0'"),
+    (["simulate", "--vt", "0", "--windows", "4", "--seed", "1"],
+     "argument --vt: wire length must be a multiple of 1/3 > 0, got '0'"),
+    (["exfil", "--key", "0xDEAD", "--w", "3", "--single", "--noisy", "--vt", "0.5"],
+     "argument --vt: wire length must be a multiple of 1/3 > 0, got '0.5'"),
 ]
 
 
 # Each study's parsed defaults from its smallest argv: the shared options' own, or the study's where they differ.
 DEFAULTS = {
-    "simulate": dict(windows=2048, n=None, vt="2", vr=2, d=1, path="long", func=cli.cmd_simulate),
-    "scaling-time": dict(windows=2048, n_list=[13, 15, 17, 19, 21], vt="2", vr=2, d=1, func=cli.cmd_scaling_time),
+    "simulate": dict(windows=2048, n=None, vt=Fraction(2), vr=2, d=1, path="long", func=cli.cmd_simulate),
+    "scaling-time": dict(windows=2048, n_list=[13, 15, 17, 19, 21], vt=Fraction(2), vr=2, d=1, func=cli.cmd_scaling_time),
     "scaling-length": dict(windows=1024, n=None, d=1, func=cli.cmd_scaling_length),
-    "distance": dict(windows=2048, n=None, vt="2", vr=2, func=cli.cmd_distance),
-    "dynamic": dict(windows=2048, n=None, vt="2", vr=2, d=1, path="long", func=cli.cmd_dynamic),
-    "ber": dict(n_list=[13], vt="2", vr=2, d=1, func=cli.cmd_ber),
+    "distance": dict(windows=2048, n=None, vt=Fraction(2), vr=2, func=cli.cmd_distance),
+    "dynamic": dict(windows=2048, n=None, vt=Fraction(2), vr=2, d=1, path="long", func=cli.cmd_dynamic),
+    "ber": dict(n_list=[13], vt=Fraction(2), vr=2, d=1, func=cli.cmd_ber),
     "bandwidth": dict(n_list=[13, 15, 17, 19, 21], func=cli.cmd_bandwidth),
 }
 

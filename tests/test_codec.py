@@ -274,6 +274,48 @@ class TestFindFramesAgainstBruteForce:
             assert find_frames(*args) == brute_force_frames(*args), seed
 
 
+class TestLineCodeValues:
+    """Each codec call reads ``line_code`` through ``LineCode``: a member or its value, nothing else."""
+
+    PAYLOAD = (1, 0, 1, 1, 0, 0, 1, 0)
+
+    def test_frame_takes_the_value(self):
+        frame = Frame(self.PAYLOAD, line_code="8b10b")
+        assert frame.line_code is LineCode.EIGHTB_TENB
+        assert frame == Frame(self.PAYLOAD, line_code=LineCode.EIGHTB_TENB)
+        assert len(frame_to_bits(frame)) == len(DEFAULT_SOF) + 10 + len(DEFAULT_EOF)
+        assert Frame(self.PAYLOAD, line_code="none").line_code is LineCode.NONE
+
+    def test_frame_value_keeps_the_byte_check(self):
+        with pytest.raises(ValueError, match="multiple of 8"):
+            Frame((1, 0, 1), line_code="8b10b")
+
+    def test_find_frames_takes_the_value(self):
+        stream = [0, 1] + frame_to_bits(Frame(self.PAYLOAD, line_code=LineCode.EIGHTB_TENB))
+        assert find_frames(stream, line_code="8b10b") == find_frames(stream, line_code=LineCode.EIGHTB_TENB)
+        assert find_frames(stream, line_code="8b10b") == [(2, self.PAYLOAD)]
+
+    def test_channel_bandwidth_takes_the_value(self):
+        cfg = MeasurementConfig(log2_ticks=13)
+        assert channel_bandwidth(cfg, "8b10b") == channel_bandwidth(cfg, LineCode.EIGHTB_TENB)
+        assert channel_bandwidth(cfg, "8b10b") == pytest.approx(4882.81, abs=0.01)
+        assert channel_bandwidth(cfg, "none") == channel_bandwidth(cfg)
+
+    @pytest.mark.parametrize("value", ["8B10B", "8b/10b", "", None, 1, 8.10, LineCode])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda code: Frame((1, 0, 1, 1, 0, 0, 1, 0), line_code=code),
+            lambda code: find_frames([0, 1, 1], line_code=code),
+            lambda code: channel_bandwidth(MeasurementConfig(), code),
+        ],
+        ids=["Frame", "find_frames", "channel_bandwidth"],
+    )
+    def test_anything_else_is_refused(self, call, value):
+        with pytest.raises(ValueError, match="is not a valid LineCode"):
+            call(value)
+
+
 class TestBandwidth:
     def test_82us_window(self):
         # exactly 82 us per window

@@ -11,7 +11,11 @@ of one commit differ in `peak_rss_mb`).  Each pair runs `bench/run.py
 to pair, BASE first in pair 1.  For every end-to-end metric of HEAD's
 BENCHMARK.json the script prints each side's median and quartiles and the
 pairs each side won, by the metric's better direction; ties count for
-neither.  With --json the runs and that summary are written to a file.
+neither.  Then its verdict on a claimed gain: whether HEAD won enough pairs
+(at most one lost or tied per 10 pairs: 9 of 10, 4 of 5), whether the
+median gap in HEAD's favour is larger than BASE's interquartile range (IQR),
+and the relative change of the median beside the metric's `bound`.  With
+--json the runs and that summary are written to a file.
 """
 
 from __future__ import annotations
@@ -51,8 +55,23 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(row: dict, metric: dict) -> dict:
+    """A claim's tests on one metric's summary row: HEAD won at least ``wins_needed`` pairs (all but one
+    in each ten begun, and at least one: 9 of 10, 4 of 5), the median gap in HEAD's favour exceeds BASE's IQR, and the relative
+    change of the median (None when BASE's median is 0), which is ``worse_than_bound`` when it goes the
+    worse way by more than the metric's ``bound``."""
+    sign = 1 if metric["better"] == "lower" else -1
+    base, head, pairs = row["base"], row["head"], row["pairs"]
+    wins_needed = max(1, pairs - (pairs + 9) // 10)
+    gap, iqr = sign * (base["median"] - head["median"]), base["q3"] - base["q1"]  # gap > 0: HEAD better
+    change = (head["median"] - base["median"]) / abs(base["median"]) if base["median"] else None
+    return {"wins_needed": wins_needed, "won_enough": row["head_won"] >= wins_needed, "gap": gap, "base_iqr": iqr,
+            "gap_above_iqr": gap > iqr, "change": change, "bound": metric["bound"],
+            "worse_than_bound": change is not None and sign * change > metric["bound"]}
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> list[dict]:
-    """Per metric: each side's median and quartiles, and the pairs HEAD won, BASE won and tied."""
+    """Per metric: each side's median and quartiles, the pairs HEAD won, BASE won and tied, and the verdict."""
     pairs = sorted({r["pair"] for r in runs})
     value = {(r["pair"], r["side"]): r["result"]["metrics"] for r in runs}
     summary = []
@@ -60,11 +79,16 @@ def summarize(runs: list[dict], metrics: list[dict]) -> list[dict]:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         sides = {side: [value[p, side][name]["value"] for p in pairs] for side in ("base", "head")}
         diffs = [sign * (b - h) for b, h in zip(sides["base"], sides["head"])]  # > 0: HEAD better
-        summary.append({"metric": name, "unit": metric["unit"], "pairs": len(pairs),
-                        "base": quartiles(sides["base"]), "head": quartiles(sides["head"]),
-                        "head_won": sum(d > 0 for d in diffs), "base_won": sum(d < 0 for d in diffs),
-                        "tied": sum(d == 0 for d in diffs)})
+        row = {"metric": name, "unit": metric["unit"], "pairs": len(pairs),
+               "base": quartiles(sides["base"]), "head": quartiles(sides["head"]),
+               "head_won": sum(d > 0 for d in diffs), "base_won": sum(d < 0 for d in diffs),
+               "tied": sum(d == 0 for d in diffs)}
+        summary.append({**row, "verdict": verdict(row, metric)})
     return summary
+
+
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
 
 
 def main(argv=None) -> int:
@@ -98,6 +122,13 @@ def main(argv=None) -> int:
         print(f"{row['metric']:18s} {base['median']:12.6g} [{base['q1']:.6g}, {base['q3']:.6g}] "
               f"{head['median']:12.6g} [{head['q1']:.6g}, {head['q3']:.6g}]  "
               f"{row['head_won']}/{row['base_won']}/{row['tied']}")
+    print(f"{'metric':18s} {'won >= needed':>17s} {'gap > base IQR':>30s}  median change [bound]")
+    for row in summary:
+        v = row["verdict"]
+        change = "n/a" if v["change"] is None else f"{v['change']:+.2%}"
+        print(f"{row['metric']:18s} {_yes(v['won_enough']):>3s} {row['head_won']:5d} >= {v['wins_needed']:2d}  "
+              f"{_yes(v['gap_above_iqr']):>3s} {v['gap']:11.4g} > {v['base_iqr']:<11.4g}  {change:>8s} "
+              f"[{v['bound']:g}]{'  worse than its bound' if v['worse_than_bound'] else ''}")
     if args.json:
         args.json.write_text(json.dumps({"base": commits["base"], "head": commits["head"], "runs": runs,
                                          "summary": summary}, indent=1) + "\n")
