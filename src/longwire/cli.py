@@ -74,19 +74,15 @@ def _longs_option(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _str_list(text: str) -> list[str]:
+def _list_option(item, text: str) -> list:
+    """The type of a comma-separated list option (``item`` bound by functools.partial): item(x) for each x."""
     items = [x for x in text.split(",") if x.strip()]
     if not items:
         raise argparse.ArgumentTypeError(f"{text!r} lists no values")
-    return items
+    return [item(x) for x in items]
 
 
-def _int_list(text: str) -> list[int]:
-    return [_positive_int(x) for x in _str_list(text)]
-
-
-def _longs_list(text: str) -> list[Fraction]:
-    return [_longs_option(x) for x in _str_list(text)]
+_int_list, _longs_list = functools.partial(_list_option, _positive_int), functools.partial(_list_option, _longs_option)
 
 
 # The options several studies share, one definition each; a study registers those it reads, not those it sweeps.

@@ -162,7 +162,8 @@ REJECTED = [
 # Each study's parsed defaults from its smallest argv: the shared options' own, or the study's where they differ.
 DEFAULTS = {
     "simulate": dict(windows=2048, n=None, vt=Fraction(2), vr=2, d=1, path="long", func=cli.cmd_simulate),
-    "scaling-time": dict(windows=2048, n_list=[13, 15, 17, 19, 21], vt=Fraction(2), vr=2, d=1, func=cli.cmd_scaling_time),
+    "scaling-time": dict(windows=2048, n_list=[13, 15, 17, 19, 21], vt=Fraction(2), vr=2, d=1,
+                         func=cli.cmd_scaling_time),
     "scaling-length": dict(windows=1024, n=None, d=1, func=cli.cmd_scaling_length),
     "distance": dict(windows=2048, n=None, vt=Fraction(2), vr=2, func=cli.cmd_distance),
     "dynamic": dict(windows=2048, n=None, vt=Fraction(2), vr=2, d=1, path="long", func=cli.cmd_dynamic),

@@ -56,18 +56,19 @@ def quartiles(values: list[float]) -> dict[str, float]:
 
 
 def verdict(row: dict, metric: dict) -> dict:
-    """A claim's tests on one metric's summary row: HEAD won at least ``wins_needed`` pairs (all but one
-    in each ten begun, and at least one: 9 of 10, 4 of 5), the median gap in HEAD's favour exceeds BASE's IQR, and the relative
-    change of the median (None when BASE's median is 0), which is ``worse_than_bound`` when it goes the
-    worse way by more than the metric's ``bound``."""
-    sign = 1 if metric["better"] == "lower" else -1
+    """A claim's tests on one metric's summary row: HEAD won at least ``wins_needed`` pairs (all but
+    one in each ten begun, and at least one: 9 of 10, 4 of 5), the median gap in HEAD's favour exceeds
+    BASE's IQR, and the relative change of the median (None when BASE's median is 0), which is
+    ``worse_than_bound`` when it goes the worse way by more than the metric's ``bound``."""
+    lower = metric["better"] == "lower"
     base, head, pairs = row["base"], row["head"], row["pairs"]
     wins_needed = max(1, pairs - (pairs + 9) // 10)
-    gap, iqr = sign * (base["median"] - head["median"]), base["q3"] - base["q1"]  # gap > 0: HEAD better
+    gap = base["median"] - head["median"] if lower else head["median"] - base["median"]  # > 0: HEAD better
+    iqr = base["q3"] - base["q1"]
     change = (head["median"] - base["median"]) / abs(base["median"]) if base["median"] else None
     return {"wins_needed": wins_needed, "won_enough": row["head_won"] >= wins_needed, "gap": gap, "base_iqr": iqr,
             "gap_above_iqr": gap > iqr, "change": change, "bound": metric["bound"],
-            "worse_than_bound": change is not None and sign * change > metric["bound"]}
+            "worse_than_bound": change is not None and (change if lower else -change) > metric["bound"]}
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> list[dict]:
