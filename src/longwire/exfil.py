@@ -362,7 +362,7 @@ def _propagate(sets: Sequence[RelationSet], n_key: int) -> RecoveryResult:
         raise InconsistentMeasurements(f"component of bit {(clash & -clash).bit_length() - 1} pinned to both 0 and 1")
     classes = []
     free = full & ~(ones | zeros)
-    known = zip(range(n_key), _mask_bits(ones, n_key))
+    known = enumerate(_mask_bits(ones, n_key))
     if free:  # else every bit is known
         known = compress(known, _mask_bits(ones | zeros, n_key))
     while free:  # the lowest free bit starts the next class, so classes come ordered by first bit
@@ -385,10 +385,9 @@ def _noise_free(bits: tuple[int, ...], classes: tuple[tuple[int, ...], ...], run
                 measurements: int) -> RecoveryResult:
     """The noise-free result: every position outside the all-equal classes is known as its key bit."""
     if not classes:
-        return _result(len(bits), dict(zip(range(len(bits)), bits)), (), runs, measurements)
+        return _result(len(bits), dict(enumerate(bits)), (), runs, measurements)
     free = set().union(*classes)
-    return _result(len(bits), {p: b for p, b in zip(range(len(bits)), bits) if p not in free}, classes, runs,
-                   measurements)
+    return _result(len(bits), {p: b for p, b in enumerate(bits) if p not in free}, classes, runs, measurements)
 
 
 def _equal_classes(value: int, n: int, w: int) -> tuple[tuple[int, ...], ...]:
