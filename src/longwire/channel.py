@@ -194,10 +194,10 @@ class Geometry:
     location on the chip no effect, so none of them is a field.
     """
 
-    v_t: Fraction = Fraction(2)    # transmitter longs (thirds allowed)
-    v_r: int = 2                   # receiver longs
-    d: int = 1                     # track distance, 1 = adjacent
-    coupling: str = "long"
+    v_t: Fraction    # transmitter longs (thirds allowed)
+    v_r: int         # receiver longs
+    d: int           # track distance, 1 = adjacent
+    coupling: str    # "long" or "local"; every default is __init__'s
 
     def __init__(self, v_t: Fraction = Fraction(2), v_r: int = 2, d: int = 1, coupling: str = "long"):
         # its own __init__: the noisy attack builds one per key, and the generated one costs more
@@ -369,9 +369,7 @@ def _linear_ar1(innovations: np.ndarray, keep: float) -> np.ndarray:
     the states the block would reach from 0; whole blocks are multiplied
     through a reshaped view of the innovations, and only a ragged trace is
     copied into a zero-padded buffer first.  The block ends then follow the
-    same recursion with keep^block, one state per block: up to 65 blocks the
-    ends fit in one block and are solved with its one product in place, and
-    beyond that by this pass on the ends.  Each block then adds
+    same recursion with keep^block, one state per block, and each block adds
     the previous block's end times keep^(i + 1), in pieces of at most
     ``_CARRY_SIZE`` values (one block at least), so that the carry's
     product is never a trace-size temporary.  Every weight is at most 1
@@ -390,12 +388,7 @@ def _linear_ar1(innovations: np.ndarray, keep: float) -> np.ndarray:
     else:
         path = innovations
     path = path.reshape(rows + (blocks, _BLOCK)) @ decay.T
-    ends = path[..., :-1, -1]  # the end of each block but the last
-    if blocks <= _BLOCK + 1:  # the ends fit in one block: the product the call below would run on them
-        solve = _decay_matrix(keep**_BLOCK)[0][: blocks - 1, : blocks - 1]
-        ends = (solve @ ends[:, :, None])[:, :, 0] if rows else solve @ ends
-    else:
-        ends = _linear_ar1(ends, keep**_BLOCK)
+    ends = _linear_ar1(path[..., :-1, -1], keep**_BLOCK)  # the end of each block but the last
     step = _CARRY_SIZE * blocks // path.size or 1  # blocks per piece
     for s in range(1, blocks, step):
         path[..., s : s + step, :] += ends[..., s - 1 : s - 1 + step, None] * carry

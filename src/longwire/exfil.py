@@ -204,7 +204,7 @@ class ExfilChannel:
     cfg: MeasurementConfig
     geom: Geometry
     seed: int
-    repeats: int = 1
+    repeats: int  # 1 by default, in __init__
 
     def __init__(self, profile: DeviceProfile, cfg: MeasurementConfig, geom: Geometry, seed: int, repeats: int = 1):
         # its own __init__: the noisy attack builds one per key, and the generated one costs more
@@ -259,9 +259,7 @@ def _noisy_relations(bits: np.ndarray, w: int, chan: ExfilChannel, rngs) -> list
     terms = _terms(chan.profile, chan.cfg, (chan.geom,))
     tolerance = _tolerance(terms, w)
     counts = _noisy_counts(bits, w, chan, terms, rngs)
-    if counts.ndim == 1:  # one key
-        return [_classify(counts, w, tolerance)]
-    return [_classify(row, w, tolerance) for row in counts]
+    return [_classify(row, w, tolerance) for row in counts.reshape(-1, counts.shape[-1])]
 
 
 def measure_windows_noisy(key, w: int, chan: ExfilChannel) -> list[float]:

@@ -37,7 +37,7 @@ class TestVerdict:
         row, verdict = judged(WALL, BASE, [b - 0.2 for b in BASE[:8]] + BASE[8:])
         assert row["head_won"] == 8 and row["tied"] == 2 and not verdict["won_enough"]
 
-    @pytest.mark.parametrize("pairs, needed", [(1, 1), (2, 1), (5, 4), (10, 9), (11, 9), (20, 18)])
+    @pytest.mark.parametrize("pairs, needed", [(1, 1), (2, 1), (5, 4), (10, 9), (11, 10), (19, 18), (20, 18)])
     def test_wins_needed(self, pairs, needed):
         values = [1.0 + i / 100 for i in range(pairs)]
         _, verdict = judged(WALL, values, [v - 0.5 for v in values])

@@ -12,10 +12,11 @@ to pair, BASE first in pair 1.  For every end-to-end metric of HEAD's
 BENCHMARK.json the script prints each side's median and quartiles and the
 pairs each side won, by the metric's better direction; ties count for
 neither.  Then its verdict on a claimed gain: whether HEAD won enough pairs
-(at most one lost or tied per 10 pairs: 9 of 10, 4 of 5), whether the
-median gap in HEAD's favour is larger than BASE's interquartile range (IQR),
-and the relative change of the median beside the metric's `bound`.  With
---json the runs and that summary are written to a file.
+(nine tenths of them from 10 pairs up, all but one below: 4 of 5, 9 of 10,
+10 of 11), whether the median gap in HEAD's favour is larger than BASE's
+interquartile range (IQR), and the relative change of the median beside the
+metric's `bound`.  With --json the runs and that summary are written to a
+file.
 """
 
 from __future__ import annotations
@@ -56,13 +57,14 @@ def quartiles(values: list[float]) -> dict[str, float]:
 
 
 def verdict(row: dict, metric: dict) -> dict:
-    """A claim's tests on one metric's summary row: HEAD won at least ``wins_needed`` pairs (all but
-    one in each ten begun, and at least one: 9 of 10, 4 of 5), the median gap in HEAD's favour exceeds
-    BASE's IQR, and the relative change of the median (None when BASE's median is 0), which is
-    ``worse_than_bound`` when it goes the worse way by more than the metric's ``bound``."""
+    """A claim's tests on one metric's summary row: HEAD won at least ``wins_needed`` pairs (nine
+    tenths of them from 10 pairs up, all but one below, and at least one: 4 of 5, 9 of 10, 10 of 11),
+    the median gap in HEAD's favour exceeds BASE's IQR, and the relative change of the median (None
+    when BASE's median is 0), which is ``worse_than_bound`` when it goes the worse way by more than
+    the metric's ``bound``."""
     lower = metric["better"] == "lower"
     base, head, pairs = row["base"], row["head"], row["pairs"]
-    wins_needed = max(1, pairs - (pairs + 9) // 10)
+    wins_needed = max(1, pairs - max(1, pairs // 10))
     gap = base["median"] - head["median"] if lower else head["median"] - base["median"]  # > 0: HEAD better
     iqr = base["q3"] - base["q1"]
     change = (head["median"] - base["median"]) / abs(base["median"]) if base["median"] else None
