@@ -18,7 +18,8 @@ bench:
 	$(PYTHON) bench/run.py --workload all --seed 1 --seconds 15
 
 # Alternating untraced runs of BASE and HEAD, each copied with git archive: every end-to-end metric's
-# median and quartiles per side, and the pairs each side won. JSON=file also writes the runs.
+# median and quartiles per side, and the pairs each side won. WORKLOAD may be a comma-separated list,
+# one table each. JSON=file also writes the runs.
 PAIRS ?= 10
 SECONDS ?= 15
 SEED ?= 1

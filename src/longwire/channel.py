@@ -41,9 +41,8 @@ only a very weak residual effect.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
+import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
@@ -264,7 +263,8 @@ class CountTrace:
     def samples(self) -> tuple[TraceSample, ...]:
         """The trace as rows, built anew on each call."""
         columns = (self.window, self.counts, self.duty, self.toggle_rate)
-        return tuple(map(TraceSample, *(c.tolist() for c in columns), self.tx_bits))
+        rows = zip(*(c.tolist() for c in columns), self.tx_bits)
+        return tuple(map(tuple.__new__, itertools.repeat(TraceSample), rows))  # no Python-level __new__ per row
 
 
 def _check_stimulus(duty, toggle_rate) -> None:
@@ -537,38 +537,48 @@ def _format_column(column: np.ndarray, fmt) -> list[str]:
 
 def trace_to_csv(trace: CountTrace) -> str:
     """One header line, then one line per window; a bit of None is an empty field."""
-    rows = zip(
-        trace.window.tolist(),
-        trace.counts.tolist(),
-        _format_column(trace.duty, "{:.6g}".format),
-        _format_column(trace.toggle_rate, "{:.6g}".format),
-        ["" if b is None else b for b in trace.tx_bits],
-    )
-    return ",".join(TRACE_CSV_HEADER) + "\n" + ("%d,%d,%s,%s,%s\n" * len(trace)) % tuple([v for r in rows for v in r])
+    flat = [None] * (len(TRACE_CSV_HEADER) * len(trace))  # the % arguments, row after row
+    flat[0::5] = trace.window.tolist()
+    flat[1::5] = trace.counts.tolist()
+    flat[2::5] = _format_column(trace.duty, "{:.6g}".format)
+    flat[3::5] = _format_column(trace.toggle_rate, "{:.6g}".format)
+    flat[4::5] = ["" if b is None else b for b in trace.tx_bits]
+    return ",".join(TRACE_CSV_HEADER) + "\n" + ("%d,%d,%s,%s,%s\n" * len(trace)) % tuple(flat)
 
 
-def _parse_column(texts: tuple[str, ...], parse) -> list:
+def _parse_column(texts: list[str], parse) -> list:
     """parse(v) for each text, called once per distinct text in file order."""
     values = {v: parse(v) for v in dict.fromkeys(texts)}
     return list(map(values.__getitem__, texts))
 
 
+def _int_column(texts: list[str], name: str) -> np.ndarray:
+    """int(v) for each text, as int64; a whole number int64 cannot hold is refused as ``CountTrace`` refuses it."""
+    try:
+        return np.array(texts, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{name} must be whole numbers") from None
+
+
 def trace_from_csv(text: str) -> CountTrace:
-    """Inverse of ``trace_to_csv``; blank lines are skipped."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or tuple(header) != TRACE_CSV_HEADER:
+    """Inverse of ``trace_to_csv``; blank lines are skipped.
+
+    Every field is a number or empty, so a quote never protects a comma or a
+    line end: the text is read whole, without a CSV parser, quotes are
+    dropped, and a line ends at \\n, \\r\\n or \\r.
+    """
+    lines = text.replace('"', "").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[0] != ",".join(TRACE_CSV_HEADER):
         raise ValueError(f"expected header {','.join(TRACE_CSV_HEADER)}")
-    rows = []
-    for row in filter(None, reader):
-        if len(row) != len(TRACE_CSV_HEADER):
-            raise ValueError(f"line {reader.line_num}: expected {len(TRACE_CSV_HEADER)} fields, got {len(row)}")
-        rows.append(row)
-    window, count, duty, toggle_rate, bit = zip(*rows) if rows else [()] * len(TRACE_CSV_HEADER)
+    rows = list(filter(None, lines[1:]))
+    if set(map(str.count, rows, itertools.repeat(","))) - {4}:  # each row's commas, counted in one C-level pass
+        number, line = next((n, line) for n, line in enumerate(lines, 1) if line and line.count(",") != 4)
+        raise ValueError(f"line {number}: expected 5 fields, got {line.count(',') + 1}")
+    fields = ",".join(rows).split(",") if rows else []
     return CountTrace(  # typed arrays, so that CountTrace need not find each column's type
-        np.array(list(map(int, window)), dtype=np.int64),
-        np.array(list(map(int, count)), dtype=np.int64),
-        np.array(_parse_column(duty, float), dtype=float),
-        np.array(_parse_column(toggle_rate, float), dtype=float),
-        _parse_column(bit, lambda v: None if v == "" else int(v)),
+        _int_column(fields[0::5], "window"),
+        _int_column(fields[1::5], "counts"),
+        np.array(_parse_column(fields[2::5], float), dtype=float),
+        np.array(_parse_column(fields[3::5], float), dtype=float),
+        _parse_column(fields[4::5], lambda v: None if v == "" else int(v)),
     )

@@ -71,3 +71,17 @@ class TestVerdict:
     def test_a_zero_base_median_has_no_relative_change(self):
         _, verdict = judged(WALL, [0.0] * 3, [1.0] * 3)
         assert verdict["change"] is None and not verdict["worse_than_bound"]
+
+
+def test_each_workload_gets_its_own_summary_in_the_order_run(capsys):
+    faster = [{**run, "workload": "sim-link"} for run in runs(WALL, BASE, [b - 0.2 for b in BASE])]
+    level = [{**run, "workload": "audit-grid"} for run in runs(WALL, BASE[:5], BASE[:5])]
+    summaries = bench_pair.summarize_workloads(faster + level, [WALL])
+    assert list(summaries) == ["sim-link", "audit-grid"]
+    (gain,), (same,) = summaries["sim-link"], summaries["audit-grid"]
+    assert gain["pairs"] == 10 and gain["head_won"] == 10 and gain["verdict"]["won_enough"]
+    assert same["pairs"] == 5 and same["tied"] == 5 and same["verdict"]["change"] == 0
+    assert not same["verdict"]["won_enough"] and not same["verdict"]["worse_than_bound"]
+    assert same["base"] == bench_pair.summarize(level, [WALL])[0]["base"]
+    bench_pair.print_table(summaries["sim-link"])
+    assert "10/0/0" in capsys.readouterr().out

@@ -21,13 +21,13 @@ from longwire import (
     simulate_counts,
     simulate_trace,
 )
-from longwire.channel import TRACE_CSV_HEADER, CountTrace, as_longs, trace_from_csv, trace_to_csv
+from longwire.channel import TRACE_CSV_HEADER, CountTrace, TraceSample, as_longs, trace_from_csv, trace_to_csv
 from longwire import channel, codec, exfil
 from longwire.errors import InconsistentMeasurements
 from longwire.exfil import ExfilChannel, KeyBits, measure_windows_noisy, single_window_recover, window_hw_oracle
 from longwire.patterns import DYNAMIC4_CODES, PatternSpec, stimulus_columns
 from longwire.stats import ks_two_sample
-from conftest import stimulus_oracle
+from conftest import DOCS_DIR, stimulus_oracle
 
 
 def drc(profile, **kw):
@@ -486,7 +486,25 @@ class TestStreamOracle:
         assert trace.counts.dtype == np.int64 and trace.duty.dtype == trace.toggle_rate.dtype == np.float64
         assert trace.counts.tolist() == expected
         assert trace.samples == tuple((i, c, *stim) for i, (c, stim) in enumerate(zip(expected, stimuli)))
-        assert all(type(s.count) is int and type(s.duty) is float for s in trace.samples)
+        assert all(type(s) is TraceSample and type(s.count) is int and type(s.duty) is float for s in trace.samples)
+
+    @pytest.mark.parametrize("pattern", [PatternSpec.lfsr(), PatternSpec.dynamic4("1010")], ids=["bits", "no-bits"])
+    @pytest.mark.parametrize("windows", [0, 1, 2048])
+    def test_samples_are_trace_samples_of_python_values(self, windows, pattern, profile, cfg13, geom22):
+        trace = simulate_trace(profile, cfg13, geom22, pattern, windows, seed=5) if windows else CountTrace(
+            [], [], [], [], [])
+        rows = trace.samples
+        assert len(rows) == windows and all(type(row) is TraceSample for row in rows)
+        bit = type(None) if pattern.kind == "dynamic4" else int
+        assert {tuple(map(type, row)) for row in rows} <= {(int, int, float, float, bit)}
+        assert [row.window for row in rows] == trace.window.tolist()
+        assert [row.count for row in rows] == trace.counts.tolist()
+        assert [row.duty for row in rows] == trace.duty.tolist()
+        assert [row.toggle_rate for row in rows] == trace.toggle_rate.tolist()
+        assert [row.tx_bit for row in rows] == trace.tx_bits
+        assert rows == tuple(TraceSample(*row) for row in zip(
+            trace.window.tolist(), trace.counts.tolist(), trace.duty.tolist(), trace.toggle_rate.tolist(),
+            trace.tx_bits))
 
     # Drift large enough to move counts by tens, so that the drift pass shows in them.
     WANDER = {"drift_rate": 1e-4, "drift_bound": 1.0}
@@ -831,6 +849,89 @@ def test_trace_from_csv_reads_quoted_fields_and_blank_lines():
     )
     trace = trace_from_csv(text)
     assert trace.samples == ((0, 10, 0.5, 0.125, None), (1, 11, 1.0, 0.0, 1))
+
+
+def csv_reader_reference(text):
+    """The trace read row by row with csv.reader: quoted fields, blank lines skipped, \\n or \\r\\n line ends."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None or tuple(header) != TRACE_CSV_HEADER:
+        raise ValueError(f"expected header {','.join(TRACE_CSV_HEADER)}")
+    rows = []
+    for row in filter(None, reader):
+        if len(row) != len(TRACE_CSV_HEADER):
+            raise ValueError(f"line {reader.line_num}: expected {len(TRACE_CSV_HEADER)} fields, got {len(row)}")
+        rows.append(row)
+    window, count, duty, toggle_rate, bit = zip(*rows) if rows else [()] * len(TRACE_CSV_HEADER)
+    return CountTrace(
+        np.array(list(map(int, window)), dtype=np.int64),
+        np.array(list(map(int, count)), dtype=np.int64),
+        np.array(list(map(float, duty)), dtype=float),
+        np.array(list(map(float, toggle_rate)), dtype=float),
+        [None if v == "" else int(v) for v in bit],
+    )
+
+
+CSV_VARIANTS = {
+    "plain": lambda text: text,
+    "quoted": lambda text: "\n".join(",".join(f'"{f}"' for f in line.split(",")) if line else line
+                                      for line in text.split("\n")),
+    "blank-lines": lambda text: text.replace("\n", "\n\n"),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+}
+
+READ_TRACES = {
+    **CSV_TRACES,
+    **{f"{kind}-2048": (lambda pattern=pattern: simulated(pattern, 2048)) for kind, pattern in (
+        ("alternating", PatternSpec.alternating()), ("longruns", PatternSpec.long_runs(4)),
+        ("lfsr", PatternSpec.lfsr()), ("custom", PatternSpec.custom((0, 1, 1, 0, 1))),
+        ("dynamic4", PatternSpec.dynamic4("1100")))},
+}
+
+
+def assert_same_trace(got, want):
+    for column in ("window", "counts", "duty", "toggle_rate"):
+        assert getattr(got, column).dtype == getattr(want, column).dtype
+        assert list(map(repr, getattr(got, column).tolist())) == list(map(repr, getattr(want, column).tolist()))
+    assert got.tx_bits == want.tx_bits
+    assert got.samples == want.samples
+
+
+@pytest.mark.parametrize("variant", CSV_VARIANTS.values(), ids=CSV_VARIANTS.keys())
+@pytest.mark.parametrize("make", READ_TRACES.values(), ids=READ_TRACES.keys())
+def test_trace_from_csv_matches_the_csv_reader(make, variant):
+    text = variant(trace_to_csv(make()))
+    assert_same_trace(trace_from_csv(text), csv_reader_reference(text))
+
+
+@pytest.mark.parametrize("name", ["trace_alternating.csv", "trace_patterns_lfsr.csv"])
+def test_committed_traces_read_and_write_back_byte_for_byte(name):
+    data = (DOCS_DIR.parent / "out" / name).read_bytes()
+    trace = trace_from_csv(data.decode())
+    assert len(trace) == 2048
+    assert_same_trace(trace, csv_reader_reference(data.decode()))
+    assert trace_to_csv(trace).encode() == data
+
+
+@pytest.mark.parametrize("end", ["\r", "\r\n"])
+def test_trace_from_csv_reads_every_line_end(end):
+    text = trace_to_csv(simulated(PatternSpec.lfsr(), 64))
+    assert_same_trace(trace_from_csv(text.replace("\n", end)), trace_from_csv(text))
+    mixed = text.replace("\n", end, 20)  # the header and the first rows end one way, the rest the other
+    assert_same_trace(trace_from_csv(mixed), trace_from_csv(text))
+    with pytest.raises(ValueError, match="^line 4: expected 5 fields, got 3$"):
+        trace_from_csv(end.join(["window,count,duty,toggle_rate,tx_bit", "0,10,1,0,1", "", "1,10,1", ""]))
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [(f"{2**63},10,1,0,1", "^window must be whole numbers$"), (f"{-2**63 - 1},10,1,0,1", "^window must be whole numbers$"),
+     (f"0,{2**64},1,0,1", "^counts must be whole numbers$")],
+    ids=["window-2-63", "window-below-int64", "count-2-64"],
+)
+def test_trace_from_csv_refuses_what_int64_cannot_hold(row, message):
+    with pytest.raises(ValueError, match=message):
+        trace_from_csv(f"window,count,duty,toggle_rate,tx_bit\n{row}\n")
 
 
 def test_trace_from_csv_counts_blank_lines_in_the_line_number():

@@ -2,21 +2,22 @@
 """Paired benchmark runs of two commits, for a performance claim.
 
     python3 tools/bench_pair.py --base 8ac5e25 --workload noisy-exfil --pairs 10 --seconds 15 --seed 1
-    make bench-pair BASE=8ac5e25 WORKLOAD=noisy-exfil [PAIRS=10 SECONDS=15 SEED=1 JSON=runs.json]
+    make bench-pair BASE=8ac5e25 WORKLOAD=sim-link,noisy-exfil [PAIRS=10 SECONDS=15 SEED=1 JSON=runs.json]
 
 BASE and HEAD are each copied with `git archive` into one temporary
 directory, so that both trees are built the same way (a clone and an archive
-of one commit differ in `peak_rss_mb`).  Each pair runs `bench/run.py
---trace 0` once in each copy; the side that runs first alternates from pair
-to pair, BASE first in pair 1.  For every end-to-end metric of HEAD's
-BENCHMARK.json the script prints each side's median and quartiles and the
-pairs each side won, by the metric's better direction; ties count for
-neither.  Then its verdict on a claimed gain: whether HEAD won enough pairs
-(nine tenths of them from 10 pairs up, all but one below: 4 of 5, 9 of 10,
-10 of 11), whether the median gap in HEAD's favour is larger than BASE's
-interquartile range (IQR), and the relative change of the median beside the
-metric's `bound`.  With --json the runs and that summary are written to a
-file.
+of one commit differ in `peak_rss_mb`).  --workload takes one workload or a
+comma-separated list, run one after the other.  Each pair runs `bench/run.py
+--trace 0` once in each copy; within each workload the side that runs first
+alternates from pair to pair, BASE first in pair 1.  For each workload, one
+table: for every end-to-end metric of HEAD's BENCHMARK.json, each side's
+median and quartiles and the pairs each side won, by the metric's better
+direction; ties count for neither.  Then its verdict on a claimed gain:
+whether HEAD won enough pairs (nine tenths of them from 10 pairs up, all but
+one below: 4 of 5, 9 of 10, 10 of 11), whether the median gap in HEAD's
+favour is larger than BASE's interquartile range (IQR), and the relative
+change of the median beside the metric's `bound`.  With --json the runs and each workload's summary are
+written to a file.
 """
 
 from __future__ import annotations
@@ -90,35 +91,18 @@ def summarize(runs: list[dict], metrics: list[dict]) -> list[dict]:
     return summary
 
 
+def summarize_workloads(runs: list[dict], metrics: list[dict]) -> dict[str, list[dict]]:
+    """``summarize`` of each workload's runs, by workload in the order they ran."""
+    workloads = dict.fromkeys(r["workload"] for r in runs)
+    return {w: summarize([r for r in runs if r["workload"] == w], metrics) for w in workloads}
+
+
 def _yes(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", required=True, help="the commit to compare HEAD with")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=15)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--json", type=Path, help="write the runs and the summary to this file")
-    args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
-        trees = {side: Path(tmp) / side for side in ("base", "head")}
-        commits = {side: archive(rev, trees[side]) for side, rev in (("base", args.base), ("head", "HEAD"))}
-        metrics = json.loads((trees["head"] / "BENCHMARK.json").read_text())["end_to_end"]
-        runs = []
-        for pair in range(1, args.pairs + 1):
-            order = ("base", "head") if pair % 2 else ("head", "base")
-            for side in order:
-                result = run_once(trees[side], args.workload, args.seed, args.seconds)
-                runs.append({"workload": args.workload, "seed": args.seed, "seconds": args.seconds, "pair": pair,
-                             "side": side, "first": order[0], "result": result})
-                wall = result["metrics"]["wall_s"]["value"]
-                print(f"pair {pair:2d} {side:4s} wall_s {wall:.6g}", file=sys.stderr, flush=True)
-    summary = summarize(runs, metrics)
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s: "
-          f"base {commits['base'][:10]} against head {commits['head'][:10]}")
+def print_table(summary: list[dict]) -> None:
+    """One workload's summary: each side's median and quartiles and the wins, then the verdict."""
     print(f"{'metric':18s} {'base median [q1, q3]':>36s} {'head median [q1, q3]':>36s}  head/base/tied wins")
     for row in summary:
         base, head = row["base"], row["head"]
@@ -132,9 +116,40 @@ def main(argv=None) -> int:
         print(f"{row['metric']:18s} {_yes(v['won_enough']):>3s} {row['head_won']:5d} >= {v['wins_needed']:2d}  "
               f"{_yes(v['gap_above_iqr']):>3s} {v['gap']:11.4g} > {v['base_iqr']:<11.4g}  {change:>8s} "
               f"[{v['bound']:g}]{'  worse than its bound' if v['worse_than_bound'] else ''}")
+    print()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="the commit to compare HEAD with")
+    parser.add_argument("--workload", required=True, help="a workload, or a comma-separated list of them")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=15)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--json", type=Path, help="write the runs and each workload's summary to this file")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
+        trees = {side: Path(tmp) / side for side in ("base", "head")}
+        commits = {side: archive(rev, trees[side]) for side, rev in (("base", args.base), ("head", "HEAD"))}
+        metrics = json.loads((trees["head"] / "BENCHMARK.json").read_text())["end_to_end"]
+        runs = []
+        for workload in args.workload.split(","):
+            for pair in range(1, args.pairs + 1):
+                order = ("base", "head") if pair % 2 else ("head", "base")
+                for side in order:
+                    result = run_once(trees[side], workload, args.seed, args.seconds)
+                    runs.append({"workload": workload, "seed": args.seed, "seconds": args.seconds, "pair": pair,
+                                 "side": side, "first": order[0], "result": result})
+                    wall = result["metrics"]["wall_s"]["value"]
+                    print(f"{workload} pair {pair:2d} {side:4s} wall_s {wall:.6g}", file=sys.stderr, flush=True)
+    summaries = summarize_workloads(runs, metrics)
+    for workload, summary in summaries.items():
+        print(f"{workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s: "
+              f"base {commits['base'][:10]} against head {commits['head'][:10]}")
+        print_table(summary)
     if args.json:
         args.json.write_text(json.dumps({"base": commits["base"], "head": commits["head"], "runs": runs,
-                                         "summary": summary}, indent=1) + "\n")
+                                         "summary": summaries}, indent=1) + "\n")
     return 0
 
 
