@@ -537,7 +537,7 @@ def _format_column(column: np.ndarray, fmt) -> list[str]:
 
 def trace_to_csv(trace: CountTrace) -> str:
     """One header line, then one line per window; a bit of None is an empty field."""
-    flat = [None] * (len(TRACE_CSV_HEADER) * len(trace))  # the % arguments, row after row
+    flat = [None] * (5 * len(trace))  # the % arguments, row after row
     flat[0::5] = trace.window.tolist()
     flat[1::5] = trace.counts.tolist()
     flat[2::5] = _format_column(trace.duty, "{:.6g}".format)
@@ -574,11 +574,11 @@ def trace_from_csv(text: str) -> CountTrace:
     if set(map(str.count, rows, itertools.repeat(","))) - {4}:  # each row's commas, counted in one C-level pass
         number, line = next((n, line) for n, line in enumerate(lines, 1) if line and line.count(",") != 4)
         raise ValueError(f"line {number}: expected 5 fields, got {line.count(',') + 1}")
-    fields = ",".join(rows).split(",") if rows else []
+    cells = ",".join(rows).split(",") if rows else []
     return CountTrace(  # typed arrays, so that CountTrace need not find each column's type
-        _int_column(fields[0::5], "window"),
-        _int_column(fields[1::5], "counts"),
-        np.array(_parse_column(fields[2::5], float), dtype=float),
-        np.array(_parse_column(fields[3::5], float), dtype=float),
-        _parse_column(fields[4::5], lambda v: None if v == "" else int(v)),
+        _int_column(cells[0::5], "window"),
+        _int_column(cells[1::5], "counts"),
+        np.array(_parse_column(cells[2::5], float), dtype=float),
+        np.array(_parse_column(cells[3::5], float), dtype=float),
+        _parse_column(cells[4::5], lambda v: None if v == "" else int(v)),
     )

@@ -502,9 +502,6 @@ class TestStreamOracle:
         assert [row.duty for row in rows] == trace.duty.tolist()
         assert [row.toggle_rate for row in rows] == trace.toggle_rate.tolist()
         assert [row.tx_bit for row in rows] == trace.tx_bits
-        assert rows == tuple(TraceSample(*row) for row in zip(
-            trace.window.tolist(), trace.counts.tolist(), trace.duty.tolist(), trace.toggle_rate.tolist(),
-            trace.tx_bits))
 
     # Drift large enough to move counts by tens, so that the drift pass shows in them.
     WANDER = {"drift_rate": 1e-4, "drift_bound": 1.0}
@@ -792,6 +789,27 @@ def csv_writer_reference(trace):
     return buf.getvalue()
 
 
+def csv_reader_reference(text):
+    """The trace read row by row with csv.reader: quoted fields, blank lines skipped, \\n or \\r\\n line ends."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None or tuple(header) != TRACE_CSV_HEADER:
+        raise ValueError(f"expected header {','.join(TRACE_CSV_HEADER)}")
+    rows = []
+    for row in filter(None, reader):
+        if len(row) != len(TRACE_CSV_HEADER):
+            raise ValueError(f"line {reader.line_num}: expected {len(TRACE_CSV_HEADER)} fields, got {len(row)}")
+        rows.append(row)
+    window, count, duty, toggle_rate, bit = zip(*rows) if rows else [()] * len(TRACE_CSV_HEADER)
+    return CountTrace(
+        np.array(list(map(int, window)), dtype=np.int64),
+        np.array(list(map(int, count)), dtype=np.int64),
+        np.array(list(map(float, duty)), dtype=float),
+        np.array(list(map(float, toggle_rate)), dtype=float),
+        [None if v == "" else int(v) for v in bit],
+    )
+
+
 def simulated(pattern, windows, coupling="long", seed=3):
     return simulate_trace(DeviceProfile(), MeasurementConfig(log2_ticks=15),
                           Geometry(v_t=2, v_r=2, coupling=coupling), pattern, windows, seed)
@@ -851,27 +869,6 @@ def test_trace_from_csv_reads_quoted_fields_and_blank_lines():
     assert trace.samples == ((0, 10, 0.5, 0.125, None), (1, 11, 1.0, 0.0, 1))
 
 
-def csv_reader_reference(text):
-    """The trace read row by row with csv.reader: quoted fields, blank lines skipped, \\n or \\r\\n line ends."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or tuple(header) != TRACE_CSV_HEADER:
-        raise ValueError(f"expected header {','.join(TRACE_CSV_HEADER)}")
-    rows = []
-    for row in filter(None, reader):
-        if len(row) != len(TRACE_CSV_HEADER):
-            raise ValueError(f"line {reader.line_num}: expected {len(TRACE_CSV_HEADER)} fields, got {len(row)}")
-        rows.append(row)
-    window, count, duty, toggle_rate, bit = zip(*rows) if rows else [()] * len(TRACE_CSV_HEADER)
-    return CountTrace(
-        np.array(list(map(int, window)), dtype=np.int64),
-        np.array(list(map(int, count)), dtype=np.int64),
-        np.array(list(map(float, duty)), dtype=float),
-        np.array(list(map(float, toggle_rate)), dtype=float),
-        [None if v == "" else int(v) for v in bit],
-    )
-
-
 CSV_VARIANTS = {
     "plain": lambda text: text,
     "quoted": lambda text: "\n".join(",".join(f'"{f}"' for f in line.split(",")) if line else line
@@ -902,6 +899,22 @@ def assert_same_trace(got, want):
 def test_trace_from_csv_matches_the_csv_reader(make, variant):
     text = variant(trace_to_csv(make()))
     assert_same_trace(trace_from_csv(text), csv_reader_reference(text))
+
+
+HEADER = "window,count,duty,toggle_rate,tx_bit\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "a,b,c\n1,2,3\n", HEADER + "0,10,1,0\n", HEADER + "0,10,1,0,1\n\n1,10,1,0,1,7\n", HEADER + "0,ten,1,0,1\n",
+     HEADER + '"0","ten","1","0","1"\n', HEADER + "0,10,x,0,1\n", HEADER + "0,10,1,0,2\n", HEADER + "0,10,1,0,1.0\n",
+     HEADER + "1,10,1,0,1\n0,10,1,0,1\n", HEADER + "0,-1,1,0,1\n", HEADER + "0,10,1.5,0,1\n", HEADER + "1.5,10,1,0,1\n"],
+)
+def test_trace_from_csv_refuses_as_the_csv_reader(text):
+    with pytest.raises(ValueError) as want:
+        csv_reader_reference(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+        trace_from_csv(text)
 
 
 @pytest.mark.parametrize("name", ["trace_alternating.csv", "trace_patterns_lfsr.csv"])
